@@ -347,8 +347,8 @@ def _cmd_synthesize(args, out) -> int:
 def _load_wavedrom_trace(args, chart, out):
     """The single WaveDrom trace a ``check`` invocation operates on.
 
-    VCD sources instead stream through :func:`_check_vcd` without
-    ever materialising a trace.
+    VCD sources instead go through :func:`_check_vcd` as mask arrays,
+    never as a trace.
     """
     with open(args.trace) as stream:
         trace = wavedrom_to_trace(json.load(stream))
@@ -424,13 +424,12 @@ def _write_stream_report(out, path, report) -> bool:
 
 
 def _check_vcd(args, chart, out) -> int:
-    """Stream every dump through the monitor, sharded if asked.
+    """Check every dump, sharded if asked.
 
-    No dump is ever materialised as a trace: with ``--jobs 1`` (or the
-    interpreted engine) the parent streams them one after another;
-    with more jobs each worker process parses *and* checks its own
-    dump, so both parse time and memory scale with workers, not with
-    total dump size.
+    Table engines read each dump into masks in bounded blocks and
+    check them in the planned batch kernel; with ``--jobs N`` each
+    worker process parses *and* checks its own dumps.  The interpreted
+    engine streams decoded valuations, in-process.
     """
     from repro.trace.shard import run_sharded_vcd
     from repro.trace.streaming import StreamingChecker

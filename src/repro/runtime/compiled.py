@@ -45,6 +45,7 @@ __all__ = [
     "CompiledEngine",
     "as_compiled",
     "cell_rungs",
+    "check_mask_domain",
     "compile_monitor",
     "lower_monitor",
     "peek_cell",
@@ -747,7 +748,7 @@ def run_many(
         raise MonitorError(
             "run_many needs exactly one scoreboard per trace when provided"
         )
-    return run_many_encoded(
+    return _run_many_encoded(
         compiled,
         compiled.codec.encode_many(traces, as_list=True),
         scoreboards=scoreboards,
@@ -769,8 +770,51 @@ def run_many_encoded(
     sequence (``array('i')`` from
     :meth:`~repro.logic.codec.AlphabetCodec.encode_trace`, a list, or a
     NumPy array) — each is the per-tick mask stream of one trace.
+    A mask outside ``[0, 2^|Sigma|)`` raises :class:`MonitorError`
+    (see :func:`check_mask_domain`).
     """
     compiled = as_compiled(monitor)
+    check_mask_domain(compiled, mask_arrays)
+    return _run_many_encoded(compiled, mask_arrays, scoreboards,
+                             record_transitions)
+
+
+def check_mask_domain(compiled: CompiledMonitor,
+                      mask_arrays: Sequence[Sequence[int]]) -> None:
+    """Reject masks outside ``[0, 2^|Sigma|)`` before a kernel indexes
+    a table row with them (the native stepper would read out of
+    bounds).
+
+    One min/max pass per lane; only a failing batch is scanned tick by
+    tick, to name the first bad mask.
+    """
+    size = compiled.codec.size
+    for masks in mask_arrays:
+        if not len(masks):
+            continue
+        if hasattr(masks, "min"):  # NumPy: a vectorized reduction
+            low, high = masks.min(), masks.max()
+        else:
+            low, high = min(masks), max(masks)
+        if low < 0 or high >= size:
+            break
+    else:
+        return
+    for lane, masks in enumerate(mask_arrays):
+        for tick, mask in enumerate(masks):
+            if not 0 <= mask < size:
+                raise MonitorError(
+                    f"monitor {compiled.name!r}: mask {int(mask)} at "
+                    f"trace {lane}, tick {tick} is outside 0..{size - 1} "
+                    f"(alphabet {list(compiled.codec.symbols)})"
+                )
+
+
+def _run_many_encoded(compiled: CompiledMonitor, mask_arrays,
+                      scoreboards: Optional[Sequence[Scoreboard]] = None,
+                      record_transitions: bool = False
+                      ) -> List[MonitorResult]:
+    """:func:`run_many_encoded` on masks known to be in range."""
     if scoreboards is not None and len(scoreboards) != len(mask_arrays):
         raise MonitorError(
             "run_many needs exactly one scoreboard per trace when provided"

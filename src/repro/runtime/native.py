@@ -49,8 +49,9 @@ from repro.monitor.engine import MonitorResult
 from repro.monitor.scoreboard import Scoreboard
 from repro.runtime.compiled import (
     CompiledMonitor,
+    _run_many_encoded,
     as_compiled,
-    run_many_encoded,
+    check_mask_domain,
 )
 from repro.runtime.vector import VectorTable, vector_table
 
@@ -314,11 +315,10 @@ def run_many_native(
         raise MonitorError(
             "run_many needs exactly one scoreboard per trace when provided"
         )
-    return run_many_native_encoded(
-        compiled,
-        compiled.codec.encode_many(traces),
-        scoreboards=scoreboards,
-        record_transitions=record_transitions,
+    # Encoded traces are in range by construction: no domain check.
+    return _run_many_native(
+        compiled, compiled.codec.encode_many(traces), scoreboards,
+        record_transitions,
     )
 
 
@@ -337,6 +337,16 @@ def run_many_native_encoded(
     the raised error (message, trace-index order) is byte-identical.
     """
     compiled = as_compiled(monitor)
+    # The C stepper indexes its table with the raw mask: never let an
+    # out-of-range one reach it.
+    check_mask_domain(compiled, mask_arrays)
+    return _run_many_native(compiled, mask_arrays, scoreboards,
+                            record_transitions)
+
+
+def _run_many_native(compiled, mask_arrays, scoreboards,
+                     record_transitions) -> List[MonitorResult]:
+    """:func:`run_many_native_encoded` on masks known to be in range."""
     if scoreboards is not None and len(scoreboards) != len(mask_arrays):
         raise MonitorError(
             "run_many needs exactly one scoreboard per trace when provided"
@@ -346,7 +356,7 @@ def run_many_native_encoded(
         if scoreboards is None and not record_transitions else None
     )
     if kernel is None:
-        return run_many_encoded(
+        return _run_many_encoded(
             compiled, mask_arrays, scoreboards=scoreboards,
             record_transitions=record_transitions,
         )
@@ -372,7 +382,7 @@ def run_many_native_encoded(
         # Some lane hit an anomaly: replay the whole batch through the
         # scalar loop, which raises run_many's exact error (earliest
         # tick, lowest trace index).
-        return run_many_encoded(compiled, mask_arrays)
+        return _run_many_encoded(compiled, mask_arrays)
     results: List[MonitorResult] = []
     name = compiled.name
     for index in range(count):

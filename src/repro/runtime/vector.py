@@ -81,10 +81,11 @@ from repro.runtime.compiled import (
     CompiledEngine,
     CompiledMonitor,
     _resolve_ladder,
+    _run_many_encoded,
     _stepping_table,
     as_compiled,
+    check_mask_domain,
     peek_cell,
-    run_many_encoded,
 )
 from repro.semantics.run import Trace
 
@@ -515,7 +516,8 @@ def run_many_vector(
     :meth:`~repro.logic.codec.AlphabetCodec.encode_trace` cache, then
     stepped lock-step through the flat table.  ``record_transitions``
     needs the per-tick transition *objects*, which no gather can
-    produce — those runs delegate to the scalar ``run_many`` (identical
+    produce — those runs, and single-trace runs (nothing to gather
+    across), delegate to the scalar ``run_many`` loop (identical
     results either way).
     """
     compiled = as_compiled(monitor)
@@ -525,11 +527,11 @@ def run_many_vector(
         )
     # The fallback loop indexes plain lists; ask the cache for its
     # memoized list form directly so warm batches pay no conversion.
-    return run_many_vector_encoded(
+    # Encoded traces are in range by construction: no domain check.
+    return _run_many_vector(
         compiled,
         compiled.codec.encode_many(traces, as_list=_np is None),
-        scoreboards=scoreboards,
-        record_transitions=record_transitions,
+        scoreboards, record_transitions,
     )
 
 
@@ -539,14 +541,27 @@ def run_many_vector_encoded(
     scoreboards: Optional[Sequence[Scoreboard]] = None,
     record_transitions: bool = False,
 ) -> List[MonitorResult]:
-    """:func:`run_many_vector` over pre-encoded mask arrays."""
+    """:func:`run_many_vector` over pre-encoded mask arrays.
+
+    A mask outside ``[0, 2^|Sigma|)`` raises :class:`MonitorError`
+    (see :func:`~repro.runtime.compiled.check_mask_domain`).
+    """
     compiled = as_compiled(monitor)
-    if record_transitions:
-        # Transition logging is inherently scalar: every tick needs the
-        # taken Transition object, so the gather buys nothing.
-        return run_many_encoded(
+    check_mask_domain(compiled, mask_arrays)
+    return _run_many_vector(compiled, mask_arrays, scoreboards,
+                            record_transitions)
+
+
+def _run_many_vector(compiled, mask_arrays, scoreboards,
+                     record_transitions) -> List[MonitorResult]:
+    """:func:`run_many_vector_encoded` on masks known to be in range."""
+    if record_transitions or len(mask_arrays) <= 1:
+        # Transition logging is inherently scalar (every tick needs the
+        # taken Transition object), and one lane has nothing to gather
+        # across: the scalar loop is the faster kernel for both.
+        return _run_many_encoded(
             compiled, mask_arrays, scoreboards=scoreboards,
-            record_transitions=True,
+            record_transitions=record_transitions,
         )
     if scoreboards is not None and len(scoreboards) != len(mask_arrays):
         raise MonitorError(

@@ -4,15 +4,15 @@ The synthesis layer turns visual specs into monitors; this package
 turns *real simulation dumps* into the valuation streams those
 monitors consume, and scales checking beyond a single process:
 
-* :mod:`repro.trace.vcd_reader` — :class:`VcdReader`, a chunked,
-  incremental VCD parser (the counterpart of
-  :class:`~repro.sim.vcd.VcdWriter`) with a configurable
-  signal-to-symbol :class:`SignalBinding`;
+* :mod:`repro.trace.vcd_reader` — :class:`VcdReader`, the one VCD
+  front-end (the counterpart of :class:`~repro.sim.vcd.VcdWriter`):
+  dumps stream through in bounded blocks into per-tick mask arrays,
+  with a configurable signal-to-symbol :class:`SignalBinding`;
 * :mod:`repro.trace.bridge` — :func:`trace_to_vcd`, rendering recorded
   traces as VCD dumps (fixtures, golden files, viewer hand-off);
 * :mod:`repro.trace.columnar` — :class:`ColumnarTraceSet`, the binary
   ``.rtrc`` columnar store of pre-encoded mask arrays, with the
-  chunk-parallel VCD converter (:func:`masks_from_vcd`) and the
+  chunk-parallel VCD converter (:func:`masks_from_vcd_text`) and the
   content-addressed corpus ingest (:func:`ingest_vcd`);
 * :mod:`repro.trace.streaming` — :class:`StreamingChecker`, online
   checking with bounded memory and early exit;

@@ -1,32 +1,27 @@
-"""Columnar trace store + chunk-parallel VCD front-end.
+"""Columnar trace store, chunk-parallel ingest and the corpus cache.
 
-The vector kernel (:mod:`repro.runtime.vector`) checks 18-28M ticks/s,
-but :class:`~repro.trace.vcd_reader.VcdReader` parses dumps at ~230k
-ticks/s — on real-waveform workloads *parsing*, not checking, is the
-wall.  This module closes that gap twice over:
+Parsing, not checking, is the wall on real-waveform workloads: the
+batch kernels step millions of ticks a second, and the VCD front-end
+(:mod:`repro.trace.vcd_reader`) parses a few hundred thousand.
+This module lets a dump be parsed once and checked many times:
 
 * **``.rtrc``** — a versioned binary columnar trace format storing
   per-trace symbol-mask arrays pre-encoded against an
   :class:`~repro.logic.codec.AlphabetCodec` (the exact int layout the
-  vector kernel gathers over), plus trace lengths, the codec
+  batch kernels step over), plus trace lengths, the codec
   fingerprint, and sampling metadata.  Loading is NumPy-optional:
   ``numpy.frombuffer`` over an ``mmap`` when NumPy is present (zero
   copies into :func:`~repro.runtime.vector.run_many_vector_encoded`),
   an ``array('i')`` otherwise.
 
-* **chunk-parallel VCD conversion** — the ``$enddefinitions``-to-EOF
-  change stream is split at timestamp boundaries (``\\n#``), each chunk
-  is parsed by a worker of the persistent :mod:`repro.trace.shard`
-  pools into compact per-instant *delta records* (changed-code bits,
-  clock-edge flags), and a single sequential replay in the parent
-  applies the sampling discipline.  All of the tricky
-  :meth:`VcdReader.valuations <repro.trace.vcd_reader.VcdReader.valuations>`
-  semantics — same-instant block merging, ``$dumpvars`` preambles,
-  x/z-as-``None``, ``saw_value`` gating, periodic grid phase,
-  offset/until windows — live in that one replay loop, so the output
-  is byte-identical to the sequential reader whatever the seams, and a
-  seam-split instant merges naturally under the same-time rule.  Any
-  structural surprise in a chunk falls back to a single-chunk parse.
+* **chunk-parallel conversion** (``repro ingest --jobs N``) — the
+  change stream after ``$enddefinitions`` is split at timestamp lines
+  (``\\n#``) into one chunk per worker of the persistent
+  :mod:`repro.trace.shard` pools; each worker runs the front-end's
+  block parser on its chunk, and the parent runs the front-end's one
+  replay over the records in order.  A chunk that fails to parse
+  sends the conversion back to the front-end's own block-streamed
+  parse.
 
 * **content-addressed corpus cache** — :func:`ingest_vcd` keys an
   on-disk :class:`~repro.cache.CorpusCache` entry by the dump's
@@ -60,16 +55,23 @@ import struct
 import sys
 import zlib
 from array import array
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.cache import CorpusCache
 from repro.errors import TraceError
 from repro.logic.codec import AlphabetCodec
 from repro.semantics.run import Trace
+from repro.trace.vcd_reader import (
+    VcdReader,
+    _check_sampling,
+    _parse_chunk,
+    _replay,
+)
 
 __all__ = [
     "RTRC_VERSION",
     "ColumnarTraceSet",
+    "check_masks",
     "codec_fingerprint",
     "corpus_key",
     "ingest_vcd",
@@ -94,16 +96,6 @@ _ALIGN = 64
 #: Change streams smaller than this parse in-process — pool dispatch
 #: and result pickling would cost more than the parse itself.
 _MIN_PARALLEL_BYTES = 1 << 16
-
-_SCALAR_VALUES = {"0": 0, "1": 1, "x": None, "X": None, "z": None, "Z": None}
-_DUMP_DIRECTIVES = {"$dumpvars", "$dumpall", "$dumpon", "$dumpoff"}
-
-# Per-instant clock/validity flags carried by worker delta records.
-_F_ROSE = 1          # clock rose within the instant (previous level known low)
-_F_ROSE_IF_LOW = 2   # clock went high but the incoming level is chunk-unknown
-_F_LEVEL_LOW = 4     # clock level at end of instant: low
-_F_LEVEL_HIGH = 8    # clock level at end of instant: high
-_F_SAW = 16          # some change carried a real (non-x/z) value
 
 
 def codec_fingerprint(codec: Union[AlphabetCodec, Iterable[str]]) -> str:
@@ -356,350 +348,6 @@ class ColumnarTraceSet:
 
 
 # -- chunk-parallel VCD conversion ------------------------------------------
-def _scalar_actions(all_codes: Iterable[str], code_bits: Dict[str, int],
-                    clock_codes: frozenset) -> Dict[str, tuple]:
-    """Precompiled scalar-change dispatch: token -> ``(hi, lo, saw, clk)``.
-
-    Scalar changes are drawn from a small finite vocabulary — a value
-    character (``01xXzZ``) glued to one of the declared identifier
-    codes — so the whole per-token decision (slice off the code, look
-    up its bits, classify the value, test clock membership) collapses
-    into a single dict probe computed once per conversion.  ``clk`` is
-    0 for non-clock codes, 1 for a high clock edge, 2 for low/unknown.
-    """
-    actions: Dict[str, tuple] = {}
-    for code in all_codes:
-        bits = code_bits.get(code, 0)
-        if code in clock_codes:
-            high_clk, low_clk = 1, 2
-        else:
-            high_clk = low_clk = 0
-        actions["1" + code] = (bits, 0, _F_SAW, high_clk)
-        actions["0" + code] = (0, bits, _F_SAW, low_clk)
-        for unknown in ("x", "X", "z", "Z"):
-            # x/z read as value None: no saw_value, symbol goes low.
-            actions[unknown + code] = (0, bits, 0, low_clk)
-    return actions
-
-
-def _parse_chunk(text: str, actions: Dict[str, tuple],
-                 code_bits: Dict[str, int],
-                 clock_codes: frozenset,
-                 drop_quiet: bool = False) -> tuple:
-    """One chunk of the change stream -> per-instant delta records.
-
-    Context-free by design: the worker knows nothing about values set
-    before its chunk, so each record carries only what changed —
-    ``set``/``clear`` bit deltas over the (code or symbol) bitspace,
-    and clock flags whose "did it rise?" question may be deferred to
-    the replay (``_F_ROSE_IF_LOW``) when the incoming level is
-    unknown.  Returns ``(times, sets, clears, flags)`` arrays, one
-    entry per instant, cheap to pickle back from a worker.
-
-    ``drop_quiet`` (clock sampling only) elides instants that carry no
-    bit deltas and no clock rise — typically every falling clock edge,
-    half of a synchronous dump.  The replay never samples on them and
-    ``saw_value`` is not consulted under clock sampling; the one thing
-    they feed, the level seen by the *next* chunk's deferred-rise
-    resolution, is preserved by a trailing zero-delta record whenever
-    the chunk's final level differs from the last level shipped.
-    """
-    tokens = text.split()
-    times = array("q")
-    sets = array("q")
-    clears = array("q")
-    flags = bytearray()
-    times_append = times.append
-    sets_append = sets.append
-    clears_append = clears.append
-    flags_append = flags.append
-
-    cur_time = 0
-    pending = False
-    hi = 0
-    lo = 0
-    flag = 0
-    quiet_level = 0    # latest level bits seen (shipped or elided)
-    shipped_level = 0  # latest level bits actually shipped
-    clock_level: Optional[bool] = None  # unknown at chunk entry
-    scalar_get = _SCALAR_VALUES.get
-    actions_get = actions.get
-    bits_get = code_bits.get
-    has_clock = bool(clock_codes)
-    # Hot-loop locals: global flag constants cost a dict probe per use.
-    f_rose = _F_ROSE
-    f_rose_if_low = _F_ROSE_IF_LOW
-    f_level_low = _F_LEVEL_LOW
-    f_level_high = _F_LEVEL_HIGH
-    rose_bits = f_rose | f_rose_if_low
-    level_bits = f_level_low | f_level_high
-    miss = object()
-    stream = iter(tokens)
-    for token in stream:
-        act = actions_get(token)
-        if act is not None:
-            # Scalar change of a declared code: the precompiled path.
-            token_hi, token_lo, saw, clk = act
-            pending = True
-            if token_hi or token_lo:
-                hi = (hi | token_hi) & ~token_lo
-                lo = (lo | token_lo) & ~token_hi
-            flag |= saw
-            if clk:
-                if clk == 1:
-                    if clock_level is None:
-                        flag |= f_rose_if_low
-                    elif not clock_level:
-                        flag |= f_rose
-                    clock_level = True
-                    flag = (flag & ~f_level_low) | f_level_high
-                else:
-                    clock_level = False
-                    flag = (flag & ~f_level_high) | f_level_low
-            continue
-        lead = token[0]
-        if lead == "#":
-            try:
-                time = int(token[1:])
-            except ValueError:
-                raise TraceError(f"bad timestamp token {token!r}")
-            if pending and time == cur_time:
-                continue  # same instant continues
-            if pending:
-                if drop_quiet and not hi and not lo and not (
-                    flag & rose_bits
-                ):
-                    level = flag & level_bits
-                    if level:
-                        quiet_level = level
-                else:
-                    times_append(cur_time)
-                    sets_append(hi)
-                    clears_append(lo)
-                    flags_append(flag)
-                    level = flag & level_bits
-                    if level:
-                        quiet_level = shipped_level = level
-                hi = lo = flag = 0
-            cur_time = time
-            pending = True
-            continue
-        value = scalar_get(lead, miss)
-        if value is not miss:
-            # Scalar change of an *undeclared* code (malformed dumps
-            # tolerated by the sequential reader): generic handling.
-            code = token[1:]
-            if not code:
-                raise TraceError(f"scalar change {token!r} lacks an id")
-        elif lead in "bBrR":
-            code = next(stream, None)
-            if code is None:
-                raise TraceError(f"vector change {token!r} lacks an id")
-            if lead in "bB":
-                bits = token[1:]
-                if any(c in "xXzZ" for c in bits):
-                    value = None
-                else:
-                    try:
-                        value = int(bits, 2)
-                    except ValueError:
-                        raise TraceError(f"bad vector value {token!r}")
-            else:
-                try:
-                    value = int(float(token[1:]) != 0.0)
-                except ValueError:
-                    raise TraceError(f"bad real value {token!r}")
-        else:
-            # Directive in the change stream (rare path).
-            if token == "$dumpoff":
-                # Blackout section: skipped wholesale, values hold.
-                for skipped in stream:
-                    if skipped == "$end":
-                        break
-                else:
-                    raise TraceError(
-                        "unterminated $dumpoff section (missing $end)"
-                    )
-            elif token in _DUMP_DIRECTIVES or token == "$end":
-                pass
-            elif lead == "$":
-                for skipped in stream:
-                    if skipped == "$end":
-                        break
-                else:
-                    raise TraceError(
-                        f"unterminated {token} directive (missing $end)"
-                    )
-            else:
-                raise TraceError(f"unexpected value-change token {token!r}")
-            continue
-        # One change record (scalar or vector/real) for `code`.
-        pending = True
-        if value is not None:
-            flag |= _F_SAW
-            high = value != 0
-        else:
-            high = False
-        if has_clock and code in clock_codes:
-            if high:
-                if clock_level is None:
-                    flag |= _F_ROSE_IF_LOW
-                elif not clock_level:
-                    flag |= _F_ROSE
-            clock_level = high
-            flag = (flag & ~(_F_LEVEL_LOW | _F_LEVEL_HIGH)) | (
-                _F_LEVEL_HIGH if high else _F_LEVEL_LOW
-            )
-        bits = bits_get(code)
-        if bits:
-            if high:
-                hi |= bits
-                lo &= ~bits
-            else:
-                lo |= bits
-                hi &= ~bits
-    if pending:
-        if drop_quiet and not hi and not lo and not (
-            flag & (_F_ROSE | _F_ROSE_IF_LOW)
-        ):
-            level = flag & (_F_LEVEL_LOW | _F_LEVEL_HIGH)
-            if level:
-                quiet_level = level
-        else:
-            times_append(cur_time)
-            sets_append(hi)
-            clears_append(lo)
-            flags_append(flag)
-            level = flag & (_F_LEVEL_LOW | _F_LEVEL_HIGH)
-            if level:
-                quiet_level = shipped_level = level
-    if drop_quiet and quiet_level != shipped_level:
-        # Resync the level the next chunk's deferred rise will read.
-        times_append(cur_time)
-        sets_append(0)
-        clears_append(0)
-        flags_append(quiet_level)
-    return times, sets, clears, flags
-
-
-def _parse_chunk_task(task) -> tuple:
-    """Pool entry point: parse one shipped chunk."""
-    text, actions, code_bits, clock_codes, drop_quiet = task
-    return _parse_chunk(text, actions, code_bits, frozenset(clock_codes),
-                        drop_quiet)
-
-
-def _symbol_mask(code_vals: int, symbol_bits_of: List[int]) -> int:
-    """Symbol mask of a code-bit snapshot (multi-driver general case)."""
-    mask = 0
-    vals = code_vals
-    while vals:
-        low = vals & -vals
-        mask |= symbol_bits_of[low.bit_length() - 1]
-        vals ^= low
-    return mask
-
-
-def _replay(chunks: Sequence[tuple], has_clock: bool,
-            period: Optional[int], offset: int, until: Optional[int],
-            direct: bool, symbol_bits_of: Optional[List[int]]) -> array:
-    """Apply the sampling discipline over concatenated delta records.
-
-    This is the single sequential pass that owns the sampling
-    semantics — it mirrors :meth:`VcdReader.valuations` line for line
-    (same-instant merging, ``saw_value`` gating, periodic phase
-    skipping, window early exit), but over per-instant bit deltas
-    instead of per-change dict/set bookkeeping, emitting mask ints
-    straight into the output array.
-    """
-    out = array("i")
-    append = out.append
-    code_vals = 0
-    mask = 0
-    level = False
-    rose = False
-    saw = False
-    pending = False
-    block_time = 0
-    next_sample = offset
-    for times, sets, clears, flags in chunks:
-        for time, hi, lo, flag in zip(times, sets, clears, flags):
-            if not (pending and time == block_time):
-                # A new instant: close the previous one exactly as the
-                # sequential reader does on a timestamp marker.
-                if pending:
-                    if has_clock:
-                        if rose and block_time >= offset and (
-                            until is None or block_time <= until
-                        ):
-                            append(mask)
-                        rose = False
-                    elif period is None and saw and block_time >= offset \
-                            and (until is None or block_time <= until):
-                        append(mask)
-                if period is not None:
-                    if saw:
-                        while next_sample < time and (
-                            until is None or next_sample <= until
-                        ):
-                            append(mask)
-                            next_sample += period
-                    else:
-                        # Keep the grid's offset phase while skipping
-                        # pre-first-value points.
-                        while next_sample < time:
-                            next_sample += period
-                if until is not None and time > until:
-                    return out  # the rest of the dump is out of window
-                block_time = time
-                pending = True
-            if hi or lo:
-                new_vals = (code_vals | hi) & ~lo
-                if new_vals != code_vals:
-                    code_vals = new_vals
-                    mask = (code_vals if direct
-                            else _symbol_mask(code_vals, symbol_bits_of))
-            if flag:
-                if flag & _F_SAW:
-                    saw = True
-                if has_clock:
-                    if (flag & _F_ROSE) or (
-                        (flag & _F_ROSE_IF_LOW) and not level
-                    ):
-                        rose = True
-                    if flag & _F_LEVEL_HIGH:
-                        level = True
-                    elif flag & _F_LEVEL_LOW:
-                        level = False
-    # Close the final instant.
-    if pending:
-        in_window = block_time >= offset and (
-            until is None or block_time <= until
-        )
-        if has_clock:
-            if rose and in_window:
-                append(mask)
-        elif period is None and saw and in_window:
-            append(mask)
-        if period is not None and saw:
-            stop = block_time if until is None else until
-            while next_sample <= stop:
-                append(mask)
-                next_sample += period
-    return out
-
-
-def _header_end(text: str) -> int:
-    """Offset just past the ``$enddefinitions ... $end`` of ``text``."""
-    start = text.find("$enddefinitions")
-    if start < 0:
-        raise TraceError("VCD header ended without $enddefinitions")
-    end = text.find("$end", start + len("$enddefinitions"))
-    if end < 0:
-        raise TraceError("VCD header ended without $enddefinitions")
-    return end + len("$end")
-
-
 def _split_points(body: str, n_chunks: int) -> List[int]:
     """Chunk start offsets into ``body`` at ``\\n#`` timestamp lines."""
     points = [0]
@@ -714,56 +362,11 @@ def _split_points(body: str, n_chunks: int) -> List[int]:
     return points
 
 
-def _conversion_plan(reader, codec: AlphabetCodec, clock: Optional[str]):
-    """``(code_bits, clock_codes, direct, symbol_bits_of)`` for a dump.
-
-    In the common 1:1 case (every code drives exactly the symbols no
-    other code drives) codes are tracked directly in symbol-bit space
-    and the replay's mask *is* the code snapshot.  When several codes
-    drive one symbol (aliased nets bound to the same name), each code
-    gets a private bit and the replay folds code bits to symbol bits —
-    a symbol reads true while any driver is high, exactly the
-    ``counts`` semantics of the sequential reader.
-    """
-    bound, clock_codes = reader._sampling_bound(clock)
-    drivers: Dict[str, List[str]] = {}
-    for code, symbols in bound.items():
-        for symbol in symbols:
-            drivers.setdefault(symbol, []).append(code)
-    direct = all(len(codes) == 1 for codes in drivers.values())
-    bit_of = codec.bit_of
-    if direct:
-        code_bits = {}
-        for code, symbols in bound.items():
-            bits = 0
-            for symbol in symbols:
-                bits |= bit_of.get(symbol, 0)
-            if bits:
-                code_bits[code] = bits
-        return code_bits, clock_codes, True, None
-    codes = sorted(bound)
-    code_bits = {code: 1 << position for position, code in enumerate(codes)}
-    symbol_bits_of = []
-    for code in codes:
-        bits = 0
-        for symbol in bound[code]:
-            bits |= bit_of.get(symbol, 0)
-        symbol_bits_of.append(bits)
-    return code_bits, clock_codes, False, symbol_bits_of
-
-
-def _sequential_masks(text: str, codec: AlphabetCodec, binding,
-                      clock, period, offset, until) -> array:
-    """Reference path: full sequential parse through ``VcdReader``."""
-    from repro.trace.vcd_reader import VcdReader
-
-    encode = codec.encode
-    reader = VcdReader.from_text(text, binding=binding)
-    return array("i", [
-        encode(valuation)
-        for valuation in reader.valuations(clock=clock, period=period,
-                                           offset=offset, until=until)
-    ])
+def _parse_chunk_task(task) -> tuple:
+    """Pool entry point: parse one shipped chunk."""
+    text, actions, code_bits, clock_codes, drop_quiet = task
+    return _parse_chunk(text, actions, code_bits, frozenset(clock_codes),
+                        drop_quiet)
 
 
 def masks_from_vcd_text(
@@ -781,83 +384,80 @@ def masks_from_vcd_text(
 ) -> array:
     """Encode a VCD document to one per-tick mask array.
 
-    Byte-identical to encoding
-    :meth:`VcdReader.valuations <repro.trace.vcd_reader.VcdReader.valuations>`
-    through ``codec`` tick by tick, but via the lean delta parser —
-    and, with ``jobs > 1`` on a large dump, across the persistent
-    worker pools with one chunk per worker.  Structural surprises
-    (a seam landing inside a directive body, malformed chunks) fall
-    back first to a single-chunk parse, then to the sequential
-    reader.  ``_force_splits`` pins chunk boundaries (tests).
+    With one job this is :meth:`VcdReader.masks
+    <repro.trace.vcd_reader.VcdReader.masks>` over the text.  With
+    ``jobs > 1`` on a large dump the change stream is split at ``\\n#``
+    lines into one chunk per worker of the persistent pools, each
+    chunk goes through the same block parser, and the parent replays
+    the records in order.  When a chunk fails to parse (a seam inside
+    a directive body, say), the text is parsed again in blocks, which
+    gives the masks — or the :class:`TraceError` — of a one-block
+    parse.  ``_force_splits`` pins chunk boundaries (tests).
     """
     from repro.trace.shard import _get_pool, resolve_jobs
-    from repro.trace.vcd_reader import VcdReader
 
-    if clock is not None and period is not None:
-        raise TraceError("choose clock or period sampling, not both")
-    if period is not None and period <= 0:
-        raise TraceError("sampling period must be positive")
-    try:
-        header_end = _header_end(text)
-        reader = VcdReader.from_text(text[:header_end], binding=binding)
-        code_bits, clock_codes, direct, symbol_bits_of = _conversion_plan(
-            reader, codec, clock
-        )
-    except TraceError:
-        # Unsplittable or surprising structure: the sequential reader
-        # is the semantics of record (including its error behaviour).
-        return _sequential_masks(text, codec, binding, clock, period,
-                                 offset, until)
-    body = text[header_end:]
+    sampling = dict(clock=clock, period=period, offset=offset, until=until)
     jobs = resolve_jobs(jobs, oversubscribe=oversubscribe)
-    splits = _force_splits
-    if splits is None:
-        if jobs > 1 and len(body) >= _MIN_PARALLEL_BYTES:
-            splits = _split_points(body, jobs)
-        else:
-            splits = [0]
-    bounds = list(zip(splits, splits[1:] + [len(body)]))
-    has_clock = bool(clock_codes)
-    actions = _scalar_actions(
-        (signal.code for signal in reader.signals), code_bits, clock_codes
-    )
-    try:
+    if _force_splits is not None or (jobs > 1
+                                     and len(text) >= _MIN_PARALLEL_BYTES):
+        _check_sampling(clock, period)
+        reader = VcdReader.from_text(text, binding=binding)
+        actions, code_bits, clock_codes, direct, symbol_bits_of = \
+            reader._delta_plan(codec.bit_of, clock)
+        body = reader._unread_text()
+        splits = _force_splits or _split_points(body, jobs)
+        bounds = list(zip(splits, splits[1:] + [len(body)]))
+        has_clock = bool(clock_codes)
         if len(bounds) > 1:
             pool = _get_pool(mp_context, min(jobs, len(bounds)))
-            chunks = pool.map(_parse_chunk_task, [
-                (body[start:end], actions, code_bits, tuple(clock_codes),
-                 has_clock)
-                for start, end in bounds
-            ])
-        else:
-            chunks = [_parse_chunk(body, actions, code_bits, clock_codes,
-                                   has_clock)]
-        return _replay(chunks, has_clock, period, offset, until,
-                       direct, symbol_bits_of)
-    except TraceError:
-        if len(bounds) > 1:
-            # A seam may have cut a directive body; one chunk has no
-            # seams, so retry before blaming the dump itself.
             try:
-                chunks = [_parse_chunk(body, actions, code_bits,
-                                       clock_codes, has_clock)]
-                return _replay(chunks, has_clock, period, offset, until,
-                               direct, symbol_bits_of)
+                chunks = pool.map(_parse_chunk_task, [
+                    (body[start:end], actions, code_bits,
+                     tuple(clock_codes), has_clock)
+                    for start, end in bounds
+                ])
+                out = array("i")
+                for block in _replay(chunks, has_clock, period, offset,
+                                     until, direct, symbol_bits_of):
+                    out.extend(block)
+                return out
             except TraceError:
-                pass
-        return _sequential_masks(text, codec, binding, clock, period,
-                                 offset, until)
+                pass  # a seam may have cut a directive body
+    return VcdReader.from_text(text, binding=binding).masks(codec,
+                                                            **sampling)
 
 
 def masks_from_vcd(
     source: Union[str, "os.PathLike[str]"],
     codec: AlphabetCodec,
-    **kwargs,
+    binding=None,
+    clock: Optional[str] = None,
+    period: Optional[int] = None,
+    offset: int = 0,
+    until: Optional[int] = None,
+    jobs: Optional[int] = 1,
+    mp_context: Optional[str] = None,
+    oversubscribe: bool = False,
 ) -> array:
-    """:func:`masks_from_vcd_text` over a dump file."""
-    with open(os.fspath(source), "rb") as stream:
-        text = stream.read().decode("utf-8", "replace")
-    return masks_from_vcd_text(text, codec, **kwargs)
+    """:func:`masks_from_vcd_text` over a dump file.
+
+    Without a worker fan-out the file streams through
+    :meth:`VcdReader.masks <repro.trace.vcd_reader.VcdReader.masks>`
+    in blocks; only the fan-out reads it whole.
+    """
+    from repro.trace.shard import resolve_jobs
+
+    source = os.fspath(source)
+    sampling = dict(clock=clock, period=period, offset=offset, until=until)
+    if resolve_jobs(jobs, oversubscribe=oversubscribe) > 1 \
+            and os.path.getsize(source) >= _MIN_PARALLEL_BYTES:
+        with open(source, "rb") as stream:
+            text = stream.read().decode("utf-8", "replace")
+        return masks_from_vcd_text(text, codec, binding=binding, jobs=jobs,
+                                   mp_context=mp_context,
+                                   oversubscribe=oversubscribe, **sampling)
+    with VcdReader(source, binding=binding) as reader:
+        return reader.masks(codec, **sampling)
 
 
 # -- content-addressed ingest ------------------------------------------------
@@ -917,15 +517,15 @@ def ingest_vcd(
     path = os.fspath(path)
     with open(path, "rb") as stream:
         data = stream.read()
+    digest = hashlib.sha256(data).hexdigest()
     fingerprint = codec_fingerprint(codec)
     entry_path: Optional[str] = None
     key: Optional[str] = None
     if cache is not None:
         if not isinstance(cache, CorpusCache):
             cache = CorpusCache(cache)
-        key = corpus_key(hashlib.sha256(data).hexdigest(), codec,
-                         binding=binding, clock=clock, period=period,
-                         offset=offset, until=until)
+        key = corpus_key(digest, codec, binding=binding, clock=clock,
+                         period=period, offset=offset, until=until)
         entry_path = cache.path_for(key)
         if not refresh:
             blob = cache.load_bytes(key)
@@ -946,7 +546,7 @@ def ingest_vcd(
     )
     built = ColumnarTraceSet.from_mask_arrays([masks], codec.symbols, meta={
         "source": os.path.basename(path),
-        "source_sha256": hashlib.sha256(data).hexdigest(),
+        "source_sha256": digest,
         "clock": clock,
         "period": period,
         "offset": offset,
@@ -955,6 +555,36 @@ def ingest_vcd(
     if cache is not None and key is not None:
         cache.store_bytes(key, built.to_bytes())
     return built, False, entry_path
+
+
+def check_masks(monitor, masks, engine: str = "auto",
+                max_recorded: int = 10_000):
+    """Check one dump's mask stream in the planned batch kernel.
+
+    The last step of every table-engine ``check --vcd``, cached or
+    not: the planner sees one lane of ``len(masks)`` ticks (the native
+    stepper when a C compiler is present, else the compiled loop), and
+    the result comes back as a
+    :class:`~repro.trace.streaming.StreamReport` holding the first
+    ``max_recorded`` detections.
+    """
+    from repro.runtime.engines import Workload, plan_execution
+    from repro.trace.streaming import StreamReport
+
+    plan = plan_execution(monitor, Workload(1, len(masks)), engine,
+                          capability="batch", error_cls=TraceError)
+    detections = plan.encoded_runner()(monitor, [masks])[0].detections
+    return StreamReport(
+        monitor.name,
+        ticks=len(masks),
+        detections=list(detections[:max_recorded]),
+        n_detections=len(detections),
+        violations=[],
+        n_violations=0,
+        n_passes=0,
+        n_pending=0,
+        stopped_early=False,
+    )
 
 
 def check_vcd_cached(
@@ -977,20 +607,12 @@ def check_vcd_cached(
     The cache-aware twin of
     :func:`~repro.trace.shard.run_sharded_vcd`: each dump is resolved
     through :func:`ingest_vcd` (warm hits read pre-encoded masks off
-    disk; misses run the chunk-parallel converter and populate the
-    cache) and the mask stream is fed to the batch kernel selected by
-    ``engine`` (the planner resolves ``"auto"`` per dump — each dump
-    is one width-1 batch, so auto takes the scalar compiled loop) —
-    verdicts are identical to the streaming path on detector specs.
+    disk; misses parse the dump and populate the cache) and its masks
+    go through :func:`check_masks`, the step the uncached path ends
+    with too.
     """
     from repro.runtime.compiled import as_compiled
-    from repro.runtime.engines import (
-        AUTO,
-        Workload,
-        plan_execution,
-        require_backend,
-    )
-    from repro.trace.streaming import StreamReport
+    from repro.runtime.engines import AUTO, require_backend
 
     if engine != AUTO:
         # Validate up front so an empty path list still rejects a bad
@@ -1006,20 +628,6 @@ def check_vcd_cached(
             clock=clock, period=period, offset=offset, until=until,
             jobs=jobs, mp_context=mp_context, oversubscribe=oversubscribe,
         )
-        masks = columns.masks(0)
-        plan = plan_execution(compiled, Workload(1, len(masks)), engine,
-                              capability="batch", error_cls=TraceError)
-        result = plan.encoded_runner()(compiled, [masks])[0]
-        detections = list(result.detections)
-        reports.append(StreamReport(
-            compiled.name,
-            ticks=len(masks),
-            detections=detections[:max_recorded],
-            n_detections=len(detections),
-            violations=[],
-            n_violations=0,
-            n_passes=0,
-            n_pending=0,
-            stopped_early=False,
-        ))
+        reports.append(check_masks(compiled, columns.masks(0), engine,
+                                   max_recorded=max_recorded))
     return reports

@@ -67,6 +67,7 @@ from repro.runtime.compiled import (
 from repro.runtime.engines import (
     AUTO,
     Workload,
+    backend,
     plan_execution,
     require_backend,
 )
@@ -542,22 +543,30 @@ def _fan_out_encoded(compiled, masks, engine_name, jobs, scoreboards,
     return results
 
 
-def _stream_vcd_with(monitor, task):
-    """Parse one dump and stream it through ``monitor`` (in-process)."""
+def _check_vcd_with(monitor, task):
+    """Check one dump in this process.
+
+    Table engines read the dump's masks straight into the planned batch
+    kernel; the interpreted engine streams the decoded valuations
+    through a :class:`~repro.trace.streaming.StreamingChecker`.
+    """
+    from repro.trace.columnar import check_masks
     from repro.trace.streaming import StreamingChecker
     from repro.trace.vcd_reader import VcdReader
 
-    path, clock, period, offset, until, binding, engine = task
+    path, sampling, binding, engine = task
     with VcdReader(path, binding=binding) as reader:
-        return StreamingChecker(monitor, engine=engine).feed(
-            reader.valuations(clock=clock, period=period, offset=offset,
-                              until=until)
-        )
+        if engine != AUTO and not backend(engine).batch:
+            return StreamingChecker(monitor, engine=engine).feed(
+                reader.valuations(**sampling)
+            )
+        masks = reader.masks(monitor.codec, **sampling)
+    return check_masks(monitor, masks, engine)
 
 
-def _stream_vcd_task(task):
-    digest, payload, stream_task = task
-    return _stream_vcd_with(_cached_monitor(digest, payload), stream_task)
+def _check_vcd_task(task):
+    digest, payload, check_task = task
+    return _check_vcd_with(_cached_monitor(digest, payload), check_task)
 
 
 def run_sharded_vcd(
@@ -578,28 +587,24 @@ def run_sharded_vcd(
 
     Unlike materialising each dump and calling :func:`run_sharded`,
     only the *paths* travel to the pool: each worker opens, parses and
-    streams its own dump through a
-    :class:`~repro.trace.streaming.StreamingChecker`, so both the
-    parsing cost and the memory stay per-worker-bounded no matter how
-    large the dumps are.  Returns one
-    :class:`~repro.trace.streaming.StreamReport` per path, in input
-    order.  ``clock``/``period``/``offset``/``until``/``binding`` are
-    the :meth:`~repro.trace.vcd_reader.VcdReader.valuations` sampling
+    checks its own dump, so the parsing cost is per worker.  Each dump
+    streams through the VCD front-end in bounded blocks into one mask
+    array (4 bytes a tick, held whole), which the planned batch kernel
+    checks — see :func:`~repro.trace.columnar.check_masks`; the
+    interpreted engine instead streams decoded valuations.  Returns
+    one :class:`~repro.trace.streaming.StreamReport` per path, in
+    input order.  ``clock``/``period``/``offset``/``until``/``binding``
+    are the :meth:`~repro.trace.vcd_reader.VcdReader.masks` sampling
     parameters, applied to every dump.
 
     ``cache`` (a :class:`~repro.cache.CorpusCache` or its root
     directory) switches to the columnar corpus path: dumps are
     resolved through :func:`~repro.trace.columnar.ingest_vcd` — warm
-    entries skip parsing entirely and hand the batch kernel
-    pre-encoded mask arrays; misses run the chunk-parallel converter
-    and populate the cache.  Verdicts are identical either way.
+    entries skip parsing entirely; misses parse and populate the
+    cache.  Verdicts are identical either way.
     """
     compiled = as_compiled(monitor)
     if cache is not None:
-        # The corpus path feeds pre-encoded masks to the *batch*
-        # kernels, so it accepts batch-only backends (native) that the
-        # streaming path below must reject; check_vcd_cached validates
-        # against the batch capability itself.
         from repro.trace.columnar import check_vcd_cached
 
         return check_vcd_cached(
@@ -608,21 +613,22 @@ def run_sharded_vcd(
             until=until, binding=binding, mp_context=mp_context,
             oversubscribe=oversubscribe, engine=engine,
         )
-    # Streams resolve per worker: "auto" travels verbatim and each
-    # StreamingChecker plans against its own process's NumPy state.
     if engine != AUTO:
-        require_backend(engine, "streaming")
+        # Table engines check masks in batch; an engine without batch
+        # execution (interpreted) streams valuations instead.
+        require_backend(engine,
+                        "batch" if backend(engine).batch else "streaming")
     jobs = resolve_jobs(jobs, oversubscribe=oversubscribe)
-    stream_tasks = [
-        (os.fspath(path), clock, period, offset, until, binding, engine)
-        for path in paths
-    ]
-    if jobs <= 1 or len(stream_tasks) <= 1:
-        return [_stream_vcd_with(compiled, task) for task in stream_tasks]
+    sampling = dict(clock=clock, period=period, offset=offset, until=until)
+    check_tasks = [(os.fspath(path), sampling, binding, engine)
+                   for path in paths]
+    if jobs <= 1 or len(check_tasks) <= 1:
+        return [_check_vcd_with(compiled, task) for task in check_tasks]
+    # Workers plan "auto" against their own process (compiler, NumPy).
     digest, payload = _ship(compiled)
-    tasks = [(digest, payload, task) for task in stream_tasks]
+    tasks = [(digest, payload, task) for task in check_tasks]
     pool = _get_pool(mp_context, min(jobs, len(tasks)))
-    return pool.map(_stream_vcd_task, tasks)
+    return pool.map(_check_vcd_task, tasks)
 
 
 def run_bank_sharded(

@@ -3,10 +3,11 @@
 Batch checking (:func:`~repro.monitor.engine.run_monitor`,
 :class:`~repro.monitor.checker.AssertionChecker`) materialises the
 whole trace and keeps full state histories.  A
-:class:`StreamingChecker` instead consumes any valuation iterable —
-typically :meth:`VcdReader.valuations <repro.trace.vcd_reader.VcdReader.valuations>`
-over a dump that never fits in memory — pushing each element into the
-monitor engines as it arrives:
+:class:`StreamingChecker` instead consumes any valuation iterable — a
+live simulation, a ``repro serve`` stream, or
+:meth:`VcdReader.valuations <repro.trace.vcd_reader.VcdReader.valuations>`
+under the interpreted engine — pushing each element into the monitor
+engines as it arrives:
 
 * engines run with ``record_history=False`` (no per-tick state or
   transition log) and are drained of detections every tick;
@@ -15,6 +16,11 @@ monitor engines as it arrives:
 * checking can stop at the first violation (``stop_on_violation``,
   implication specs) or first detection (``stop_on_detection``),
   which aborts the ingest loop without reading the rest of the dump.
+
+``repro check --vcd`` with a table engine does not stream: it reads
+each dump into one mask array (4 bytes a tick) for the batch kernels,
+which cannot resume state.  Constant-memory checking of arbitrarily
+long dumps comes back with a native streaming kernel (ROADMAP).
 
 Specs: a plain chart (or :class:`~repro.synthesis.compose.MonitorBank`,
 :class:`~repro.monitor.automaton.Monitor`,

@@ -1,23 +1,59 @@
-"""Incremental VCD parsing: waveform dumps to valuation streams.
+"""The VCD front-end: waveform dumps to per-tick symbol masks.
 
 The counterpart of :class:`~repro.sim.vcd.VcdWriter` — but built for
 dumps the repo did *not* write: standard four-value VCD as produced by
-simulators and waveform tools.  Parsing is chunked and incremental: the
-reader tokenises a bounded window of the file at a time and holds only
-the current value of each declared signal, so a multi-gigabyte dump
-streams through in constant memory.
+simulators and waveform tools.  There is one front-end, and every
+consumer reads the dump through it:
 
-Three sampling disciplines turn value changes into the per-clock
-:class:`~repro.logic.valuation.Valuation` elements monitors consume:
+* the **header** (scopes, ``$var`` declarations, timescale) is
+  tokenised once, when a :class:`VcdReader` opens the dump;
+* the **change stream** after ``$enddefinitions`` is read in blocks of
+  about ``chunk_size`` characters, each cut just before a ``\\n#``
+  timestamp line, so the dump text is never held whole;
+* each block is reduced to per-instant *delta records*
+  (:func:`_parse_chunk`: the bound bits set and cleared in the
+  instant, plus clock-edge flags);
+* one sequential **replay** (:func:`_replay`) applies the sampling
+  discipline to the records and emits one mask int per tick.
 
-* **event sampling** (default) — one valuation per timestamp present
-  in the dump;
-* **clock sampling** (``clock="clk"``) — one valuation per rising edge
-  of a designated clock signal, the usual discipline for synchronous
+:meth:`VcdReader.masks` collects those masks into one ``array('i')``
+(4 bytes a tick) for the batch kernels — the path every table-engine
+``repro check --vcd`` takes.  :meth:`VcdReader.valuations` decodes the
+same mask chunks into :class:`~repro.logic.valuation.Valuation`
+objects for the interpreted engine and older callers, and
+:meth:`VcdReader.changes` is a plain per-record view.  The
+chunk-parallel ``repro ingest --jobs N`` converter
+(:func:`~repro.trace.columnar.masks_from_vcd_text`) runs the same
+block parser in worker processes.
+
+Dumps are decoded as UTF-8 with undecodable bytes replaced, so stray
+Latin-1 in a ``$comment`` cannot stop a check.
+
+Block seams
+-----------
+A seam never cuts a token, but it can cut a multi-token construct: a
+directive body that holds a ``\\n#`` line, a ``$dumpoff`` section, or
+a vector value and its identifier.  The block parser reports such a
+block instead of raising; the block is then joined with more text and
+parsed again.  So any ``chunk_size`` gives the masks — or the
+:class:`~repro.errors.TraceError` — of a one-block parse.
+
+Sampling disciplines
+--------------------
+* **event sampling** (default) — one tick per timestamp present in
+  the dump;
+* **clock sampling** (``clock="clk"``) — one tick per rising edge of a
+  designated clock signal, the usual discipline for synchronous
   protocol traces;
-* **periodic sampling** (``period=n``) — one valuation every ``n``
-  time units (gaps hold their last value), which reconstructs exactly
-  the tick grid :class:`~repro.sim.vcd.VcdWriter` sampled on.
+* **periodic sampling** (``period=n``) — one tick every ``n`` time
+  units (gaps hold their last value), which reconstructs exactly the
+  tick grid :class:`~repro.sim.vcd.VcdWriter` sampled on.
+
+``offset``/``until`` (time units, inclusive) window every discipline,
+and reading stops at the first instant past ``until``.  Ticks sample
+values *after* the changes at their instant — the synchronous
+convention that a change dumped at time ``t`` is what the monitor
+reads at tick ``t``.
 
 A :class:`SignalBinding` maps VCD signal references to alphabet
 symbols; unmapped signals are ignored, multi-bit signals read true
@@ -31,24 +67,25 @@ model, so unknown (``x``) and high-impedance (``z``) parse to
 matters in three places:
 
 * a symbol whose driver is ``x``/``z`` reads **false** at sampling
-  time (``bool(None)``), the conservative choice for event symbols
-  ("no occurrence observed");
+  time, the conservative choice for event symbols ("no occurrence
+  observed");
 * a clock driven to ``x``/``z`` reads **low**: the unknown itself can
   never be a sampling edge (no tick fires on ``1 -> x``), while the
   next real ``1`` — whether from ``0`` or from ``x`` — is the rising
   edge that ticks the monitor;
 * a dump whose only content so far is all-``x`` (``$dumpvars`` of an
   uninitialised design, or a ``$dumpoff`` blackout) has produced **no
-  value** yet: event/periodic sampling starts at the first real value
-  (``saw_value``), so uninitialised preambles do not emit all-false
-  phantom ticks.
+  value** yet: event/periodic sampling starts at the first real value,
+  so uninitialised preambles do not emit all-false phantom ticks.
 """
 
 from __future__ import annotations
 
-import io
 import os
+import re
+from array import array
 from typing import (
+    Callable,
     Dict,
     Iterable,
     Iterator,
@@ -70,11 +107,20 @@ __all__ = ["SignalBinding", "VcdReader", "VcdSignal"]
 #: count as the dump's first real value (see module docstring).
 _SCALAR_VALUES = {"0": 0, "1": 1, "x": None, "X": None, "z": None, "Z": None}
 
-#: Directives whose body is skipped wholesale (up to ``$end``).
-_SKIP_DIRECTIVES = {"$date", "$version", "$comment"}
-
 #: Dump-section markers that bracket ordinary value-change tokens.
 _DUMP_DIRECTIVES = {"$dumpvars", "$dumpall", "$dumpon", "$dumpoff"}
+
+_TOKEN = re.compile(r"\S+")
+
+# Per-instant clock/validity flags carried by delta records.
+_F_ROSE = 1          # clock rose within the instant (previous level known low)
+_F_ROSE_IF_LOW = 2   # clock went high but the incoming level is block-unknown
+_F_LEVEL_LOW = 4     # clock level at end of instant: low
+_F_LEVEL_HIGH = 8    # clock level at end of instant: high
+_F_SAW = 16          # some change carried a real (non-x/z) value
+
+#: Distinct masks :meth:`VcdReader.valuations` keeps decoded at once.
+_DECODE_CACHE = 4096
 
 
 class VcdSignal:
@@ -170,55 +216,64 @@ class SignalBinding:
         return f"SignalBinding(identity, only={self._only})"
 
 
-class _TokenStream:
-    """Buffered whitespace tokenizer with batch access.
+class _TextSource:
+    """``read(size)`` over a string already in memory, without a copy
+    of the whole (``io.StringIO`` would hold it again, 4 bytes a
+    character)."""
 
-    Tokenizes one chunk of the stream at a time with a single
-    ``str.split`` and exposes the result as an indexable buffer: the
-    hot value-change parser walks ``_buffer``/``_pos`` directly (no
-    generator resume per token), while header parsing and rare
-    directives use the ordinary iterator protocol.  A token cut
-    mid-chunk is carried over to the next refill.
+    __slots__ = ("_text", "_pos")
+
+    def __init__(self, text: str):
+        self._text = text
+        self._pos = 0
+
+    def read(self, size: int = -1) -> str:
+        start = self._pos
+        self._pos = len(self._text) if size < 0 else start + size
+        return self._text[start:self._pos]
+
+
+class _TokenStream:
+    """Whitespace tokenizer over a text stream, for the header.
+
+    Reads ``chunk_size`` characters at a time and keeps the unconsumed
+    text as written, so :meth:`take_rest` can hand the change stream
+    that follows ``$enddefinitions`` to the block reader.
     """
 
-    __slots__ = ("_stream", "_chunk_size", "_buffer", "_pos", "_pending")
+    __slots__ = ("_read", "_chunk_size", "_text", "_pos", "_eof")
 
-    def __init__(self, stream, chunk_size: int):
-        self._stream = stream
+    def __init__(self, read: Callable[[int], str], chunk_size: int):
+        self._read = read
         self._chunk_size = chunk_size
-        self._buffer: List[str] = []
+        self._text = ""
         self._pos = 0
-        self._pending = ""
-
-    def _refill(self) -> bool:
-        """Load the next non-empty token batch; False at end of input."""
-        while True:
-            chunk = self._stream.read(self._chunk_size)
-            if not chunk:
-                if self._pending:
-                    self._buffer = [self._pending]
-                    self._pending = ""
-                    self._pos = 0
-                    return True
-                return False
-            parts = (self._pending + chunk).split()
-            # The final fragment may be a token cut mid-chunk; keep it
-            # back unless the chunk ended on whitespace.
-            if parts and not chunk[-1].isspace():
-                self._pending = parts.pop()
-            else:
-                self._pending = ""
-            if parts:
-                self._buffer = parts
-                self._pos = 0
-                return True
+        self._eof = False
 
     def next_token(self) -> Optional[str]:
-        if self._pos >= len(self._buffer) and not self._refill():
-            return None
-        token = self._buffer[self._pos]
-        self._pos += 1
-        return token
+        while True:
+            match = _TOKEN.search(self._text, self._pos)
+            # A token touching the end of the text may continue in the
+            # next read.
+            if match is not None and (match.end() < len(self._text)
+                                      or self._eof):
+                self._pos = match.end()
+                return match.group()
+            if self._eof:
+                return None
+            chunk = self._read(self._chunk_size)
+            if chunk:
+                self._text = self._text[self._pos:] + chunk
+                self._pos = 0
+            else:
+                self._eof = True
+
+    def take_rest(self) -> str:
+        """The text read but not yet consumed (this stream forgets it)."""
+        rest = self._text[self._pos:]
+        self._text = ""
+        self._pos = 0
+        return rest
 
     def __iter__(self) -> "_TokenStream":
         return self
@@ -231,17 +286,17 @@ class _TokenStream:
 
 
 class VcdReader:
-    """Chunked, incremental reader of VCD waveform dumps.
+    """A VCD dump: header parsed on open, change stream read on demand.
 
     ``source`` is a filesystem path or an open text stream; text
     passed directly is supported via :meth:`from_text`.  The header is
-    parsed eagerly (so :attr:`signals` is available immediately); value
-    changes stream lazily through :meth:`changes` and the sampling
-    iterators, holding only one chunk and one value per signal in
-    memory.
+    parsed eagerly (so :attr:`signals` is available immediately); the
+    change stream is read once, in blocks of about ``chunk_size``
+    characters, by whichever of :meth:`masks`, :meth:`valuations` or
+    :meth:`changes` is called.
     """
 
-    def __init__(self, source: Union[str, "os.PathLike[str]", io.TextIOBase],
+    def __init__(self, source: Union[str, "os.PathLike[str]", object],
                  binding: Optional[SignalBinding] = None,
                  chunk_size: int = 1 << 16):
         if chunk_size <= 0:
@@ -250,14 +305,14 @@ class VcdReader:
         if hasattr(source, "read"):
             self._stream = source
         else:
-            self._stream = open(os.fspath(source), "r")
+            self._stream = open(os.fspath(source), "r", encoding="utf-8",
+                                errors="replace", newline="")
             self._owns_stream = True
         self._chunk_size = chunk_size
         self.binding = binding if binding is not None else SignalBinding()
         self.timescale: Optional[str] = None
         self.signals: List[VcdSignal] = []
-        self._by_code: Dict[str, VcdSignal] = {}
-        self._tokens = _TokenStream(self._stream, chunk_size)
+        self._tokens = _TokenStream(self._stream.read, chunk_size)
         try:
             self._parse_header()
         except Exception:
@@ -271,7 +326,7 @@ class VcdReader:
     def from_text(cls, text: str, binding: Optional[SignalBinding] = None,
                   chunk_size: int = 1 << 16) -> "VcdReader":
         """Read a VCD document already held as a string."""
-        return cls(io.StringIO(text), binding=binding, chunk_size=chunk_size)
+        return cls(_TextSource(text), binding=binding, chunk_size=chunk_size)
 
     def close(self) -> None:
         if self._owns_stream:
@@ -283,7 +338,7 @@ class VcdReader:
     def __exit__(self, *exc_info) -> None:
         self.close()
 
-    # -- tokenization ----------------------------------------------------
+    # -- header ----------------------------------------------------------
     def _directive_body(self, name: str) -> List[str]:
         body: List[str] = []
         for token in self._tokens:
@@ -292,7 +347,6 @@ class VcdReader:
             body.append(token)
         raise TraceError(f"unterminated {name} directive (missing $end)")
 
-    # -- header ----------------------------------------------------------
     def _parse_header(self) -> None:
         scopes: List[str] = []
         for token in self._tokens:
@@ -319,15 +373,12 @@ class VcdReader:
                     parsed_width = int(width)
                 except ValueError:
                     raise TraceError(f"bad $var width {width!r}")
-                signal = VcdSignal(
+                self.signals.append(VcdSignal(
                     code, name, ".".join(scopes), parsed_width, kind
-                )
-                self.signals.append(signal)
-                self._by_code[code] = signal
-            elif token in _SKIP_DIRECTIVES:
-                self._directive_body(token)
+                ))
             elif token.startswith("$"):
-                # Unknown directive: skip its body defensively.
+                # $date/$version/$comment and unknown directives: skip
+                # the body.
                 self._directive_body(token)
             else:
                 raise TraceError(
@@ -335,152 +386,7 @@ class VcdReader:
                 )
         raise TraceError("VCD header ended without $enddefinitions")
 
-    # -- value changes ---------------------------------------------------
-    def changes(self) -> Iterator[Tuple[int, str, Optional[int]]]:
-        """Yield ``(time, identifier_code, value)`` change records.
-
-        ``value`` is an int (vectors parse as binary), ``0``/``1`` for
-        scalars, or ``None`` for ``x``/``z``.  Records inside
-        ``$dumpvars``-style sections are yielded like ordinary changes
-        (their surrounding markers are skipped).
-
-        A reader streams its dump exactly once — a second consumption
-        would silently yield nothing (the underlying stream is spent),
-        so it raises instead; construct a fresh ``VcdReader`` to
-        re-read.
-        """
-        batches = self._change_batches()
-
-        def flattened() -> Iterator[Tuple[int, str, Optional[int]]]:
-            for batch in batches:
-                yield from batch
-
-        return flattened()
-
-    def _change_batches(self) -> Iterator[List[Tuple[int, str, Optional[int]]]]:
-        """One list of change records per tokenizer refill (see
-        :meth:`_iter_change_batches`); single-consumption guarded."""
-        if self._consumed:
-            raise TraceError(
-                "VCD value changes already consumed; open a new VcdReader "
-                "to re-read the dump"
-            )
-        self._consumed = True
-        return self._iter_change_batches()
-
-    def _change_directive(self, token: str) -> None:
-        """Rare-path handling of a directive in the change stream."""
-        if token == "$dumpoff":
-            # A blackout section: every signal is dumped as x/z purely
-            # to mark the gap.  Applying those would read all symbols
-            # false and register a phantom clock edge at $dumpon, so
-            # the section is skipped wholesale — values hold until
-            # $dumpon re-dumps them.
-            for skipped in self._tokens:
-                if skipped == "$end":
-                    return
-            raise TraceError("unterminated $dumpoff section (missing $end)")
-        if token in _DUMP_DIRECTIVES or token == "$end":
-            return
-        if token[0] == "$":
-            self._directive_body(token)
-            return
-        raise TraceError(f"unexpected value-change token {token!r}")
-
-    def _iter_change_batches(
-        self,
-    ) -> Iterator[List[Tuple[int, str, Optional[int]]]]:
-        """Value-change records, one list per tokenizer refill.
-
-        The hot loop walks the token buffer by index — ``str.split``
-        already tokenized the whole chunk — and dispatches on the first
-        character with the most frequent kinds (scalar changes, then
-        timestamps) tested first.  Only directives and a value token
-        cut at a buffer boundary leave the fast loop.  Consumers get
-        whole batches, so the per-record generator resume of a naive
-        token pipeline disappears from both sides.
-        """
-        time = 0
-        miss = object()
-        scalar_get = _SCALAR_VALUES.get
-        tokens = self._tokens
-        while True:
-            if tokens._pos >= len(tokens._buffer) and not tokens._refill():
-                return
-            buffer = tokens._buffer
-            index = tokens._pos
-            n = len(buffer)
-            out: List[Tuple[int, str, Optional[int]]] = []
-            append = out.append
-            while index < n:
-                token = buffer[index]
-                lead = token[0]
-                value = scalar_get(lead, miss)
-                if value is not miss:
-                    index += 1
-                    code = token[1:]
-                    if not code:
-                        raise TraceError(
-                            f"scalar change {token!r} lacks an id"
-                        )
-                    append((time, code, value))
-                elif lead == "#":
-                    index += 1
-                    try:
-                        time = int(token[1:])
-                    except ValueError:
-                        raise TraceError(f"bad timestamp token {token!r}")
-                    append((time, "", None))  # timestamp marker
-                elif lead in "bBrR":
-                    index += 1
-                    if index < n:
-                        code = buffer[index]
-                        index += 1
-                    else:
-                        # Value token cut at the buffer boundary: pull
-                        # its identifier through the stream (refills).
-                        tokens._pos = index
-                        code = tokens.next_token()
-                        buffer = tokens._buffer
-                        index = tokens._pos
-                        n = len(buffer)
-                    if lead in "bB":
-                        if code is None:
-                            raise TraceError(
-                                f"vector change {token!r} lacks an id"
-                            )
-                        bits = token[1:]
-                        if any(c in "xXzZ" for c in bits):
-                            append((time, code, None))
-                        else:
-                            try:
-                                append((time, code, int(bits, 2)))
-                            except ValueError:
-                                raise TraceError(
-                                    f"bad vector value {token!r}"
-                                )
-                    else:
-                        if code is None:
-                            raise TraceError(
-                                f"real change {token!r} lacks an id"
-                            )
-                        try:
-                            append((time, code, int(float(token[1:]) != 0.0)))
-                        except ValueError:
-                            raise TraceError(f"bad real value {token!r}")
-                else:
-                    # Directive (or junk): hand the stream back at this
-                    # position and let the slow path consume it.
-                    tokens._pos = index + 1
-                    self._change_directive(token)
-                    buffer = tokens._buffer
-                    index = tokens._pos
-                    n = len(buffer)
-            tokens._pos = index
-            if out:
-                yield out
-
-    # -- sampling --------------------------------------------------------
+    # -- binding ---------------------------------------------------------
     def _bound_symbols(self) -> Dict[str, Tuple[str, ...]]:
         """``identifier code -> symbols`` for every bound signal.
 
@@ -554,6 +460,124 @@ class VcdReader:
             bound = trimmed
         return bound, clock_codes
 
+    def _delta_plan(self, bit_of: Mapping[str, int],
+                    clock: Optional[str]) -> tuple:
+        """What the block parser and the replay need for one sampling
+        setup: ``(actions, code_bits, clock_codes, direct,
+        symbol_bits_of)``, with symbol bits taken from ``bit_of``.
+
+        In the common 1:1 case (every symbol has one driving code)
+        codes are tracked directly in symbol-bit space and the replay's
+        mask *is* the code snapshot.  When several codes drive one
+        symbol (aliased nets bound to the same name), each such code
+        gets a private bit and the replay folds code bits to symbol
+        bits: a symbol reads true while any driver is high.  Codes that
+        drive no symbol of ``bit_of`` get no bit at all.
+        """
+        bound, clock_codes = self._sampling_bound(clock)
+        driving: Dict[str, int] = {}
+        drivers: Dict[str, int] = {}
+        for code, symbols in bound.items():
+            bits = 0
+            for symbol in symbols:
+                bit = bit_of.get(symbol, 0)
+                if bit:
+                    bits |= bit
+                    drivers[symbol] = drivers.get(symbol, 0) + 1
+            if bits:
+                driving[code] = bits
+        if all(count == 1 for count in drivers.values()):
+            code_bits, direct, symbol_bits_of = driving, True, None
+        else:
+            codes = sorted(driving)
+            code_bits = {code: 1 << position
+                         for position, code in enumerate(codes)}
+            direct, symbol_bits_of = False, [driving[c] for c in codes]
+        actions = _scalar_actions((s.code for s in self.signals), code_bits,
+                                  clock_codes)
+        return actions, code_bits, clock_codes, direct, symbol_bits_of
+
+    # -- the change stream -----------------------------------------------
+    def _claim(self) -> None:
+        """Mark the change stream consumed (a reader reads it once)."""
+        if self._consumed:
+            raise TraceError(
+                "VCD value changes already consumed; open a new VcdReader "
+                "to re-read the dump"
+            )
+        self._consumed = True
+
+    def _unread_text(self) -> str:
+        """The rest of the dump as one string (the worker fan-out)."""
+        self._claim()
+        return self._tokens.take_rest() + self._stream.read()
+
+    def _parsed_blocks(self, parse) -> Iterator:
+        """``parse(block, final)`` over the change stream, in order.
+
+        A block holds about ``chunk_size`` characters and ends just
+        before a ``\\n#`` line.  ``parse`` returns ``None`` when a
+        non-final block ends inside a multi-token construct; the block
+        is then parsed again with at least as much text appended, so
+        long constructs cost linear time.
+        """
+        self._claim()
+        read = self._stream.read
+        text = self._tokens.take_rest()
+        size = self._chunk_size
+        scan = 0  # where the search for the next cut resumes
+        while True:
+            chunk = read(size)
+            text += chunk
+            eof = not chunk
+            cut = len(text) if eof else text.rfind("\n#", scan) + 1
+            if cut <= 0:
+                scan = max(0, len(text) - 1)
+                continue
+            parsed = parse(text[:cut], eof)
+            if parsed is None:
+                scan = max(0, len(text) - 1)
+                size = max(self._chunk_size, len(text))
+                continue
+            yield parsed
+            if eof:
+                return
+            text = text[cut:]
+            scan = 0
+            size = self._chunk_size
+
+    def _mask_chunks(self, bit_of: Mapping[str, int], clock: Optional[str],
+                     period: Optional[int], offset: int,
+                     until: Optional[int]) -> Iterator[List[int]]:
+        """One list of tick masks per parsed block (bits from ``bit_of``)."""
+        _check_sampling(clock, period)
+        actions, code_bits, clock_codes, direct, symbol_bits_of = \
+            self._delta_plan(bit_of, clock)
+        has_clock = bool(clock_codes)
+
+        def parse(text, final):
+            return _parse_chunk(text, actions, code_bits, clock_codes,
+                                has_clock, final)
+
+        return _replay(self._parsed_blocks(parse), has_clock, period,
+                       offset, until, direct, symbol_bits_of)
+
+    def masks(self, codec, clock: Optional[str] = None,
+              period: Optional[int] = None, offset: int = 0,
+              until: Optional[int] = None) -> array:
+        """Every sampled tick as a mask over ``codec``, in one ``array('i')``.
+
+        ``codec`` is an :class:`~repro.logic.codec.AlphabetCodec`;
+        symbols it lacks are dropped.  The text streams through in
+        blocks, but the masks are held whole (4 bytes a tick) for the
+        batch kernels.  Sampling parameters as in :meth:`valuations`.
+        """
+        out = array("i")
+        for chunk in self._mask_chunks(codec.bit_of, clock, period,
+                                       offset, until):
+            out.extend(chunk)
+        return out
+
     def valuations(
         self,
         clock: Optional[str] = None,
@@ -561,127 +585,403 @@ class VcdReader:
         offset: int = 0,
         until: Optional[int] = None,
     ) -> Iterator[Valuation]:
-        """Stream one :class:`Valuation` per clock tick.
+        """Stream one :class:`Valuation` per tick.
 
         Exactly one discipline applies: ``clock`` names a signal whose
         rising edges define the ticks (the signal itself is excluded
         from the emitted symbols unless explicitly bound); ``period``
         samples every ``period`` time units starting at ``offset`` up
         to ``until`` (default: the dump's last timestamp); with
-        neither, every timestamp in the dump is a tick.
+        neither, every timestamp in the dump is a tick.  ``offset`` /
+        ``until`` window every discipline (see the module docstring).
 
-        ``offset``/``until`` (time units, inclusive) window every
-        discipline: ticks before ``offset`` are skipped and reading
-        stops early once the dump passes ``until``.
-
-        Ticks sample values *after* the changes at their instant — the
-        synchronous convention that a change dumped at time ``t`` is
-        what the monitor reads at tick ``t``.
+        The valuations decode the mask chunks :meth:`masks` collects,
+        one block at a time, over the binding's whole alphabet.
         """
-        if clock is not None and period is not None:
-            raise TraceError("choose clock or period sampling, not both")
-        if period is not None and period <= 0:
-            raise TraceError("sampling period must be positive")
-        bound, clock_codes = self._sampling_bound(clock)
-        alphabet = frozenset(s for symbols in bound.values() for s in symbols)
+        _check_sampling(clock, period)
+        alphabet = self.alphabet(clock)
+        symbols = sorted(alphabet)
+        bit_of = {symbol: 1 << index for index, symbol in enumerate(symbols)}
+        decoded: Dict[int, Valuation] = {}
+        for chunk in self._mask_chunks(bit_of, clock, period, offset, until):
+            for mask in chunk:
+                valuation = decoded.get(mask)
+                if valuation is None:
+                    if len(decoded) >= _DECODE_CACHE:
+                        decoded.clear()
+                    valuation = decoded[mask] = Valuation(
+                        [s for i, s in enumerate(symbols) if mask >> i & 1],
+                        alphabet,
+                    )
+                yield valuation
 
-        true_now: set = set()
-        counts: Dict[str, int] = {}  # symbol -> number of high drivers
-        clock_high = False
-        clock_rose = False
-        block_time = 0
-        next_sample = offset
-        # A dump whose only content is an all-x $dumpvars block has no
-        # sampled instant at all (that is how an empty trace renders);
-        # event/periodic ticks only start once a real value appears.
-        saw_value = False
+    def changes(self) -> Iterator[Tuple[int, str, Optional[int]]]:
+        """Yield ``(time, identifier_code, value)`` change records.
 
-        # Snapshots are cached per symbol-state version: idle stretches
-        # (periodic sampling across gaps, clock ticks with no data
-        # activity) then reuse one immutable Valuation instead of
-        # rebuilding an identical one per tick.
-        state_version = 0
-        snap_version = -1
-        snap_value: Optional[Valuation] = None
+        ``value`` is an int (vectors parse as binary), ``0``/``1`` for
+        scalars, or ``None`` for ``x``/``z``; each timestamp also
+        yields a ``(time, "", None)`` marker.  Records inside
+        ``$dumpvars``-style sections are yielded like ordinary changes
+        (their surrounding markers are skipped).  A plain view of the
+        change stream: no checking path reads it.
 
-        def snapshot() -> Valuation:
-            nonlocal snap_version, snap_value
-            if snap_version != state_version:
-                snap_value = Valuation(frozenset(true_now), alphabet)
-                snap_version = state_version
-            return snap_value
+        A reader streams its dump exactly once — a second consumption
+        would silently yield nothing (the underlying stream is spent),
+        so it raises instead; construct a fresh ``VcdReader`` to
+        re-read.
+        """
+        time = 0
 
-        def in_window(time: int) -> bool:
-            return time >= offset and (until is None or time <= until)
-
-        # Per-code high/low tracking; a symbol is true when any of its
-        # driving codes is high (multiple signals may bind one symbol).
-        code_high: Dict[str, bool] = {}
-
-        def flush_periodic(limit: int) -> Iterator[Valuation]:
-            """Emit samples at every point strictly before ``limit``."""
-            nonlocal next_sample
-            while next_sample < limit and (until is None or next_sample <= until):
-                yield snapshot()
-                next_sample += period
-
-        pending_block = False
-        bound_get = bound.get
-        code_high_get = code_high.get
-        counts_get = counts.get
-        # The change stream arrives in tokenizer-refill batches; the
-        # per-change work below is a plain loop over those lists, with
-        # the set-code bookkeeping inlined (it runs once per change
-        # record — the dominant count in any dump).
-        for changes in self._change_batches():
-            for time, code, value in changes:
-                if code:
-                    # Changes before any timestamp (e.g. a bare
-                    # $dumpvars section) belong to an implicit instant
-                    # at time 0.
-                    pending_block = True
-                    if value is not None:
-                        saw_value = True
-                        high = value != 0
-                    else:
-                        high = False
-                    if code in clock_codes:
-                        if high and not clock_high:
-                            clock_rose = True
-                        clock_high = high
-                    symbols = bound_get(code)
-                    if not symbols or code_high_get(code, False) == high:
+        def parse(text, final):
+            nonlocal time
+            records = []
+            at = time
+            tokens = iter(text.split())
+            try:
+                for token in tokens:
+                    if token[0] == "#":
+                        at = _timestamp(token)
+                        records.append((at, "", None))
                         continue
-                    code_high[code] = high
-                    state_version += 1
-                    for symbol in symbols:
-                        if high:
-                            counts[symbol] = counts_get(symbol, 0) + 1
-                            true_now.add(symbol)
-                        else:
-                            remaining = counts_get(symbol, 0) - 1
-                            counts[symbol] = remaining
-                            if remaining <= 0:
-                                true_now.discard(symbol)
-                    continue
-                # Timestamp marker.
-                if pending_block and time == block_time:
-                    # Same instant continues — e.g. an initial-value
-                    # section written *before* the first '#0' marker
-                    # belongs to the '#0' block, not to a tick of its
-                    # own.
-                    continue
-                if pending_block:
-                    # close the previous instant
-                    if clock is not None:
-                        if clock_rose and in_window(block_time):
-                            yield snapshot()
-                        clock_rose = False
-                    elif period is None and saw_value and in_window(block_time):
-                        yield snapshot()
+                    change = _change(token, tokens)
+                    if change is not None:
+                        records.append((at,) + change)
+            except _Truncated as cut:
+                if final:
+                    raise TraceError(str(cut)) from None
+                return None
+            time = at
+            return records
+
+        for records in self._parsed_blocks(parse):
+            yield from records
+
+    def trace(self, clock: Optional[str] = None, period: Optional[int] = None,
+              offset: int = 0, until: Optional[int] = None) -> Trace:
+        """Materialise the sampled valuation stream as a :class:`Trace`.
+
+        Convenience for small dumps and tests; checks take
+        :meth:`masks` instead.
+        """
+        alphabet = self.alphabet(clock=clock)
+        valuations = list(
+            self.valuations(clock=clock, period=period, offset=offset,
+                            until=until)
+        )
+        return Trace(valuations, alphabet)
+
+
+# -- the block parser and the replay ----------------------------------------
+class _Truncated(Exception):
+    """A block ended inside a multi-token construct.
+
+    The message is the :class:`TraceError` a final block raises.
+    """
+
+
+def _check_sampling(clock: Optional[str], period: Optional[int]) -> None:
+    if clock is not None and period is not None:
+        raise TraceError("choose clock or period sampling, not both")
+    if period is not None and period <= 0:
+        raise TraceError("sampling period must be positive")
+
+
+def _timestamp(token: str) -> int:
+    try:
+        return int(token[1:])
+    except ValueError:
+        raise TraceError(f"bad timestamp token {token!r}") from None
+
+
+def _change(token: str, tokens: Iterator[str]):
+    """Decode one change-stream token that is not a declared scalar.
+
+    Returns ``(code, value)`` for a value change (``value`` is ``None``
+    for ``x``/``z``), or ``None`` for a directive, whose body is
+    consumed from ``tokens``.  Raises :class:`_Truncated` when
+    ``tokens`` runs out mid-construct.
+    """
+    lead = token[0]
+    if lead in _SCALAR_VALUES:
+        code = token[1:]
+        if not code:
+            raise TraceError(f"scalar change {token!r} lacks an id")
+        return code, _SCALAR_VALUES[lead]
+    if lead in "bB":
+        code = next(tokens, None)
+        if code is None:
+            raise _Truncated(f"vector change {token!r} lacks an id")
+        bits = token[1:]
+        if any(c in "xXzZ" for c in bits):
+            return code, None
+        try:
+            return code, int(bits, 2)
+        except ValueError:
+            raise TraceError(f"bad vector value {token!r}") from None
+    if lead in "rR":
+        code = next(tokens, None)
+        if code is None:
+            raise _Truncated(f"real change {token!r} lacks an id")
+        try:
+            return code, int(float(token[1:]) != 0.0)
+        except ValueError:
+            raise TraceError(f"bad real value {token!r}") from None
+    if token == "$dumpoff":
+        # A blackout section: every signal is dumped as x/z purely to
+        # mark the gap.  Applying those would read all symbols false
+        # and register a phantom clock edge at $dumpon, so the section
+        # is skipped wholesale — values hold until $dumpon re-dumps
+        # them.  (``in`` consumes the iterator up to the ``$end``.)
+        if "$end" not in tokens:
+            raise _Truncated("unterminated $dumpoff section (missing $end)")
+    elif token in _DUMP_DIRECTIVES or token == "$end":
+        pass
+    elif lead == "$":
+        if "$end" not in tokens:
+            raise _Truncated(f"unterminated {token} directive (missing $end)")
+    else:
+        raise TraceError(f"unexpected value-change token {token!r}")
+    return None
+
+
+def _scalar_actions(all_codes: Iterable[str], code_bits: Dict[str, int],
+                    clock_codes: frozenset) -> Dict[str, tuple]:
+    """Precompiled scalar-change dispatch: token -> ``(hi, lo, saw, clk)``.
+
+    Scalar changes are drawn from a small finite vocabulary — a value
+    character (``01xXzZ``) glued to one of the declared identifier
+    codes — so the whole per-token decision (slice off the code, look
+    up its bits, classify the value, test clock membership) collapses
+    into a single dict probe computed once per conversion.  ``clk`` is
+    0 for non-clock codes, 1 for a high clock edge, 2 for low/unknown.
+    """
+    actions: Dict[str, tuple] = {}
+    for code in all_codes:
+        bits = code_bits.get(code, 0)
+        if code in clock_codes:
+            high_clk, low_clk = 1, 2
+        else:
+            high_clk = low_clk = 0
+        actions["1" + code] = (bits, 0, _F_SAW, high_clk)
+        actions["0" + code] = (0, bits, _F_SAW, low_clk)
+        for unknown in ("x", "X", "z", "Z"):
+            # x/z read as value None: no saw_value, symbol goes low.
+            actions[unknown + code] = (0, bits, 0, low_clk)
+    return actions
+
+
+def _parse_chunk(text: str, actions: Dict[str, tuple],
+                 code_bits: Dict[str, int],
+                 clock_codes: frozenset,
+                 drop_quiet: bool = False,
+                 final: bool = True) -> Optional[tuple]:
+    """One block of the change stream -> per-instant delta records.
+
+    Context-free by design: the parser knows nothing about values set
+    before its block, so each record carries only what changed —
+    ``set``/``clear`` bit deltas over the (code or symbol) bitspace,
+    and clock flags whose "did it rise?" question may be deferred to
+    the replay (``_F_ROSE_IF_LOW``) when the incoming level is
+    unknown.  Returns ``(times, sets, clears, flags)``, one entry per
+    instant, cheap to pickle back from a worker — or ``None`` when a
+    non-``final`` block ends mid-construct.
+
+    ``drop_quiet`` (clock sampling only) elides instants that carry no
+    bit deltas and no clock rise — typically every falling clock edge,
+    half of a synchronous dump.  The replay never samples on them and
+    ``saw_value`` is not consulted under clock sampling; the one thing
+    they feed, the level seen by the *next* block's deferred-rise
+    resolution, is preserved by a trailing zero-delta record whenever
+    the block's final level differs from the last level shipped.
+    """
+    times: List[int] = []
+    sets: List[int] = []
+    clears: List[int] = []
+    flags = bytearray()
+    times_append = times.append
+    sets_append = sets.append
+    clears_append = clears.append
+    flags_append = flags.append
+
+    cur_time = 0
+    pending = False
+    hi = 0
+    lo = 0
+    flag = 0
+    quiet_level = 0    # latest level bits seen (shipped or elided)
+    shipped_level = 0  # latest level bits actually shipped
+    clock_level: Optional[bool] = None  # unknown at block entry
+    actions_get = actions.get
+    bits_get = code_bits.get
+    has_clock = bool(clock_codes)
+    # Hot-loop locals: global flag constants cost a dict probe per use.
+    f_rose = _F_ROSE
+    f_rose_if_low = _F_ROSE_IF_LOW
+    f_level_low = _F_LEVEL_LOW
+    f_level_high = _F_LEVEL_HIGH
+    rose_bits = f_rose | f_rose_if_low
+    level_bits = f_level_low | f_level_high
+    stream = iter(text.split())
+    try:
+        for token in stream:
+            act = actions_get(token)
+            if act is not None:
+                # Scalar change of a declared code: the precompiled path.
+                token_hi, token_lo, saw, clk = act
+                pending = True
+                if token_hi or token_lo:
+                    hi = (hi | token_hi) & ~token_lo
+                    lo = (lo | token_lo) & ~token_hi
+                flag |= saw
+                if clk:
+                    if clk == 1:
+                        if clock_level is None:
+                            flag |= f_rose_if_low
+                        elif not clock_level:
+                            flag |= f_rose
+                        clock_level = True
+                        flag = (flag & ~f_level_low) | f_level_high
+                    else:
+                        clock_level = False
+                        flag = (flag & ~f_level_high) | f_level_low
+                continue
+            if token[0] == "#":
+                try:
+                    time = int(token[1:])
+                except ValueError:
+                    raise TraceError(f"bad timestamp token {token!r}")
+                if pending and time == cur_time:
+                    continue  # same instant continues
+                if pending:
+                    if drop_quiet and not hi and not lo and not (
+                        flag & rose_bits
+                    ):
+                        level = flag & level_bits
+                        if level:
+                            quiet_level = level
+                    else:
+                        times_append(cur_time)
+                        sets_append(hi)
+                        clears_append(lo)
+                        flags_append(flag)
+                        level = flag & level_bits
+                        if level:
+                            quiet_level = shipped_level = level
+                    hi = lo = flag = 0
+                cur_time = time
+                pending = True
+                continue
+            # Vector/real changes, scalars of undeclared codes (which
+            # malformed dumps carry) and directives: the cold path.
+            change = _change(token, stream)
+            if change is None:
+                continue
+            code, value = change
+            pending = True
+            if value is not None:
+                flag |= _F_SAW
+                high = value != 0
+            else:
+                high = False
+            if has_clock and code in clock_codes:
+                if high:
+                    if clock_level is None:
+                        flag |= f_rose_if_low
+                    elif not clock_level:
+                        flag |= f_rose
+                clock_level = high
+                flag = (flag & ~level_bits) | (
+                    f_level_high if high else f_level_low
+                )
+            bits = bits_get(code)
+            if bits:
+                if high:
+                    hi |= bits
+                    lo &= ~bits
+                else:
+                    lo |= bits
+                    hi &= ~bits
+    except _Truncated as cut:
+        if final:
+            raise TraceError(str(cut)) from None
+        return None
+    if pending:
+        if drop_quiet and not hi and not lo and not (flag & rose_bits):
+            level = flag & level_bits
+            if level:
+                quiet_level = level
+        else:
+            times_append(cur_time)
+            sets_append(hi)
+            clears_append(lo)
+            flags_append(flag)
+            level = flag & level_bits
+            if level:
+                quiet_level = shipped_level = level
+    if drop_quiet and quiet_level != shipped_level:
+        # Resync the level the next block's deferred rise will read.
+        times_append(cur_time)
+        sets_append(0)
+        clears_append(0)
+        flags_append(quiet_level)
+    return times, sets, clears, flags
+
+
+def _symbol_mask(code_vals: int, symbol_bits_of: List[int]) -> int:
+    """Symbol mask of a code-bit snapshot (multi-driver general case)."""
+    mask = 0
+    vals = code_vals
+    while vals:
+        low = vals & -vals
+        mask |= symbol_bits_of[low.bit_length() - 1]
+        vals ^= low
+    return mask
+
+
+def _replay(blocks: Iterable[tuple], has_clock: bool,
+            period: Optional[int], offset: int, until: Optional[int],
+            direct: bool,
+            symbol_bits_of: Optional[List[int]]) -> Iterator[List[int]]:
+    """Apply the sampling discipline to delta records, block by block.
+
+    The single sequential pass that owns the sampling semantics:
+    same-instant merging (an instant split over several blocks, or a
+    ``$dumpvars`` section before ``#0``, merges under the same-time
+    rule), ``saw_value`` gating, periodic phase skipping and the
+    window's early exit.  Yields one list of tick masks per block
+    that produced any; stops reading ``blocks`` past ``until``.
+    """
+    code_vals = 0
+    mask = 0
+    level = False
+    rose = False
+    saw = False
+    pending = False
+    block_time = 0
+    next_sample = offset
+    for times, sets, clears, flags in blocks:
+        out: List[int] = []
+        append = out.append
+        for time, hi, lo, flag in zip(times, sets, clears, flags):
+            if not (pending and time == block_time):
+                # A new instant: close the previous one.
+                if pending:
+                    if has_clock:
+                        if rose and block_time >= offset and (
+                            until is None or block_time <= until
+                        ):
+                            append(mask)
+                        rose = False
+                    elif period is None and saw and block_time >= offset \
+                            and (until is None or block_time <= until):
+                        append(mask)
                 if period is not None:
-                    if saw_value:
-                        yield from flush_periodic(time)
+                    if saw:
+                        while next_sample < time and (
+                            until is None or next_sample <= until
+                        ):
+                            append(mask)
+                            next_sample += period
                     else:
                         # No value has appeared yet, so grid points up
                         # to here would be phantom ticks back-filled
@@ -690,36 +990,47 @@ class VcdReader:
                         while next_sample < time:
                             next_sample += period
                 if until is not None and time > until:
-                    # The rest of the dump is outside the window —
-                    # stop reading (this is the early exit that makes
-                    # until= a bounded-work window on huge dumps).
+                    # The rest of the dump is outside the window.
+                    if out:
+                        yield out
                     return
                 block_time = time
-                pending_block = True
-        # Close the final instant.
-        if pending_block:
-            if clock is not None:
-                if clock_rose and in_window(block_time):
-                    yield snapshot()
-            elif period is None and saw_value and in_window(block_time):
-                yield snapshot()
-            if period is not None and saw_value:
-                stop = block_time if until is None else until
-                while next_sample <= stop:
-                    yield snapshot()
-                    next_sample += period
-
-    def trace(self, clock: Optional[str] = None, period: Optional[int] = None,
-              offset: int = 0, until: Optional[int] = None) -> Trace:
-        """Materialise the sampled valuation stream as a :class:`Trace`.
-
-        Convenience for small dumps and tests; for multi-GB dumps feed
-        :meth:`valuations` straight into a
-        :class:`~repro.trace.streaming.StreamingChecker` instead.
-        """
-        alphabet = self.alphabet(clock=clock)
-        valuations = list(
-            self.valuations(clock=clock, period=period, offset=offset,
-                            until=until)
+                pending = True
+            if hi or lo:
+                new_vals = (code_vals | hi) & ~lo
+                if new_vals != code_vals:
+                    code_vals = new_vals
+                    mask = (code_vals if direct
+                            else _symbol_mask(code_vals, symbol_bits_of))
+            if flag:
+                if flag & _F_SAW:
+                    saw = True
+                if has_clock:
+                    if (flag & _F_ROSE) or (
+                        (flag & _F_ROSE_IF_LOW) and not level
+                    ):
+                        rose = True
+                    if flag & _F_LEVEL_HIGH:
+                        level = True
+                    elif flag & _F_LEVEL_LOW:
+                        level = False
+        if out:
+            yield out
+    # Close the final instant.
+    out = []
+    if pending:
+        in_window = block_time >= offset and (
+            until is None or block_time <= until
         )
-        return Trace(valuations, alphabet)
+        if has_clock:
+            if rose and in_window:
+                out.append(mask)
+        elif period is None and saw and in_window:
+            out.append(mask)
+        if period is not None and saw:
+            stop = block_time if until is None else until
+            while next_sample <= stop:
+                out.append(mask)
+                next_sample += period
+    if out:
+        yield out

@@ -315,11 +315,9 @@ def test_check_vcd_cached_corpus(engine, vector_mode, tmp_path):
 
 def test_run_sharded_vcd_cache_path_accepts_batch_only_backends(
         vector_mode, tmp_path):
-    """``run_sharded_vcd(cache=...)`` feeds the *batch* kernels, so a
-    batch-only backend (native) must pass through to the corpus path
-    instead of being rejected by the stream path's capability check —
-    while the uncached call, whose workers genuinely stream, keeps
-    raising the streaming capability error."""
+    """``run_sharded_vcd`` feeds the *batch* kernels with or without a
+    cache, so a batch-only backend (native) checks a dump on both
+    paths with the compiled engine's verdicts."""
     from repro.trace.shard import run_sharded_vcd
 
     _native_or_skip()
@@ -334,13 +332,91 @@ def test_run_sharded_vcd_cache_path_accepts_batch_only_backends(
     for result, expected in zip(results, reference):
         assert result.detections == expected.detections
         assert result.ticks == expected.ticks
-    with pytest.raises(MonitorError) as caught:
-        run_sharded_vcd(compiled, [str(path)], clock="clk",
-                        engine="native")
-    assert str(caught.value) == (
-        "engine 'native' does not support streaming checks "
-        "(choose from: auto, interpreted, compiled, vector)"
-    )
+    uncached = run_sharded_vcd(compiled, [str(path)], clock="clk",
+                               engine="native")
+    uncached_reference = run_sharded_vcd(compiled, [str(path)],
+                                         clock="clk", engine="compiled")
+    for result, expected in zip(uncached, uncached_reference):
+        assert result.detections == expected.detections
+        assert result.ticks == expected.ticks
+
+
+# ------------------------------------------- mask domain at the runners ----
+@pytest.mark.parametrize("engine", ["compiled", "vector", "native"])
+@pytest.mark.parametrize("bad", [1 << 28, 1 << 5, -1])
+def test_encoded_runners_reject_out_of_range_masks(engine, bad,
+                                                   vector_mode):
+    """A mask outside ``[0, 2^|Sigma|)`` is a MonitorError naming the
+    lane, tick and mask on every batch backend (regression: native
+    read past its table — ``1 << 28`` crashed the process and
+    ``2^|Sigma|`` read another state's row — while compiled and vector
+    raised a bare IndexError)."""
+    if engine == "native":
+        _native_or_skip()
+    compiled = tr_compiled(_chart())
+    assert compiled.codec.size == 1 << 5  # the OCP chart's 5 symbols
+    runner = backend(engine).encoded_runner()
+    # Two lanes, and one lane (the width every uncached check --vcd
+    # runs at).
+    for lanes, lane in (([[0, 1, 2], [3, bad, bad]], 1), ([[3, bad]], 0)):
+        batches = [lanes]
+        if vector_module._np is not None:  # the .rtrc load form
+            batches.append([vector_module._np.array(masks, dtype="int32")
+                            for masks in lanes])
+        for batch in batches:
+            with pytest.raises(MonitorError) as caught:
+                runner(compiled, batch)
+            assert str(caught.value) == (
+                f"monitor {compiled.name!r}: mask {bad} at trace {lane}, "
+                f"tick 1 is outside 0..31 "
+                f"(alphabet {list(compiled.codec.symbols)})"
+            )
+
+
+@pytest.mark.parametrize("engine", ["compiled", "vector", "native"])
+def test_trace_batch_runners_skip_the_mask_domain_check(
+        engine, vector_mode, monkeypatch):
+    """Masks encoded from traces are in range by construction, so the
+    trace-fed batch runners never pay the range check (only the
+    encoded entry points take untrusted masks)."""
+    from repro.runtime import compiled as compiled_module
+    from repro.runtime import native as native_module
+    from repro.synthesis.tr import tr
+
+    if engine == "native":
+        _native_or_skip()
+
+    def refuse(*_):
+        raise AssertionError("range check on trace-encoded masks")
+
+    for module in (compiled_module, vector_module, native_module):
+        monkeypatch.setattr(module, "check_mask_domain", refuse)
+    traces = _traces()
+    compiled = tr_compiled(_chart())
+    results = backend(engine).batch_runner()(compiled, traces)
+    expected = [run_monitor(tr(_chart()), trace) for trace in traces]
+    assert [r.detections for r in results] == \
+        [r.detections for r in expected]
+
+
+def test_single_lane_vector_batch_runs_the_scalar_loop(vector_mode,
+                                                       monkeypatch):
+    """One lane has nothing to gather across: a width-1 vector batch
+    (an explicit ``check --vcd --engine vector``) steps through the
+    scalar loop, with the compiled engine's results."""
+    from repro.runtime.compiled import run_many_encoded
+
+    def refuse(*_):
+        raise AssertionError("lane-gather kernel ran for one lane")
+
+    monkeypatch.setattr(vector_module, "_run_numpy", refuse)
+    monkeypatch.setattr(vector_module, "_run_fallback", refuse)
+    compiled = tr_compiled(_chart())
+    lanes = compiled.codec.encode_many(_traces(1))
+    result, = vector_module.run_many_vector_encoded(compiled, lanes)
+    expected, = run_many_encoded(compiled, lanes)
+    assert result.states == expected.states
+    assert result.detections == expected.detections
 
 
 # ----------------------------------------- uniform errors, every seam ----

@@ -174,6 +174,50 @@ def test_check_vcd_faulty_dump_rejected(tmp_path):
     assert status == 3
 
 
+@pytest.mark.parametrize("engine", ["native", "vector", "compiled",
+                                    "interpreted"])
+def test_check_vcd_engines_print_the_same_report(amba_setup, engine):
+    """Every engine checks an uncached dump, batch-only native too."""
+    from repro.runtime.engines import backend
+
+    if backend(engine).unavailable_reason() is not None:
+        pytest.skip(backend(engine).unavailable_reason())
+    spec, dumps = amba_setup
+    argv = ["check", spec, "ahb_transaction", "--clock", "clk"]
+    for dump in dumps:
+        argv += ["--vcd", dump]
+    reference = _run(argv)
+    assert reference[0] == 0
+    assert _run(argv + ["--engine", engine]) == reference
+
+
+def test_check_and_ingest_read_non_utf8_dumps_alike(tmp_path):
+    """Stray Latin-1 bytes in a $comment decode as replacement
+    characters on every path (regression: check crashed with a bare
+    UnicodeDecodeError while ingest read the dump)."""
+    from repro.cesc.serialize import scesc_to_dsl
+    from repro.protocols.fixtures import ocp_simple_vcd
+    from repro.protocols.ocp import ocp_simple_read_chart
+
+    spec = tmp_path / "ocp.cesc"
+    spec.write_text(scesc_to_dsl(ocp_simple_read_chart()))
+    text = ocp_simple_vcd(seed=1, repeats=2)
+    marker = "$enddefinitions $end\n"
+    head, body = text.split(marker)
+    dump = tmp_path / "latin1.vcd"
+    dump.write_bytes(head.encode() + marker.encode()
+                     + b"$comment \xff\xfe caf\xe9 $end\n" + body.encode())
+    status, checked = _run(["check", str(spec), "ocp_simple_read",
+                            "--vcd", str(dump), "--clock", "clk"])
+    assert status in (0, 3), checked
+    status, ingested = _run(["ingest", str(spec), "ocp_simple_read",
+                             "--vcd", str(dump), "--clock", "clk",
+                             "--out", str(tmp_path / "latin1.rtrc")])
+    assert status == 0, ingested
+    ticks = checked.split(": ", 1)[1].split(" ticks", 1)[0]
+    assert f"{dump}: {ticks} ticks over" in ingested
+
+
 def test_check_requires_exactly_one_trace_source(amba_setup, spec_file):
     spec, dumps = amba_setup
     status, text = _run(["check", spec, "ahb_transaction"])

@@ -1,12 +1,11 @@
-"""Differential suite: the chunk-parallel VCD front-end is byte-exact.
+"""Differential suite: the chunk-parallel VCD conversion is byte-exact.
 
-Every case checks the lean delta parser + replay
-(:func:`~repro.trace.columnar.masks_from_vcd_text`) against the
-sequential :class:`~repro.trace.vcd_reader.VcdReader` reference —
-identical mask streams whatever the chunk seams, in both NumPy and
-fallback modes — and that all three checking paths (sequential VCD
-streaming, chunk-parallel conversion, warm cached columnar) hand the
-monitor identical verdicts.
+Every case checks the delta parser + replay
+(:func:`~repro.trace.columnar.masks_from_vcd_text`) against the frozen
+per-change sampler in ``vcd_oracle.py`` — identical mask streams
+whatever the chunk seams, in both NumPy and fallback modes — and that
+all three checking paths (uncached VCD, chunk-parallel conversion,
+warm cached columnar) hand the monitor identical verdicts.
 """
 
 import os
@@ -31,7 +30,8 @@ from repro.trace import columnar as columnar_module
 from repro.trace.columnar import masks_from_vcd_text
 from repro.trace.shard import run_sharded_vcd
 from repro.trace.streaming import StreamingChecker
-from repro.trace.vcd_reader import SignalBinding, VcdReader
+from repro.trace.vcd_reader import SignalBinding
+from vcd_oracle import TRICKY_VCD, oracle_masks
 
 
 @pytest.fixture(params=["numpy", "fallback"])
@@ -46,8 +46,13 @@ def columnar_mode(request, monkeypatch):
 
 
 def _sequential(text, codec, binding=None, **kwargs):
-    reader = VcdReader.from_text(text, binding=binding)
-    return [codec.encode(v) for v in reader.valuations(**kwargs)]
+    return oracle_masks(text, codec, binding=binding, **kwargs)
+
+
+def _body(text):
+    """The change stream: everything after ``$enddefinitions $end``."""
+    marker = "$enddefinitions $end"
+    return text[text.index(marker) + len(marker):]
 
 
 def _assert_equivalent(text, codec, binding=None, **kwargs):
@@ -55,7 +60,7 @@ def _assert_equivalent(text, codec, binding=None, **kwargs):
     expected = _sequential(text, codec, binding=binding, **kwargs)
     single = masks_from_vcd_text(text, codec, binding=binding, **kwargs)
     assert list(single) == expected
-    body = text[columnar_module._header_end(text):]
+    body = _body(text)
     seams = [m.start() + 1 for m in re.finditer(r"\n#", body)]
     # Every two-chunk split...
     for seam in seams:
@@ -69,60 +74,6 @@ def _assert_equivalent(text, codec, binding=None, **kwargs):
         assert list(masks) == expected, "one chunk per timestamp line"
     return expected
 
-
-# A dump built to stress every seam-sensitive semantic at once:
-# $dumpvars initial x values, duplicate timestamp markers (one logical
-# instant split over several blocks), vectors, a mid-stream directive,
-# a $dumpoff blackout, and changes for signals outside the binding.
-TRICKY_VCD = """\
-$timescale 1 ns $end
-$scope module top $end
-$var wire 1 ! clk $end
-$var wire 1 " req $end
-$var wire 8 # data [7:0] $end
-$var wire 1 $ ack $end
-$upscope $end
-$enddefinitions $end
-#0
-$dumpvars
-0!
-0"
-bxxxxxxxx #
-x$
-$end
-#1
-1!
-1"
-#1
-b1010 #
-#2
-0!
-$comment seam bait $end
-#3
-1!
-1$
-#3
-0"
-#4
-0!
-$dumpoff
-x!
-x"
-$end
-$dumpon
-0!
-0"
-b0 #
-0$
-$end
-#5
-1!
-b11 #
-#6
-0!
-#7
-1!
-"""
 
 TRICKY_CODEC = AlphabetCodec(["req", "data", "ack"])
 
@@ -153,7 +104,7 @@ def test_tricky_dump_windows(columnar_mode):
 
 def test_seam_inside_directive_falls_back(columnar_mode):
     """A seam cutting a directive body still yields the exact stream."""
-    body = TRICKY_VCD[columnar_module._header_end(TRICKY_VCD):]
+    body = _body(TRICKY_VCD)
     bait = body.index("seam bait")
     expected = _sequential(TRICKY_VCD, TRICKY_CODEC, clock="clk")
     masks = masks_from_vcd_text(TRICKY_VCD, TRICKY_CODEC, clock="clk",
@@ -163,7 +114,7 @@ def test_seam_inside_directive_falls_back(columnar_mode):
 
 def test_seam_mid_token_falls_back(columnar_mode):
     """Even a byte-level mid-token seam cannot corrupt the stream."""
-    body = TRICKY_VCD[columnar_module._header_end(TRICKY_VCD):]
+    body = _body(TRICKY_VCD)
     cut = body.index("b1010") + 2  # splits the vector value token
     expected = _sequential(TRICKY_VCD, TRICKY_CODEC, clock="clk")
     masks = masks_from_vcd_text(TRICKY_VCD, TRICKY_CODEC, clock="clk",
@@ -207,26 +158,25 @@ def test_jobs_path_through_real_pool(columnar_mode):
 
 def test_no_numpy_subprocess_differential():
     """REPRO_NO_NUMPY=1 end-to-end: import-time fallback, same masks."""
-    src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+    here = os.path.dirname(os.path.abspath(__file__))
+    src = os.path.join(here, "..", "..", "src")
     script = (
         "from repro.protocols.fixtures import ocp_simple_vcd\n"
         "from repro.protocols.ocp import ocp_simple_read_chart\n"
         "from repro.synthesis.tr import tr_compiled\n"
         "from repro.trace import columnar\n"
-        "from repro.trace.vcd_reader import VcdReader\n"
+        "from vcd_oracle import oracle_masks\n"
         "assert columnar._np is None\n"
         "text = ocp_simple_vcd(seed=5)\n"
         "compiled = tr_compiled(ocp_simple_read_chart())\n"
         "codec = compiled.codec\n"
-        "reader = VcdReader.from_text(text)\n"
-        "expected = [codec.encode(v) for v in reader.valuations("
-        "clock='clk')]\n"
+        "expected = oracle_masks(text, codec, clock='clk')\n"
         "masks = columnar.masks_from_vcd_text(text, codec, clock='clk')\n"
         "assert list(masks) == expected, (list(masks), expected)\n"
         "print('ok', len(expected))\n"
     )
     env = dict(os.environ, REPRO_NO_NUMPY="1",
-               PYTHONPATH=os.path.abspath(src))
+               PYTHONPATH=os.pathsep.join([os.path.abspath(src), here]))
     result = subprocess.run([sys.executable, "-c", script], env=env,
                             capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
@@ -241,7 +191,7 @@ def _report_tuple(report):
 
 @pytest.mark.parametrize("engine", ["compiled", "vector"])
 def test_three_path_verdict_identity(columnar_mode, tmp_path, engine):
-    """Sequential stream, parallel parse, warm cache: one verdict."""
+    """Uncached, cold cache, warm cache: one verdict."""
     compiled = tr_compiled(ocp_simple_read_chart())
     dumps = []
     for seed in range(3):
