@@ -175,92 +175,103 @@ def test_vector_scoreboard_suites_throughput(report):
         )
 
 
-def test_auto_small_width_leg(report):
+def test_auto_small_width_leg(report, monkeypatch):
     """``engine="auto"`` tracks the best explicit backend per width.
 
-    The PR 8 w32 regression case, gated: on the scoreboard-heavy OCP
-    suite the planner must keep narrow batches on the scalar compiled
-    loop (and wide batches on the vector kernel under NumPy), and the
-    auto rate must stay within 10% of the best of {compiled, vector}
-    at both widths — the planner's dispatch overhead is two memoized
-    attribute reads, not a tax.
+    On the scoreboard-heavy OCP suite the planner must pick the native
+    stepper at both widths when a C compiler is present; with
+    ``REPRO_NO_CC`` hiding it, the scalar compiled loop at w32 and
+    (under NumPy) the vector kernel at w256.  Each leg's auto rate
+    must stay within 10% of the best explicit backend available in
+    that leg — native included when visible — so planning costs a few
+    memoized attribute reads, not throughput.
     """
-    from repro.runtime.engines import AUTO, Workload, backend, plan_execution
+    from repro.runtime.engines import (
+        AUTO,
+        VECTOR_WIDE_WIDTH,
+        Workload,
+        backend,
+        plan_execution,
+    )
+    from repro.runtime.native import native_kernel, run_many_native_encoded
 
     chart = ocp_simple_read_chart()
     compiled = tr_compiled(chart)
-    native_ready = backend("native").unavailable_reason() is None
     generator = TraceGenerator(ScescChart(chart), seed=7)
     base = generator.satisfying_trace(
         prefix=_TRACE_TICKS // 2, suffix=_TRACE_TICKS // 2
     )
     results = {"numpy": _np is not None}
-    for width in _WIDTHS:
-        batch = [base] * width
-        total = sum(len(trace) for trace in batch)
-        mask_lists = compiled.codec.encode_many(batch, as_list=True)
-        mask_arrays = compiled.codec.encode_many(batch)
+    for leg in ("with_cc", "no_cc"):
+        if leg == "with_cc":
+            monkeypatch.delenv("REPRO_NO_CC", raising=False)
+        else:
+            monkeypatch.setenv("REPRO_NO_CC", "1")
+        native_ready = backend("native").unavailable_reason() is None
+        if native_ready:
+            native_kernel(compiled)  # the one-off compile, untimed
+        for width in _WIDTHS:
+            batch = [base] * width
+            total = sum(len(trace) for trace in batch)
+            mask_lists = compiled.codec.encode_many(batch, as_list=True)
+            mask_arrays = compiled.codec.encode_many(batch)
 
-        plan = plan_execution(compiled, Workload.from_traces(batch))
-        if _np is not None:
-            if width < 64:
-                # Narrow ladder-heavy batches go native when a C
-                # compiler is present, scalar compiled otherwise.
-                expected = "native" if native_ready else "compiled"
-            else:
+            plan = plan_execution(compiled, Workload.from_traces(batch))
+            if native_ready:
+                expected = "native"
+            elif _np is not None and width >= VECTOR_WIDE_WIDTH:
                 expected = "vector"
+            else:
+                expected = "compiled"
             assert plan.engine == expected, (
-                f"auto planned {plan.engine!r} at w{width} "
+                f"{leg}: auto planned {plan.engine!r} at w{width} "
                 f"({plan.reason}); expected {expected!r}"
             )
-        else:
-            assert plan.engine == (
-                "native" if native_ready else "compiled"
-            ), plan.reason
-        results[f"auto_engine_w{width}"] = plan.engine
+            results[f"{leg}_auto_engine_w{width}"] = plan.engine
 
-        def run_auto():
-            # Re-plan inside the timed region: auto's honest cost.
-            live = plan_execution(compiled, Workload.from_traces(batch),
-                                  AUTO)
-            masks = (mask_arrays if live.backend.buffer_masks()
-                     else mask_lists)
-            live.encoded_runner()(compiled, masks)
+            def run_auto():
+                # Re-plan inside the timed region: auto's honest cost.
+                live = plan_execution(compiled, Workload.from_traces(batch),
+                                      AUTO)
+                masks = (mask_arrays if live.backend.buffer_masks()
+                         else mask_lists)
+                live.encoded_runner()(compiled, masks)
 
-        # Interleave the timing rounds (rather than three back-to-back
-        # _best_rate loops) so machine noise hits all three contenders
-        # alike, and rotate the order each round so no contender
-        # systematically runs with the cache another one just thrashed
-        # — the gate compares rates against each other.
-        contenders = [
-            ("compiled", lambda: run_many_encoded(compiled, mask_lists)),
-            ("vector", lambda: run_many_vector_encoded(
-                compiled, mask_arrays)),
-            ("auto", run_auto),
-        ]
-        for _, fn in contenders:  # one untimed warmup cycle
-            fn()
-        elapsed = {name: None for name, _ in contenders}
-        for round_index in range(6 * _REPEATS):
-            shift = round_index % len(contenders)
-            for name, fn in contenders[shift:] + contenders[:shift]:
-                start = time.perf_counter()
+            # Interleave the timing rounds (rather than back-to-back
+            # _best_rate loops) so machine noise hits every contender
+            # alike, and rotate the order each round so no contender
+            # systematically runs with the cache another one just
+            # thrashed — the gate compares rates against each other.
+            contenders = [
+                ("compiled", lambda: run_many_encoded(compiled, mask_lists)),
+                ("vector", lambda: run_many_vector_encoded(
+                    compiled, mask_arrays)),
+            ]
+            if native_ready:
+                contenders.append(("native", lambda: run_many_native_encoded(
+                    compiled, mask_lists)))
+            contenders.append(("auto", run_auto))
+            for _, fn in contenders:  # one untimed warmup cycle
                 fn()
-                took = time.perf_counter() - start
-                if elapsed[name] is None or took < elapsed[name]:
-                    elapsed[name] = took
-        compiled_rate = total / elapsed["compiled"]
-        vector_rate = total / elapsed["vector"]
-        auto_rate = total / elapsed["auto"]
-        best = max(compiled_rate, vector_rate)
-        results[f"compiled_ticks_per_s_w{width}"] = round(compiled_rate)
-        results[f"vector_ticks_per_s_w{width}"] = round(vector_rate)
-        results[f"auto_ticks_per_s_w{width}"] = round(auto_rate)
-        results[f"auto_vs_best_w{width}"] = round(auto_rate / best, 3)
-        assert auto_rate >= 0.9 * best, (
-            f"auto only {auto_rate / best:.2f}x of the best explicit "
-            f"backend at w{width} (gate 0.9x; planned {plan.engine!r})"
-        )
+            elapsed = {name: None for name, _ in contenders}
+            for round_index in range(6 * _REPEATS):
+                shift = round_index % len(contenders)
+                for name, fn in contenders[shift:] + contenders[:shift]:
+                    start = time.perf_counter()
+                    fn()
+                    took = time.perf_counter() - start
+                    if elapsed[name] is None or took < elapsed[name]:
+                        elapsed[name] = took
+            rates = {name: total / took for name, took in elapsed.items()}
+            best = max(rate for name, rate in rates.items() if name != "auto")
+            for name, rate in rates.items():
+                results[f"{leg}_{name}_ticks_per_s_w{width}"] = round(rate)
+            ratio = rates["auto"] / best
+            results[f"{leg}_auto_vs_best_w{width}"] = round(ratio, 3)
+            assert ratio >= 0.9, (
+                f"{leg}: auto only {ratio:.2f}x of the best explicit "
+                f"backend at w{width} (gate 0.9x; planned {plan.engine!r})"
+            )
     report(f"auto small-width leg: {results}")
     _record({"auto_small_width": results})
 

@@ -2,14 +2,14 @@
 
 Two patterns live here:
 
-* :class:`IdentityCache` — several hot-path layers derive an expensive
-  artifact from one long-lived immutable object (the expanded stepping
-  table of a compact :class:`~repro.runtime.compiled.CompiledMonitor`,
-  the flat lowering of :class:`~repro.runtime.vector.VectorTable`) and
-  memoize it by the source object's *identity*: a strong reference
-  keeps the id stable for the entry's lifetime, a defensive identity
-  check guards the (unreachable, by construction) id-collision case,
-  and a bounded FIFO keeps memory bounded.
+* :class:`IdentityCache` — hot-path layers derive expensive artifacts
+  from one long-lived immutable
+  :class:`~repro.runtime.compiled.CompiledMonitor` (its flat
+  :class:`~repro.runtime.vector.VectorTable` lowering, its loaded
+  native kernel) and memoize them by the monitor's *identity*: a
+  strong reference keeps the id stable for the entry's lifetime, a
+  defensive identity check guards the (unreachable, by construction)
+  id-collision case, and a bounded FIFO keeps memory bounded.
 
 * :class:`CorpusCache` — a content-addressed on-disk blob store for
   pre-encoded columnar traces (:mod:`repro.trace.columnar`).  Keys are

@@ -104,7 +104,7 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument(
         "--optimize", action="store_true",
         help="run the monitor through the optimization pipeline "
-             "(state minimisation, alphabet pruning, table compaction) "
+             "(state minimisation, alphabet pruning, ladder hardening) "
              "before checking — identical verdicts, smaller tables "
              "(needs a table-compiling --engine)")
     check.add_argument(
@@ -206,7 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
     campaign.add_argument(
         "--optimize", action="store_true",
         help="cover the optimized monitor (minimised, pruned, "
-             "compacted) instead of the raw synthesis output")
+             "hardened) instead of the raw synthesis output")
     campaign.add_argument(
         "--faults", type=int, default=0, metavar="N",
         help="additionally run a fault-mutation campaign with N random "
@@ -248,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
              "on-loop)")
     serve.add_argument(
         "--optimize", action="store_true",
-        help="serve optimized monitors (minimised, pruned, compacted); "
+        help="serve optimized monitors (minimised, pruned, hardened); "
              "identical verdicts (needs a table-compiling --engine)")
     serve.add_argument(
         "--queue-chunks", type=int, default=8, metavar="N",
@@ -650,7 +650,10 @@ def _cmd_serve(args, out) -> int:
 
     backend = engine_backend(args.engine) if args.engine != AUTO else None
     if args.optimize and backend is not None and not backend.optimize_ok:
-        raise ReproError("--optimize needs --engine compiled or vector")
+        raise ReproError(
+            "--optimize needs --engine "
+            + ", ".join(backend_names("optimize_ok"))
+        )
     wants_compiled = backend.wants_compiled if backend is not None else True
     monitors = {}
     for name in args.charts:

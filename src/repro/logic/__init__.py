@@ -14,7 +14,6 @@ monitor synthesis pipeline:
   synthesis algorithm's compatibility checks;
 * :mod:`repro.logic.qm` — Quine–McCluskey two-level minimisation, used
   to produce the compact figure-style guard expressions;
-* :mod:`repro.logic.bdd` — reduced ordered BDDs for equivalence checks;
 * :mod:`repro.logic.codec` — bitmask encoding of valuations over a
   fixed symbol ordering, the index space of the compiled monitor
   runtime's dense dispatch tables.

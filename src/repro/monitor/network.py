@@ -69,7 +69,7 @@ class MonitorNetwork:
     """The set of communicating local monitors for one async chart.
 
     ``optimize=True`` lowers each local monitor through the
-    optimization pipeline (minimise + prune + compact) when the
+    optimization pipeline (minimise + prune + harden) when the
     compiled backend is selected — behaviour, including the two-phase
     scoreboard contract, is unchanged.
     """

@@ -1,16 +1,13 @@
 """Monitor optimization: shrink automata before the compiled runtime.
 
 The pipeline (:func:`optimize_monitor` / :func:`optimize_compiled`)
-composes three behaviour-preserving passes attacking the paper's
-``O((n+1) * 2^|Sigma|)`` table bound from every side:
+composes behaviour-preserving passes over the paper's
+``O((n+1) * 2^|Sigma|)`` table bound and the per-tick ladder cost:
 
 * **scoreboard-aware minimisation** — the ``n + 1`` state factor
   (:func:`~repro.monitor.minimize.minimize_monitor`, Mealy-extended);
 * **alphabet pruning** — the ``2^|Sigma|`` width factor
   (:mod:`repro.optimize.prune`);
-* **table compaction** — the constant factor
-  (:mod:`repro.optimize.compact`, sparse default-cell rows), applied
-  only when it shrinks the serialized payload;
 * **ladder hardening** — first-match dispatch and floor collapse for
   check ladders proven deterministic (:mod:`repro.optimize.ladders`).
 
@@ -18,7 +15,6 @@ composes three behaviour-preserving passes attacking the paper's
 pipeline via their ``optimize=`` knob, the CLI via ``--optimize``.
 """
 
-from repro.optimize.compact import compact_monitor, compact_row, compaction_stats
 from repro.optimize.ladders import harden_ladders, prove_first_match
 from repro.optimize.pipeline import (
     OptimizationResult,
@@ -36,9 +32,6 @@ from repro.optimize.prune import (
 __all__ = [
     "OptimizationResult",
     "as_optimized",
-    "compact_monitor",
-    "compact_row",
-    "compaction_stats",
     "harden_ladders",
     "optimize_compiled",
     "optimize_monitor",

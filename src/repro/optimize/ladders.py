@@ -40,7 +40,7 @@ from typing import List, Optional, Tuple
 
 from repro.logic.expr import scoreboard_checks_of, symbols_of
 from repro.monitor.scoreboard import Scoreboard
-from repro.runtime.compiled import CompiledMonitor, map_table_cells, row_cells
+from repro.runtime.compiled import CompiledMonitor, map_table_cells
 
 __all__ = ["harden_ladders", "prove_first_match"]
 
@@ -124,7 +124,7 @@ def harden_ladders(compiled: CompiledMonitor) -> CompiledMonitor:
     hardened: dict = {}
     any_ladder = False
     for row in compiled._table:
-        for cell in row_cells(row):
+        for cell in row:
             if not isinstance(cell, tuple) or id(cell) in hardened:
                 continue
             any_ladder = True

@@ -2,9 +2,8 @@
 
 The paper's ``Tr`` construction is ``O((n+1) * 2^|Sigma|)`` and the
 compiled runtime materialises exactly that product as dense
-``(state, mask)`` rows — so at production scale *table size*, not tick
-rate, is the wall.  This pipeline sits between synthesis and the
-compiled runtime and attacks both factors:
+``(state, mask)`` rows.  This pipeline sits between synthesis and the
+compiled runtime:
 
 1. **scoreboard-aware minimisation**
    (:func:`~repro.monitor.minimize.minimize_monitor`) merges
@@ -15,8 +14,9 @@ compiled runtime and attacks both factors:
 3. **alphabet pruning** (:mod:`repro.optimize.prune`) rebuilds the
    monitor over the symbols its behaviour references — the
    ``2^|Sigma|`` factor, halved per pruned symbol;
-4. **table compaction** (:mod:`repro.optimize.compact`) stores each
-   row's dominant cell once as a default — the constant factor.
+4. **ladder hardening** (:mod:`repro.optimize.ladders`) and carrier
+   transitions make the compiled table dispatch and pickle like
+   direct ``tr_compiled`` output.
 
 Every stage preserves tick-exact behaviour (detections at identical
 ticks, identical scoreboard evolution); the differential suite in
@@ -25,13 +25,11 @@ ticks, identical scoreboard evolution); the differential suite in
 
 from __future__ import annotations
 
-import pickle
 from typing import Dict, Optional, Union
 
 from repro.errors import MonitorError
 from repro.logic.expr import And, Expr, Not, Or, intern_expr
 from repro.monitor.automaton import Monitor, Transition
-from repro.optimize.compact import compact_monitor
 from repro.optimize.ladders import harden_ladders
 from repro.optimize.prune import prune_compiled, prune_monitor
 from repro.runtime.compiled import CompiledMonitor, compile_monitor
@@ -49,9 +47,8 @@ class OptimizationResult:
 
     ``monitor`` is the optimized *interpreted* form (minimised +
     pruned), still runnable on the reference engine and usable for
-    code generation; ``compiled`` is its pruned + compacted dispatch
-    table.  ``stats`` records ``states``/``rows``/``cells`` (logical
-    ``rows x 2^|Sigma|`` and actually stored) before and after.
+    code generation; ``compiled`` is its dispatch table.  ``stats``
+    records states and ``rows x 2^|Sigma|`` cells before and after.
     """
 
     __slots__ = ("monitor", "compiled", "stats")
@@ -64,9 +61,9 @@ class OptimizationResult:
 
     @property
     def cell_reduction(self) -> float:
-        """Dense baseline cells / stored optimized cells (>= 1.0)."""
-        stored = self.stats["optimized_stored_cells"]
-        return self.stats["baseline_cells"] / stored if stored else 1.0
+        """Baseline cells / optimized cells (>= 1.0)."""
+        cells = self.stats["optimized_cells"]
+        return self.stats["baseline_cells"] / cells if cells else 1.0
 
     def __repr__(self):
         return (
@@ -74,7 +71,7 @@ class OptimizationResult:
             f"states {self.stats['baseline_states']}->"
             f"{self.stats['optimized_states']}, "
             f"cells {self.stats['baseline_cells']}->"
-            f"{self.stats['optimized_stored_cells']} "
+            f"{self.stats['optimized_cells']} "
             f"({self.cell_reduction:.1f}x))"
         )
 
@@ -83,18 +80,16 @@ def optimize_monitor(
     monitor: Monitor,
     minimize: bool = True,
     prune: bool = True,
-    compact: bool = True,
     name: Optional[str] = None,
 ) -> OptimizationResult:
     """Run the full pipeline on an interpreted monitor.
 
     Stages toggle independently (each is behaviour-preserving on its
     own).  A symbolic guard re-compression always runs in between:
-    it merges the per-minterm transition fan into shared edges — which
-    is what lets dispatch cells coincide for compaction — and its
-    Quine–McCluskey pass drops don't-care literals, exposing unused
-    symbols to the pruning scan.  Monitors whose guards are not ``Tr``
-    minterm output skip the compression gracefully.
+    it merges the per-minterm transition fan into shared edges, and
+    its Quine–McCluskey pass drops don't-care literals, exposing
+    unused symbols to the pruning scan.  Monitors whose guards are not
+    ``Tr`` minterm output skip the compression gracefully.
     """
     from repro.errors import SynthesisError
     from repro.synthesis.symbolic import symbolic_monitor
@@ -127,15 +122,12 @@ def optimize_monitor(
         )
     optimized = _intern_guards(optimized)
     compiled = _carrier_transitions(harden_ladders(compile_monitor(optimized)))
-    if compact:
-        compiled = _compact_when_smaller(compiled)
     stats = {
         "baseline_states": baseline_states,
         "baseline_cells": baseline_cells,
         "optimized_states": compiled.n_states,
         "optimized_alphabet": len(compiled.codec),
-        "optimized_dense_cells": compiled.n_states * compiled.codec.size,
-        "optimized_stored_cells": compiled.table_cells(),
+        "optimized_cells": compiled.table_cells(),
     }
     return OptimizationResult(optimized, compiled, stats)
 
@@ -329,28 +321,6 @@ def _carrier_transitions(compiled: CompiledMonitor) -> CompiledMonitor:
     )
 
 
-def _compact_when_smaller(compiled: CompiledMonitor) -> CompiledMonitor:
-    """Compact the table only when that *shrinks* the serialized form.
-
-    Compaction never wins tick rate (the memoizing ``CompactRow`` is at
-    best a few percent behind dense list indexing), so its one
-    justification is size.  Narrow tables can invert that: a sparse row
-    of dict entries serializes *larger* than the dense list it
-    replaces.  Comparing the pickled payloads — what the sharded
-    pipeline ships and a compilation cache stores — keeps whichever
-    form is genuinely smaller, so optimization can no longer lose both
-    size and speed at once.
-    """
-    compacted = compact_monitor(compiled)
-    if compacted is compiled:
-        return compiled
-    dense_bytes = len(pickle.dumps(compiled.without_source()))
-    compact_bytes = len(pickle.dumps(compacted.without_source()))
-    if compact_bytes < dense_bytes:
-        return compacted
-    return compiled
-
-
 def minimize_monitor_safely(monitor: Monitor) -> Monitor:
     """Minimise, keeping the input when minimisation cannot apply.
 
@@ -375,20 +345,17 @@ def minimize_monitor_safely(monitor: Monitor) -> Monitor:
 def optimize_compiled(
     compiled: CompiledMonitor,
     prune: bool = True,
-    compact: bool = True,
 ) -> CompiledMonitor:
     """Table-only optimization for an already-compiled monitor.
 
     ``tr_compiled`` output carries no input guards to scan, so pruning
     detects unused symbols from the table itself (cells invariant
-    under a bit flip) and compaction re-encodes the rows; state
-    minimisation needs the interpreted form and is not attempted.
+    under a bit flip); state minimisation needs the interpreted form
+    and is not attempted.
     """
     optimized = harden_ladders(compiled)
     if prune:
         optimized = prune_compiled(optimized)
-    if compact:
-        optimized = _compact_when_smaller(optimized)
     return optimized
 
 

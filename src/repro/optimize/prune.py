@@ -32,12 +32,7 @@ from typing import Dict, FrozenSet, List
 from repro.logic.codec import AlphabetCodec
 from repro.logic.expr import symbols_of
 from repro.monitor.automaton import Monitor
-from repro.runtime.compiled import (
-    CompiledCheck,
-    CompiledMonitor,
-    peek_cell,
-    row_cells,
-)
+from repro.runtime.compiled import CompiledCheck, CompiledMonitor
 
 __all__ = [
     "prune_compiled",
@@ -88,7 +83,7 @@ def used_symbols_compiled(compiled: CompiledMonitor) -> FrozenSet[str]:
     codec = compiled.codec
     used: set = set()
     for row in compiled._table:
-        for cell in row_cells(row):
+        for cell in row:
             if isinstance(cell, tuple):
                 for check, _ in cell:
                     if check is not None:
@@ -99,7 +94,7 @@ def used_symbols_compiled(compiled: CompiledMonitor) -> FrozenSet[str]:
         bit = 1 << index
         for row in compiled._table:
             if any(
-                peek_cell(row, mask) != peek_cell(row, mask | bit)
+                row[mask] != row[mask | bit]
                 for mask in range(codec.size)
                 if not mask & bit
             ):
@@ -157,13 +152,10 @@ def prune_compiled(compiled: CompiledMonitor) -> CompiledMonitor:
         converted[id(cell)] = result
         return result
 
-    table: List[List[object]] = []
-    for state in compiled.states:
-        row = compiled._table[state]
-        table.append([
-            convert(peek_cell(row, mask_map[m]))
-            for m in new_codec.all_masks()
-        ])
+    table: List[List[object]] = [
+        [convert(row[old_mask]) for old_mask in mask_map]
+        for row in compiled._table
+    ]
     return CompiledMonitor(
         compiled.name,
         n_states=compiled.n_states,

@@ -22,8 +22,10 @@ performs, made persistent — so the hot loop is a list lookup:
   lock-step execution;
 * :mod:`repro.runtime.vector` — the trace-parallel batch kernel:
   check-free cells lowered to one flat integer array stepped with
-  NumPy fancy indexing (pure-Python fallback when NumPy is absent),
-  escape lanes resolved through the scalar dispatch above;
+  NumPy fancy indexing, ladders resolved as predicated rung matrices
+  (without NumPy, batches run the scalar ``run_many`` loop);
+* :mod:`repro.runtime.native` — the same lowering emitted as a C
+  stepper, compiled on demand by the host ``cc``;
 * :mod:`repro.runtime.engines` — the backend registry and the
   ``engine="auto"`` execution planner: every entry point resolves
   backend names and capability checks through it, and a new backend

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple, Union
 
-from repro.cache import IdentityCache
 from repro.errors import MonitorError
 from repro.logic.codec import AlphabetCodec
 from repro.logic.expr import And, Expr, all_of, scoreboard_checks_of
@@ -39,7 +38,6 @@ from repro.semantics.run import Trace
 from repro.slots import SlotPickle
 
 __all__ = [
-    "CompactRow",
     "CompiledCheck",
     "CompiledMonitor",
     "CompiledEngine",
@@ -48,8 +46,6 @@ __all__ = [
     "check_mask_domain",
     "compile_monitor",
     "lower_monitor",
-    "peek_cell",
-    "row_cells",
     "run_compiled",
     "run_many",
     "run_many_encoded",
@@ -61,143 +57,15 @@ __all__ = [
 Cell = Union[Transition, Tuple[Tuple[Optional[Callable], Transition], ...], None]
 
 
-class CompactRow(dict):
-    """A sparse dispatch row: explicit cells plus one default cell.
-
-    After alphabet pruning most masks of a state share a single target
-    (the self-loop absorbing irrelevant inputs), so a dense
-    ``2^|Sigma|``-cell row wastes memory on repeats.  A ``CompactRow``
-    stores only the exceptional ``mask -> cell`` entries; every other
-    mask resolves to ``default`` through ``__missing__``, which keeps
-    the hot-path ``table[state][mask]`` expression working unchanged
-    for both row shapes (dispatch stays transparent to the engines).
-
-    ``__missing__`` *memoizes*: the first lookup of a default mask
-    inserts it, so every later lookup takes the C-level dict hit path
-    instead of a Python call — steady-state stepping costs within a
-    few percent of dense list indexing, while resident size stays
-    bounded by the masks a workload actually exercises.  Memoized
-    entries are semantically invisible (same cell object) and are
-    shed on pickling; cold-path scans should use :meth:`peek` /
-    :func:`peek_cell`, which never memoize.
-
-    Size accounting (:meth:`explicit_count`, ``CompiledMonitor.
-    table_cells``) counts only the genuine exceptions plus the
-    default, never memoized repeats.
-    """
-
-    __slots__ = ("default",)
-
-    def __init__(self, exceptions, default: Cell):
-        super().__init__(exceptions)
-        self.default = default
-
-    def __missing__(self, mask: int) -> Cell:
-        default = self.default
-        self[mask] = default
-        return default
-
-    def peek(self, mask: int) -> Cell:
-        """The cell for ``mask`` without memoizing a default hit."""
-        return self.get(mask, self.default)
-
-    def explicit(self) -> dict:
-        """The genuine ``mask -> cell`` exceptions (memoized default
-        entries excluded — ``compact_row`` never stores the default
-        explicitly, so equality with the default identifies them)."""
-        default = self.default
-        return {
-            mask: cell for mask, cell in self.items() if cell != default
-        }
-
-    def explicit_count(self) -> int:
-        default = self.default
-        return sum(1 for cell in self.values() if cell != default)
-
-    def __reduce__(self):
-        # Group exception masks by cell: a row's exceptions repeat a
-        # handful of distinct cells, so pickling ``(cell, masks...)``
-        # groups stores each cell reference once instead of once per
-        # mask — about half the per-entry cost of pickling the dict.
-        groups: dict = {}
-        for mask, cell in sorted(self.explicit().items()):
-            groups.setdefault(cell, []).append(mask)
-        payload = tuple(
-            (cell, tuple(masks)) for cell, masks in groups.items()
-        )
-        return (_rebuild_compact_row, (payload, self.default))
-
-    def __eq__(self, other):
-        """Logical row equality: same default, same genuine exceptions.
-
-        ``dict.__eq__`` would ignore the default slot (and count
-        memoized repeats), calling behaviourally different rows equal.
-        """
-        if isinstance(other, CompactRow):
-            return (self.default == other.default
-                    and self.explicit() == other.explicit())
-        return NotImplemented
-
-    def __ne__(self, other):
-        equal = self.__eq__(other)
-        if equal is NotImplemented:
-            return equal
-        return not equal
-
-    __hash__ = None  # mutable (memoizing), like the dict base
-
-    def __repr__(self):
-        return (f"CompactRow({self.explicit_count()} explicit, "
-                f"default={self.default!r})")
-
-
-def _rebuild_compact_row(payload, default: Cell) -> "CompactRow":
-    """Unpickle hook for :meth:`CompactRow.__reduce__`."""
-    exceptions = {}
-    for cell, masks in payload:
-        for mask in masks:
-            exceptions[mask] = cell
-    return CompactRow(exceptions, default)
-
-
-def peek_cell(row, mask: int) -> Cell:
-    """Read one cell of a dense or compact row without memoizing."""
-    if isinstance(row, CompactRow):
-        return row.peek(mask)
-    return row[mask]
-
-
-def row_cells(row) -> Iterable[Cell]:
-    """Every distinct cell slot of a dispatch row, dense or compact."""
-    if isinstance(row, CompactRow):
-        yield row.default
-        yield from row.explicit().values()
-    else:
-        yield from row
-
-
 def map_table_cells(compiled: "CompiledMonitor", convert) -> list:
-    """A new table with ``convert`` applied to every cell slot.
+    """A new table with ``convert`` applied to every cell.
 
-    Preserves each row's shape (dense list or :class:`CompactRow` with
-    the converted default).  ``convert`` receives each *distinct* cell
-    slot; callers that intern converted cells should memoize inside
-    ``convert`` (cells are shared across slots by identity).  This is
-    the one rebuild loop the table-rewriting passes (ladder hardening,
-    carrier slimming) share, so a new row representation only needs
-    teaching here.
+    ``convert`` sees each cell slot; callers that intern converted
+    cells should memoize inside ``convert`` (cells are shared across
+    slots by identity).  This is the one rebuild loop the
+    table-rewriting passes (ladder hardening, carrier slimming) share.
     """
-    table = []
-    for row in compiled._table:
-        if isinstance(row, CompactRow):
-            table.append(CompactRow(
-                {mask: convert(cell)
-                 for mask, cell in row.explicit().items()},
-                convert(row.default),
-            ))
-        else:
-            table.append([convert(cell) for cell in row])
-    return table
+    return [[convert(cell) for cell in row] for row in compiled._table]
 
 
 class CompiledCheck:
@@ -263,14 +131,7 @@ class CompiledMonitor(SlotPickle):
                 f"table has {len(table)} rows for {n_states} states"
             )
         for row in table:
-            if isinstance(row, CompactRow):
-                bad = [mask for mask in row if not 0 <= mask < codec.size]
-                if bad:
-                    raise MonitorError(
-                        f"compact row holds masks {bad} outside codec "
-                        f"size {codec.size}"
-                    )
-            elif len(row) != codec.size:
+            if len(row) != codec.size:
                 raise MonitorError(
                     f"table row of {len(row)} cells for codec size "
                     f"{codec.size}"
@@ -292,11 +153,7 @@ class CompiledMonitor(SlotPickle):
         #: then scanned in full so that scoreboard-dependent
         #: nondeterminism raises exactly as the interpreted engine does.
         object.__setattr__(self, "ladder_exclusive", bool(ladder_exclusive))
-        object.__setattr__(self, "_table", [
-            CompactRow(row.explicit(), row.default)
-            if isinstance(row, CompactRow) else list(row)
-            for row in table
-        ])
+        object.__setattr__(self, "_table", [list(row) for row in table])
 
     def __setattr__(self, name, value):
         raise AttributeError("CompiledMonitor is immutable")
@@ -324,32 +181,17 @@ class CompiledMonitor(SlotPickle):
 
     @property
     def table(self) -> Tuple[Tuple[Cell, ...], ...]:
-        """An immutable *dense* view of the dispatch table.
+        """An immutable view of the dispatch table.
 
         Compiled monitors are memoized and shared by banks and
         networks, so the live table is never handed out — mutating
-        this copy cannot corrupt other runs.  Compact rows are
-        expanded, so the view always has ``codec.size`` cells per row.
+        this copy cannot corrupt other runs.
         """
-        masks = range(self.codec.size)
-        return tuple(
-            tuple(peek_cell(row, mask) for mask in masks)
-            for row in self._table
-        )
-
-    @property
-    def is_compact(self) -> bool:
-        """Does any row use the sparse default-cell encoding?"""
-        return any(isinstance(row, CompactRow) for row in self._table)
+        return tuple(tuple(row) for row in self._table)
 
     def table_cells(self) -> int:
-        """Cells the table actually stores (dense rows count in full,
-        compact rows count their explicit cells plus the default)."""
-        return sum(
-            row.explicit_count() + 1 if isinstance(row, CompactRow)
-            else len(row)
-            for row in self._table
-        )
+        """Cells the dense table stores: ``n_states x 2^|Sigma|``."""
+        return self.n_states * self.codec.size
 
     def transition_count(self) -> int:
         return len(self.transitions)
@@ -361,13 +203,13 @@ class CompiledMonitor(SlotPickle):
         """Does any cell fall back to scoreboard-dependent dispatch?"""
         return any(
             isinstance(cell, tuple)
-            for row in self._table for cell in row_cells(row)
+            for row in self._table for cell in row
         )
 
     def cell(self, state: int, mask: int) -> Cell:
-        """One cell, without memoizing a compact row's default hit —
-        table scans (synthesizers, pruning) stay allocation-free."""
-        return peek_cell(self._table[state], mask)
+        """The cell for ``(state, mask)`` (table scans: synthesizers,
+        pruning)."""
+        return self._table[state][mask]
 
     def events(self) -> frozenset:
         return self.alphabet - self.props
@@ -393,8 +235,7 @@ class CompiledMonitor(SlotPickle):
     def __repr__(self):
         return (
             f"CompiledMonitor({self.name!r}, states={self.n_states}, "
-            f"alphabet={len(self.codec)}, cells={self.table_cells()}"
-            f"{', compact' if self.is_compact else ''})"
+            f"alphabet={len(self.codec)}, cells={self.table_cells()})"
         )
 
 
@@ -593,61 +434,6 @@ def as_compiled(monitor: Union[Monitor, CompiledMonitor]) -> CompiledMonitor:
     return compile_monitor(monitor)
 
 
-#: Compact tables up to this many dense cells re-expand to plain lists
-#: inside long-running engines — list indexing is the fastest dispatch
-#: and the expansion is cheaper than the table's own construction was.
-_DENSE_STEP_CELLS = 1 << 15
-
-
-#: Memoized expansions, keyed by monitor identity.
-_STEP_TABLES = IdentityCache(limit=64)
-
-
-def _stepping_table(compiled: CompiledMonitor):
-    """The hot-loop view of a monitor's table.
-
-    Compact rows trade a few percent of dispatch speed for resident
-    and serialized size; an engine about to take millions of steps
-    wants the speed back.  Small compact tables are expanded to dense
-    lists (cells shared where possible) while the monitor keeps its
-    compact form for storage and shipping; big tables stay compact —
-    expansion would defeat their reason to exist.  While rebuilding,
-    ladder rungs shed their :class:`CompiledCheck` pickling wrapper
-    for the raw compiled closure — one less call frame per check
-    evaluation.  Expansions are memoized per monitor, so banks and
-    repeated batch calls pay once.
-    """
-    table = compiled._table
-    if not compiled.is_compact:
-        return table
-    if compiled.n_states * compiled.codec.size > _DENSE_STEP_CELLS:
-        return table
-    cached = _STEP_TABLES.get(compiled)
-    if cached is not None:
-        return cached
-    unwrapped: dict = {}
-
-    def fast_cell(cell: Cell) -> Cell:
-        if type(cell) is not tuple:
-            return cell
-        cached = unwrapped.get(id(cell))
-        if cached is None:
-            cached = tuple(
-                (check._fn if isinstance(check, CompiledCheck) else check,
-                 transition)
-                for check, transition in cell
-            )
-            unwrapped[id(cell)] = cached
-        return cached
-
-    masks = range(compiled.codec.size)
-    expanded = [
-        [fast_cell(peek_cell(row, mask)) for mask in masks]
-        for row in table
-    ]
-    return _STEP_TABLES.put(compiled, expanded)
-
-
 class CompiledEngine(EngineBase):
     """Table-dispatch monitor execution, drop-in for ``MonitorEngine``.
 
@@ -668,7 +454,7 @@ class CompiledEngine(EngineBase):
         compiled = as_compiled(monitor)
         super().__init__(compiled, scoreboard, record_history=record_history)
         self._compiled = compiled
-        self._table = _stepping_table(compiled)
+        self._table = compiled._table
         self._encode = compiled.codec.encode
         self._exclusive = compiled.ladder_exclusive
 
@@ -819,7 +605,7 @@ def _run_many_encoded(compiled: CompiledMonitor, mask_arrays,
         raise MonitorError(
             "run_many needs exactly one scoreboard per trace when provided"
         )
-    table = _stepping_table(compiled)
+    table = compiled._table
     final = compiled.final
     exclusive = compiled.ladder_exclusive
     count = len(mask_arrays)

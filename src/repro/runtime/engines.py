@@ -17,13 +17,10 @@ single seam those names pass through:
   validates against, so "unknown engine" and "capability missing"
   errors carry identical wording and the live choice list everywhere;
 * :func:`plan_execution` — the planner that resolves
-  ``engine="auto"`` from measurable workload features: batch width,
-  total ticks, the lowered table's
-  :attr:`~repro.runtime.vector.VectorTable.escape_ratio` /
-  :attr:`~repro.runtime.vector.VectorTable.residual_ratio`, and NumPy
-  availability.  In particular, narrow batches over ladder-heavy
-  charts stay on the scalar compiled loop — the vector kernel's
-  per-tick array-op overhead only amortizes across wide batches.
+  ``engine="auto"``: the native stepper whenever it can be built,
+  else the vector kernel for wide batches over predicable tables
+  (:attr:`~repro.runtime.vector.VectorTable.residual_ratio`) under
+  NumPy, else the scalar compiled loop.
 
 Registering a new backend is one :func:`register_backend` call: the
 CLI choice lists, the validation errors, the streaming checker, the
@@ -72,19 +69,14 @@ __all__ = [
 #: backend through :func:`plan_execution` / :func:`plan_streaming`.
 AUTO = "auto"
 
-#: Lane count at which the vector kernel's per-tick array-op overhead
-#: is amortized regardless of chart shape (the PR 8 benches put the
-#: crossover between 32 and 256 lanes on ladder-heavy charts).
+#: Without a native stepper, the lane count at which the vector
+#: kernel's per-tick array-op overhead is amortized (measured between
+#: 32 and 256 lanes on ladder-heavy charts): narrower batches run the
+#: scalar compiled loop.
 VECTOR_WIDE_WIDTH = 64
 
-#: Below :data:`VECTOR_WIDE_WIDTH` lanes, charts whose lowered table
-#: has more than this fraction of escape cells (ladders/actions) run
-#: the scalar compiled loop: each predicated escape tick costs a fixed
-#: set of whole-batch array ops, which narrow batches cannot amortize.
-ESCAPE_DENSITY_CUTOFF = 0.25
-
-#: Tables whose post-predication residual exceeds this fraction fall
-#: back to the scalar loop at any width — residual lanes leave the
+#: Tables whose post-predication residual exceeds this fraction stay
+#: on the scalar loop at any width — residual lanes leave the vector
 #: kernel for per-lane scalar resolution, the worst of both worlds.
 RESIDUAL_CUTOFF = 0.10
 
@@ -207,8 +199,8 @@ class EngineBackend:
         """Should encoded input be buffer-backed arrays (vs lists)?
 
         The NumPy vector kernel gathers fastest over buffer-backed
-        arrays; every scalar loop (and the pure-Python vector fallback)
-        indexes plain lists fastest.
+        arrays; every scalar loop (which is what ``vector`` runs
+        without NumPy) indexes plain lists fastest.
         """
         return self.prefers_numpy and numpy_ready()
 
@@ -402,92 +394,54 @@ def plan_execution(monitor, workload: Optional[Workload] = None,
     """Resolve an engine request against a monitor and a workload.
 
     An explicit name validates against ``capability`` and is honoured
-    verbatim.  ``"auto"`` picks from measurable features, cheapest
-    test first:
+    verbatim.  ``"auto"`` applies three rules, in order:
 
-    1. no live NumPy -> **native** when a C compiler can lower the
-       table, else **compiled** (the pure-Python vector fallback
-       exists for verdict identity, not speed);
-    2. single-lane workloads -> **native** when buildable, else
-       **compiled** (the vector kernel amortizes per-tick overhead
-       across lanes; the native stepper needs no amortization);
-    3. a lowered table whose post-predication residual exceeds
-       :data:`RESIDUAL_CUTOFF` (or that resisted predication entirely)
-       -> **compiled** at any width (such tables also fall outside the
-       C lowering);
-    4. narrow batches (under :data:`VECTOR_WIDE_WIDTH` lanes) on
-       ladder-heavy charts (escape density over
-       :data:`ESCAPE_DENSITY_CUTOFF`) -> **native** when buildable,
-       else **compiled** — the measured PR 8 w32 regression case;
-    5. otherwise -> **vector** (wide batches amortize the array-op
-       overhead; the gather kernel scales with lanes).
+    1. **native** when it is buildable: a C compiler is present (and
+       not vetoed by ``REPRO_NO_CC``) and the table lowers to C — the
+       stepper leads every other kernel at every measured width;
+    2. otherwise **vector** when NumPy is live, the batch has at least
+       :data:`VECTOR_WIDE_WIDTH` lanes and the lowered table is
+       predicable (residual at most :data:`RESIDUAL_CUTOFF`);
+    3. otherwise **compiled**.
 
-    The lowering consulted in rules 2-4 is memoized
+    The lowering both rules consult is memoized
     (:func:`~repro.runtime.vector.vector_table`), so planning a batch
-    against a warm monitor costs a few attribute reads.  Whether the
-    native backend is *selectable* follows the same optional-dependency
-    policy as NumPy: no host compiler (or ``REPRO_NO_CC=1``) and the
-    planner never picks it, while explicit ``engine="native"`` raises
-    the uniform "is unavailable" error from :func:`require_backend`.
+    against a warm monitor costs a few attribute reads and compiles
+    nothing.  An unavailable native backend is never planned, while
+    explicit ``engine="native"`` raises the uniform "is unavailable"
+    error from :func:`require_backend`.
     """
     if engine != AUTO:
         chosen = require_backend(engine, capability, error_cls=error_cls)
         return ExecutionPlan(chosen, "explicitly requested", workload)
     if workload is None:
         workload = Workload()
+    if _native_ready(monitor):
+        return ExecutionPlan(
+            backend("native"),
+            "auto: a C compiler is present and the table lowers to C",
+            workload,
+        )
     if not numpy_ready():
-        if _native_ready(monitor):
-            return ExecutionPlan(
-                backend("native"),
-                "auto: no NumPy — the native table-stepper replaces "
-                "the scalar loop",
-                workload,
-            )
-        return ExecutionPlan(
-            backend("compiled"),
-            "auto: no NumPy — the scalar table loop beats the "
-            "pure-Python vector fallback",
-            workload,
-        )
-    if workload.n_traces <= 1:
-        if _native_ready(monitor):
-            return ExecutionPlan(
-                backend("native"),
-                "auto: single-lane workload — the native stepper "
-                "needs no batch to amortize over",
-                workload,
-            )
-        return ExecutionPlan(
-            backend("compiled"),
-            "auto: single-lane workload — vector overhead cannot amortize",
-            workload,
-        )
-    from repro.runtime.compiled import as_compiled
-    from repro.runtime.vector import vector_table
+        reason = "no native stepper and no NumPy"
+    elif workload.n_traces < VECTOR_WIDE_WIDTH:
+        reason = (f"no native stepper; a {workload.n_traces}-lane batch "
+                  "is too narrow for the vector kernel")
+    else:
+        from repro.runtime.compiled import as_compiled
+        from repro.runtime.vector import vector_table
 
-    table = vector_table(as_compiled(monitor))
-    if not table.vectorizable or table.residual_ratio > RESIDUAL_CUTOFF:
-        return ExecutionPlan(
-            backend("compiled"),
-            f"auto: {table.residual_ratio:.0%} of cells resolve escapes "
-            "on the scalar path",
-            workload,
-        )
-    if (workload.n_traces < VECTOR_WIDE_WIDTH
-            and table.escape_ratio > ESCAPE_DENSITY_CUTOFF):
-        reason = (
-            f"auto: narrow batch ({workload.n_traces} lanes) on a "
-            f"ladder-heavy chart ({table.escape_ratio:.0%} escape "
-            "density)"
-        )
-        if _native_ready(monitor):
-            return ExecutionPlan(backend("native"), reason, workload)
-        return ExecutionPlan(backend("compiled"), reason, workload)
-    return ExecutionPlan(
-        backend("vector"),
-        f"auto: {workload.n_traces}-lane batch over a predicable table",
-        workload,
-    )
+        table = vector_table(as_compiled(monitor))
+        if table.vectorizable and table.residual_ratio <= RESIDUAL_CUTOFF:
+            return ExecutionPlan(
+                backend("vector"),
+                f"auto: {workload.n_traces}-lane batch over a predicable "
+                "table",
+                workload,
+            )
+        reason = (f"no native stepper; {table.residual_ratio:.0%} of "
+                  "cells resolve escapes on the scalar path")
+    return ExecutionPlan(backend("compiled"), f"auto: {reason}", workload)
 
 
 def plan_streaming(engine: str = AUTO, implication: bool = False,
@@ -534,8 +488,9 @@ def engines_markdown_table() -> str:
         lines.append(f"| `{entry.name}` | {entry.steps} | {entry.when} |")
     lines.append(
         "| `auto` | the planner's pick of the above | the default for "
-        "every CLI entry point: resolved per workload from batch "
-        "width, ladder density and NumPy availability |"
+        "every CLI entry point: `native` whenever a host C compiler "
+        "can build it, else `vector` for batches of "
+        f"{VECTOR_WIDE_WIDTH}+ lanes under NumPy, else `compiled` |"
     )
     return "\n".join(lines) + "\n"
 
@@ -615,8 +570,9 @@ register_backend(EngineBackend(
 register_backend(EngineBackend(
     "compiled",
     steps="dense `(state, mask)` table, one trace per engine",
-    when="long single traces, streaming/online checking, narrow "
-         "batches on ladder-heavy charts, 5–50x over interpreted",
+    when="streaming/online checking, and every batch when neither a "
+         "C compiler nor a wide batch under NumPy is at hand: 5–50x "
+         "over interpreted",
     wants_compiled=True,
     step=True,
     batch=True,
@@ -633,9 +589,10 @@ register_backend(EngineBackend(
     "vector",
     steps="flat integer array, whole batch per gather; ladders as "
           "predicated rung matrices",
-    when="wide batches (tens to hundreds of traces): ~3–4x over "
-         "`compiled` lock-step at 256 lanes even at 65–75% ladder "
-         "density, identical verdicts and errors",
+    when="wide batches (64+ lanes) under NumPy when no C compiler is "
+         "present: ~3x over `compiled` lock-step at 256 lanes in "
+         "`bench_vector.py` even at 65–75% ladder density, identical "
+         "verdicts and errors",
     wants_compiled=True,
     step=False,
     batch=True,
@@ -653,10 +610,10 @@ register_backend(EngineBackend(
     "native",
     steps="compile-on-demand C table-stepper (same flat table and "
           "predicated rungs), one shared object per monitor",
-    when="single streams and narrow ladder-heavy batches when a host "
-         "C compiler is present: ~3–6x over `compiled` per lane, "
-         "anomalies replay through the scalar engine for identical "
-         "errors",
+    when="every batch width when a host C compiler is present: "
+         "~2–4x over `compiled` and ~2–7x over `vector` from 1 to 256 "
+         "lanes, anomalies replay through the scalar engine for "
+         "identical errors",
     wants_compiled=True,
     step=False,
     batch=True,

@@ -57,11 +57,10 @@ cell resists predication).  The batch planner and the vector bench
 read the residual, not the raw density.
 
 NumPy is an **optional** dependency: when it is absent (or the
-``REPRO_NO_NUMPY`` environment variable is set) the identical API runs
-on a pure-Python flat ``array('i')`` fallback — loop-predicated: the
-same literal-term plans are tested per lane with integer ops against a
-per-lane counts list and presence word, no ``Scoreboard`` objects or
-check-closure calls on the hot path.
+``REPRO_NO_NUMPY`` environment variable is set) there is no gather to
+run, and every batch steps through the scalar
+:func:`~repro.runtime.compiled.run_many_encoded` loop instead —
+identical results, so ``engine="vector"`` stays valid everywhere.
 """
 
 from __future__ import annotations
@@ -82,10 +81,8 @@ from repro.runtime.compiled import (
     CompiledMonitor,
     _resolve_ladder,
     _run_many_encoded,
-    _stepping_table,
     as_compiled,
     check_mask_domain,
-    peek_cell,
 )
 from repro.semantics.run import Trace
 
@@ -98,11 +95,11 @@ __all__ = [
     "vector_table",
 ]
 
-try:  # pragma: no cover - exercised via the fallback differential run
+try:  # pragma: no cover - exercised via the no-NumPy differential run
     import numpy as _np
 except ImportError:  # pragma: no cover
     _np = None
-if os.environ.get("REPRO_NO_NUMPY"):  # test hook: force the fallback
+if os.environ.get("REPRO_NO_NUMPY"):  # test hook: force the scalar loop
     _np = None
 
 #: Flat-table marker for a cell with no enabled transition.  Escape
@@ -356,7 +353,7 @@ class VectorTable:
         for state in range(compiled.n_states):
             row = compiled._table[state]
             for mask in range(size):
-                cell = peek_cell(row, mask)
+                cell = row[mask]
                 if cell is None:
                     cells.append(MISSING)
                     escapes += 1
@@ -516,17 +513,18 @@ def run_many_vector(
     :meth:`~repro.logic.codec.AlphabetCodec.encode_trace` cache, then
     stepped lock-step through the flat table.  ``record_transitions``
     needs the per-tick transition *objects*, which no gather can
-    produce — those runs, and single-trace runs (nothing to gather
-    across), delegate to the scalar ``run_many`` loop (identical
-    results either way).
+    produce — those runs, single-trace runs (nothing to gather across)
+    and every run without NumPy delegate to the scalar ``run_many``
+    loop (identical results either way).
     """
     compiled = as_compiled(monitor)
     if scoreboards is not None and len(scoreboards) != len(traces):
         raise MonitorError(
             "run_many needs exactly one scoreboard per trace when provided"
         )
-    # The fallback loop indexes plain lists; ask the cache for its
-    # memoized list form directly so warm batches pay no conversion.
+    # Without NumPy the scalar loop runs, which indexes plain lists; ask
+    # the cache for its memoized list form so warm batches pay no
+    # conversion.
     # Encoded traces are in range by construction: no domain check.
     return _run_many_vector(
         compiled,
@@ -555,10 +553,11 @@ def run_many_vector_encoded(
 def _run_many_vector(compiled, mask_arrays, scoreboards,
                      record_transitions) -> List[MonitorResult]:
     """:func:`run_many_vector_encoded` on masks known to be in range."""
-    if record_transitions or len(mask_arrays) <= 1:
+    if record_transitions or len(mask_arrays) <= 1 or _np is None:
         # Transition logging is inherently scalar (every tick needs the
-        # taken Transition object), and one lane has nothing to gather
-        # across: the scalar loop is the faster kernel for both.
+        # taken Transition object), one lane has nothing to gather
+        # across, and without NumPy there is no gather at all: the
+        # scalar loop runs all three.
         return _run_many_encoded(
             compiled, mask_arrays, scoreboards=scoreboards,
             record_transitions=record_transitions,
@@ -567,9 +566,7 @@ def _run_many_vector(compiled, mask_arrays, scoreboards,
         raise MonitorError(
             "run_many needs exactly one scoreboard per trace when provided"
         )
-    if _np is not None:
-        return _run_numpy(compiled, mask_arrays, scoreboards)
-    return _run_fallback(compiled, mask_arrays, scoreboards)
+    return _run_numpy(compiled, mask_arrays, scoreboards)
 
 
 class _VectorAnomaly(Exception):
@@ -617,7 +614,7 @@ class _NumpyRun:
                                 dtype=_np.int32)
         self.history[0, :] = compiled.initial
         self.states = _np.full(self.count, compiled.initial, dtype=_np.int32)
-        self.scalar_table = _stepping_table(compiled)
+        self.scalar_table = compiled._table
         self.vector_boards = scoreboards is None and self.vt.vectorizable
         self.counts = (
             _np.zeros((max(1, len(self.vt.events)), self.count),
@@ -805,130 +802,6 @@ def _run_numpy(compiled, mask_arrays, scoreboards) -> List[MonitorResult]:
             for _ in range(count)
         ]
     return _NumpyRun(compiled, mask_arrays, scoreboards).run()
-
-
-def _run_fallback(compiled, mask_arrays, scoreboards) -> List[MonitorResult]:
-    """Pure-Python flat-table lock-step (NumPy absent) — same contract.
-
-    Escapes resolve through the same predicated plans the NumPy kernel
-    uses, loop-predicated: per-lane integer counts plus a presence
-    word, literal-term tests instead of check-closure calls, scalar
-    replay reserved for lanes that raise.  Injected scoreboards
-    (observable objects) and non-predicable monitors keep the per-lane
-    scalar board path.
-    """
-    count = len(mask_arrays)
-    vt = vector_table(compiled)
-    flat = vt.flat
-    size = vt.size
-    final = vt.final
-    scalar_table = _stepping_table(compiled)
-    specs = vt.specs
-    events = vt.events
-    n_events = len(events)
-    predicated = scoreboards is None and vt.vectorizable
-    masks = [
-        stream if type(stream) is list else list(stream)
-        for stream in mask_arrays
-    ]
-    lengths = [len(m) for m in masks]
-    states = [compiled.initial] * count
-    histories = [[compiled.initial] * (length + 1) for length in lengths]
-    detections: List[List[int]] = [[] for _ in range(count)]
-    boards: List[Optional[Scoreboard]] = (
-        list(scoreboards) if scoreboards is not None else [None] * count
-    )
-    lane_counts: List[Optional[List[int]]] = [None] * count
-    lane_present: List[int] = [0] * count
-
-    def replay(index: int, tick: int, mask: int):
-        """Scalar replay of a failing lane: raises run_many's error."""
-        board = Scoreboard()
-        counts = lane_counts[index]
-        if counts is not None:
-            board.restore({
-                events[row]: counts[row] for row in range(n_events)
-            })
-        _resolve_escape(compiled, scalar_table, states[index], mask, board,
-                        index, tick)
-        raise MonitorError(  # pragma: no cover - detection was certain
-            f"monitor {compiled.name!r}: internal vector anomaly at "
-            f"tick {tick} did not reproduce under scalar replay"
-        )
-
-    active = [index for index in range(count) if lengths[index] > 0]
-    tick = 0
-    while active:
-        surviving: List[int] = []
-        for index in active:
-            mask = masks[index][tick]
-            state = flat[states[index] * size + mask]
-            if state < 0:
-                if not predicated:
-                    board = boards[index]
-                    if board is None:
-                        board = Scoreboard()
-                        boards[index] = board
-                    state = _resolve_escape(
-                        compiled, scalar_table, states[index], mask, board,
-                        index, tick,
-                    ).target
-                elif state == MISSING:
-                    replay(index, tick, mask)
-                else:
-                    spec = specs[-2 - state]
-                    counts = lane_counts[index]
-                    if counts is None:
-                        counts = lane_counts[index] = [0] * n_events
-                    present = lane_present[index]
-                    terms = spec.plan.terms
-                    chosen = None
-                    position = 0
-                    for position, term in enumerate(terms):
-                        if ((present & term[1]) == term[0]
-                                and (mask & term[3]) == term[2]):
-                            chosen = term
-                            break
-                    if chosen is None:
-                        # No passing rung: an incomplete monitor.
-                        replay(index, tick, mask)
-                    if not spec.plan.safe:
-                        group = chosen[6]
-                        for term in terms[position + 1:]:
-                            if (term[6] != group
-                                    and (present & term[1]) == term[0]
-                                    and (mask & term[3]) == term[2]):
-                                # Cross-group double pass: the full
-                                # scan's nondeterminism error.
-                                replay(index, tick, mask)
-                    deltas = chosen[5]
-                    if deltas:
-                        for row, _, floor in deltas:
-                            if counts[row] + floor < 0:
-                                # Strict Del_evt under-run.
-                                replay(index, tick, mask)
-                        for row, total, _ in deltas:
-                            value = counts[row] + total
-                            counts[row] = value
-                            if value > 0:
-                                present |= 1 << row
-                            else:
-                                present &= ~(1 << row)
-                        lane_present[index] = present
-                    state = chosen[4]
-            states[index] = state
-            histories[index][tick + 1] = state
-            if state == final:
-                detections[index].append(tick)
-            if tick + 1 < lengths[index]:
-                surviving.append(index)
-        active = surviving
-        tick += 1
-    return [
-        MonitorResult(compiled.name, histories[index], detections[index],
-                      lengths[index])
-        for index in range(count)
-    ]
 
 
 class VectorEngine(CompiledEngine):

@@ -62,7 +62,7 @@ class MonitorBank:
 
     ``optimize=True`` routes compilation through the optimization
     pipeline (:func:`repro.optimize.optimize_monitor` — minimisation,
-    alphabet pruning, table compaction), shrinking the memoized
+    alphabet pruning, ladder hardening), shrinking the memoized
     dispatch tables with tick-identical behaviour.
     """
 
@@ -189,7 +189,7 @@ class MonitorBank:
                                     engine=plan.engine)
         runner = plan.encoded_runner()
         # The NumPy kernel wants buffer-backed arrays; every scalar
-        # loop (and the pure-Python fallback) indexes lists fastest.
+        # loop indexes lists fastest.
         as_list = not plan.backend.buffer_masks()
         # Mask arrays are shared *explicitly* across same-alphabet
         # members — one encode per distinct codec per call, robust at
@@ -229,7 +229,7 @@ def synthesize_chart(
     paper's per-valuation minterm table; ``"symbolic"`` compresses it
     into figure-style labelled edges (behaviourally identical).
     ``optimize`` makes the bank compile its members through the
-    optimization pipeline (minimise + prune + compact).
+    optimization pipeline (minimise + prune + harden).
     """
     chart = as_chart(chart)
     if variant not in ("tr", "symbolic"):

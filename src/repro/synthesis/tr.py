@@ -204,7 +204,6 @@ def synthesize_compiled(
     name: Optional[str] = None,
     extra_adds: Optional[Mapping[int, FrozenSet[str]]] = None,
     extra_checks: Optional[Mapping[int, FrozenSet[str]]] = None,
-    compact: bool = False,
 ):
     """Emit a :class:`~repro.runtime.compiled.CompiledMonitor` directly.
 
@@ -217,10 +216,6 @@ def synthesize_compiled(
     ``enabled_transition``/``commit`` contract and coverage logging
     working; their guards record only the scoreboard condition, not the
     (implicit) valuation index.
-
-    ``compact=True`` re-encodes each row sparsely (one default cell
-    plus exceptions, :mod:`repro.optimize.compact`) before the monitor
-    is constructed — identical dispatch, a fraction of the cells.
     """
     from repro.logic.codec import AlphabetCodec
     from repro.runtime.compiled import CompiledCheck, CompiledMonitor
@@ -279,10 +274,6 @@ def synthesize_compiled(
                 cell = tuple(rungs)
                 row.append(cells.setdefault(cell, cell))
         table.append(row)
-    if compact:
-        from repro.optimize.compact import compact_row
-
-        table = [compact_row(row, codec.size) for row in table]
     return CompiledMonitor(
         name or pattern.name,
         n_states=n + 1,
@@ -303,14 +294,10 @@ def tr(chart: SCESC, name: Optional[str] = None) -> Monitor:
     return synthesize_monitor(extract_pattern(chart), name=name)
 
 
-def tr_compiled(chart: SCESC, name: Optional[str] = None,
-                compact: bool = False):
+def tr_compiled(chart: SCESC, name: Optional[str] = None):
     """``Tr`` straight to the compiled runtime: SCESC in, dispatch table out.
 
     Behaviourally identical to ``compile_monitor(tr(chart))`` but skips
     minterm guard construction, so synthesis itself is faster too.
-    ``compact=True`` stores the table rows sparsely (default cell +
-    exceptions) with unchanged dispatch.
     """
-    return synthesize_compiled(extract_pattern(chart), name=name,
-                               compact=compact)
+    return synthesize_compiled(extract_pattern(chart), name=name)

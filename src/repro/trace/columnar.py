@@ -136,11 +136,10 @@ class ColumnarTraceSet:
     """
 
     __slots__ = ("symbols", "lengths", "meta", "_flat", "_offsets",
-                 "_mmap", "_crc")
+                 "_mmap")
 
     def __init__(self, symbols: Sequence[str], lengths: Sequence[int],
-                 flat, meta: Optional[dict] = None, _mmap=None,
-                 payload_crc: Optional[int] = None):
+                 flat, meta: Optional[dict] = None, _mmap=None):
         self.symbols: Tuple[str, ...] = tuple(symbols)
         self.lengths: Tuple[int, ...] = tuple(int(n) for n in lengths)
         if any(n < 0 for n in self.lengths):
@@ -157,7 +156,6 @@ class ColumnarTraceSet:
             )
         self._flat = flat
         self._mmap = _mmap
-        self._crc = payload_crc
 
     # -- construction ----------------------------------------------------
     @classmethod
@@ -297,41 +295,16 @@ class ColumnarTraceSet:
             flat.frombytes(payload)
             if sys.byteorder == "big":  # pragma: no cover - LE hosts
                 flat.byteswap()
-        return cls(symbols, lengths, flat, meta=meta, _mmap=_mmap,
-                   payload_crc=crc)
-
-    def verify_payload(self) -> "ColumnarTraceSet":
-        """Run (or re-run) the payload crc32 check; returns ``self``.
-
-        Lazy loads defer this check so no page of the mapping is
-        touched before a kernel reads it — call this to pay for the
-        full scan explicitly.  Raises :class:`TraceError` on mismatch,
-        like the eager path would have at load time.
-        """
-        if self._crc is None:
-            return self
-        if _np is not None and isinstance(self._flat, _np.ndarray):
-            actual = zlib.crc32(self._flat.data)
-        else:
-            actual = zlib.crc32(_masks_to_le_bytes(self._flat))
-        if actual != self._crc:
-            raise TraceError("columnar payload failed its crc32 check")
-        return self
+        return cls(symbols, lengths, flat, meta=meta, _mmap=_mmap)
 
     @classmethod
     def load(cls, path: Union[str, "os.PathLike[str]"],
-             verify: bool = True, lazy: bool = False) -> "ColumnarTraceSet":
+             verify: bool = True) -> "ColumnarTraceSet":
         """Read a ``.rtrc`` file; memory-mapped under NumPy.
 
-        ``lazy=True`` keeps mask views as NumPy ``frombuffer`` windows
-        over the mapping and *defers* the whole-payload crc32 — the
-        eager check faults in every page, which defeats the mapping
-        for corpora larger than RAM.  Structural validation (magic,
-        version, header shape, payload size) still runs up front, and
-        every failure mode stays a :class:`TraceError`;
-        :meth:`verify_payload` runs the deferred check on demand.
-        Without NumPy, or when the file cannot be mapped, the eager
-        read-and-verify path is kept regardless of ``lazy``.
+        Magic, version, header shape, payload size and (unless
+        ``verify=False``) the payload crc32 are all checked before any
+        mask is served; every failure is a :class:`TraceError`.
         """
         with open(os.fspath(path), "rb") as stream:
             if _np is not None:
@@ -341,8 +314,7 @@ class ColumnarTraceSet:
                 except (ValueError, OSError):
                     mapped = None  # empty or unmappable file
                 if mapped is not None:
-                    return cls.from_bytes(mapped,
-                                          verify=verify and not lazy,
+                    return cls.from_bytes(mapped, verify=verify,
                                           _mmap=mapped)
             return cls.from_bytes(stream.read(), verify=verify)
 

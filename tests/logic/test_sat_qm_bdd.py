@@ -1,4 +1,4 @@
-"""Tests for the SAT solver, Quine-McCluskey minimiser and BDD manager."""
+"""Tests for the SAT solver and the Quine-McCluskey minimiser."""
 
 import itertools
 
@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.logic.bdd import BddManager
 from repro.logic.expr import (
     FALSE,
     TRUE,
@@ -18,7 +17,6 @@ from repro.logic.expr import (
     PropRef,
     ScoreboardCheck,
 )
-from repro.logic.parser import parse_expr
 from repro.logic.qm import Implicant, minimize_expr, minimum_cover, prime_implicants
 from repro.logic.sat import (
     are_equivalent,
@@ -185,43 +183,3 @@ def test_minimize_expr_preserves_onset(on_set, dc_set):
         elif m not in dc_only:
             assert value is False
 
-
-# ----------------------------------------------------------------- BDD ----
-def test_bdd_terminal_identity():
-    manager = BddManager()
-    assert manager.from_expr(TRUE) is manager.one
-    assert manager.from_expr(FALSE) is manager.zero
-
-
-def test_bdd_equivalence_by_pointer():
-    manager = BddManager()
-    left = parse_expr("a & b | a & c")
-    right = parse_expr("a & (b | c)")
-    assert manager.equivalent(left, right)
-    assert not manager.equivalent(left, parse_expr("a"))
-
-
-def test_bdd_tautology_and_sat():
-    manager = BddManager()
-    assert manager.tautology(parse_expr("a | !a"))
-    assert not manager.satisfiable(parse_expr("a & !a"))
-
-
-def test_bdd_sat_count():
-    manager = BddManager(order=[("e", "a"), ("e", "b")])
-    node = manager.from_expr(parse_expr("a | b"))
-    assert manager.sat_count(node, 2) == 3
-
-
-def test_bdd_node_count_reduced():
-    manager = BddManager()
-    node = manager.from_expr(parse_expr("a & b | a & !b"))
-    # Function collapses to 'a': exactly one decision node.
-    assert manager.count_nodes(node) == 1
-
-
-@settings(max_examples=60, deadline=None)
-@given(exprs(), exprs())
-def test_bdd_agrees_with_sat_on_equivalence(left, right):
-    manager = BddManager()
-    assert manager.equivalent(left, right) == are_equivalent(left, right)

@@ -1,4 +1,4 @@
-"""Ladder hardening, payload slimming, and compaction refusal."""
+"""Ladder hardening, payload slimming, and the encode cache."""
 
 import pickle
 
@@ -17,11 +17,7 @@ from repro.monitor.scoreboard import Scoreboard
 from repro.optimize import harden_ladders, optimize_monitor
 from repro.optimize.ladders import prove_first_match
 from repro.protocols.ocp import ocp_simple_read_chart
-from repro.runtime.compiled import (
-    CompactRow,
-    compile_monitor,
-    run_compiled,
-)
+from repro.runtime.compiled import compile_monitor, run_compiled
 from repro.semantics.generator import TraceGenerator
 from repro.semantics.run import Trace
 from repro.synthesis.tr import tr, tr_compiled
@@ -109,9 +105,7 @@ def test_optimized_compiled_carries_carrier_transitions():
     # folding relies on this identity).
     listed = set(map(id, result.compiled.transitions))
     for row in result.compiled._table:
-        from repro.runtime.compiled import row_cells
-
-        for cell in row_cells(row):
+        for cell in row:
             if cell is None:
                 continue
             rungs = cell if isinstance(cell, tuple) else ((None, cell),)
@@ -157,34 +151,6 @@ def test_intern_expr_shares_equal_subtrees():
     interned_right = intern_expr(right, cache)
     assert interned_left == left and interned_right == right
     assert interned_left.args[0] is interned_right.args[0]
-
-
-def test_compact_row_groups_cells_when_pickling():
-    row = CompactRow({1: "x", 3: "x", 5: "y"}, "d")
-    back = pickle.loads(pickle.dumps(row))
-    assert isinstance(back, CompactRow)
-    assert back.default == "d"
-    assert back.explicit() == {1: "x", 3: "x", 5: "y"}
-
-
-def test_compaction_refused_when_it_inflates_payload():
-    # A monitor whose rows are tiny: the sparse dict form serializes
-    # larger than the dense list, so the pipeline must keep dense rows.
-    monitor = Monitor(
-        "tiny", n_states=2, initial=0, final=1,
-        transitions=[
-            Transition(0, EventRef("a"), (), 1),
-            Transition(0, Not(EventRef("a")), (), 0),
-            Transition(1, TRUE, (), 1),
-        ],
-        alphabet={"a"},
-    )
-    result = optimize_monitor(monitor)
-    dense_bytes = len(pickle.dumps(
-        optimize_monitor(monitor, compact=False).compiled.without_source()
-    ))
-    kept_bytes = len(pickle.dumps(result.compiled.without_source()))
-    assert kept_bytes <= dense_bytes
 
 
 # ------------------------------------------------------ encode cache ----

@@ -1,7 +1,6 @@
 """Unit tests for the optimization passes and their wiring."""
 
 import io
-import pickle
 
 import pytest
 
@@ -15,8 +14,6 @@ from repro.monitor.automaton import AddEvt, Monitor, Transition
 from repro.monitor.checker import AssertionChecker
 from repro.monitor.engine import run_monitor
 from repro.optimize import (
-    compact_monitor,
-    compact_row,
     optimize_compiled,
     optimize_monitor,
     prune_compiled,
@@ -25,12 +22,7 @@ from repro.optimize import (
     used_symbols_compiled,
 )
 from repro.protocols.ocp import ocp_simple_read_chart
-from repro.runtime.compiled import (
-    CompactRow,
-    compile_monitor,
-    run_compiled,
-    run_many,
-)
+from repro.runtime.compiled import compile_monitor, run_compiled
 from repro.semantics.generator import TraceGenerator
 from repro.semantics.run import Trace
 from repro.synthesis.tr import tr, tr_compiled
@@ -41,79 +33,6 @@ def _chain(name, *events):
     for event in events:
         builder.tick(ev(event))
     return builder.build()
-
-
-# ----------------------------------------------------------- CompactRow ----
-def test_compact_row_dispatches_like_dense():
-    dense = ["a", "b", "a", "a", "a", "c", "a", "a"]
-    row = compact_row(dense, 8)
-    assert isinstance(row, CompactRow)
-    assert [row[i] for i in range(8)] == dense
-    assert row.default == "a"
-    # Hot-path lookups memoized the default hits; the genuine
-    # exception accounting is unaffected, and peek never memoizes.
-    assert row.explicit_count() == 2
-    assert row.explicit() == {1: "b", 5: "c"}
-    fresh = compact_row(dense, 8)
-    assert [fresh.peek(i) for i in range(8)] == dense
-    assert len(fresh) == 2
-
-def test_compact_row_keeps_dense_rows_dense():
-    dense = list(range(8))  # all distinct: sparse form saves nothing
-    row = compact_row(dense, 8)
-    assert isinstance(row, list)
-    assert row == dense
-
-
-def test_compact_row_equality_includes_the_default():
-    assert compact_row(["a"] * 8, 8) != CompactRow({}, "b")
-    left = compact_row(["a"] * 7 + ["x"], 8)
-    right = compact_row(["a"] * 7 + ["x"], 8)
-    left[3]  # memoizes a default entry on one side only
-    assert left == right  # logical equality ignores memoization
-
-
-def test_compact_row_pickles():
-    row = compact_row(["x"] * 7 + ["y"], 8)
-    back = pickle.loads(pickle.dumps(row))
-    assert isinstance(back, CompactRow)
-    assert back.default == "x"
-    assert back[7] == "y"
-    assert back[3] == "x"
-
-
-def test_compact_monitor_table_accounting():
-    compiled = tr_compiled(ocp_simple_read_chart())
-    compacted = compact_monitor(compiled)
-    assert compacted.is_compact
-    assert not compiled.is_compact
-    assert compacted.table_cells() < compiled.table_cells()
-    assert compiled.table_cells() == compiled.n_states * compiled.codec.size
-    # The dense view expands compact rows back to full width.
-    assert compacted.table == compiled.table
-
-
-def test_tr_compiled_compact_knob():
-    chart = ocp_simple_read_chart()
-    dense = tr_compiled(chart)
-    compact = tr_compiled(chart, compact=True)
-    assert compact.is_compact
-    generator = TraceGenerator(chart, seed=3)
-    for index in range(20):
-        trace = (generator.random_trace(12) if index % 2
-                 else generator.satisfying_trace(prefix=1, suffix=1))
-        assert (run_compiled(compact, trace).detections
-                == run_compiled(dense, trace).detections)
-
-
-def test_run_many_over_compact_tables():
-    chart = ocp_simple_read_chart()
-    dense = tr_compiled(chart)
-    compact = tr_compiled(chart, compact=True)
-    generator = TraceGenerator(chart, seed=5)
-    traces = [generator.random_trace(10) for _ in range(12)]
-    assert ([r.detections for r in run_many(compact, traces)]
-            == [r.detections for r in run_many(dense, traces)])
 
 
 # --------------------------------------------------------------- pruning ----
@@ -186,12 +105,11 @@ def test_prune_compiled_keeps_check_residue_symbols():
         assert got == reference, sets
 
 
-def test_synthesizer_reads_pruned_and_compacted_tables():
+def test_synthesizer_reads_pruned_tables():
     from repro.campaign.directed import StimulusSynthesizer
 
     monitor = _widened(tr(ocp_simple_read_chart()), "junk")
     optimized = optimize_monitor(monitor)
-    assert optimized.compiled.is_compact
     assert "junk" not in optimized.compiled.alphabet
     synthesizer = StimulusSynthesizer(optimized.compiled)
     accepting = synthesizer.accepting_trace()
@@ -213,26 +131,31 @@ def test_optimize_monitor_preserves_name_and_reports_stats():
     assert result.monitor.name == monitor.name
     assert result.compiled.name == monitor.name
     assert result.stats["baseline_cells"] >= \
-        result.stats["optimized_stored_cells"]
-    assert result.cell_reduction >= 2.0
+        result.stats["optimized_cells"]
+    # Cells halve per pruned symbol: the widened monitor's one junk
+    # symbol must go.
+    widened = optimize_monitor(_widened(monitor, "junk"))
+    assert widened.cell_reduction >= 2.0, widened.stats
 
 
 def test_optimize_monitor_stage_knobs():
-    monitor = tr(ocp_simple_read_chart())
-    plain = optimize_monitor(monitor, minimize=False, prune=False,
-                             compact=False)
-    assert not plain.compiled.is_compact
+    monitor = _widened(tr(ocp_simple_read_chart()), "junk")
+    plain = optimize_monitor(monitor, minimize=False, prune=False)
     assert plain.compiled.codec.size == \
         compile_monitor(monitor).codec.size
-    compact_only = optimize_monitor(monitor, minimize=False, prune=False)
-    assert compact_only.compiled.is_compact
+    pruned = optimize_monitor(monitor, minimize=False)
+    assert "junk" not in pruned.compiled.alphabet
+    assert pruned.compiled.codec.size * 2 == plain.compiled.codec.size
 
 
 def test_optimize_compiled_table_only():
     compiled = tr_compiled(ocp_simple_read_chart())
-    optimized = optimize_compiled(compiled)
-    assert optimized.is_compact
-    assert optimized.table_cells() < compiled.table_cells()
+    # Direct Tr emission is already ladder-exclusive over exactly the
+    # symbols it consults: nothing to harden or prune.
+    assert optimize_compiled(compiled) is compiled
+    widened = compile_monitor(_widened(tr(_chain("ab", "a", "b")), "junk"))
+    assert optimize_compiled(widened).table_cells() * 2 == \
+        widened.table_cells()
 
 
 def test_bank_optimize_knob_is_tick_identical():
@@ -244,8 +167,6 @@ def test_bank_optimize_knob_is_tick_identical():
     traces = [generator.random_trace(10) for _ in range(6)]
     assert ([r.detections for r in bank.run_batch(traces)]
             == [r.detections for r in optimized.run_batch(traces)])
-    for compiled in optimized.compiled_members():
-        assert compiled.is_compact
 
 
 def test_bank_optimize_rejects_interpreted_runs():

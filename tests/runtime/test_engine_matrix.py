@@ -410,13 +410,42 @@ def test_single_lane_vector_batch_runs_the_scalar_loop(vector_mode,
         raise AssertionError("lane-gather kernel ran for one lane")
 
     monkeypatch.setattr(vector_module, "_run_numpy", refuse)
-    monkeypatch.setattr(vector_module, "_run_fallback", refuse)
     compiled = tr_compiled(_chart())
     lanes = compiled.codec.encode_many(_traces(1))
     result, = vector_module.run_many_vector_encoded(compiled, lanes)
     expected, = run_many_encoded(compiled, lanes)
     assert result.states == expected.states
     assert result.detections == expected.detections
+
+
+def test_vector_batch_without_numpy_runs_the_scalar_loop(monkeypatch):
+    """Without NumPy there is no gather: a 256-lane ``vector`` batch
+    steps through the scalar loop, with the compiled engine's
+    results."""
+    from repro.runtime.compiled import run_many_encoded
+
+    def refuse(*_):
+        raise AssertionError("lane-gather kernel ran without NumPy")
+
+    scalar_runs = []
+
+    def scalar_loop(*args, **kwargs):
+        scalar_runs.append(len(args[1]))
+        return run_many_encoded(*args, **kwargs)
+
+    monkeypatch.setattr(vector_module, "_np", None)
+    monkeypatch.setattr(vector_module, "_run_numpy", refuse)
+    monkeypatch.setattr(vector_module, "_run_many_encoded", scalar_loop)
+    compiled = tr_compiled(_chart())
+    traces = _traces()
+    lanes = compiled.codec.encode_many(
+        [traces[index % len(traces)] for index in range(256)])
+    results = vector_module.run_many_vector_encoded(compiled, lanes)
+    assert scalar_runs == [256]
+    expected = run_many_encoded(compiled, lanes)
+    assert [r.states for r in results] == [r.states for r in expected]
+    assert [r.detections for r in results] == \
+        [r.detections for r in expected]
 
 
 # ----------------------------------------- uniform errors, every seam ----
@@ -532,24 +561,28 @@ def test_two_phase_capability_error_from_network():
 
 
 # --------------------------------------------------- planner behaviour ----
-def test_auto_plans_scalar_below_the_ladder_crossover(vector_mode):
-    compiled = tr_compiled(_chart())
-    # With a host compiler, narrow ladder-heavy batches go native; the
-    # scalar compiled loop is the compilerless fallback either way.
-    scalar = ("native" if backend("native").unavailable_reason() is None
-              else "compiled")
-    narrow = plan_execution(compiled, Workload(32, 32 * 12))
-    wide = plan_execution(compiled, Workload(256, 256 * 12))
-    assert narrow.engine == scalar
-    if vector_mode == "numpy":
-        # The PR 8 regression case: 32 lanes on a ladder-heavy chart
-        # leave the vector kernel; 256 lanes amortize its overhead.
-        assert "narrow batch" in narrow.reason
-        assert wide.engine == "vector"
+@pytest.mark.parametrize("cc", ["cc_visible", "cc_hidden"])
+def test_auto_plan_follows_the_three_rules(cc, vector_mode, monkeypatch):
+    """``auto`` is native whenever it can be built; else vector for
+    batches of 64+ lanes over a predicable table under NumPy; else
+    compiled — pinned at w1, w32 and w256."""
+    if cc == "cc_hidden":
+        monkeypatch.setenv("REPRO_NO_CC", "1")
     else:
-        assert wide.engine == scalar
-        assert "no NumPy" in wide.reason
-    assert not numpy_ready() or vector_mode == "numpy"
+        monkeypatch.delenv("REPRO_NO_CC", raising=False)
+        _native_or_skip()
+    compiled = tr_compiled(_chart())
+    planned = {
+        width: plan_execution(compiled, Workload(width, width * 12)).engine
+        for width in (1, 32, 256)
+    }
+    if cc == "cc_visible":
+        expected = {1: "native", 32: "native", 256: "native"}
+    elif vector_mode == "numpy":
+        expected = {1: "compiled", 32: "compiled", 256: "vector"}
+    else:
+        expected = {1: "compiled", 32: "compiled", 256: "compiled"}
+    assert planned == expected
 
 
 def test_native_availability_gates_planner_and_explicit_use(monkeypatch):

@@ -2,9 +2,9 @@
 
 Every case runs in two modes — ``numpy`` (the fancy-indexing kernel
 with the vectorized scoreboard) and ``fallback`` (NumPy import masked,
-the pure-Python flat-table loop) — and asserts tick-identical
-detections, state histories and tick counts against both the compiled
-table engine and the interpreted reference.
+so every batch delegates to the scalar ``run_many`` loop) — and
+asserts tick-identical detections, state histories and tick counts
+against both the compiled table engine and the interpreted reference.
 
 Coverage: AMBA/OCP protocol charts (``tr_compiled`` direct emission
 *and* ``compile_monitor`` lowering, whose ladders use full-scan

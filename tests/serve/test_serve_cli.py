@@ -137,3 +137,16 @@ def test_serve_cli_matches_check_cli_across_concurrent_streams(dumps):
         except subprocess.TimeoutExpired:
             process.kill()
             process.wait(timeout=15)
+
+
+def test_serve_optimize_names_every_optimizing_engine():
+    """``serve --optimize`` rejects an engine that cannot run optimized
+    monitors with the same choice list ``check`` prints: every
+    ``optimize_ok`` backend, ``native`` included."""
+    out = io.StringIO()
+    status = main(["serve", _SPEC, _CHART, "--engine", "interpreted",
+                   "--optimize"], out=out)
+    assert status == 2
+    assert out.getvalue() == (
+        "error: --optimize needs --engine compiled, vector, native\n"
+    )

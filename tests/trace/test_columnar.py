@@ -177,49 +177,11 @@ def test_load_rejects_corrupt_file(columnar_mode, tmp_path):
         ColumnarTraceSet.load(path)
 
 
-# ------------------------------------------------------------ lazy mmap ----
-def test_lazy_load_views_are_mmap_backed(columnar_mode, tmp_path):
-    path = tmp_path / "lazy.rtrc"
-    _sample_set().save(path)
-    columns = ColumnarTraceSet.load(path, lazy=True)
-    assert [list(m) for m in columns.mask_arrays()] == \
-        [[0, 1, 3, 2], [5], [], [7, 0]]
-    if columnar_mode == "numpy":
-        # Views window the mapping itself: zero-copy, read-only.
-        assert columns._mmap is not None
-        assert not columns.masks(0).flags.writeable
-    else:
-        # No NumPy: the eager read-and-verify path is kept.
-        assert columns._mmap is None
-    # The deferred check passes on an undamaged file.
-    assert columns.verify_payload() is columns
-
-
-def test_lazy_load_defers_crc_until_verify_payload(columnar_mode,
+def test_load_structural_damage_raises_trace_error(columnar_mode,
                                                    tmp_path):
-    path = tmp_path / "damaged.rtrc"
-    blob = bytearray(_sample_set().to_bytes())
-    blob[-2] ^= 0x40  # flip a bit inside the mask payload
-    path.write_bytes(bytes(blob))
-    # Eager load still fails closed...
-    with pytest.raises(TraceError, match="crc32"):
-        ColumnarTraceSet.load(path)
-    if columnar_mode == "numpy":
-        # ...while the lazy load admits the mapping but the deferred
-        # check surfaces the identical TraceError on demand.
-        columns = ColumnarTraceSet.load(path, lazy=True)
-        with pytest.raises(TraceError, match="crc32"):
-            columns.verify_payload()
-    else:
-        # No NumPy: lazy is a no-op and damage is caught at load.
-        with pytest.raises(TraceError, match="crc32"):
-            ColumnarTraceSet.load(path, lazy=True)
-
-
-def test_lazy_load_structural_damage_still_raises_trace_error(
-        columnar_mode, tmp_path):
-    """Every non-crc failure mode is checked up front even when lazy:
-    magic, version, header JSON, and the payload-size promise."""
+    """Every non-crc failure mode of a damaged file is a TraceError at
+    ``load`` — magic, version, header JSON, and the payload-size
+    promise — on the mapped (NumPy) and the read path alike."""
     blob = bytearray(_sample_set().to_bytes())
     cases = []
     bad_magic = bytearray(blob)
@@ -237,13 +199,4 @@ def test_lazy_load_structural_damage_still_raises_trace_error(
         path = tmp_path / f"damaged{index}.rtrc"
         path.write_bytes(bytes(damaged))
         with pytest.raises(TraceError, match=match):
-            ColumnarTraceSet.load(path, lazy=True)
-
-
-def test_verify_payload_tracks_recorded_crc(columnar_mode):
-    # In-memory sets carry no recorded crc: nothing to re-verify.
-    fresh = _sample_set()
-    assert fresh.verify_payload() is fresh
-    # Round-tripped sets do, and an intact payload passes.
-    loaded = ColumnarTraceSet.from_bytes(_sample_set().to_bytes())
-    assert loaded.verify_payload() is loaded
+            ColumnarTraceSet.load(path)
