@@ -45,8 +45,8 @@ __all__ = [
 ]
 
 #: Bump on any change to the emitted code or its ABI: the version is
-#: part of the shared-object cache key, so stale objects from older
-#: emitters can never be loaded.
+#: written into the emitted source, which the shared-object cache key
+#: covers, so stale objects from older emitters can never be loaded.
 CGEN_VERSION = 1
 
 #: The exported entry point's symbol name.

@@ -10,13 +10,16 @@ lowering; this module owns everything around that source text:
   never selects the backend and an explicit ``--engine native``
   raises the registry's uniform unavailability error
   (:func:`unavailable_reason` is the registry's availability hook);
-* **the shared-object disk cache** — compiled objects are stored
-  through :class:`~repro.cache.CorpusCache` (atomic-rename writes,
-  stale ``.tmp-*`` sweeping) keyed by a fingerprint over the emitted
-  source, the emitter version, the compiler identity and the
-  platform, so a table/emitter/toolchain change can never load a
-  stale object; damaged entries fail closed — ``ctypes.CDLL`` or the
-  symbol lookup failing evicts the entry and rebuilds from source;
+* **the shared-object disk cache** — :func:`shared_object`, the one
+  lookup/compile/publish/load path every C object takes (this
+  stepper and the VCD block parser of :mod:`repro.trace.vcd_native`).
+  Objects are stored through :class:`~repro.cache.CorpusCache`
+  (atomic-rename writes, stale ``.tmp-*`` sweeping) keyed by a
+  fingerprint over the source (which names the emitter version), the
+  compiler identity, the compiler flags and the platform, so a
+  table/emitter/toolchain/flag change can never load a stale object;
+  damaged entries fail closed — ``ctypes.CDLL`` or the symbol lookup
+  failing evicts the entry and rebuilds from source;
 * **the batch runners** — :func:`run_many_native` /
   :func:`run_many_native_encoded`, drop-ins for the ``run_many``
   family.  Mask streams are flattened into one ``int32`` buffer, the
@@ -40,7 +43,16 @@ import subprocess
 import sys
 import tempfile
 from array import array
-from typing import List, Optional, Sequence, Union
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    TypeVar,
+    Union,
+)
 
 from repro.cache import CorpusCache, IdentityCache
 from repro.errors import MonitorError
@@ -53,7 +65,9 @@ from repro.runtime.compiled import (
     as_compiled,
     check_mask_domain,
 )
-from repro.runtime.vector import VectorTable, vector_table
+
+if TYPE_CHECKING:
+    from repro.runtime.vector import VectorTable
 
 __all__ = [
     "NativeKernel",
@@ -63,11 +77,13 @@ __all__ = [
     "native_plan_ok",
     "run_many_native",
     "run_many_native_encoded",
+    "shared_object",
     "unavailable_reason",
 ]
 
 #: Compiler flags: optimized, position-independent, silent shared
-#: object.  C99 for declarations-in-for; no platform extensions.
+#: object.  C99 for declarations-in-for; no platform extensions.  Read
+#: at build time and part of the cache key.
 _CC_FLAGS = ("-O2", "-fPIC", "-shared", "-std=c99")
 
 #: Candidate driver names when ``$CC`` is unset.
@@ -123,15 +139,15 @@ def native_cache_root() -> str:
 
 
 def _fingerprint(source: str, cc: str) -> str:
-    """The cache key: source text + emitter + toolchain + platform.
+    """The cache key: source text + toolchain + flags + platform.
 
     Any of these changing must miss the cache — a stale object built
-    by an older emitter or a different compiler is never loaded.
+    by an older emitter (the stepper's source names its emitter
+    version), a different compiler or with other flags (a sanitizer
+    build, say) is never loaded.
     """
-    from repro.codegen.c_gen import CGEN_VERSION
-
     digest = hashlib.sha256()
-    digest.update(f"v{CGEN_VERSION}|{cc}|{sys.platform}|".encode())
+    digest.update(f"{cc}|{' '.join(_CC_FLAGS)}|{sys.platform}|".encode())
     digest.update(source.encode())
     return digest.hexdigest()
 
@@ -155,15 +171,11 @@ class NativeKernel:
                         detections, det_counts)
 
 
-def _load_so(path: str):
-    """``(lib, fn)`` from one shared object, or ``None`` when damaged."""
+def _bind_stepper(lib) -> tuple:
+    """``(lib, fn)``: the stepper's entry point with its signature."""
     from repro.codegen.c_gen import ENTRY_SYMBOL
 
-    try:
-        lib = ctypes.CDLL(path)
-        fn = getattr(lib, ENTRY_SYMBOL)
-    except (OSError, AttributeError):
-        return None
+    fn = getattr(lib, ENTRY_SYMBOL)
     fn.restype = ctypes.c_int32
     fn.argtypes = (
         ctypes.c_void_p,  # masks
@@ -174,6 +186,18 @@ def _load_so(path: str):
         ctypes.c_void_p,  # det_counts
     )
     return lib, fn
+
+
+_Bound = TypeVar("_Bound")
+
+
+def _load_so(path: str, bind: Callable[[ctypes.CDLL], _Bound]
+             ) -> Optional[_Bound]:
+    """``bind`` over one loaded shared object, or ``None`` when damaged."""
+    try:
+        return bind(ctypes.CDLL(path))
+    except (OSError, AttributeError):
+        return None
 
 
 def _compile_so(cc: str, source: str, so_path: str) -> bool:
@@ -220,9 +244,7 @@ def native_kernel(
 
     ``None`` means the batch runners silently take the scalar path:
     no compiler, a table outside the C lowering, a toolchain failure.
-    Objects come from the disk cache when the fingerprint matches; a
-    damaged or unloadable entry is evicted and rebuilt from source
-    (fail closed), and only a clean load is ever returned.
+    Objects come from :func:`shared_object`'s disk cache.
     """
     compiled = as_compiled(monitor)
     cached = _KERNELS.get(compiled)
@@ -235,24 +257,47 @@ def native_kernel(
 
 def _build_kernel(compiled: CompiledMonitor) -> Optional[NativeKernel]:
     from repro.codegen.c_gen import lowerable, table_to_c
+    # Imported here: the vector module imports NumPy, which the VCD
+    # block parser, a user of this module, does without.
+    from repro.runtime.vector import vector_table
 
     if unavailable_reason() is not None:
         return None
     table = vector_table(compiled)
     if not lowerable(table):
         return None
+    built = shared_object(table_to_c(table), _bind_stepper)
+    if built is None:
+        return None
+    path, key, (lib, fn) = built
+    return NativeKernel(compiled, path, key, lib, fn)
+
+
+def shared_object(source: str, bind: Callable[[ctypes.CDLL], _Bound]
+                  ) -> Optional[Tuple[str, str, _Bound]]:
+    """``(path, key, bind(lib))`` for C ``source``, compiled at most once.
+
+    The one lookup/compile/publish/load path of every native object.
+    The object comes from the disk cache when its fingerprint matches;
+    otherwise it is compiled into a private temp file and published
+    by atomic rename (a concurrent builder of the same key loses the
+    race harmlessly).  ``bind`` takes the entry points off the loaded
+    library and may raise ``AttributeError``: a load or bind failure
+    evicts the entry and rebuilds it from source (fail closed), so
+    only a clean load is ever returned.  ``None`` when no compiler is
+    available or the toolchain fails.
+    """
+    if unavailable_reason() is not None:
+        return None
     cc = find_cc()
-    source = table_to_c(table)
     key = _fingerprint(source, cc)
     cache = CorpusCache(native_cache_root(), suffix=".so")
     path = cache.path_for(key)
     if os.path.exists(path):
-        loaded = _load_so(path)
+        loaded = _load_so(path, bind)
         if loaded is not None:
-            return NativeKernel(compiled, path, key, *loaded)
+            return path, key, loaded
         cache.invalidate(key)
-    # Build into a private temp file, then publish atomically: a
-    # concurrent builder of the same key loses the race harmlessly.
     handle, tmp_so = tempfile.mkstemp(suffix=".so", dir=cache.root,
                                       prefix=cache._TMP_PREFIX)
     os.close(handle)
@@ -268,11 +313,11 @@ def _build_kernel(compiled: CompiledMonitor) -> Optional[NativeKernel]:
                 os.unlink(tmp_so)
         except OSError:  # pragma: no cover - cleanup race
             pass
-    loaded = _load_so(path)
+    loaded = _load_so(path, bind)
     if loaded is None:  # pragma: no cover - compiler emitted garbage
         cache.invalidate(key)
         return None
-    return NativeKernel(compiled, path, key, *loaded)
+    return path, key, loaded
 
 
 # -- the batch runners ------------------------------------------------------

@@ -12,16 +12,19 @@ This module lets a dump be parsed once and checked many times:
   fingerprint, and sampling metadata.  Loading is NumPy-optional:
   ``numpy.frombuffer`` over an ``mmap`` when NumPy is present (zero
   copies into :func:`~repro.runtime.vector.run_many_vector_encoded`),
-  an ``array('i')`` otherwise.
+  an ``array('i')`` otherwise.  NumPy is imported on first use, so
+  importing this module (and ``repro``) loads none.
 
-* **chunk-parallel conversion** (``repro ingest --jobs N``) — the
-  change stream after ``$enddefinitions`` is split at timestamp lines
-  (``\\n#``) into one chunk per worker of the persistent
-  :mod:`repro.trace.shard` pools; each worker runs the front-end's
-  block parser on its chunk, and the parent runs the front-end's one
-  replay over the records in order.  A chunk that fails to parse
-  sends the conversion back to the front-end's own block-streamed
-  parse.
+* **chunk-parallel conversion** (``repro ingest --jobs N``, on hosts
+  without a C compiler) — the change stream after ``$enddefinitions``
+  is split at timestamp lines (``\\n#``) into one chunk per worker of
+  the persistent :mod:`repro.trace.shard` pools; each worker runs the
+  front-end's Python block parser on its chunk, and the parent runs
+  the front-end's one replay over the records in order.  A chunk that
+  fails to parse sends the conversion back to the front-end's own
+  block-streamed parse.  With the C block parser
+  (:mod:`repro.trace.vcd_native`) loaded, every conversion parses
+  in-process instead: one C pass beats the fan-out's start-up.
 
 * **content-addressed corpus cache** — :func:`ingest_vcd` keys an
   on-disk :class:`~repro.cache.CorpusCache` entry by the dump's
@@ -65,7 +68,7 @@ from repro.trace.vcd_reader import (
     VcdReader,
     _check_sampling,
     _parse_chunk,
-    _replay,
+    _Sampler,
 )
 
 __all__ = [
@@ -79,12 +82,34 @@ __all__ = [
     "masks_from_vcd_text",
 ]
 
-try:  # pragma: no cover - exercised via the fallback differential run
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
-if os.environ.get("REPRO_NO_NUMPY"):  # test hook: force the fallback
-    _np = None
+
+_UNRESOLVED = object()
+
+
+def _numpy():
+    """NumPy, imported on first use — or ``None`` when it is missing or
+    ``REPRO_NO_NUMPY`` is set (the test hook forcing the fallback).
+
+    The module attribute ``_np`` holds the answer once known (tests
+    patch it); reading ``columnar._np`` from outside resolves it too.
+    """
+    module = globals().get("_np", _UNRESOLVED)
+    if module is _UNRESOLVED:
+        module = None
+        if not os.environ.get("REPRO_NO_NUMPY"):
+            try:
+                import numpy as module
+            except ImportError:  # pragma: no cover
+                module = None
+        globals()["_np"] = module
+    return module
+
+
+def __getattr__(name: str):
+    if name == "_np":
+        return _numpy()
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 RTRC_MAGIC = b"RTRC"
 RTRC_VERSION = 1
@@ -113,7 +138,8 @@ def codec_fingerprint(codec: Union[AlphabetCodec, Iterable[str]]) -> str:
 
 def _masks_to_le_bytes(masks) -> bytes:
     """Little-endian int32 bytes of one mask sequence."""
-    if _np is not None and isinstance(masks, _np.ndarray):
+    np = sys.modules.get("numpy")
+    if np is not None and isinstance(masks, np.ndarray):
         return masks.astype("<i4", copy=False).tobytes()
     if isinstance(masks, array) and masks.typecode == "i" and \
             masks.itemsize == 4:
@@ -163,12 +189,13 @@ class ColumnarTraceSet:
                          symbols: Sequence[str],
                          meta: Optional[dict] = None) -> "ColumnarTraceSet":
         lengths = [len(masks) for masks in mask_arrays]
-        if _np is not None:
-            flat = _np.empty(sum(lengths), dtype=_np.int32)
+        np = _numpy()
+        if np is not None:
+            flat = np.empty(sum(lengths), dtype=np.int32)
             cursor = 0
             for masks in mask_arrays:
-                flat[cursor:cursor + len(masks)] = _np.asarray(
-                    masks, dtype=_np.int32
+                flat[cursor:cursor + len(masks)] = np.asarray(
+                    masks, dtype=np.int32
                 )
                 cursor += len(masks)
         else:
@@ -288,8 +315,9 @@ class ColumnarTraceSet:
         payload = memoryview(data)[offset:]
         if verify and zlib.crc32(payload) != crc:
             raise TraceError("columnar payload failed its crc32 check")
-        if _np is not None:
-            flat = _np.frombuffer(payload, dtype="<i4")
+        np = _numpy()
+        if np is not None:
+            flat = np.frombuffer(payload, dtype="<i4")
         else:
             flat = array("i")
             flat.frombytes(payload)
@@ -307,7 +335,7 @@ class ColumnarTraceSet:
         mask is served; every failure is a :class:`TraceError`.
         """
         with open(os.fspath(path), "rb") as stream:
-            if _np is not None:
+            if _numpy() is not None:
                 try:
                     mapped = mmap.mmap(stream.fileno(), 0,
                                        access=mmap.ACCESS_READ)
@@ -335,7 +363,13 @@ def _split_points(body: str, n_chunks: int) -> List[int]:
 
 
 def _parse_chunk_task(task) -> tuple:
-    """Pool entry point: parse one shipped chunk."""
+    """Pool entry point: parse one shipped chunk.
+
+    Chunks parse past ``until``: a chunk cannot tell whether its first
+    timestamp continues the instant the chunk before it ended in.  The
+    replay still stops at the window's end, and an error past it falls
+    back to the block-streamed parse, which reads no further.
+    """
     text, actions, code_bits, clock_codes, drop_quiet = task
     return _parse_chunk(text, actions, code_bits, frozenset(clock_codes),
                         drop_quiet)
@@ -356,22 +390,26 @@ def masks_from_vcd_text(
 ) -> array:
     """Encode a VCD document to one per-tick mask array.
 
-    With one job this is :meth:`VcdReader.masks
-    <repro.trace.vcd_reader.VcdReader.masks>` over the text.  With
-    ``jobs > 1`` on a large dump the change stream is split at ``\\n#``
-    lines into one chunk per worker of the persistent pools, each
-    chunk goes through the same block parser, and the parent replays
-    the records in order.  When a chunk fails to parse (a seam inside
-    a directive body, say), the text is parsed again in blocks, which
-    gives the masks — or the :class:`TraceError` — of a one-block
-    parse.  ``_force_splits`` pins chunk boundaries (tests).
+    This is :meth:`VcdReader.masks
+    <repro.trace.vcd_reader.VcdReader.masks>` over the text — always
+    when the C block parser is loaded, whatever ``jobs`` says.
+    Without it, ``jobs > 1`` on a large dump splits the change stream
+    at ``\\n#`` lines into one chunk per worker of the persistent
+    pools, each chunk goes through the Python block parser, and the
+    parent replays the records in order.  When a chunk fails to parse
+    (a seam inside a directive body, say), the text is parsed again in
+    blocks, which gives the masks — or the :class:`TraceError` — of a
+    one-block parse.  ``_force_splits`` pins chunk boundaries and
+    forces the fan-out (tests).
     """
     from repro.trace.shard import _get_pool, resolve_jobs
+    from repro.trace.vcd_native import available
 
     sampling = dict(clock=clock, period=period, offset=offset, until=until)
     jobs = resolve_jobs(jobs, oversubscribe=oversubscribe)
     if _force_splits is not None or (jobs > 1
-                                     and len(text) >= _MIN_PARALLEL_BYTES):
+                                     and len(text) >= _MIN_PARALLEL_BYTES
+                                     and not available()):
         _check_sampling(clock, period)
         reader = VcdReader.from_text(text, binding=binding)
         actions, code_bits, clock_codes, direct, symbol_bits_of = \
@@ -388,9 +426,10 @@ def masks_from_vcd_text(
                      tuple(clock_codes), has_clock)
                     for start, end in bounds
                 ])
+                sampler = _Sampler(has_clock, period, offset, until,
+                                   direct, symbol_bits_of)
                 out = array("i")
-                for block in _replay(chunks, has_clock, period, offset,
-                                     until, direct, symbol_bits_of):
+                for block in sampler.run(map(sampler.replay, chunks)):
                     out.extend(block)
                 return out
             except TraceError:
@@ -413,16 +452,19 @@ def masks_from_vcd(
 ) -> array:
     """:func:`masks_from_vcd_text` over a dump file.
 
-    Without a worker fan-out the file streams through
-    :meth:`VcdReader.masks <repro.trace.vcd_reader.VcdReader.masks>`
-    in blocks; only the fan-out reads it whole.
+    Without a worker fan-out (one job, or the C block parser loaded)
+    the file streams through :meth:`VcdReader.masks
+    <repro.trace.vcd_reader.VcdReader.masks>` in blocks; only the
+    fan-out reads it whole.
     """
     from repro.trace.shard import resolve_jobs
+    from repro.trace.vcd_native import available
 
     source = os.fspath(source)
     sampling = dict(clock=clock, period=period, offset=offset, until=until)
     if resolve_jobs(jobs, oversubscribe=oversubscribe) > 1 \
-            and os.path.getsize(source) >= _MIN_PARALLEL_BYTES:
+            and os.path.getsize(source) >= _MIN_PARALLEL_BYTES \
+            and not available():
         with open(source, "rb") as stream:
             text = stream.read().decode("utf-8", "replace")
         return masks_from_vcd_text(text, codec, binding=binding, jobs=jobs,

@@ -13,8 +13,16 @@ consumer reads the dump through it:
 * each block is reduced to per-instant *delta records*
   (:func:`_parse_chunk`: the bound bits set and cleared in the
   instant, plus clock-edge flags);
-* one sequential **replay** (:func:`_replay`) applies the sampling
+* one sequential **replay** (:class:`_Sampler`) applies the sampling
   discipline to the records and emits one mask int per tick.
+
+When a C compiler is available, a fixed C translation unit
+(:mod:`repro.trace.vcd_native`) does both steps in one pass over each
+block, on the same sampling state; the Python parser and replay stay
+as the reference and take any block the C grammar leaves out (and
+every block without a compiler), so the masks and the
+:class:`~repro.errors.TraceError` text never depend on which side
+parsed a block.
 
 :meth:`VcdReader.masks` collects those masks into one ``array('i')``
 (4 bytes a tick) for the batch kernels — the path every table-engine
@@ -50,7 +58,8 @@ Sampling disciplines
   tick grid :class:`~repro.sim.vcd.VcdWriter` sampled on.
 
 ``offset``/``until`` (time units, inclusive) window every discipline,
-and reading stops at the first instant past ``until``.  Ticks sample
+and reading stops at the first timestamp past ``until``: nothing
+after it is parsed, so it can raise no error.  Ticks sample
 values *after* the changes at their instant — the synchronous
 convention that a change dumped at time ``t`` is what the monitor
 reads at tick ``t``.
@@ -118,6 +127,7 @@ _F_ROSE_IF_LOW = 2   # clock went high but the incoming level is block-unknown
 _F_LEVEL_LOW = 4     # clock level at end of instant: low
 _F_LEVEL_HIGH = 8    # clock level at end of instant: high
 _F_SAW = 16          # some change carried a real (non-x/z) value
+_F_INITIAL = 32      # the instant's changes came before any timestamp
 
 #: Distinct masks :meth:`VcdReader.valuations` keeps decoded at once.
 _DECODE_CACHE = 4096
@@ -531,7 +541,7 @@ class VcdReader:
             text += chunk
             eof = not chunk
             cut = len(text) if eof else text.rfind("\n#", scan) + 1
-            if cut <= 0:
+            if cut <= 0 and not eof:
                 scan = max(0, len(text) - 1)
                 continue
             parsed = parse(text[:cut], eof)
@@ -549,18 +559,32 @@ class VcdReader:
     def _mask_chunks(self, bit_of: Mapping[str, int], clock: Optional[str],
                      period: Optional[int], offset: int,
                      until: Optional[int]) -> Iterator[List[int]]:
-        """One list of tick masks per parsed block (bits from ``bit_of``)."""
+        """One sequence of tick masks per parsed block (bits from
+        ``bit_of``): the C parser's where it takes the block, the
+        Python parser's and replay's where it does not."""
+        from repro.trace.vcd_native import FALLBACK, block_parser
+
         _check_sampling(clock, period)
         actions, code_bits, clock_codes, direct, symbol_bits_of = \
             self._delta_plan(bit_of, clock)
         has_clock = bool(clock_codes)
+        sampler = _Sampler(has_clock, period, offset, until, direct,
+                           symbol_bits_of)
+        native = block_parser(
+            list(dict.fromkeys(s.code for s in self.signals)), code_bits,
+            clock_codes, direct, symbol_bits_of, sampler)
 
         def parse(text, final):
-            return _parse_chunk(text, actions, code_bits, clock_codes,
-                                has_clock, final)
+            if native is not None:
+                masks = native(text, final)
+                if masks is not FALLBACK:
+                    return masks
+            records = _parse_chunk(
+                text, actions, code_bits, clock_codes, has_clock, final,
+                until, sampler.block_time if sampler.pending else None)
+            return None if records is None else sampler.replay(records)
 
-        return _replay(self._parsed_blocks(parse), has_clock, period,
-                       offset, until, direct, symbol_bits_of)
+        return sampler.run(self._parsed_blocks(parse))
 
     def masks(self, codec, clock: Optional[str] = None,
               period: Optional[int] = None, offset: int = 0,
@@ -774,11 +798,15 @@ def _parse_chunk(text: str, actions: Dict[str, tuple],
                  code_bits: Dict[str, int],
                  clock_codes: frozenset,
                  drop_quiet: bool = False,
-                 final: bool = True) -> Optional[tuple]:
+                 final: bool = True,
+                 until: Optional[int] = None,
+                 instant: Optional[int] = None) -> Optional[tuple]:
     """One block of the change stream -> per-instant delta records.
 
     Context-free by design: the parser knows nothing about values set
-    before its block, so each record carries only what changed —
+    before its block (only, as ``instant``, the time of an instant
+    still open at its start, which a leading timestamp at that time
+    continues), so each record carries only what changed —
     ``set``/``clear`` bit deltas over the (code or symbol) bitspace,
     and clock flags whose "did it rise?" question may be deferred to
     the replay (``_F_ROSE_IF_LOW``) when the incoming level is
@@ -792,7 +820,16 @@ def _parse_chunk(text: str, actions: Dict[str, tuple],
     ``saw_value`` is not consulted under clock sampling; the one thing
     they feed, the level seen by the *next* block's deferred-rise
     resolution, is preserved by a trailing zero-delta record whenever
-    the block's final level differs from the last level shipped.
+    the block's final level differs from the last level shipped.  An
+    elided instant still parts the instants around it: when time runs
+    backwards, the records on either side may share a time, and the
+    replay would merge them; so a zero-delta record stands in for the
+    elided instants whenever that can happen (within the block, and at
+    either of its ends).
+
+    Parsing stops at the first timestamp past ``until``, which ends
+    the records as a zero-delta record the replay stops on; the text
+    after it is never read.
     """
     times: List[int] = []
     sets: List[int] = []
@@ -803,13 +840,14 @@ def _parse_chunk(text: str, actions: Dict[str, tuple],
     clears_append = clears.append
     flags_append = flags.append
 
-    cur_time = 0
-    pending = False
+    cur_time = 0 if instant is None else instant
+    pending = instant is not None
     hi = 0
     lo = 0
     flag = 0
     quiet_level = 0    # latest level bits seen (shipped or elided)
     shipped_level = 0  # latest level bits actually shipped
+    elided = None      # time of an instant elided since the last record
     clock_level: Optional[bool] = None  # unknown at block entry
     actions_get = actions.get
     bits_get = code_bits.get
@@ -821,6 +859,8 @@ def _parse_chunk(text: str, actions: Dict[str, tuple],
     f_level_high = _F_LEVEL_HIGH
     rose_bits = f_rose | f_rose_if_low
     level_bits = f_level_low | f_level_high
+    stop_time: Optional[int] = None
+    initial = instant is None  # changes now are the dump's initial values
     stream = iter(text.split())
     try:
         for token in stream:
@@ -852,14 +892,28 @@ def _parse_chunk(text: str, actions: Dict[str, tuple],
                     raise TraceError(f"bad timestamp token {token!r}")
                 if pending and time == cur_time:
                     continue  # same instant continues
+                if until is not None and time > until:
+                    stop_time = time
+                    break
                 if pending:
+                    if initial:
+                        flag |= _F_INITIAL
                     if drop_quiet and not hi and not lo and not (
                         flag & rose_bits
                     ):
                         level = flag & level_bits
                         if level:
                             quiet_level = level
+                        elided = cur_time
                     else:
+                        if elided is not None and (
+                            not times or times[-1] == cur_time
+                        ):
+                            times_append(elided)
+                            sets_append(0)
+                            clears_append(0)
+                            flags_append(0)
+                        elided = None
                         times_append(cur_time)
                         sets_append(hi)
                         clears_append(lo)
@@ -868,6 +922,7 @@ def _parse_chunk(text: str, actions: Dict[str, tuple],
                         if level:
                             quiet_level = shipped_level = level
                     hi = lo = flag = 0
+                initial = False
                 cur_time = time
                 pending = True
                 continue
@@ -906,11 +961,20 @@ def _parse_chunk(text: str, actions: Dict[str, tuple],
             raise TraceError(str(cut)) from None
         return None
     if pending:
+        if initial:
+            flag |= _F_INITIAL
         if drop_quiet and not hi and not lo and not (flag & rose_bits):
             level = flag & level_bits
             if level:
                 quiet_level = level
+            elided = cur_time
         else:
+            if elided is not None and (not times or times[-1] == cur_time):
+                times_append(elided)
+                sets_append(0)
+                clears_append(0)
+                flags_append(0)
+            elided = None
             times_append(cur_time)
             sets_append(hi)
             clears_append(lo)
@@ -918,12 +982,18 @@ def _parse_chunk(text: str, actions: Dict[str, tuple],
             level = flag & level_bits
             if level:
                 quiet_level = shipped_level = level
-    if drop_quiet and quiet_level != shipped_level:
-        # Resync the level the next block's deferred rise will read.
+    if drop_quiet and (quiet_level != shipped_level or elided is not None):
+        # Resync the level the next block's deferred rise will read,
+        # and part the block's last instant from the next block's.
         times_append(cur_time)
         sets_append(0)
         clears_append(0)
         flags_append(quiet_level)
+    if stop_time is not None:
+        times_append(stop_time)
+        sets_append(0)
+        clears_append(0)
+        flags_append(0)
     return times, sets, clears, flags
 
 
@@ -938,31 +1008,67 @@ def _symbol_mask(code_vals: int, symbol_bits_of: List[int]) -> int:
     return mask
 
 
-def _replay(blocks: Iterable[tuple], has_clock: bool,
-            period: Optional[int], offset: int, until: Optional[int],
-            direct: bool,
-            symbol_bits_of: Optional[List[int]]) -> Iterator[List[int]]:
-    """Apply the sampling discipline to delta records, block by block.
+class _Sampler:
+    """The replay: the sampling discipline, as state carried from block
+    to block.
 
     The single sequential pass that owns the sampling semantics:
     same-instant merging (an instant split over several blocks, or a
     ``$dumpvars`` section before ``#0``, merges under the same-time
     rule), ``saw_value`` gating, periodic phase skipping and the
-    window's early exit.  Yields one list of tick masks per block
-    that produced any; stops reading ``blocks`` past ``until``.
+    window's early exit (``done``).  :meth:`replay` applies one block's
+    delta records; the C block parser (:mod:`repro.trace.vcd_native`)
+    runs the same state machine over these same fields, so either side
+    continues where the other left off.
     """
-    code_vals = 0
-    mask = 0
-    level = False
-    rose = False
-    saw = False
-    pending = False
-    block_time = 0
-    next_sample = offset
-    for times, sets, clears, flags in blocks:
+
+    __slots__ = ("has_clock", "period", "offset", "until", "direct",
+                 "symbol_bits_of", "code_vals", "mask", "level", "rose",
+                 "saw", "pending", "block_time", "next_sample", "done")
+
+    def __init__(self, has_clock: bool, period: Optional[int], offset: int,
+                 until: Optional[int], direct: bool,
+                 symbol_bits_of: Optional[List[int]]):
+        self.has_clock = has_clock
+        self.period = period
+        self.offset = offset
+        self.until = until
+        self.direct = direct
+        self.symbol_bits_of = symbol_bits_of
+        self.code_vals = 0
+        self.mask = 0
+        self.level = False
+        self.rose = False
+        self.saw = False
+        self.pending = False
+        self.block_time = 0
+        self.next_sample = offset
+        self.done = False
+
+    def run(self, block_masks: Iterable[List[int]]) -> Iterator[List[int]]:
+        """Each block's masks, then the final instant's, as non-empty
+        lists; reads no further block once past ``until``."""
+        for masks in block_masks:
+            if masks:
+                yield masks
+            if self.done:
+                return
+        masks = self.finish()
+        if masks:
+            yield masks
+
+    def replay(self, records: tuple) -> List[int]:
+        """The masks one block's delta records close."""
+        has_clock, period, offset, until = (self.has_clock, self.period,
+                                            self.offset, self.until)
+        direct, symbol_bits_of = self.direct, self.symbol_bits_of
+        code_vals, mask, level, rose = (self.code_vals, self.mask,
+                                        self.level, self.rose)
+        saw, pending, block_time, next_sample = (
+            self.saw, self.pending, self.block_time, self.next_sample)
         out: List[int] = []
         append = out.append
-        for time, hi, lo, flag in zip(times, sets, clears, flags):
+        for time, hi, lo, flag in zip(*records):
             if not (pending and time == block_time):
                 # A new instant: close the previous one.
                 if pending:
@@ -975,25 +1081,28 @@ def _replay(blocks: Iterable[tuple], has_clock: bool,
                     elif period is None and saw and block_time >= offset \
                             and (until is None or block_time <= until):
                         append(mask)
-                if period is not None:
-                    if saw:
-                        while next_sample < time and (
-                            until is None or next_sample <= until
-                        ):
-                            append(mask)
-                            next_sample += period
-                    else:
-                        # No value has appeared yet, so grid points up
-                        # to here would be phantom ticks back-filled
-                        # with future values; skip them, keeping the
-                        # grid's offset phase.
-                        while next_sample < time:
-                            next_sample += period
-                if until is not None and time > until:
-                    # The rest of the dump is outside the window.
-                    if out:
-                        yield out
-                    return
+                # Initial values dumped before any timestamp open their
+                # instant (time 0) without one: no grid point passes
+                # and no window closes yet.
+                if pending or not flag & _F_INITIAL:
+                    if period is not None and next_sample < time:
+                        if saw:
+                            while next_sample < time and (
+                                until is None or next_sample <= until
+                            ):
+                                append(mask)
+                                next_sample += period
+                        else:
+                            # No value has appeared yet, so grid points
+                            # up to here would be phantom ticks
+                            # back-filled with future values; skip
+                            # them, keeping the grid's offset phase.
+                            next_sample += \
+                                -((next_sample - time) // period) * period
+                    if until is not None and time > until:
+                        # The rest of the dump is outside the window.
+                        self.done = True
+                        break
                 block_time = time
                 pending = True
             if hi or lo:
@@ -1014,23 +1123,28 @@ def _replay(blocks: Iterable[tuple], has_clock: bool,
                         level = True
                     elif flag & _F_LEVEL_LOW:
                         level = False
-        if out:
-            yield out
-    # Close the final instant.
-    out = []
-    if pending:
-        in_window = block_time >= offset and (
-            until is None or block_time <= until
-        )
-        if has_clock:
-            if rose and in_window:
-                out.append(mask)
-        elif period is None and saw and in_window:
-            out.append(mask)
-        if period is not None and saw:
-            stop = block_time if until is None else until
-            while next_sample <= stop:
-                out.append(mask)
-                next_sample += period
-    if out:
-        yield out
+        self.code_vals, self.mask, self.level, self.rose = (code_vals, mask,
+                                                            level, rose)
+        self.saw, self.pending, self.block_time, self.next_sample = (
+            saw, pending, block_time, next_sample)
+        return out
+
+    def finish(self) -> List[int]:
+        """The masks closing the final instant."""
+        out: List[int] = []
+        if self.pending:
+            until, block_time = self.until, self.block_time
+            in_window = block_time >= self.offset and (
+                until is None or block_time <= until
+            )
+            if self.has_clock:
+                if self.rose and in_window:
+                    out.append(self.mask)
+            elif self.period is None and self.saw and in_window:
+                out.append(self.mask)
+            if self.period is not None and self.saw:
+                stop = block_time if until is None else until
+                while self.next_sample <= stop:
+                    out.append(self.mask)
+                    self.next_sample += self.period
+        return out

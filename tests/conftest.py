@@ -8,9 +8,22 @@ generator and the identity assertion live here once, exposed through
 the ``diff_harness`` fixture, so the Python-codegen suite
 (``tests/codegen``) and the native-backend suite (``tests/runtime``)
 cannot drift apart in what they prove.
+
+``--native-sanitize`` builds every native object the session loads
+(the monitor stepper and the VCD block parser) with AddressSanitizer
+and UBSan, into a private shared-object cache.  Run it with gcc's
+runtimes preloaded::
+
+    LD_PRELOAD="$(gcc -print-file-name=libasan.so) \\
+                $(gcc -print-file-name=libubsan.so)" \\
+    ASAN_OPTIONS=detect_leaks=0 PYTHONPATH=src \\
+    python -m pytest --native-sanitize tests/trace
 """
 
+import os
 import random
+import shutil
+import tempfile
 
 import pytest
 
@@ -99,3 +112,35 @@ class DiffHarness:
 @pytest.fixture(scope="session")
 def diff_harness():
     return DiffHarness
+
+
+# -- sanitizer builds ---------------------------------------------------
+SANITIZE_FLAGS = ("-fsanitize=address,undefined",
+                  "-fno-sanitize-recover=all")
+
+
+def pytest_addoption(parser):
+    parser.addoption(
+        "--native-sanitize", action="store_true", default=False,
+        help="build native objects with ASan+UBSan into a private "
+             "shared-object cache (preload gcc's libasan and libubsan "
+             "and set ASAN_OPTIONS=detect_leaks=0)")
+
+
+def pytest_configure(config):
+    if not config.getoption("--native-sanitize"):
+        return
+    from repro.runtime import native
+
+    # The flags are part of the cache key, so a sanitizer object is
+    # never loaded by a plain run, nor a plain one here.
+    native._CC_FLAGS = native._CC_FLAGS + SANITIZE_FLAGS
+    config._native_sanitize_cache = tempfile.mkdtemp(
+        prefix="repro-native-sanitize-")
+    os.environ["REPRO_NATIVE_CACHE"] = config._native_sanitize_cache
+
+
+def pytest_unconfigure(config):
+    cache = getattr(config, "_native_sanitize_cache", None)
+    if cache is not None:
+        shutil.rmtree(cache, ignore_errors=True)

@@ -308,6 +308,35 @@ def test_native_so_cache_reuse_and_damaged_entry_rebuild(
             == [r.detections for r in run_many(first, traces)])
 
 
+def test_native_so_cache_key_covers_the_compiler_flags(tmp_path,
+                                                       monkeypatch):
+    """Objects built with other flags (a sanitizer build, say) are
+    another cache entry: a different flag tuple misses the cache."""
+    from repro.runtime import native
+
+    monkeypatch.setenv("REPRO_NATIVE_CACHE", str(tmp_path))
+    plain = native_kernel(compile_monitor(_stress_monitor(36)))
+    assert plain is not None
+    compiles = []
+    compile_so = native._compile_so
+
+    def counted(*args):
+        compiles.append(args)
+        return compile_so(*args)
+
+    monkeypatch.setattr(native, "_compile_so", counted)
+    monkeypatch.setattr(native, "_CC_FLAGS", native._CC_FLAGS + ("-O1",))
+    other = native_kernel(compile_monitor(_stress_monitor(36)))
+    assert other is not None
+    assert other.fingerprint != plain.fingerprint
+    assert other.path != plain.path
+    assert len(compiles) == 1
+    # The same flags again: a hit.
+    again = native_kernel(compile_monitor(_stress_monitor(36)))
+    assert again.path == other.path
+    assert len(compiles) == 1
+
+
 # ------------------------------------------------- encoded inputs ----
 def test_native_encoded_accepts_every_stream_type():
     """Lists, array('i') streams and NumPy arrays flatten identically."""

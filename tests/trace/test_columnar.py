@@ -1,6 +1,10 @@
 """Tests for the ``.rtrc`` columnar trace store (format + round-trips)."""
 
+import importlib.util
+import os
 import struct
+import subprocess
+import sys
 
 import pytest
 
@@ -200,3 +204,33 @@ def test_load_structural_damage_raises_trace_error(columnar_mode,
         path.write_bytes(bytes(damaged))
         with pytest.raises(TraceError, match=match):
             ColumnarTraceSet.load(path)
+
+
+# ------------------------------------------------------- lazy NumPy ----
+_LAZY_NUMPY = (
+    "import sys, repro\n"
+    "assert 'numpy' not in sys.modules, 'import repro loaded NumPy'\n"
+    "from repro.trace import columnar\n"
+    "columns = columnar.ColumnarTraceSet.from_mask_arrays([[1, 2]], 'ab')\n"
+    "print(int('numpy' in sys.modules), columnar._np is not None,\n"
+    "      type(columns.masks(0)).__module__)\n"
+)
+
+
+@pytest.mark.parametrize("no_numpy", [False, True])
+def test_import_repro_loads_no_numpy(no_numpy):
+    """``import repro`` loads no NumPy; the columnar store imports it on
+    first use, and ``REPRO_NO_NUMPY`` still keeps it out."""
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                       "..", "..", "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    env.pop("REPRO_NO_NUMPY", None)
+    if no_numpy:
+        env["REPRO_NO_NUMPY"] = "1"
+    result = subprocess.run([sys.executable, "-c", _LAZY_NUMPY], env=env,
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    if no_numpy or importlib.util.find_spec("numpy") is None:
+        assert result.stdout.split() == ["0", "False", "array"]
+    else:
+        assert result.stdout.split() == ["1", "True", "numpy"]

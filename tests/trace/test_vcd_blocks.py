@@ -13,7 +13,11 @@ tests pin that the block size never shows:
   ``$dumpoff`` section across a block, a vector id on its own ``#``
   line, a truncated dump) gives the masks or the ``TraceError`` of a
   one-block parse;
-* the dump text is never held whole.
+* the dump text is never held whole;
+* with the C block parser and without it (``REPRO_NO_CC``): nothing
+  past ``until`` is parsed, initial values before the first
+  timestamp, time running backwards under clock sampling, an empty
+  change stream, and a value-free gap of 10**30 time units.
 """
 
 import random
@@ -26,6 +30,7 @@ from repro.logic.codec import AlphabetCodec
 from repro.protocols.fixtures import amba_vcd, ocp_simple_vcd
 from repro.semantics.run import Trace
 from repro.trace import trace_to_vcd
+from repro.trace import vcd_native
 from repro.trace.columnar import masks_from_vcd_text
 from repro.trace.vcd_reader import VcdReader
 from vcd_oracle import (
@@ -235,3 +240,85 @@ def test_conversion_memory_is_masks_plus_a_few_blocks(tmp_path):
         tracemalloc.stop()
     assert len(masks) == ticks
     assert peak < 4 * ticks + BLOCK_COST * chunk_size, peak
+
+
+# ------------------------------------------- both parsers, edge cases ----
+@pytest.fixture(params=["c", "python"])
+def parser(request, monkeypatch):
+    """Run a test with the C block parser and with the Python one."""
+    if request.param == "python":
+        monkeypatch.setenv("REPRO_NO_CC", "1")
+    elif not vcd_native.available():
+        pytest.skip("no C compiler: only the Python parser runs")
+    return request.param
+
+
+def test_nothing_past_until_is_parsed(parser):
+    """An error after the first timestamp past ``until`` never raises,
+    whatever the block size (it used to when it shared a block with
+    the window's end)."""
+    text = HEADER + "#0\n1!\n1\"\n#1\n0!\n#2\n1!\n#3\n0!\nqq\n#4\n1!\n"
+    codec = _codec(text, "clk")
+    expected = oracle_masks(text, codec, clock="clk", until=2)
+    assert expected == [codec.bit_of["req"]] * 2
+    for chunk_size in CHUNK_SIZES + (ONE_BLOCK,):
+        assert _outcome(text, chunk_size, clock="clk", until=2) \
+            == expected, chunk_size
+    assert _outcome(text, ONE_BLOCK, clock="clk")[0] == "TraceError"
+    # ``#0`` only continues the instant of the initial values before
+    # it, so it is no timestamp past ``until=-1``: the error after it
+    # still raises, as in the oracle.
+    text = HEADER + "1\"\n#0\n1!\nqq\n#1\n0!\n"
+    with pytest.raises(TraceError, match="qq"):
+        oracle_masks(text, codec, clock="clk", until=-1)
+    for chunk_size in CHUNK_SIZES + (ONE_BLOCK,):
+        assert _outcome(text, chunk_size, clock="clk", until=-1)[0] \
+            == "TraceError", chunk_size
+
+
+def test_initial_values_open_their_instant_without_a_timestamp(parser):
+    """Values dumped before the first timestamp open their instant with
+    no grid fill and no window check, as in the oracle (a negative
+    offset used to lose the grid points before time 0)."""
+    text = HEADER + "$dumpvars\n1\"\n$end\n#0\n#3\n0\"\n"
+    codec = _codec(text)
+    assert len(oracle_masks(text, codec, period=1, offset=-3)) == 7
+    for sampling in ({"period": 1, "offset": -3}, {"until": -1},
+                     {"period": 2, "offset": -1, "until": 2}):
+        expected = oracle_masks(text, codec, **sampling)
+        for chunk_size in CHUNK_SIZES + (ONE_BLOCK,):
+            assert _outcome(text, chunk_size, **sampling) == expected, \
+                (sampling, chunk_size)
+
+
+def test_time_running_backwards_keeps_instants_apart(parser):
+    """Under clock sampling a falling edge between two instants at one
+    time still parts them: two rising edges, two ticks (the replay
+    used to merge them when the quiet edge was elided)."""
+    text = HEADER + "#29\n1!\n1\"\n#31\n0!\n#29\n1!\n#32\n0!\n#31\n1!\n"
+    codec = _codec(text, "clk")
+    expected = oracle_masks(text, codec, clock="clk")
+    assert len(expected) == 3
+    for chunk_size in CHUNK_SIZES + (ONE_BLOCK,):
+        assert _outcome(text, chunk_size, clock="clk") == expected, \
+            chunk_size
+
+
+def test_empty_change_stream_reads_zero_ticks(parser):
+    """A dump that ends right at ``$enddefinitions $end`` (it used to
+    spin forever looking for a block)."""
+    text = HEADER.rstrip("\n")
+    for sampling in ({"clock": "clk"}, {"period": 1}, {}):
+        assert _outcome(text, 7, **sampling) == []
+    assert list(VcdReader.from_text(text).changes()) == []
+
+
+def test_value_free_gap_is_skipped_in_constant_time(parser):
+    """Period sampling skips a value-free gap of 10**30 time units
+    arithmetically, keeping the grid's phase."""
+    start = 10 ** 30
+    text = HEADER + f"#0\n#{start}\n1\"\n#{start + 4}\n0\"\n"
+    codec = _codec(text)
+    # The grid is 1, 4, 7, ...: its points in the dump are 10**30
+    # (= 1 mod 3) and 10**30 + 3, both while req is high.
+    assert _outcome(text, 7, period=3, offset=1) == [codec.bit_of["req"]] * 2

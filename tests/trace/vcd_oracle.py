@@ -7,7 +7,9 @@ shares nothing with that front-end but the header and binding
 (``VcdReader.signals`` / ``_sampling_bound``, unchanged code): it
 tokenises the whole dump itself, walks every change record, and keeps
 per-symbol driver counts.  Keep it frozen — its value is that it is
-an independent implementation of the same semantics.
+an independent implementation of the same semantics.  Its error
+messages follow the front-end's wording, so the fuzzer
+(``test_vcd_fuzz.py``) compares ``TraceError`` text too.
 """
 
 import io
@@ -103,11 +105,12 @@ def _skip_header(tokens: Iterator[str]) -> None:
                 return
 
 
-def _body_until_end(tokens: Iterator[str], name: str) -> None:
+def _body_until_end(tokens: Iterator[str], name: str,
+                    kind: str = "directive") -> None:
     for token in tokens:
         if token == "$end":
             return
-    raise TraceError(f"unterminated {name} directive (missing $end)")
+    raise TraceError(f"unterminated {name} {kind} (missing $end)")
 
 
 def oracle_changes(text: str, chunk_size: int = 1 << 16
@@ -133,7 +136,8 @@ def oracle_changes(text: str, chunk_size: int = 1 << 16
         elif lead in "bBrR":
             code = next(tokens, None)
             if code is None:
-                raise TraceError(f"vector change {token!r} lacks an id")
+                kind = "vector" if lead in "bB" else "real"
+                raise TraceError(f"{kind} change {token!r} lacks an id")
             if lead in "bB":
                 bits = token[1:]
                 if any(c in "xXzZ" for c in bits):
@@ -149,7 +153,7 @@ def oracle_changes(text: str, chunk_size: int = 1 << 16
                 except ValueError:
                     raise TraceError(f"bad real value {token!r}")
         elif token == "$dumpoff":
-            _body_until_end(tokens, "$dumpoff")
+            _body_until_end(tokens, "$dumpoff", "section")
         elif token in _DUMP_DIRECTIVES or token == "$end":
             continue
         elif lead == "$":
