@@ -124,8 +124,10 @@ def build_parser() -> argparse.ArgumentParser:
              "binds every signal to its own name)")
     check.add_argument(
         "--jobs", type=int, default=1, metavar="N",
-        help="shard trace checking across N worker processes "
-             "(0 = one per core; needs a table-compiling --engine)")
+        help="shard uncached --vcd dumps across N worker processes, "
+             "each parsing and checking its own (0 = one per core; "
+             "needs a table-compiling --engine; no effect with "
+             "--cache)")
     check.add_argument(
         "--cache", metavar="DIR",
         help="content-addressed columnar corpus cache: dumps are "
@@ -151,9 +153,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--bind", action="append", default=[], metavar="SIGNAL=SYMBOL",
         help="map a VCD signal to a chart symbol (repeatable)")
     ingest.add_argument(
-        "--jobs", type=int, default=0, metavar="N",
-        help="parse each dump's change stream across N worker "
-             "processes (default 0 = one per core)")
+        "--jobs", type=int, default=1, metavar="N",
+        help="has no effect: every dump is parsed once, in this "
+             "process (accepted for existing scripts)")
     ingest.add_argument(
         "--engine", default=AUTO, choices=engine_choices("batch"),
         help="the batch backend later checks will use (default: auto); "
@@ -427,9 +429,9 @@ def _check_vcd(args, chart, out) -> int:
     """Check every dump, sharded if asked.
 
     Table engines read each dump into masks in bounded blocks and
-    check them in the planned batch kernel; with ``--jobs N`` each
-    worker process parses *and* checks its own dumps.  The interpreted
-    engine streams decoded valuations, in-process.
+    check them in the planned batch kernel; with ``--jobs N`` and no
+    ``--cache`` each worker process parses *and* checks its own dumps.
+    The interpreted engine streams decoded valuations, in-process.
     """
     from repro.trace.shard import run_sharded_vcd
     from repro.trace.streaming import StreamingChecker
@@ -513,8 +515,6 @@ def _cmd_ingest(args, out) -> int:
             "ingest needs a sampling discipline: --clock SIGNAL or "
             "--period N (the same one the later check will use)"
         )
-    if args.jobs < 0:
-        raise ReproError(f"--jobs must be >= 0 (got {args.jobs})")
     if args.out and len(args.vcd) != 1:
         raise ReproError("--out writes one file; pass exactly one --vcd")
     if not args.out and not args.cache:
@@ -532,8 +532,7 @@ def _cmd_ingest(args, out) -> int:
     for path in args.vcd:
         columns, hit, entry_path = ingest_vcd(
             path, compiled.codec, cache=cache, binding=binding,
-            clock=args.clock, period=args.period, jobs=args.jobs,
-            refresh=args.force,
+            clock=args.clock, period=args.period, refresh=args.force,
         )
         if args.out:
             dest = columns.save(args.out)

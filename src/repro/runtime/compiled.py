@@ -566,13 +566,16 @@ def run_many_encoded(
 
 
 def check_mask_domain(compiled: CompiledMonitor,
-                      mask_arrays: Sequence[Sequence[int]]) -> None:
+                      mask_arrays: Sequence[Sequence[int]],
+                      error_cls: type = MonitorError) -> None:
     """Reject masks outside ``[0, 2^|Sigma|)`` before a kernel indexes
     a table row with them (the native stepper would read out of
     bounds).
 
     One min/max pass per lane; only a failing batch is scanned tick by
-    tick, to name the first bad mask.
+    tick, to name the first bad mask.  ``error_cls`` lets a boundary
+    (the serve layer) raise its own :class:`~repro.errors.ReproError`
+    subclass with the same wording.
     """
     size = compiled.codec.size
     for masks in mask_arrays:
@@ -589,7 +592,7 @@ def check_mask_domain(compiled: CompiledMonitor,
     for lane, masks in enumerate(mask_arrays):
         for tick, mask in enumerate(masks):
             if not 0 <= mask < size:
-                raise MonitorError(
+                raise error_cls(
                     f"monitor {compiled.name!r}: mask {int(mask)} at "
                     f"trace {lane}, tick {tick} is outside 0..{size - 1} "
                     f"(alphabet {list(compiled.codec.symbols)})"

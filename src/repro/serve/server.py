@@ -357,6 +357,10 @@ class MonitorService:
         session = self._session_for(message, sessions)
         payload = validate(message.get(field))
         kind = "masks" if field == "masks" else "ticks"
+        if kind == "masks":
+            # Out-of-range masks are the request's error, answered
+            # before the chunk is queued, not the stream's.
+            session.checker.validate_masks(payload, error_cls=ServeError)
         return await session.submit(kind, payload)
 
     async def _op_poll(self, message,

@@ -12,13 +12,14 @@ monitors consume, and scales checking beyond a single process:
   traces as VCD dumps (fixtures, golden files, viewer hand-off);
 * :mod:`repro.trace.columnar` — :class:`ColumnarTraceSet`, the binary
   ``.rtrc`` columnar store of pre-encoded mask arrays, with the
-  chunk-parallel VCD converter (:func:`masks_from_vcd_text`) and the
+  in-process VCD conversion (:func:`masks_from_vcd_text`) and the
   content-addressed corpus ingest (:func:`ingest_vcd`);
 * :mod:`repro.trace.streaming` — :class:`StreamingChecker`, online
   checking with bounded memory and early exit;
 * :mod:`repro.trace.shard` — :func:`run_sharded` /
   :func:`run_bank_sharded`, multiprocessing fan-out of compiled-table
-  checking across worker processes.
+  checking across worker processes (mask arrays travel pickled inside
+  each task).
 """
 
 from repro.trace.bridge import trace_to_vcd

@@ -1,4 +1,4 @@
-"""Columnar trace store, chunk-parallel ingest and the corpus cache.
+"""Columnar trace store, VCD conversion and the corpus cache.
 
 Parsing, not checking, is the wall on real-waveform workloads: the
 batch kernels step millions of ticks a second, and the VCD front-end
@@ -10,21 +10,17 @@ This module lets a dump be parsed once and checked many times:
   :class:`~repro.logic.codec.AlphabetCodec` (the exact int layout the
   batch kernels step over), plus trace lengths, the codec
   fingerprint, and sampling metadata.  Loading is NumPy-optional:
-  ``numpy.frombuffer`` over an ``mmap`` when NumPy is present (zero
-  copies into :func:`~repro.runtime.vector.run_many_vector_encoded`),
-  an ``array('i')`` otherwise.  NumPy is imported on first use, so
-  importing this module (and ``repro``) loads none.
+  ``numpy.frombuffer`` over an ``mmap`` when NumPy is present, an
+  ``array('i')`` otherwise.  NumPy is imported on first use, so
+  importing this module (and ``repro``) loads none.  Every mask must
+  lie in ``[0, 2^|symbols|)``: a set built or loaded with any other
+  is a :class:`~repro.errors.TraceError`.
 
-* **chunk-parallel conversion** (``repro ingest --jobs N``, on hosts
-  without a C compiler) — the change stream after ``$enddefinitions``
-  is split at timestamp lines (``\\n#``) into one chunk per worker of
-  the persistent :mod:`repro.trace.shard` pools; each worker runs the
-  front-end's Python block parser on its chunk, and the parent runs
-  the front-end's one replay over the records in order.  A chunk that
-  fails to parse sends the conversion back to the front-end's own
-  block-streamed parse.  With the C block parser
-  (:mod:`repro.trace.vcd_native`) loaded, every conversion parses
-  in-process instead: one C pass beats the fan-out's start-up.
+* **conversion** — :func:`masks_from_vcd_text` and
+  :func:`masks_from_vcd` parse a dump once, in this process, through
+  :meth:`VcdReader.masks <repro.trace.vcd_reader.VcdReader.masks>`
+  (the C block parser when a compiler is available, the Python one
+  otherwise).
 
 * **content-addressed corpus cache** — :func:`ingest_vcd` keys an
   on-disk :class:`~repro.cache.CorpusCache` entry by the dump's
@@ -44,8 +40,8 @@ This module lets a dump be parsed once and checked many times:
     payload       sum(lengths) int32 mask values, trace-major
 
 A file is rejected (and a cache entry treated as a miss) when the
-magic or version mismatches, the size disagrees with the header, or
-the payload crc32 does not verify.
+magic or version mismatches, the size disagrees with the header, the
+payload crc32 does not verify, or a mask lies outside the alphabet.
 """
 
 from __future__ import annotations
@@ -58,18 +54,13 @@ import struct
 import sys
 import zlib
 from array import array
-from typing import Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Iterable, Optional, Sequence, Tuple, Union
 
 from repro.cache import CorpusCache
 from repro.errors import TraceError
 from repro.logic.codec import AlphabetCodec
 from repro.semantics.run import Trace
-from repro.trace.vcd_reader import (
-    VcdReader,
-    _check_sampling,
-    _parse_chunk,
-    _Sampler,
-)
+from repro.trace.vcd_reader import VcdReader
 
 __all__ = [
     "RTRC_VERSION",
@@ -117,10 +108,6 @@ RTRC_VERSION = 1
 #: Payload alignment: mask arrays start on this boundary so an mmap'd
 #: int32 view is aligned whatever the JSON header length.
 _ALIGN = 64
-
-#: Change streams smaller than this parse in-process — pool dispatch
-#: and result pickling would cost more than the parse itself.
-_MIN_PARALLEL_BYTES = 1 << 16
 
 
 def codec_fingerprint(codec: Union[AlphabetCodec, Iterable[str]]) -> str:
@@ -180,6 +167,18 @@ class ColumnarTraceSet:
                 f"columnar payload holds {len(flat)} masks; lengths "
                 f"sum to {offsets[-1]}"
             )
+        if len(flat):
+            # One min/max over the flat buffer (vectorised under NumPy)
+            # keeps every kernel's table lookups in range.
+            low, high = ((flat.min(), flat.max()) if hasattr(flat, "min")
+                         else (min(flat), max(flat)))
+            size = 1 << len(self.symbols)
+            if low < 0 or high >= size:
+                raise TraceError(
+                    f"columnar masks span {int(low)}..{int(high)}; an "
+                    f"alphabet of {len(self.symbols)} symbols allows "
+                    f"0..{size - 1}"
+                )
         self._flat = flat
         self._mmap = _mmap
 
@@ -347,34 +346,7 @@ class ColumnarTraceSet:
             return cls.from_bytes(stream.read(), verify=verify)
 
 
-# -- chunk-parallel VCD conversion ------------------------------------------
-def _split_points(body: str, n_chunks: int) -> List[int]:
-    """Chunk start offsets into ``body`` at ``\\n#`` timestamp lines."""
-    points = [0]
-    for chunk in range(1, n_chunks):
-        target = (len(body) * chunk) // n_chunks
-        found = body.find("\n#", target)
-        if found < 0:
-            break
-        point = found + 1
-        if point > points[-1]:
-            points.append(point)
-    return points
-
-
-def _parse_chunk_task(task) -> tuple:
-    """Pool entry point: parse one shipped chunk.
-
-    Chunks parse past ``until``: a chunk cannot tell whether its first
-    timestamp continues the instant the chunk before it ended in.  The
-    replay still stops at the window's end, and an error past it falls
-    back to the block-streamed parse, which reads no further.
-    """
-    text, actions, code_bits, clock_codes, drop_quiet = task
-    return _parse_chunk(text, actions, code_bits, frozenset(clock_codes),
-                        drop_quiet)
-
-
+# -- VCD conversion -----------------------------------------------------------
 def masks_from_vcd_text(
     text: str,
     codec: AlphabetCodec,
@@ -384,58 +356,16 @@ def masks_from_vcd_text(
     offset: int = 0,
     until: Optional[int] = None,
     jobs: Optional[int] = 1,
-    mp_context: Optional[str] = None,
-    oversubscribe: bool = False,
-    _force_splits: Optional[List[int]] = None,
 ) -> array:
     """Encode a VCD document to one per-tick mask array.
 
     This is :meth:`VcdReader.masks
-    <repro.trace.vcd_reader.VcdReader.masks>` over the text — always
-    when the C block parser is loaded, whatever ``jobs`` says.
-    Without it, ``jobs > 1`` on a large dump splits the change stream
-    at ``\\n#`` lines into one chunk per worker of the persistent
-    pools, each chunk goes through the Python block parser, and the
-    parent replays the records in order.  When a chunk fails to parse
-    (a seam inside a directive body, say), the text is parsed again in
-    blocks, which gives the masks — or the :class:`TraceError` — of a
-    one-block parse.  ``_force_splits`` pins chunk boundaries and
-    forces the fan-out (tests).
+    <repro.trace.vcd_reader.VcdReader.masks>` over the text: one parse,
+    in this process.  ``jobs`` has no effect; it is accepted for
+    existing callers.
     """
-    from repro.trace.shard import _get_pool, resolve_jobs
-    from repro.trace.vcd_native import available
-
-    sampling = dict(clock=clock, period=period, offset=offset, until=until)
-    jobs = resolve_jobs(jobs, oversubscribe=oversubscribe)
-    if _force_splits is not None or (jobs > 1
-                                     and len(text) >= _MIN_PARALLEL_BYTES
-                                     and not available()):
-        _check_sampling(clock, period)
-        reader = VcdReader.from_text(text, binding=binding)
-        actions, code_bits, clock_codes, direct, symbol_bits_of = \
-            reader._delta_plan(codec.bit_of, clock)
-        body = reader._unread_text()
-        splits = _force_splits or _split_points(body, jobs)
-        bounds = list(zip(splits, splits[1:] + [len(body)]))
-        has_clock = bool(clock_codes)
-        if len(bounds) > 1:
-            pool = _get_pool(mp_context, min(jobs, len(bounds)))
-            try:
-                chunks = pool.map(_parse_chunk_task, [
-                    (body[start:end], actions, code_bits,
-                     tuple(clock_codes), has_clock)
-                    for start, end in bounds
-                ])
-                sampler = _Sampler(has_clock, period, offset, until,
-                                   direct, symbol_bits_of)
-                out = array("i")
-                for block in sampler.run(map(sampler.replay, chunks)):
-                    out.extend(block)
-                return out
-            except TraceError:
-                pass  # a seam may have cut a directive body
-    return VcdReader.from_text(text, binding=binding).masks(codec,
-                                                            **sampling)
+    return VcdReader.from_text(text, binding=binding).masks(
+        codec, clock=clock, period=period, offset=offset, until=until)
 
 
 def masks_from_vcd(
@@ -447,31 +377,12 @@ def masks_from_vcd(
     offset: int = 0,
     until: Optional[int] = None,
     jobs: Optional[int] = 1,
-    mp_context: Optional[str] = None,
-    oversubscribe: bool = False,
 ) -> array:
-    """:func:`masks_from_vcd_text` over a dump file.
-
-    Without a worker fan-out (one job, or the C block parser loaded)
-    the file streams through :meth:`VcdReader.masks
-    <repro.trace.vcd_reader.VcdReader.masks>` in blocks; only the
-    fan-out reads it whole.
-    """
-    from repro.trace.shard import resolve_jobs
-    from repro.trace.vcd_native import available
-
-    source = os.fspath(source)
-    sampling = dict(clock=clock, period=period, offset=offset, until=until)
-    if resolve_jobs(jobs, oversubscribe=oversubscribe) > 1 \
-            and os.path.getsize(source) >= _MIN_PARALLEL_BYTES \
-            and not available():
-        with open(source, "rb") as stream:
-            text = stream.read().decode("utf-8", "replace")
-        return masks_from_vcd_text(text, codec, binding=binding, jobs=jobs,
-                                   mp_context=mp_context,
-                                   oversubscribe=oversubscribe, **sampling)
-    with VcdReader(source, binding=binding) as reader:
-        return reader.masks(codec, **sampling)
+    """:func:`masks_from_vcd_text` over a dump file, streamed in blocks
+    (``jobs`` has no effect)."""
+    with VcdReader(os.fspath(source), binding=binding) as reader:
+        return reader.masks(codec, clock=clock, period=period,
+                            offset=offset, until=until)
 
 
 # -- content-addressed ingest ------------------------------------------------
@@ -513,9 +424,6 @@ def ingest_vcd(
     period: Optional[int] = None,
     offset: int = 0,
     until: Optional[int] = None,
-    jobs: Optional[int] = 1,
-    mp_context: Optional[str] = None,
-    oversubscribe: bool = False,
     refresh: bool = False,
 ) -> Tuple[ColumnarTraceSet, bool, Optional[str]]:
     """One dump -> ``(columnar set, cache_hit, cache_path)``.
@@ -555,8 +463,7 @@ def ingest_vcd(
     text = data.decode("utf-8", "replace")
     masks = masks_from_vcd_text(
         text, codec, binding=binding, clock=clock, period=period,
-        offset=offset, until=until, jobs=jobs, mp_context=mp_context,
-        oversubscribe=oversubscribe,
+        offset=offset, until=until,
     )
     built = ColumnarTraceSet.from_mask_arrays([masks], codec.symbols, meta={
         "source": os.path.basename(path),
@@ -605,14 +512,11 @@ def check_vcd_cached(
     monitor,
     paths: Sequence[str],
     cache: Union[CorpusCache, str],
-    jobs: Optional[int] = None,
     clock: Optional[str] = None,
     period: Optional[int] = None,
     offset: int = 0,
     until: Optional[int] = None,
     binding=None,
-    mp_context: Optional[str] = None,
-    oversubscribe: bool = False,
     engine: str = "auto",
     max_recorded: int = 10_000,
 ) -> list:
@@ -640,7 +544,6 @@ def check_vcd_cached(
         columns, _, _ = ingest_vcd(
             path, compiled.codec, cache=cache, binding=binding,
             clock=clock, period=period, offset=offset, until=until,
-            jobs=jobs, mp_context=mp_context, oversubscribe=oversubscribe,
         )
         reports.append(check_masks(compiled, columns.masks(0), engine,
                                    max_recorded=max_recorded))

@@ -20,13 +20,8 @@ references, down to guard expressions) pickles cleanly.  Results come
 back as ordinary :class:`~repro.monitor.engine.MonitorResult` lists in
 input order, indistinguishable from a single-process run.
 
-Encoded mask payloads cross the process boundary through
-``multiprocessing.shared_memory`` when they are large enough to make
-the segment worthwhile: the parent packs every trace's int32 masks
-into one segment plus an offsets table and tasks carry only the
-segment name and slice bounds, so workers map the payload zero-copy
-instead of unpickling it (see the handoff section below; pickle
-remains the universal fallback).
+Traces are encoded to mask arrays once, in the parent, and each task
+carries its chunk's arrays pickled; workers never re-encode.
 
 Worker counts are capped at the *available* core count by default —
 the scheduler affinity set where the platform exposes it, so
@@ -50,10 +45,7 @@ import hashlib
 import multiprocessing
 import os
 import pickle
-import struct
-import sys
 import threading
-from array import array
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import MonitorError
@@ -202,193 +194,13 @@ def _ship(compiled: CompiledMonitor) -> Tuple[bytes, bytes]:
     return hashlib.sha1(payload).digest(), payload
 
 
-# -- zero-copy mask handoff -------------------------------------------------
-# Encoded mask arrays used to travel to the pool *inside* every task —
-# pickled in the parent, piped, unpickled per worker.  For wide batches
-# the arrays dominate the task payload (the monitor ships once and is
-# digest-cached), so the pickle tax was the measured reason
-# ``shard_speedup_jobs4`` sat far under the core count.  Batches above
-# ``_MIN_SHM_BYTES`` now land in one ``multiprocessing.shared_memory``
-# segment — int32 payload plus an offsets table, the same layout as a
-# ``.rtrc`` body — and tasks carry only ``(segment name, offsets,
-# start, end)``.  Workers map the segment and slice zero-copy views
-# (NumPy ``frombuffer`` or a cast ``memoryview``).  Anything that keeps
-# shared memory from working — platform without ``/dev/shm``, creation
-# failure, ``REPRO_NO_SHM=1`` — degrades to the original pickled path.
-
-try:  # pragma: no cover - absent only on exotic platforms
-    from multiprocessing import shared_memory as _shared_memory
-except ImportError:  # pragma: no cover
-    _shared_memory = None
-if os.environ.get("REPRO_NO_SHM"):  # test hook: force the pickle path
-    _shared_memory = None
-
-#: Mask payloads below this size ship pickled: one pipe write costs
-#: less than a segment create + map round trip.
-_MIN_SHM_BYTES = 1 << 15
-
-
-def _mask_bytes(masks) -> bytes:
-    """Little-endian int32 bytes of one mask sequence."""
-    if isinstance(masks, array) and masks.typecode == "i" \
-            and masks.itemsize == 4:
-        if sys.byteorder == "little":
-            return masks.tobytes()
-        swapped = array("i", masks)
-        swapped.byteswap()
-        return swapped.tobytes()
-    if hasattr(masks, "astype"):  # NumPy array (never imported here)
-        return masks.astype("<i4", copy=False).tobytes()
-    return struct.pack(f"<{len(masks)}i", *masks)
-
-
-class _SharedMasks:
-    """Parent-side handle of one shared-memory mask payload."""
-
-    __slots__ = ("segment", "offsets")
-
-    def __init__(self, segment, offsets: Tuple[int, ...]):
-        self.segment = segment
-        self.offsets = offsets
-
-    def task_spec(self, start: int, end: int) -> tuple:
-        """The picklable handoff record for traces ``[start, end)``."""
-        return ("shm", self.segment.name, self.offsets, start, end)
-
-    def release(self) -> None:
-        """Close and unlink the segment (workers keep their mappings)."""
-        try:
-            self.segment.close()
-        except (OSError, BufferError):  # pragma: no cover - defensive
-            pass
-        try:
-            self.segment.unlink()
-        except OSError:  # pragma: no cover - already gone
-            pass
-
-
-def _share_masks(mask_arrays) -> Optional[_SharedMasks]:
-    """Pack mask arrays into one shared segment (``None``: use pickle).
-
-    Falling back is never an error: shared memory is an optimisation
-    with identical results, so any failure to obtain a segment simply
-    keeps the per-task pickle path.
-    """
-    if _shared_memory is None:
-        return None
-    offsets = [0]
-    for masks in mask_arrays:
-        offsets.append(offsets[-1] + len(masks))
-    nbytes = 4 * offsets[-1]
-    if nbytes < _MIN_SHM_BYTES:
-        return None
-    try:
-        segment = _shared_memory.SharedMemory(create=True, size=nbytes)
-    except (OSError, ValueError):  # pragma: no cover - no /dev/shm
-        return None
-    try:
-        view = memoryview(segment.buf)
-        cursor = 0
-        for masks in mask_arrays:
-            data = _mask_bytes(masks)
-            view[cursor:cursor + len(data)] = data
-            cursor += len(data)
-        del view
-    except BaseException:  # pragma: no cover - defensive
-        segment.close()
-        try:
-            segment.unlink()
-        except OSError:
-            pass
-        raise
-    return _SharedMasks(segment, tuple(offsets))
-
-
-def _attach_segment(name: str):
-    """Map an existing segment without resource-tracker registration.
-
-    Only the creating parent owns a segment's lifetime.  Before Python
-    3.13 (``track=False``) every attach *also* registers it with the
-    resource tracker, which then "cleans up" on the attacher's behalf —
-    under ``spawn`` that unlinks a live segment when a worker exits,
-    and under ``fork`` (tracker shared with the parent) a worker-side
-    unregister collides with the parent's own.  Suppressing the
-    registration during attach sidesteps both.
-    """
-    try:
-        return _shared_memory.SharedMemory(name=name, track=False)
-    except TypeError:  # Python < 3.13: no track parameter
-        pass
-    from multiprocessing import resource_tracker
-
-    original = resource_tracker.register
-    resource_tracker.register = lambda *args, **kwargs: None
-    try:
-        return _shared_memory.SharedMemory(name=name)
-    finally:
-        resource_tracker.register = original
-
-
-def _shared_chunk_views(name: str, offsets: Sequence[int],
-                        start: int, end: int, want_numpy: bool = False):
-    """``(segment, views)``: zero-copy per-trace mask views of a chunk.
-
-    ``want_numpy`` picks the view flavour for the consuming kernel: the
-    vector engine eats NumPy arrays natively, but the scalar compiled
-    loop materialises ``list(stream)`` — from a NumPy view that is a
-    list of NumPy int32 *scalars*, whose dict/table indexing is slower
-    than the pickle path it replaced.  A cast ``memoryview`` yields
-    plain Python ints, also zero-copy, so that is the default.
-    """
-    segment = _attach_segment(name)
-    total = offsets[-1]
-    flat = None
-    if want_numpy and not os.environ.get("REPRO_NO_NUMPY"):
-        try:
-            import numpy
-
-            flat = numpy.frombuffer(segment.buf, dtype="<i4", count=total)
-        except ImportError:
-            flat = None
-    if flat is None:
-        # A segment may be page-rounded beyond the payload; slice first
-        # so the cast sees exactly the int32 payload.
-        payload = memoryview(segment.buf)[:4 * total]
-        if sys.byteorder == "little":
-            flat = payload.cast("i")
-        else:  # pragma: no cover - big-endian hosts
-            flat = array("i")
-            flat.frombytes(payload.tobytes())
-            flat.byteswap()
-    views = [flat[offsets[index]:offsets[index + 1]]
-             for index in range(start, end)]
-    return segment, views
-
-
 def _run_chunk(task) -> List[MonitorResult]:
-    digest, payload, mask_spec, scoreboards, record_transitions, engine = task
+    digest, payload, masks, scoreboards, record_transitions, engine = task
     # Tasks carry a concrete registered backend name (the parent planned
     # any "auto" before fanning out), so workers resolve it the same way
     # every in-process entry point does.
-    backend = require_backend(engine, "sharded_worker")
-    runner = backend.encoded_runner()
-    monitor = _cached_monitor(digest, payload)
-    if mask_spec[0] == "shm":
-        _, name, offsets, start, end = mask_spec
-        segment, views = _shared_chunk_views(
-            name, offsets, start, end, want_numpy=backend.prefers_numpy
-        )
-        try:
-            return runner(monitor, views, scoreboards,
-                          record_transitions=record_transitions)
-        finally:
-            del views
-            try:
-                segment.close()
-            except BufferError:  # pragma: no cover - view escaped into
-                pass             # an in-flight traceback; fd dies with
-                                 # the worker
-    return runner(monitor, mask_spec[1], scoreboards,
+    runner = require_backend(engine, "sharded_worker").encoded_runner()
+    return runner(_cached_monitor(digest, payload), masks, scoreboards,
                   record_transitions=record_transitions)
 
 
@@ -452,10 +264,9 @@ def run_sharded(
     way).
 
     Traces are encoded to valuation-mask arrays *once, in the parent*
-    (through the shared codec cache); large batches hand the arrays to
-    the pool through one shared-memory segment (workers slice zero-copy
-    views), small ones ship them pickled — either way a fraction of the
-    cost of shipping ``Trace`` objects, and workers never re-encode.
+    (through the shared codec cache) and each task ships its chunk's
+    arrays pickled — a fraction of the cost of shipping ``Trace``
+    objects, and workers never re-encode.
     """
     compiled = as_compiled(monitor)
     plan = plan_execution(compiled, Workload.from_traces(traces),
@@ -521,22 +332,14 @@ def _fan_out_encoded(compiled, masks, engine_name, jobs, scoreboards,
     lengths = [len(stream) for stream in masks]
     bounds = _chunk_bounds(lengths, min(jobs, len(masks)))
     digest, payload = _ship(compiled)
-    shared = _share_masks(masks)
-    try:
-        tasks = [
-            (digest, payload,
-             shared.task_spec(start, end) if shared is not None
-             else ("inline", list(masks[start:end])),
-             list(scoreboards[start:end]) if scoreboards is not None
-             else None,
-             record_transitions, engine_name)
-            for start, end in bounds
-        ]
-        pool = _get_pool(mp_context, min(jobs, len(tasks)))
-        chunk_results = pool.map(_run_chunk, tasks)
-    finally:
-        if shared is not None:
-            shared.release()
+    tasks = [
+        (digest, payload, list(masks[start:end]),
+         list(scoreboards[start:end]) if scoreboards is not None else None,
+         record_transitions, engine_name)
+        for start, end in bounds
+    ]
+    pool = _get_pool(mp_context, min(jobs, len(tasks)))
+    chunk_results = pool.map(_run_chunk, tasks)
     results: List[MonitorResult] = []
     for chunk in chunk_results:
         results.extend(chunk)
@@ -598,10 +401,11 @@ def run_sharded_vcd(
     parameters, applied to every dump.
 
     ``cache`` (a :class:`~repro.cache.CorpusCache` or its root
-    directory) switches to the columnar corpus path: dumps are
-    resolved through :func:`~repro.trace.columnar.ingest_vcd` — warm
-    entries skip parsing entirely; misses parse and populate the
-    cache.  Verdicts are identical either way.
+    directory) switches to the columnar corpus path, in this process:
+    dumps are resolved through
+    :func:`~repro.trace.columnar.ingest_vcd` — warm entries skip
+    parsing entirely; misses parse and populate the cache — and
+    ``jobs`` has no effect.  Verdicts are identical either way.
     """
     compiled = as_compiled(monitor)
     if cache is not None:
@@ -609,9 +413,8 @@ def run_sharded_vcd(
 
         return check_vcd_cached(
             compiled, [os.fspath(path) for path in paths], cache,
-            jobs=jobs, clock=clock, period=period, offset=offset,
-            until=until, binding=binding, mp_context=mp_context,
-            oversubscribe=oversubscribe, engine=engine,
+            clock=clock, period=period, offset=offset, until=until,
+            binding=binding, engine=engine,
         )
     if engine != AUTO:
         # Table engines check masks in batch; an engine without batch
@@ -669,31 +472,19 @@ def run_bank_sharded(
     tasks = []
     member_of_task = []
     encoded_by_codec: Dict[tuple, list] = {}
-    shared_by_codec: Dict[tuple, Optional[_SharedMasks]] = {}
-    try:
-        for member_index, (digest, payload) in enumerate(shipped):
-            codec = members[member_index].codec
-            masks = encoded_by_codec.get(codec.symbols)
-            if masks is None:
-                masks = codec.encode_many(traces)
-                encoded_by_codec[codec.symbols] = masks
-                # One segment per distinct alphabet: same-codec members
-                # read the same shared payload, encoded and mapped once.
-                shared_by_codec[codec.symbols] = _share_masks(masks)
-            shared = shared_by_codec[codec.symbols]
-            for start, end in bounds:
-                tasks.append((digest, payload,
-                              shared.task_spec(start, end)
-                              if shared is not None
-                              else ("inline", list(masks[start:end])),
-                              None, False, plan.engine))
-                member_of_task.append(member_index)
-        pool = _get_pool(mp_context, min(jobs, len(tasks)))
-        chunk_results = pool.map(_run_chunk, tasks)
-    finally:
-        for shared in shared_by_codec.values():
-            if shared is not None:
-                shared.release()
+    for member_index, (digest, payload) in enumerate(shipped):
+        codec = members[member_index].codec
+        masks = encoded_by_codec.get(codec.symbols)
+        if masks is None:
+            # Same-codec members share one encoding.
+            masks = encoded_by_codec[codec.symbols] = \
+                codec.encode_many(traces)
+        for start, end in bounds:
+            tasks.append((digest, payload, list(masks[start:end]),
+                          None, False, plan.engine))
+            member_of_task.append(member_index)
+    pool = _get_pool(mp_context, min(jobs, len(tasks)))
+    chunk_results = pool.map(_run_chunk, tasks)
     # Tasks are member-major with chunks in trace order, and pool.map
     # preserves order, so a single pass reassembles per-member lists.
     per_member: List[List[MonitorResult]] = [[] for _ in members]

@@ -44,6 +44,7 @@ from repro.monitor.checker import (
     Verdict,
     advance_obligation,
 )
+from repro.runtime.compiled import check_mask_domain
 from repro.runtime.engines import (
     AUTO,
     backend as engine_backend,
@@ -396,6 +397,16 @@ class StreamingChecker:
                 )
         return symbols
 
+    def validate_masks(self, masks,
+                       error_cls: type = MonitorError) -> None:
+        """Reject masks outside the members' shared codec range with
+        :func:`~repro.runtime.compiled.check_mask_domain`'s wording
+        (:meth:`push_masks` runs it on every batch).  A checker that
+        steps no tables has no codec to check against."""
+        if self._backend.wants_compiled and self._engines:
+            check_mask_domain(self._engines[0].monitor, [masks],
+                              error_cls=error_cls)
+
     def push_masks(self, masks: List[int]) -> bool:
         """Consume a batch of pre-encoded ticks (table backends).
 
@@ -406,8 +417,9 @@ class StreamingChecker:
         :meth:`~repro.runtime.vector.VectorEngine.feed_masks` call;
         other table-stepping backends loop ``step_mask`` (identical
         verdict ticks).  All members must share one alphabet (the
-        masks are in a single codec's bit layout).  Returns ``False``
-        once checking stopped.
+        masks are in a single codec's bit layout), and a mask outside
+        it raises :class:`~repro.errors.MonitorError` before any tick
+        is stepped.  Returns ``False`` once checking stopped.
         """
         if not self._backend.wants_compiled:
             raise MonitorError(
@@ -420,6 +432,7 @@ class StreamingChecker:
                 "implication interleaves obligations per valuation"
             )
         self._require_shared_codec()
+        self.validate_masks(masks)
         if self._stopped:
             return False
         if not len(masks):

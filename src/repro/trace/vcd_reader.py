@@ -29,10 +29,10 @@ parsed a block.
 ``repro check --vcd`` takes.  :meth:`VcdReader.valuations` decodes the
 same mask chunks into :class:`~repro.logic.valuation.Valuation`
 objects for the interpreted engine and older callers, and
-:meth:`VcdReader.changes` is a plain per-record view.  The
-chunk-parallel ``repro ingest --jobs N`` converter
-(:func:`~repro.trace.columnar.masks_from_vcd_text`) runs the same
-block parser in worker processes.
+:meth:`VcdReader.changes` is a plain per-record view.  Every dump is
+parsed once, in one process: ``repro ingest`` and the corpus cache
+(:func:`~repro.trace.columnar.masks_from_vcd_text`) read it through
+:meth:`VcdReader.masks` too.
 
 Dumps are decoded as UTF-8 with undecodable bytes replaced, so stray
 Latin-1 in a ``$comment`` cannot stop a check.
@@ -517,11 +517,6 @@ class VcdReader:
             )
         self._consumed = True
 
-    def _unread_text(self) -> str:
-        """The rest of the dump as one string (the worker fan-out)."""
-        self._claim()
-        return self._tokens.take_rest() + self._stream.read()
-
     def _parsed_blocks(self, parse) -> Iterator:
         """``parse(block, final)`` over the change stream, in order.
 
@@ -580,8 +575,8 @@ class VcdReader:
                 if masks is not FALLBACK:
                     return masks
             records = _parse_chunk(
-                text, actions, code_bits, clock_codes, has_clock, final,
-                until, sampler.block_time if sampler.pending else None)
+                text, actions, code_bits, clock_codes, final, until,
+                sampler.block_time if sampler.pending else None)
             return None if records is None else sampler.replay(records)
 
         return sampler.run(self._parsed_blocks(parse))
@@ -797,10 +792,9 @@ def _scalar_actions(all_codes: Iterable[str], code_bits: Dict[str, int],
 def _parse_chunk(text: str, actions: Dict[str, tuple],
                  code_bits: Dict[str, int],
                  clock_codes: frozenset,
-                 drop_quiet: bool = False,
-                 final: bool = True,
-                 until: Optional[int] = None,
-                 instant: Optional[int] = None) -> Optional[tuple]:
+                 final: bool,
+                 until: Optional[int],
+                 instant: Optional[int]) -> Optional[tuple]:
     """One block of the change stream -> per-instant delta records.
 
     Context-free by design: the parser knows nothing about values set
@@ -811,10 +805,10 @@ def _parse_chunk(text: str, actions: Dict[str, tuple],
     and clock flags whose "did it rise?" question may be deferred to
     the replay (``_F_ROSE_IF_LOW``) when the incoming level is
     unknown.  Returns ``(times, sets, clears, flags)``, one entry per
-    instant, cheap to pickle back from a worker — or ``None`` when a
-    non-``final`` block ends mid-construct.
+    instant — or ``None`` when a non-``final`` block ends
+    mid-construct.
 
-    ``drop_quiet`` (clock sampling only) elides instants that carry no
+    Under clock sampling the parser elides instants that carry no
     bit deltas and no clock rise — typically every falling clock edge,
     half of a synchronous dump.  The replay never samples on them and
     ``saw_value`` is not consulted under clock sampling; the one thing
@@ -898,7 +892,7 @@ def _parse_chunk(text: str, actions: Dict[str, tuple],
                 if pending:
                     if initial:
                         flag |= _F_INITIAL
-                    if drop_quiet and not hi and not lo and not (
+                    if has_clock and not hi and not lo and not (
                         flag & rose_bits
                     ):
                         level = flag & level_bits
@@ -963,7 +957,7 @@ def _parse_chunk(text: str, actions: Dict[str, tuple],
     if pending:
         if initial:
             flag |= _F_INITIAL
-        if drop_quiet and not hi and not lo and not (flag & rose_bits):
+        if has_clock and not hi and not lo and not (flag & rose_bits):
             level = flag & level_bits
             if level:
                 quiet_level = level
@@ -982,7 +976,7 @@ def _parse_chunk(text: str, actions: Dict[str, tuple],
             level = flag & level_bits
             if level:
                 quiet_level = shipped_level = level
-    if drop_quiet and (quiet_level != shipped_level or elided is not None):
+    if has_clock and (quiet_level != shipped_level or elided is not None):
         # Resync the level the next block's deferred rise will read,
         # and part the block's last instant from the next block's.
         times_append(cur_time)

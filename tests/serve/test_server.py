@@ -142,6 +142,39 @@ def test_push_masks_path_matches_push_path():
     assert by_ticks["ticks"] == by_masks["ticks"]
 
 
+def test_push_masks_outside_the_codec_is_the_request_error():
+    """A mask outside the stream's codec is answered as a ServeError
+    before it is queued; the stream keeps checking (it used to become
+    the stream's ``IndexError``)."""
+    compiled = tr_compiled(_handshake())
+
+    async def scenario(service, host, port):
+        reader, writer = await asyncio.open_connection(host, port)
+        try:
+            assert (await _rpc(reader, writer,
+                               {"op": "open", "stream": "s"}))["ok"]
+            bad = await _rpc(reader, writer,
+                             {"op": "push_masks", "stream": "s",
+                              "masks": [2, 1 << 28]})
+            good = await _rpc(reader, writer,
+                              {"op": "push_masks", "stream": "s",
+                               "masks": [2, 1]})
+            closed = await _rpc(reader, writer,
+                                {"op": "close", "stream": "s"})
+            return bad, good, closed["report"], service.metrics_snapshot()
+        finally:
+            writer.close()
+
+    bad, good, report, snapshot = _serve({"hs": compiled})(scenario)
+    assert not bad["ok"] and bad["stream"] == "s"
+    assert f"mask {1 << 28} at trace 0, tick 1 is outside 0..3" \
+        in bad["error"]
+    assert good["ok"] and good["accepted"] == 2
+    assert "error" not in report
+    assert report["ticks"] == 2
+    assert snapshot["protocol_errors"] == 1  # counted as a ServeError
+
+
 def test_poll_reports_progress_without_closing():
     chart = _handshake()
 

@@ -1,10 +1,12 @@
 """Tests for the ``.rtrc`` columnar trace store (format + round-trips)."""
 
 import importlib.util
+import json
 import os
 import struct
 import subprocess
 import sys
+import zlib
 
 import pytest
 
@@ -164,12 +166,48 @@ def test_rejects_corrupt_header_and_payload(columnar_mode):
     with pytest.raises(TraceError, match="header"):
         ColumnarTraceSet.from_bytes(bytes(corrupt))
     corrupt = bytearray(blob)
-    corrupt[-1] ^= 0x01  # inside the mask payload
+    corrupt[-4] ^= 0x01  # inside the mask payload: the last mask 0 -> 1
     with pytest.raises(TraceError, match="crc32"):
         ColumnarTraceSet.from_bytes(bytes(corrupt))
-    # ... but an explicit verify=False load trusts the bytes.
+    # ... but an explicit verify=False load trusts the bytes (as long
+    # as every mask stays inside the alphabet).
     loaded = ColumnarTraceSet.from_bytes(bytes(corrupt), verify=False)
     assert loaded.n_traces == 4
+    assert list(loaded.masks(3)) == [7, 1]
+
+
+def _rtrc_bytes(symbols, lengths, values):
+    """A well-formed ``.rtrc`` image (valid crc) of arbitrary masks."""
+    payload = struct.pack(f"<{len(values)}i", *values)
+    header = json.dumps({
+        "symbols": list(symbols),
+        "fingerprint": codec_fingerprint(symbols),
+        "lengths": list(lengths),
+        "payload_crc32": zlib.crc32(payload),
+        "meta": {},
+    }, sort_keys=True).encode("utf-8")
+    prefix = b"RTRC" + struct.pack("<II", RTRC_VERSION, len(header))
+    pad = b"\x00" * ((-(len(prefix) + len(header))) % 64)
+    return prefix + header + pad + payload
+
+
+def test_masks_outside_the_alphabet_are_refused(columnar_mode, tmp_path):
+    """A set is built or loaded only with every mask in
+    ``[0, 2^|symbols|)``: from mask arrays, and from well-formed
+    ``.rtrc`` bytes whose crc verifies."""
+    symbols = ("a", "b", "c")
+    for bad in ([[1 << 28, 5]], [[-3, 5]], [[0, 1], [8]]):
+        with pytest.raises(TraceError, match="allows 0..7"):
+            ColumnarTraceSet.from_mask_arrays(bad, symbols=symbols)
+    blob = _rtrc_bytes(symbols, [2, 1], [0, 7, -3])
+    path = tmp_path / "out-of-range.rtrc"
+    path.write_bytes(blob)
+    with pytest.raises(TraceError, match="span -3..7"):
+        ColumnarTraceSet.from_bytes(blob)
+    with pytest.raises(TraceError, match="span -3..7"):
+        ColumnarTraceSet.load(path)
+    in_range = _rtrc_bytes(symbols, [2, 1], [0, 7, 3])
+    assert list(ColumnarTraceSet.from_bytes(in_range).masks(1)) == [3]
 
 
 def test_load_rejects_corrupt_file(columnar_mode, tmp_path):

@@ -288,105 +288,34 @@ def test_available_cores_prefers_scheduler_affinity(monkeypatch):
     assert shard.available_cores() == 64
 
 
-# ------------------------------------------------- zero-copy shm handoff ----
-def _force_shm(monkeypatch):
-    """Every payload qualifies for shared memory, however small."""
-    from repro.trace import shard
+# ---------------------------------------------------- pickled handoff ----
+@pytest.mark.parametrize("engine", ["compiled", "native"])
+def test_large_batches_ship_pickled_masks(engine):
+    """Batches well above 32 KiB of masks travel pickled inside the
+    tasks, to real workers, with ``run_many``'s results."""
+    from repro.runtime.engines import backend
 
-    if shard._shared_memory is None:
-        pytest.skip("multiprocessing.shared_memory unavailable")
-    monkeypatch.setattr(shard, "_MIN_SHM_BYTES", 0)
-
-
-@pytest.mark.parametrize("engine", ["compiled", "vector"])
-def test_run_sharded_shm_handoff_matches_inline(monkeypatch, engine):
-    """Forced shared-memory handoff must be invisible in the results."""
-    from repro.trace import shard
-
+    reason = backend(engine).unavailable_reason()
+    if reason is not None:
+        pytest.skip(f"{engine} backend unavailable: {reason}")
     chart = ocp_simple_read_chart()
     compiled = tr_compiled(chart)
-    traces = _traces(chart, 12)
+    traces = []
+    for index, trace in enumerate(_traces(chart, 8)):
+        while len(trace) < 1200:
+            trace = trace.concat(_traces(chart, 1, seed=index)[0])
+        traces.append(trace)
+    assert sum(len(trace) for trace in traces) >= 8192
     reference = run_many(compiled, traces)
-    _force_shm(monkeypatch)
-    _assert_same(
-        run_sharded(compiled, traces, jobs=3, oversubscribe=True,
-                    engine=engine),
-        reference,
-    )
-    # And with shared memory disabled the pickled path still agrees.
-    monkeypatch.setattr(shard, "_shared_memory", None)
-    _assert_same(
-        run_sharded(compiled, traces, jobs=3, oversubscribe=True,
-                    engine=engine),
-        reference,
-    )
-
-
-def test_run_bank_sharded_shm_handoff_matches(monkeypatch):
-    bank = synthesize_chart(ocp_simple_read_chart())
-    traces = _traces(ocp_simple_read_chart(), 8)
-    batch = bank.run_batch(traces)
-    _force_shm(monkeypatch)
-    sharded = run_bank_sharded(bank, traces, jobs=3, oversubscribe=True)
-    for a, b in zip(sharded, batch):
-        assert a.detections == b.detections
-
-
-def test_shm_handoff_with_scoreboards_and_transitions(monkeypatch):
-    """The shm path must compose with every other task payload field."""
-    chart = ocp_simple_read_chart()
-    compiled = tr_compiled(chart)
-    traces = _traces(chart, 6)
-    _force_shm(monkeypatch)
-    with_boards = run_sharded(compiled, traces, jobs=2, oversubscribe=True,
-                              scoreboards=[Scoreboard() for _ in traces])
-    _assert_same(with_boards, run_many(compiled, traces))
-    recorded = run_sharded(compiled, traces, jobs=2, oversubscribe=True,
-                           record_transitions=True)
-    local = run_many(compiled, traces, record_transitions=True)
-    assert [r.transitions for r in recorded] == \
-        [r.transitions for r in local]
-
-
-def test_share_masks_thresholds_and_release():
-    from repro.trace import shard
-
-    if shard._shared_memory is None:
-        pytest.skip("multiprocessing.shared_memory unavailable")
-    # Below the threshold: not worth a segment.
-    assert shard._share_masks([[1, 2, 3]]) is None
-    big = [list(range(16384)), list(range(8192))]
-    shared = shard._share_masks(big)
-    assert shared is not None
-    assert shared.offsets == (0, 16384, 24576)
-    name = shared.segment.name
-    spec = shared.task_spec(0, 2)
-    assert spec[0] == "shm" and spec[1] == name
-    # Workers see exactly the parent's masks through the mapping.
-    segment, views = shard._shared_chunk_views(name, shared.offsets, 0, 2)
-    try:
-        assert [list(view) for view in views] == big
-    finally:
-        del views
-        segment.close()
-    shared.release()
-    # Released means unlinked: a fresh attach must fail.
-    with pytest.raises((FileNotFoundError, OSError)):
-        shard._attach_segment(name)
-
-
-def test_mask_bytes_is_layout_identical_across_sources():
-    from array import array
-
-    from repro.trace import shard
-
-    values = [0, 1, 7, 2**20, 2**30]
-    reference = shard._mask_bytes(values)  # struct.pack path
-    assert shard._mask_bytes(array("i", values)) == reference
-    numpy = pytest.importorskip("numpy")
-    assert shard._mask_bytes(numpy.array(values, dtype=numpy.int32)) \
-        == reference
-    assert len(reference) == 4 * len(values)
+    _assert_same(run_sharded(compiled, traces, jobs=2, oversubscribe=True,
+                             engine=engine), reference)
+    bank = synthesize_chart(chart)
+    sharded = run_bank_sharded(bank, traces, jobs=2, oversubscribe=True,
+                               engine=engine)
+    members = bank.compiled_members()
+    for index, member in enumerate(members):
+        _assert_same([result.results[index] for result in sharded],
+                     run_many(member, traces))
 
 
 # ------------------------------------------------------- pool lifecycle ----

@@ -282,6 +282,21 @@ def test_pushes_after_stopped_are_refused_without_advancing():
     assert checker.n_detections == 1
 
 
+@pytest.mark.parametrize("engine", ["auto", "compiled", "vector"])
+def test_push_masks_rejects_masks_outside_the_alphabet(engine):
+    """An out-of-range mask is a MonitorError naming it, raised before
+    any tick is stepped (it used to escape as a bare IndexError, or
+    step a wrong row when negative)."""
+    compiled = tr_compiled(ocp_simple_read_chart())
+    for bad, tick in (([1 << 28], 0), ([3, -1], 1)):
+        checker = StreamingChecker(compiled, engine=engine)
+        with pytest.raises(MonitorError,
+                           match=f"mask {bad[tick]} at trace 0, tick "
+                                 f"{tick} is outside 0..31"):
+            checker.push_masks(bad)
+        assert checker.ticks == 0
+
+
 def test_interleaved_push_chunk_and_masks_match_batch():
     """One checker fed through all three entry points lands detections
     on exactly the ticks the one-shot batch run reports."""

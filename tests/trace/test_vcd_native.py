@@ -8,8 +8,7 @@ tests pin what the speed rests on:
 * one parser object serves every dump: it is built once, then found
   in the shared-object cache;
 * a block outside the C grammar falls back alone, and the C parser
-  takes the next block from the Python side's state;
-* with the parser loaded, the worker fan-out is skipped.
+  takes the next block from the Python side's state.
 """
 
 import random
@@ -17,13 +16,12 @@ import random
 import pytest
 
 import repro.runtime.native as native
-import repro.trace.shard as shard
 import repro.trace.vcd_reader as vcd_reader_module
 from repro.logic.codec import AlphabetCodec
 from repro.protocols.fixtures import amba_vcd, ocp_simple_vcd
 from repro.semantics.run import Trace
 from repro.trace import trace_to_vcd, vcd_native
-from repro.trace.columnar import masks_from_vcd, masks_from_vcd_text
+from repro.trace.columnar import masks_from_vcd
 from repro.trace.vcd_reader import VcdReader
 from vcd_oracle import oracle_masks, oracle_valuations
 
@@ -68,8 +66,7 @@ def test_trace_to_vcd_dumps_never_reach_the_python_parser(python_blocks,
                         .masks(codec, clock="clk")) == expected
         path = tmp_path / f"dump{seed}.vcd"
         path.write_text(text)
-        assert list(masks_from_vcd(path, codec, clock="clk", jobs=2,
-                                   oversubscribe=True)) == expected
+        assert list(masks_from_vcd(path, codec, clock="clk")) == expected
         assert list(VcdReader.from_text(text).valuations(clock="clk")) \
             == oracle_valuations(text, clock="clk")
     text, symbols = _random_dump(9, clock=None)
@@ -143,25 +140,3 @@ def test_period_fill_larger_than_the_buffer(python_blocks):
     assert list(got) == oracle_masks(text, codec, period=1)
     assert len(got) == 50002
     assert python_blocks == []
-
-
-def test_fan_out_is_skipped_when_the_parser_is_loaded(monkeypatch):
-    """``jobs > 1`` parses in-process; only ``_force_splits`` still
-    reaches the worker pools."""
-    text, symbols = _random_dump(7, ticks=5000)
-    assert len(text) > 1 << 16
-    codec = AlphabetCodec(symbols)
-    expected = oracle_masks(text, codec, clock="clk")
-    pools = []
-    get_pool = shard._get_pool
-    monkeypatch.setattr(shard, "_get_pool",
-                        lambda *args: pools.append(args) or get_pool(*args))
-    assert list(masks_from_vcd_text(text, codec, clock="clk", jobs=2,
-                                    oversubscribe=True)) == expected
-    assert pools == []
-    marker = "$enddefinitions $end"
-    body = text[text.index(marker) + len(marker):]
-    seam = body.index("\n#", len(body) // 2) + 1
-    assert list(masks_from_vcd_text(text, codec, clock="clk",
-                                    _force_splits=[0, seam])) == expected
-    assert len(pools) == 1
