@@ -4,8 +4,9 @@ Uncached VCD checking, a cold cache and a warm cached columnar corpus
 hand the monitor identical verdicts; streaming over pre-encoded masks
 matches streaming over valuations; and with NumPy masked at import
 the conversion still gives the frozen per-change sampler's masks
-(``vcd_oracle.py``).  The block-size differential of the conversion
-itself lives in ``test_vcd_blocks.py``.
+(``vcd_oracle.py``), multi-driver bindings included, at every block
+size.  The block-size differential of the conversion itself lives in
+``test_vcd_blocks.py``.
 """
 
 import os
@@ -17,6 +18,7 @@ import pytest
 from repro.cesc.builder import ev, scesc
 from repro.cesc.charts import Loop
 from repro.errors import MonitorError
+from repro.logic.codec import AlphabetCodec
 from repro.protocols.fixtures import ocp_simple_vcd
 from repro.protocols.ocp import ocp_simple_read_chart
 from repro.runtime import vector as vector_module
@@ -26,6 +28,8 @@ from repro.synthesis.tr import tr_compiled
 from repro.trace import columnar as columnar_module
 from repro.trace.shard import run_sharded_vcd
 from repro.trace.streaming import StreamingChecker
+from repro.trace.vcd_reader import SignalBinding, VcdReader
+from vcd_oracle import TRICKY_VCD, oracle_masks
 
 
 @pytest.fixture(params=["numpy", "fallback"])
@@ -64,6 +68,22 @@ def test_no_numpy_subprocess_differential():
                             capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
     assert result.stdout.startswith("ok")
+
+
+def test_multi_driver_binding(columnar_mode):
+    """Two nets bound to one symbol: it reads true while either is
+    high (the replay folds private code bits into symbol bits)."""
+    binding = SignalBinding({"req": "busy", "ack": "busy", "data": "data"})
+    codec = AlphabetCodec(["busy", "data"])
+    for sampling in ({"clock": "clk"}, {}, {"period": 2, "offset": 1},
+                     {"clock": "clk", "offset": 2, "until": 5}):
+        expected = oracle_masks(TRICKY_VCD, codec, binding=binding,
+                                **sampling)
+        for chunk_size in (1, 2, 3, 7, 64, 65536):
+            got = VcdReader.from_text(TRICKY_VCD, binding=binding,
+                                      chunk_size=chunk_size)
+            assert list(got.masks(codec, **sampling)) == expected, \
+                (sampling, chunk_size)
 
 
 # ------------------------------------------- three-path verdict identity ----

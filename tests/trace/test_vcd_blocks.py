@@ -9,8 +9,6 @@ tests pin that the block size never shows:
   seam-stress dump, the protocol fixture dumps, seeded
   ``trace_to_vcd`` round trips, header-only and all-``x`` dumps, under
   clock, periodic and event sampling with ``offset``/``until`` windows;
-* two identifier codes bound to one symbol read it true while either
-  is high, at every block size;
 * a seam hazard (a directive body holding a ``\\n#`` line, a
   ``$dumpoff`` section across a block, a vector id on its own ``#``
   line, a truncated dump) gives the masks or the ``TraceError`` of a
@@ -34,7 +32,7 @@ from repro.semantics.run import Trace
 from repro.trace import trace_to_vcd
 from repro.trace import vcd_native
 from repro.trace.columnar import masks_from_vcd_text
-from repro.trace.vcd_reader import SignalBinding, VcdReader
+from repro.trace.vcd_reader import VcdReader
 from vcd_oracle import (
     TRICKY_VCD,
     oracle_changes,
@@ -122,22 +120,6 @@ def test_block_valuations_and_changes_match_the_oracle(chunk_size):
         got = list(VcdReader.from_text(text, chunk_size=chunk_size)
                    .changes())
         assert got == list(oracle_changes(text)), name
-
-
-def test_multi_driver_binding():
-    """Two nets bound to one symbol: it reads true while either is
-    high (the replay folds private code bits into symbol bits)."""
-    binding = SignalBinding({"req": "busy", "ack": "busy", "data": "data"})
-    codec = AlphabetCodec(["busy", "data"])
-    for sampling in ({"clock": "clk"}, {}, {"period": 2, "offset": 1},
-                     {"clock": "clk", "offset": 2, "until": 5}):
-        expected = oracle_masks(TRICKY_VCD, codec, binding=binding,
-                                **sampling)
-        for chunk_size in CHUNK_SIZES:
-            got = VcdReader.from_text(TRICKY_VCD, binding=binding,
-                                      chunk_size=chunk_size)
-            assert list(got.masks(codec, **sampling)) == expected, \
-                (sampling, chunk_size)
 
 
 def test_public_text_conversion_matches_the_oracle():
