@@ -23,7 +23,7 @@ stepping, not ``cc``.  Verdict identity is asserted hard on every
 workload before timing.  Results land in ``BENCH_native.json``.
 """
 
-import json
+import functools
 import pathlib
 import time
 
@@ -43,6 +43,8 @@ from repro.runtime.native import (
 )
 from repro.runtime.vector import _np, run_many_vector_encoded
 from repro.synthesis.tr import tr_compiled
+
+from conftest import record_results
 
 _REPO_ROOT = pathlib.Path(__file__).parent.parent
 _RESULTS_PATH = _REPO_ROOT / "BENCH_native.json"
@@ -69,17 +71,13 @@ _SUITES = (
 )
 
 
-def _record(results):
-    existing = {}
-    if _RESULTS_PATH.exists():
-        try:
-            existing = json.loads(_RESULTS_PATH.read_text())
-        except (ValueError, OSError):
-            existing = {}
-    existing.update(results)
-    _RESULTS_PATH.write_text(
-        json.dumps(existing, indent=2, sort_keys=True) + "\n"
-    )
+#: Every top-level key this module records in BENCH_native.json.
+_RESULT_KEYS = frozenset(
+    [f"{name}_single" for name, _, _ in _SUITES]
+    + [f"{name}_w{_NARROW_WIDTH}" for name, _, _ in _SUITES]
+    + ["auto_vs_best"]
+)
+_record = functools.partial(record_results, _RESULTS_PATH, _RESULT_KEYS)
 
 
 def _best_rate(fn, total_ticks, repeats=_REPEATS):

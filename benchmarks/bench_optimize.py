@@ -8,7 +8,7 @@ detection ticks across all five execution paths.
 Results land in ``BENCH_optimize.json`` (CI publishes the file).
 """
 
-import json
+import functools
 import pathlib
 import pickle
 import sys
@@ -22,6 +22,8 @@ from repro.protocols.ocp import ocp_burst_read_chart, ocp_simple_read_chart
 from repro.runtime.compiled import run_compiled
 from repro.trace import run_sharded
 
+from conftest import record_results
+
 _REPO_ROOT = pathlib.Path(__file__).parent.parent
 _RESULTS_PATH = _REPO_ROOT / "BENCH_optimize.json"
 
@@ -32,17 +34,9 @@ _CHARTS = {
 }
 
 
-def _record(results):
-    existing = {}
-    if _RESULTS_PATH.exists():
-        try:
-            existing = json.loads(_RESULTS_PATH.read_text())
-        except (ValueError, OSError):
-            existing = {}
-    existing.update(results)
-    _RESULTS_PATH.write_text(
-        json.dumps(existing, indent=2, sort_keys=True) + "\n"
-    )
+#: Every top-level key this module records in BENCH_optimize.json.
+_RESULT_KEYS = frozenset({"tables"})
+_record = functools.partial(record_results, _RESULTS_PATH, _RESULT_KEYS)
 
 
 def _table_bytes(compiled) -> int:

@@ -13,7 +13,7 @@ identical bench_scaling-sized traces and
   trajectory is recorded run over run.
 """
 
-import json
+import functools
 import pathlib
 import time
 
@@ -24,6 +24,7 @@ from repro.protocols.ocp import ocp_simple_read_chart
 from repro.runtime import compile_monitor, run_compiled, run_many
 
 from bench_scaling import _chain_chart
+from conftest import record_results
 
 _REPO_ROOT = pathlib.Path(__file__).parent.parent
 _RESULTS_PATH = _REPO_ROOT / "BENCH_runtime.json"
@@ -41,16 +42,11 @@ def _best_of(repeats, fn, *args):
     return best
 
 
-def _record(results):
-    existing = {}
-    if _RESULTS_PATH.exists():
-        try:
-            existing = json.loads(_RESULTS_PATH.read_text())
-        except (ValueError, OSError):
-            existing = {}
-    existing.update(results)
-    _RESULTS_PATH.write_text(json.dumps(existing, indent=2, sort_keys=True)
-                             + "\n")
+#: Every top-level key this module records in BENCH_runtime.json.
+_RESULT_KEYS = frozenset({
+    "batch_32x", "chain12", "ocp_simple_read", "synthesis_chain12",
+})
+_record = functools.partial(record_results, _RESULTS_PATH, _RESULT_KEYS)
 
 
 def test_headtohead_chain_chart(report):

@@ -15,7 +15,7 @@ cores), so correctness is asserted hard and the speedup is gated only
 on hosts with two or more available cores.
 """
 
-import json
+import functools
 import os
 import pathlib
 import sys
@@ -45,23 +45,22 @@ _RESULTS_PATH = _REPO_ROOT / "BENCH_trace.json"
 # the test suites' reference sampler; the cold-ingest gate times it.
 sys.path.insert(0, str(_REPO_ROOT / "tests" / "trace"))
 from vcd_oracle import oracle_masks  # noqa: E402
+from conftest import record_results  # noqa: E402
 
 _LONG_TRACE_TICKS = 4000
 _BATCH_TRACES = 48
 _BATCH_TICKS = 6000
 
 
-def _record(results):
-    existing = {}
-    if _RESULTS_PATH.exists():
-        try:
-            existing = json.loads(_RESULTS_PATH.read_text())
-        except (ValueError, OSError):
-            existing = {}
-    existing.update(results)
-    _RESULTS_PATH.write_text(
-        json.dumps(existing, indent=2, sort_keys=True) + "\n"
-    )
+#: Every top-level key this module records in BENCH_trace.json.
+_RESULT_KEYS = frozenset({
+    "batch_ticks_per_s", "columnar_ingest_speedup",
+    "columnar_ingest_ticks_per_s", "columnar_warm_speedup",
+    "columnar_warm_ticks_per_s", "shard_cores", "shard_jobs2_s",
+    "shard_jobs4_s", "shard_single_s", "shard_speedup_jobs4",
+    "stream_ticks_per_s", "vcd_ingest_ticks_per_s",
+})
+_record = functools.partial(record_results, _RESULTS_PATH, _RESULT_KEYS)
 
 
 def _long_trace(ticks):

@@ -21,6 +21,7 @@ the batch / wall time), recorded in ``BENCH_vector.json``.  Verdict
 identity is asserted hard on every workload before timing.
 """
 
+import functools
 import json
 import pathlib
 import time
@@ -41,6 +42,7 @@ from repro.synthesis.compose import synthesize_chart
 from repro.synthesis.tr import tr_compiled
 
 from bench_scaling import _chain_chart
+from conftest import record_results
 
 _REPO_ROOT = pathlib.Path(__file__).parent.parent
 _RESULTS_PATH = _REPO_ROOT / "BENCH_vector.json"
@@ -61,17 +63,12 @@ _MAX_SUITE_RESIDUAL = 0.10
 _MIN_SUITE_SPEEDUP = 2.0
 
 
-def _record(results):
-    existing = {}
-    if _RESULTS_PATH.exists():
-        try:
-            existing = json.loads(_RESULTS_PATH.read_text())
-        except (ValueError, OSError):
-            existing = {}
-    existing.update(results)
-    _RESULTS_PATH.write_text(
-        json.dumps(existing, indent=2, sort_keys=True) + "\n"
-    )
+#: Every top-level key this module records in BENCH_vector.json.
+_RESULT_KEYS = frozenset({
+    "ahb_transaction", "auto_small_width", "bank_encode_once",
+    "checkfree_chain12", "ocp_simple_read",
+})
+_record = functools.partial(record_results, _RESULTS_PATH, _RESULT_KEYS)
 
 
 def _runtime_batch32x_rate():

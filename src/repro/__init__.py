@@ -24,162 +24,94 @@ Quickstart::
     trace = Trace.from_sets([{"req"}, {"ack"}], alphabet={"req", "ack"})
     print(run_monitor(monitor, trace).detections)   # -> [1]
 
+Importing ``repro`` imports none of its modules: every exported name
+resolves on first use (PEP 562), and so do the names of each
+subpackage, so a program pays only for what it touches.
+
 See README.md for the architecture tour and DESIGN.md for the paper
 mapping.
 """
 
-from repro.campaign import (
-    CoverageCampaign,
-    DirectedTrace,
-    FaultMutationCampaign,
-    StimulusSynthesizer,
-)
-from repro.cesc.ast import SCESC, CausalityArrow, Clock, EventOccurrence, Tick
-from repro.cesc.builder import ev, scesc
-from repro.cesc.charts import (
-    Alt,
-    AsyncPar,
-    Chart,
-    CrossArrow,
-    Implication,
-    Loop,
-    Par,
-    ScescChart,
-    Seq,
-)
-from repro.cesc.parser import parse_cesc
-from repro.cesc.validate import validate_chart, validate_scesc
-from repro.logic.codec import AlphabetCodec
-from repro.logic.expr import And, EventRef, Expr, Not, Or, PropRef, ScoreboardCheck
-from repro.logic.parser import parse_expr
-from repro.logic.valuation import Valuation
-from repro.monitor.automaton import AddEvt, DelEvt, Monitor, Transition
-from repro.monitor.checker import AssertionChecker, Verdict
-from repro.monitor.engine import MonitorEngine, MonitorResult, run_monitor
-from repro.monitor.network import MonitorNetwork
-from repro.monitor.scoreboard import Scoreboard
-from repro.runtime.compiled import (
-    CompiledEngine,
-    CompiledMonitor,
-    compile_monitor,
-    run_compiled,
-    run_many,
-)
-from repro.optimize import (
-    OptimizationResult,
-    optimize_compiled,
-    optimize_monitor,
-)
-from repro.semantics.generator import TraceGenerator
-from repro.semantics.run import GlobalRun, Trace
-from repro.synthesis.compose import MonitorBank, synthesize_chart
-from repro.synthesis.multiclock import synthesize_network
-from repro.synthesis.subset import SubsetMonitor
-from repro.synthesis.symbolic import symbolic_monitor
-from repro.synthesis.tr import (
-    synthesize_compiled,
-    synthesize_monitor,
-    tr,
-    tr_compiled,
-)
-from repro.trace import (
-    SignalBinding,
-    StreamReport,
-    StreamingChecker,
-    VcdReader,
-    run_bank_sharded,
-    run_sharded,
-    trace_to_vcd,
-)
-
-#: Vector-kernel names resolved lazily (PEP 562) so that plain
-#: ``import repro`` never imports NumPy — the kernel's optional
-#: dependency — on behalf of scalar-only users.
-_VECTOR_EXPORTS = ("VectorEngine", "run_many_vector")
-
-
-def __getattr__(name):
-    if name in _VECTOR_EXPORTS:
-        from repro.runtime import vector
-
-        return getattr(vector, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
+from repro._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "AddEvt",
-    "AlphabetCodec",
-    "Alt",
-    "And",
-    "AssertionChecker",
-    "AsyncPar",
-    "CausalityArrow",
-    "Chart",
-    "Clock",
-    "CompiledEngine",
-    "CompiledMonitor",
-    "CoverageCampaign",
-    "CrossArrow",
-    "DelEvt",
-    "DirectedTrace",
-    "FaultMutationCampaign",
-    "EventOccurrence",
-    "EventRef",
-    "Expr",
-    "GlobalRun",
-    "Implication",
-    "Loop",
-    "Monitor",
-    "MonitorBank",
-    "MonitorEngine",
-    "MonitorNetwork",
-    "MonitorResult",
-    "Not",
-    "OptimizationResult",
-    "Or",
-    "Par",
-    "PropRef",
-    "SCESC",
-    "ScescChart",
-    "Scoreboard",
-    "ScoreboardCheck",
-    "Seq",
-    "SignalBinding",
-    "StimulusSynthesizer",
-    "StreamReport",
-    "StreamingChecker",
-    "VectorEngine",
-    "SubsetMonitor",
-    "Tick",
-    "Trace",
-    "TraceGenerator",
-    "Transition",
-    "Valuation",
-    "VcdReader",
-    "Verdict",
-    "compile_monitor",
-    "ev",
-    "optimize_compiled",
-    "optimize_monitor",
-    "parse_cesc",
-    "parse_expr",
-    "run_bank_sharded",
-    "run_compiled",
-    "run_many",
-    "run_many_vector",
-    "run_monitor",
-    "run_sharded",
-    "scesc",
-    "symbolic_monitor",
-    "synthesize_chart",
-    "synthesize_compiled",
-    "synthesize_monitor",
-    "synthesize_network",
-    "tr",
-    "tr_compiled",
-    "trace_to_vcd",
-    "validate_chart",
-    "validate_scesc",
-]
+#: Exported name -> defining module, imported on first access.
+_EXPORTS = {
+    "AddEvt": "repro.monitor.automaton",
+    "AlphabetCodec": "repro.logic.codec",
+    "Alt": "repro.cesc.charts",
+    "And": "repro.logic.expr",
+    "AssertionChecker": "repro.monitor.checker",
+    "AsyncPar": "repro.cesc.charts",
+    "CausalityArrow": "repro.cesc.ast",
+    "Chart": "repro.cesc.charts",
+    "Clock": "repro.cesc.ast",
+    "CompiledEngine": "repro.runtime.compiled",
+    "CompiledMonitor": "repro.runtime.compiled",
+    "CoverageCampaign": "repro.campaign.closure",
+    "CrossArrow": "repro.cesc.charts",
+    "DelEvt": "repro.monitor.automaton",
+    "DirectedTrace": "repro.campaign.directed",
+    "FaultMutationCampaign": "repro.campaign.faults",
+    "EventOccurrence": "repro.cesc.ast",
+    "EventRef": "repro.logic.expr",
+    "Expr": "repro.logic.expr",
+    "GlobalRun": "repro.semantics.run",
+    "Implication": "repro.cesc.charts",
+    "Loop": "repro.cesc.charts",
+    "Monitor": "repro.monitor.automaton",
+    "MonitorBank": "repro.synthesis.compose",
+    "MonitorEngine": "repro.monitor.engine",
+    "MonitorNetwork": "repro.monitor.network",
+    "MonitorResult": "repro.monitor.engine",
+    "Not": "repro.logic.expr",
+    "OptimizationResult": "repro.optimize.pipeline",
+    "Or": "repro.logic.expr",
+    "Par": "repro.cesc.charts",
+    "PropRef": "repro.logic.expr",
+    "SCESC": "repro.cesc.ast",
+    "ScescChart": "repro.cesc.charts",
+    "Scoreboard": "repro.monitor.scoreboard",
+    "ScoreboardCheck": "repro.logic.expr",
+    "Seq": "repro.cesc.charts",
+    "SignalBinding": "repro.trace.vcd_reader",
+    "StimulusSynthesizer": "repro.campaign.directed",
+    "StreamReport": "repro.trace.streaming",
+    "StreamingChecker": "repro.trace.streaming",
+    "VectorEngine": "repro.runtime.vector",
+    "SubsetMonitor": "repro.synthesis.subset",
+    "Tick": "repro.cesc.ast",
+    "Trace": "repro.semantics.run",
+    "TraceGenerator": "repro.semantics.generator",
+    "Transition": "repro.monitor.automaton",
+    "Valuation": "repro.logic.valuation",
+    "VcdReader": "repro.trace.vcd_reader",
+    "Verdict": "repro.monitor.checker",
+    "compile_monitor": "repro.runtime.compiled",
+    "ev": "repro.cesc.builder",
+    "optimize_compiled": "repro.optimize.pipeline",
+    "optimize_monitor": "repro.optimize.pipeline",
+    "parse_cesc": "repro.cesc.parser",
+    "parse_expr": "repro.logic.parser",
+    "run_bank_sharded": "repro.trace.shard",
+    "run_compiled": "repro.runtime.compiled",
+    "run_many": "repro.runtime.compiled",
+    "run_many_vector": "repro.runtime.vector",
+    "run_monitor": "repro.monitor.engine",
+    "run_sharded": "repro.trace.shard",
+    "scesc": "repro.cesc.builder",
+    "symbolic_monitor": "repro.synthesis.symbolic",
+    "synthesize_chart": "repro.synthesis.compose",
+    "synthesize_compiled": "repro.synthesis.tr",
+    "synthesize_monitor": "repro.synthesis.tr",
+    "synthesize_network": "repro.synthesis.multiclock",
+    "tr": "repro.synthesis.tr",
+    "tr_compiled": "repro.synthesis.tr",
+    "trace_to_vcd": "repro.trace.bridge",
+    "validate_chart": "repro.cesc.validate",
+    "validate_scesc": "repro.cesc.validate",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -11,19 +11,17 @@
   accumulated from simulation runs.
 """
 
-from repro.analysis.consistency import Finding, check_consistency
-from repro.analysis.coverage import CoverageCollector
-from repro.analysis.equivalence import (
-    detectors_equivalent,
-    exhaustive_theorem_check,
-    sampled_theorem_check,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "CoverageCollector",
-    "Finding",
-    "check_consistency",
-    "detectors_equivalent",
-    "exhaustive_theorem_check",
-    "sampled_theorem_check",
-]
+#: Exported name -> defining module, imported on first access.
+_EXPORTS = {
+    "CoverageCollector": "repro.analysis.coverage",
+    "Finding": "repro.analysis.consistency",
+    "check_consistency": "repro.analysis.consistency",
+    "detectors_equivalent": "repro.analysis.equivalence",
+    "exhaustive_theorem_check": "repro.analysis.equivalence",
+    "sampled_theorem_check": "repro.analysis.equivalence",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -16,34 +16,24 @@ The paper positions CESC synthesis against two alternatives:
 without the KMP-style transition function.
 """
 
-from repro.baselines.cesc_to_ltl import scesc_to_ltl
-from repro.baselines.ltl import (
-    Always,
-    Atom,
-    Eventually,
-    LtlAnd,
-    LtlFormula,
-    LtlNot,
-    LtlOr,
-    Next,
-    Until,
-    parse_ltl,
-)
-from repro.baselines.ltl_monitor import LtlProgressionMonitor
-from repro.baselines.naive import NaiveWindowMonitor
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Always",
-    "Atom",
-    "Eventually",
-    "LtlAnd",
-    "LtlFormula",
-    "LtlNot",
-    "LtlOr",
-    "LtlProgressionMonitor",
-    "NaiveWindowMonitor",
-    "Next",
-    "Until",
-    "parse_ltl",
-    "scesc_to_ltl",
-]
+#: Exported name -> defining module, imported on first access.
+_EXPORTS = {
+    "Always": "repro.baselines.ltl",
+    "Atom": "repro.baselines.ltl",
+    "Eventually": "repro.baselines.ltl",
+    "LtlAnd": "repro.baselines.ltl",
+    "LtlFormula": "repro.baselines.ltl",
+    "LtlNot": "repro.baselines.ltl",
+    "LtlOr": "repro.baselines.ltl",
+    "LtlProgressionMonitor": "repro.baselines.ltl_monitor",
+    "NaiveWindowMonitor": "repro.baselines.naive",
+    "Next": "repro.baselines.ltl",
+    "Until": "repro.baselines.ltl",
+    "parse_ltl": "repro.baselines.ltl",
+    "scesc_to_ltl": "repro.baselines.cesc_to_ltl",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

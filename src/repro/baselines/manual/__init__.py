@@ -9,20 +9,16 @@ state variables, if/else ladders — and come in a *correct* and a
 exposes by differencing against the synthesized monitor.
 """
 
-from repro.baselines.manual.amba_manual import (
-    ManualAhbMonitor,
-    ManualAhbMonitorBuggy,
-)
-from repro.baselines.manual.ocp_manual import (
-    ManualOcpBurstMonitor,
-    ManualOcpReadMonitor,
-    ManualOcpReadMonitorBuggy,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ManualAhbMonitor",
-    "ManualAhbMonitorBuggy",
-    "ManualOcpBurstMonitor",
-    "ManualOcpReadMonitor",
-    "ManualOcpReadMonitorBuggy",
-]
+#: Exported name -> defining module, imported on first access.
+_EXPORTS = {
+    "ManualAhbMonitor": "repro.baselines.manual.amba_manual",
+    "ManualAhbMonitorBuggy": "repro.baselines.manual.amba_manual",
+    "ManualOcpBurstMonitor": "repro.baselines.manual.ocp_manual",
+    "ManualOcpReadMonitor": "repro.baselines.manual.ocp_manual",
+    "ManualOcpReadMonitorBuggy": "repro.baselines.manual.ocp_manual",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -5,7 +5,7 @@ Two patterns live here:
 * :class:`IdentityCache` — hot-path layers derive expensive artifacts
   from one long-lived immutable
   :class:`~repro.runtime.compiled.CompiledMonitor` (its flat
-  :class:`~repro.runtime.vector.VectorTable` lowering, its loaded
+  :class:`~repro.runtime.lowering.VectorTable` lowering, its loaded
   native kernel) and memoize them by the monitor's *identity*: a
   strong reference keeps the id stable for the entry's lifetime, a
   defensive identity check guards the (unreachable, by construction)

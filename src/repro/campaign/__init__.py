@@ -17,17 +17,19 @@ test *oracle that writes its own tests*:
 Exposed on the CLI as ``repro campaign``.
 """
 
-from repro.campaign.closure import CampaignReport, CorpusEntry, CoverageCampaign
-from repro.campaign.directed import DirectedTrace, StimulusSynthesizer
-from repro.campaign.faults import FaultMutationCampaign, FaultReport, FaultTrial
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "CampaignReport",
-    "CorpusEntry",
-    "CoverageCampaign",
-    "DirectedTrace",
-    "FaultMutationCampaign",
-    "FaultReport",
-    "FaultTrial",
-    "StimulusSynthesizer",
-]
+#: Exported name -> defining module, imported on first access.
+_EXPORTS = {
+    "CampaignReport": "repro.campaign.closure",
+    "CorpusEntry": "repro.campaign.closure",
+    "CoverageCampaign": "repro.campaign.closure",
+    "DirectedTrace": "repro.campaign.directed",
+    "FaultMutationCampaign": "repro.campaign.faults",
+    "FaultReport": "repro.campaign.faults",
+    "FaultTrial": "repro.campaign.faults",
+    "StimulusSynthesizer": "repro.campaign.directed",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -16,50 +16,32 @@ Charts can be built three ways:
 :mod:`repro.cesc.validate` checks well-formedness before synthesis.
 """
 
-from repro.cesc.ast import (
-    ENV,
-    CausalityArrow,
-    Clock,
-    EventOccurrence,
-    Instance,
-    SCESC,
-    Tick,
-)
-from repro.cesc.builder import ev, scesc
-from repro.cesc.charts import (
-    Alt,
-    AsyncPar,
-    Chart,
-    CrossArrow,
-    Implication,
-    Loop,
-    Par,
-    ScescChart,
-    Seq,
-)
-from repro.cesc.parser import parse_cesc
-from repro.cesc.validate import validate_chart, validate_scesc
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Alt",
-    "AsyncPar",
-    "CausalityArrow",
-    "Chart",
-    "Clock",
-    "CrossArrow",
-    "ENV",
-    "EventOccurrence",
-    "Implication",
-    "Instance",
-    "Loop",
-    "Par",
-    "SCESC",
-    "ScescChart",
-    "Seq",
-    "Tick",
-    "ev",
-    "parse_cesc",
-    "scesc",
-    "validate_chart",
-    "validate_scesc",
-]
+#: Exported name -> defining module, imported on first access.
+_EXPORTS = {
+    "Alt": "repro.cesc.charts",
+    "AsyncPar": "repro.cesc.charts",
+    "CausalityArrow": "repro.cesc.ast",
+    "Chart": "repro.cesc.charts",
+    "Clock": "repro.cesc.ast",
+    "CrossArrow": "repro.cesc.charts",
+    "ENV": "repro.cesc.ast",
+    "EventOccurrence": "repro.cesc.ast",
+    "Implication": "repro.cesc.charts",
+    "Instance": "repro.cesc.ast",
+    "Loop": "repro.cesc.charts",
+    "Par": "repro.cesc.charts",
+    "SCESC": "repro.cesc.ast",
+    "ScescChart": "repro.cesc.charts",
+    "Seq": "repro.cesc.charts",
+    "Tick": "repro.cesc.ast",
+    "ev": "repro.cesc.builder",
+    "parse_cesc": "repro.cesc.parser",
+    "scesc": "repro.cesc.builder",
+    "validate_chart": "repro.cesc.validate",
+    "validate_scesc": "repro.cesc.validate",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -19,6 +19,13 @@ exit status is 0 when the scenario was detected, 3 when not — so the
 tool slots into Makefile-style regression flows.  ``campaign`` follows
 the same discipline: exit 0 when coverage closed within budget (and
 every fault prediction held), 3 when it did not.
+
+Each handler imports the modules only its verb runs (consistency lint,
+code generators, renderers, the campaign and serve stacks), so a
+command pays start-up for its own work: ``check --vcd`` loads neither
+NumPy nor ``multiprocessing``.  ``parse_cesc`` and ``tr_compiled`` stay
+module-level names, and the trace-pipeline layers are looked up when
+called, so instrumentation can swap them by attribute.
 """
 
 from __future__ import annotations
@@ -28,18 +35,10 @@ import json
 import sys
 from typing import List, Optional
 
-from repro.analysis.consistency import check_consistency
 from repro.cesc.charts import ScescChart
 from repro.cesc.parser import parse_cesc
-from repro.cesc.validate import validate_scesc
-from repro.codegen.psl import chart_to_psl
-from repro.codegen.python_gen import monitor_to_python
-from repro.codegen.sva import chart_to_sva
-from repro.codegen.verilog import monitor_to_verilog
 from repro.errors import ReproError
-from repro.monitor.dot import monitor_to_dot
 from repro.monitor.engine import run_monitor
-from repro.monitor.stats import monitor_stats
 from repro.runtime.engines import (
     AUTO,
     Workload,
@@ -50,10 +49,7 @@ from repro.runtime.engines import (
     require_backend,
     resolve_step_backend,
 )
-from repro.synthesis.symbolic import symbolic_monitor
 from repro.synthesis.tr import tr, tr_compiled
-from repro.visual.ascii_chart import render_scesc
-from repro.visual.wavedrom import wavedrom_to_trace
 
 __all__ = ["main", "build_parser"]
 
@@ -283,6 +279,9 @@ def _load_scesc(spec_path: str, chart_name: str):
 
 
 def _cmd_validate(args, out) -> int:
+    from repro.analysis.consistency import check_consistency
+    from repro.cesc.validate import validate_scesc
+
     with open(args.spec) as stream:
         spec = parse_cesc(stream.read())
     status = 0
@@ -310,17 +309,23 @@ def _cmd_validate(args, out) -> int:
 
 
 def _cmd_render(args, out) -> int:
+    from repro.visual.ascii_chart import render_scesc
+
     chart = _load_scesc(args.spec, args.chart)
     out.write(render_scesc(chart))
     return 0
 
 
 def _cmd_synthesize(args, out) -> int:
+    from repro.synthesis.symbolic import symbolic_monitor
+
     chart = _load_scesc(args.spec, args.chart)
     monitor = tr(chart)
     if not args.dense:
         monitor = symbolic_monitor(monitor, name=monitor.name)
     if args.format == "table":
+        from repro.monitor.stats import monitor_stats
+
         stats = monitor_stats(monitor)
         out.write(f"monitor {monitor.name}: "
                   f"{stats['states']} states, "
@@ -333,15 +338,25 @@ def _cmd_synthesize(args, out) -> int:
             out.write(f"  {transition.source} -> {transition.target}: "
                       f"{transition.label()}\n")
     elif args.format == "dot":
+        from repro.monitor.dot import monitor_to_dot
+
         out.write(monitor_to_dot(monitor))
         out.write("\n")
     elif args.format == "verilog":
+        from repro.codegen.verilog import monitor_to_verilog
+
         out.write(monitor_to_verilog(monitor).source)
     elif args.format == "sva":
+        from repro.codegen.sva import chart_to_sva
+
         out.write(chart_to_sva(ScescChart(chart)))
     elif args.format == "psl":
+        from repro.codegen.psl import chart_to_psl
+
         out.write(chart_to_psl(ScescChart(chart)))
     elif args.format == "python":
+        from repro.codegen.python_gen import monitor_to_python
+
         out.write(monitor_to_python(monitor))
     return 0
 
@@ -352,6 +367,8 @@ def _load_wavedrom_trace(args, chart, out):
     VCD sources instead go through :func:`_check_vcd` as mask arrays,
     never as a trace.
     """
+    from repro.visual.wavedrom import wavedrom_to_trace
+
     with open(args.trace) as stream:
         trace = wavedrom_to_trace(json.load(stream))
     _note_missing_lanes(chart, trace.alphabet, args.trace, out)

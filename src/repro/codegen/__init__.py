@@ -11,15 +11,16 @@
   Python checker module.
 """
 
-from repro.codegen.psl import chart_to_psl
-from repro.codegen.python_gen import monitor_to_python
-from repro.codegen.sva import chart_to_sva
-from repro.codegen.verilog import VerilogMonitor, monitor_to_verilog
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "VerilogMonitor",
-    "chart_to_psl",
-    "chart_to_sva",
-    "monitor_to_python",
-    "monitor_to_verilog",
-]
+#: Exported name -> defining module, imported on first access.
+_EXPORTS = {
+    "VerilogMonitor": "repro.codegen.verilog",
+    "chart_to_psl": "repro.codegen.psl",
+    "chart_to_sva": "repro.codegen.sva",
+    "monitor_to_python": "repro.codegen.python_gen",
+    "monitor_to_verilog": "repro.codegen.verilog",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

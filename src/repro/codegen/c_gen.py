@@ -1,13 +1,14 @@
 """Monitor -> self-contained C table-stepper source.
 
 The C twin of :mod:`repro.codegen.python_gen`: one translation unit,
-no includes beyond ``<stdint.h>``/``<string.h>``, mirroring
-:class:`~repro.runtime.vector.VectorTable`'s lowering exactly —
+no includes beyond ``<stdint.h>``/``<string.h>``, mirroring the
+NumPy-free table IR of :mod:`repro.runtime.lowering`
+(:class:`~repro.runtime.lowering.VectorTable`) exactly —
 
 * the flat ``int32 next_state[state * 2^|Sigma| + mask]`` dispatch
   array, check-free cells resolved by one load;
-* escape cells in the PR 8 predicated-plan encoding: each rung-term is
-  a masked compare over a packed ``int64`` ``Chk_evt``-presence word
+* escape cells in the predicated-plan encoding: each rung-term is a
+  masked compare over a packed ``int64`` ``Chk_evt``-presence word
   and the valuation mask (the term holds iff ``word & mask == pos``),
   scanned first-match with a cross-group conflict scan for cells whose
   first-match safety is unproven;
@@ -16,11 +17,17 @@ no includes beyond ``<stdint.h>``/``<string.h>``, mirroring
   scalar and vector kernels.
 
 The emitted entry point steps a whole batch of pre-encoded mask
-streams lane by lane, writes the per-lane state history and detection
-ticks into caller-provided out-buffers, and returns ``0`` on success
-or ``1`` the moment any lane hits an anomaly (missing cell, no
-passing rung, cross-group nondeterminism, strict ``Del_evt``
-under-run).  On ``1`` the caller replays the batch through the scalar
+streams lane by lane and writes the per-lane state history and
+detection ticks into caller-provided out-buffers.  Its status codes:
+
+* ``0`` — every lane stepped to its end;
+* ``1`` — some lane hit an anomaly and stepping stopped there: a mask
+  outside ``[0, SIZE)`` (the bounds guard — the stepper never indexes
+  its table with an unchecked mask), a missing cell, no passing rung,
+  cross-group nondeterminism, or a strict ``Del_evt`` under-run.
+
+On ``1`` the caller (:mod:`repro.runtime.native`) runs the mask-domain
+check and then replays the batch through the scalar
 ``run_many_encoded`` loop, so every error message stays byte-identical
 to ``run_many`` — the C side never formats errors.
 
@@ -35,7 +42,7 @@ from __future__ import annotations
 from typing import List
 
 from repro.errors import CodegenError
-from repro.runtime.vector import VectorTable
+from repro.runtime.lowering import _MAX_PRESENCE_BITS, VectorTable
 
 __all__ = [
     "CGEN_VERSION",
@@ -47,7 +54,7 @@ __all__ = [
 #: Bump on any change to the emitted code or its ABI: the version is
 #: written into the emitted source, which the shared-object cache key
 #: covers, so stale objects from older emitters can never be loaded.
-CGEN_VERSION = 1
+CGEN_VERSION = 2
 
 #: The exported entry point's symbol name.
 ENTRY_SYMBOL = "repro_native_run"
@@ -56,10 +63,6 @@ ENTRY_SYMBOL = "repro_native_run"
 #: C array (the same order of magnitude the compiled runtime uses for
 #: its dense-expansion cutoff, two orders up).
 _MAX_TABLE_CELLS = 1 << 17
-
-#: Presence bits pack into one ``int64`` word per lane; shifting by
-#: the counts row must stay defined behaviour.
-_MAX_PRESENCE_BITS = 63
 
 
 def lowerable(table: VectorTable) -> bool:
@@ -193,10 +196,11 @@ def table_to_c(table: VectorTable, symbol: str = ENTRY_SYMBOL) -> str:
         " *            detections + offsets[i];",
         " * det_counts out: detections written per lane.",
         " *",
-        " * Returns 0 on success, 1 on the first anomaly (missing",
-        " * cell, no passing rung, cross-group nondeterminism, strict",
-        " * Del_evt under-run) — the caller then replays the batch",
-        " * through the scalar engine for the byte-identical error.",
+        " * Returns 0 on success, 1 on the first anomaly (a mask",
+        " * outside [0, SIZE), missing cell, no passing rung,",
+        " * cross-group nondeterminism, strict Del_evt under-run) — the",
+        " * caller then replays the batch through the scalar engine for",
+        " * the byte-identical error.",
         " */",
         f"EXPORT int32_t {symbol}(",
         "    const int32_t *masks,",
@@ -220,6 +224,8 @@ def table_to_c(table: VectorTable, symbol: str = ENTRY_SYMBOL) -> str:
         "        hist[0] = state;",
         "        for (int64_t t = 0; t < len; t++) {",
         "            const int32_t mask = lane_masks[t];",
+        "            if ((uint32_t)mask >= (uint32_t)SIZE)",
+        "                return 1;  /* mask outside the alphabet */",
         "            int32_t nxt = FLAT[state * SIZE + mask];",
         "            if (nxt < 0) {",
         "                if (nxt == -1)",

@@ -8,42 +8,28 @@ cycle, so generated RTL monitors can be checked for bit-exact
 equivalence against the Python engine without an external simulator.
 """
 
-from repro.hdl.ast import (
-    AlwaysBlock,
-    Assign,
-    BinaryOp,
-    CaseItem,
-    CaseStmt,
-    Concat,
-    Conditional,
-    Identifier,
-    IfStmt,
-    Module,
-    NetDecl,
-    NonBlockingAssign,
-    Number,
-    Port,
-    UnaryOp,
-)
-from repro.hdl.parser import parse_verilog
-from repro.hdl.sim import VerilogSim
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "AlwaysBlock",
-    "Assign",
-    "BinaryOp",
-    "CaseItem",
-    "CaseStmt",
-    "Concat",
-    "Conditional",
-    "Identifier",
-    "IfStmt",
-    "Module",
-    "NetDecl",
-    "NonBlockingAssign",
-    "Number",
-    "Port",
-    "UnaryOp",
-    "VerilogSim",
-    "parse_verilog",
-]
+#: Exported name -> defining module, imported on first access.
+_EXPORTS = {
+    "AlwaysBlock": "repro.hdl.ast",
+    "Assign": "repro.hdl.ast",
+    "BinaryOp": "repro.hdl.ast",
+    "CaseItem": "repro.hdl.ast",
+    "CaseStmt": "repro.hdl.ast",
+    "Concat": "repro.hdl.ast",
+    "Conditional": "repro.hdl.ast",
+    "Identifier": "repro.hdl.ast",
+    "IfStmt": "repro.hdl.ast",
+    "Module": "repro.hdl.ast",
+    "NetDecl": "repro.hdl.ast",
+    "NonBlockingAssign": "repro.hdl.ast",
+    "Number": "repro.hdl.ast",
+    "Port": "repro.hdl.ast",
+    "UnaryOp": "repro.hdl.ast",
+    "VerilogSim": "repro.hdl.sim",
+    "parse_verilog": "repro.hdl.parser",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -19,53 +19,33 @@ monitor synthesis pipeline:
   runtime's dense dispatch tables.
 """
 
-from repro.logic.codec import AlphabetCodec
-from repro.logic.expr import (
-    FALSE,
-    TRUE,
-    And,
-    Const,
-    EventRef,
-    Expr,
-    Not,
-    Or,
-    PropRef,
-    ScoreboardCheck,
-    all_of,
-    any_of,
-    symbols_of,
-)
-from repro.logic.parser import parse_expr
-from repro.logic.sat import (
-    are_equivalent,
-    entails,
-    is_satisfiable,
-    is_tautology,
-    jointly_satisfiable,
-)
-from repro.logic.valuation import Valuation, enumerate_valuations
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "AlphabetCodec",
-    "And",
-    "Const",
-    "EventRef",
-    "Expr",
-    "FALSE",
-    "Not",
-    "Or",
-    "PropRef",
-    "ScoreboardCheck",
-    "TRUE",
-    "Valuation",
-    "all_of",
-    "any_of",
-    "are_equivalent",
-    "entails",
-    "enumerate_valuations",
-    "is_satisfiable",
-    "is_tautology",
-    "jointly_satisfiable",
-    "parse_expr",
-    "symbols_of",
-]
+#: Exported name -> defining module, imported on first access.
+_EXPORTS = {
+    "AlphabetCodec": "repro.logic.codec",
+    "And": "repro.logic.expr",
+    "Const": "repro.logic.expr",
+    "EventRef": "repro.logic.expr",
+    "Expr": "repro.logic.expr",
+    "FALSE": "repro.logic.expr",
+    "Not": "repro.logic.expr",
+    "Or": "repro.logic.expr",
+    "PropRef": "repro.logic.expr",
+    "ScoreboardCheck": "repro.logic.expr",
+    "TRUE": "repro.logic.expr",
+    "Valuation": "repro.logic.valuation",
+    "all_of": "repro.logic.expr",
+    "any_of": "repro.logic.expr",
+    "are_equivalent": "repro.logic.sat",
+    "entails": "repro.logic.sat",
+    "enumerate_valuations": "repro.logic.valuation",
+    "is_satisfiable": "repro.logic.sat",
+    "is_tautology": "repro.logic.sat",
+    "jointly_satisfiable": "repro.logic.sat",
+    "parse_expr": "repro.logic.parser",
+    "symbols_of": "repro.logic.expr",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

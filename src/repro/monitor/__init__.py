@@ -20,33 +20,26 @@ which the specified scenario occurs.
   size metrics.
 """
 
-from repro.monitor.automaton import (
-    AddEvt,
-    DelEvt,
-    Monitor,
-    NULL_ACTION,
-    NullAction,
-    Transition,
-)
-from repro.monitor.checker import AssertionChecker, Obligation, Verdict
-from repro.monitor.engine import MonitorEngine, MonitorResult, run_monitor
-from repro.monitor.network import MonitorNetwork, NetworkResult
-from repro.monitor.scoreboard import Scoreboard
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "AddEvt",
-    "AssertionChecker",
-    "DelEvt",
-    "Monitor",
-    "MonitorEngine",
-    "MonitorNetwork",
-    "MonitorResult",
-    "NULL_ACTION",
-    "NetworkResult",
-    "NullAction",
-    "Obligation",
-    "Scoreboard",
-    "Transition",
-    "Verdict",
-    "run_monitor",
-]
+#: Exported name -> defining module, imported on first access.
+_EXPORTS = {
+    "AddEvt": "repro.monitor.automaton",
+    "AssertionChecker": "repro.monitor.checker",
+    "DelEvt": "repro.monitor.automaton",
+    "Monitor": "repro.monitor.automaton",
+    "MonitorEngine": "repro.monitor.engine",
+    "MonitorNetwork": "repro.monitor.network",
+    "MonitorResult": "repro.monitor.engine",
+    "NULL_ACTION": "repro.monitor.automaton",
+    "NetworkResult": "repro.monitor.network",
+    "NullAction": "repro.monitor.automaton",
+    "Obligation": "repro.monitor.checker",
+    "Scoreboard": "repro.monitor.scoreboard",
+    "Transition": "repro.monitor.automaton",
+    "Verdict": "repro.monitor.checker",
+    "run_monitor": "repro.monitor.engine",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -15,29 +15,21 @@ composes behaviour-preserving passes over the paper's
 pipeline via their ``optimize=`` knob, the CLI via ``--optimize``.
 """
 
-from repro.optimize.ladders import harden_ladders, prove_first_match
-from repro.optimize.pipeline import (
-    OptimizationResult,
-    as_optimized,
-    optimize_compiled,
-    optimize_monitor,
-)
-from repro.optimize.prune import (
-    prune_compiled,
-    prune_monitor,
-    used_symbols,
-    used_symbols_compiled,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "OptimizationResult",
-    "as_optimized",
-    "harden_ladders",
-    "optimize_compiled",
-    "optimize_monitor",
-    "prove_first_match",
-    "prune_compiled",
-    "prune_monitor",
-    "used_symbols",
-    "used_symbols_compiled",
-]
+#: Exported name -> defining module, imported on first access.
+_EXPORTS = {
+    "OptimizationResult": "repro.optimize.pipeline",
+    "as_optimized": "repro.optimize.pipeline",
+    "harden_ladders": "repro.optimize.ladders",
+    "optimize_compiled": "repro.optimize.pipeline",
+    "optimize_monitor": "repro.optimize.pipeline",
+    "prove_first_match": "repro.optimize.ladders",
+    "prune_compiled": "repro.optimize.prune",
+    "prune_monitor": "repro.optimize.prune",
+    "used_symbols": "repro.optimize.prune",
+    "used_symbols_compiled": "repro.optimize.prune",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

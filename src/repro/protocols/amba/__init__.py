@@ -6,13 +6,16 @@ lines with causality arrows on the transaction-start and data-phase
 events.
 """
 
-from repro.protocols.amba.charts import AHB_EVENTS, ahb_transaction_chart
-from repro.protocols.amba.models import AhbBus, AhbMaster, AhbSignals
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "AHB_EVENTS",
-    "AhbBus",
-    "AhbMaster",
-    "AhbSignals",
-    "ahb_transaction_chart",
-]
+#: Exported name -> defining module, imported on first access.
+_EXPORTS = {
+    "AHB_EVENTS": "repro.protocols.amba.charts",
+    "AhbBus": "repro.protocols.amba.models",
+    "AhbMaster": "repro.protocols.amba.models",
+    "AhbSignals": "repro.protocols.amba.models",
+    "ahb_transaction_chart": "repro.protocols.amba.charts",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

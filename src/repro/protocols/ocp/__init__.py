@@ -10,20 +10,17 @@ Covers the two OCP scenarios the paper synthesizes monitors for:
   while later commands issue, tracked on the scoreboard as a multiset.
 """
 
-from repro.protocols.ocp.charts import (
-    OCP_EVENTS,
-    ocp_burst_read_chart,
-    ocp_simple_read_chart,
-)
-from repro.protocols.ocp.master import OcpMaster
-from repro.protocols.ocp.signals import OcpSignals
-from repro.protocols.ocp.slave import OcpSlave
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "OCP_EVENTS",
-    "OcpMaster",
-    "OcpSignals",
-    "OcpSlave",
-    "ocp_burst_read_chart",
-    "ocp_simple_read_chart",
-]
+#: Exported name -> defining module, imported on first access.
+_EXPORTS = {
+    "OCP_EVENTS": "repro.protocols.ocp.charts",
+    "OcpMaster": "repro.protocols.ocp.master",
+    "OcpSignals": "repro.protocols.ocp.signals",
+    "OcpSlave": "repro.protocols.ocp.slave",
+    "ocp_burst_read_chart": "repro.protocols.ocp.charts",
+    "ocp_simple_read_chart": "repro.protocols.ocp.charts",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

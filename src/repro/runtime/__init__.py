@@ -20,12 +20,15 @@ performs, made persistent — so the hot loop is a list lookup:
 * :func:`~repro.runtime.compiled.run_compiled` /
   :func:`~repro.runtime.compiled.run_many` — whole-trace and batched
   lock-step execution;
-* :mod:`repro.runtime.vector` — the trace-parallel batch kernel:
-  check-free cells lowered to one flat integer array stepped with
-  NumPy fancy indexing, ladders resolved as predicated rung matrices
-  (without NumPy, batches run the scalar ``run_many`` loop);
-* :mod:`repro.runtime.native` — the same lowering emitted as a C
-  stepper, compiled on demand by the host ``cc``;
+* :mod:`repro.runtime.lowering` — the NumPy-free table IR
+  (:class:`~repro.runtime.lowering.VectorTable`): check-free cells
+  lowered to one flat integer array, ladders to predicated rung terms;
+* :mod:`repro.runtime.vector` — the trace-parallel NumPy kernel over
+  that IR: one fancy-indexed gather per tick, ladders resolved as
+  predicated rung matrices (without NumPy, batches run the scalar
+  ``run_many`` loop);
+* :mod:`repro.runtime.native` — the same IR emitted as a C stepper,
+  compiled on demand by the host ``cc``;
 * :mod:`repro.runtime.engines` — the backend registry and the
   ``engine="auto"`` execution planner: every entry point resolves
   backend names and capability checks through it, and a new backend
@@ -36,62 +39,29 @@ enforced by property tests (``tests/test_properties.py``) and the
 vector differential suite.
 """
 
-from repro.runtime.compiled import (
-    CompiledEngine,
-    CompiledMonitor,
-    as_compiled,
-    compile_monitor,
-    run_compiled,
-    run_many,
-    run_many_encoded,
-)
-from repro.runtime.engines import (
-    AUTO,
-    EngineBackend,
-    ExecutionPlan,
-    Workload,
-    engine_choices,
-    plan_execution,
-    register_backend,
-)
+from repro._lazy import lazy_exports
 
-#: Vector-kernel names resolved lazily (PEP 562): importing the vector
-#: module pulls in NumPy when present, and scalar-only users — the CLI
-#: with --engine compiled, sharded worker spawns — should not pay that
-#: import for a kernel they never touch.
-_VECTOR_EXPORTS = (
-    "VectorEngine",
-    "run_many_vector",
-    "run_many_vector_encoded",
-    "vector_table",
-)
+#: Exported name -> defining module, imported on first access.
+_EXPORTS = {
+    "AUTO": "repro.runtime.engines",
+    "CompiledEngine": "repro.runtime.compiled",
+    "CompiledMonitor": "repro.runtime.compiled",
+    "EngineBackend": "repro.runtime.engines",
+    "ExecutionPlan": "repro.runtime.engines",
+    "VectorEngine": "repro.runtime.vector",
+    "Workload": "repro.runtime.engines",
+    "engine_choices": "repro.runtime.engines",
+    "plan_execution": "repro.runtime.engines",
+    "register_backend": "repro.runtime.engines",
+    "as_compiled": "repro.runtime.compiled",
+    "compile_monitor": "repro.runtime.compiled",
+    "run_compiled": "repro.runtime.compiled",
+    "run_many": "repro.runtime.compiled",
+    "run_many_encoded": "repro.runtime.compiled",
+    "run_many_vector": "repro.runtime.vector",
+    "run_many_vector_encoded": "repro.runtime.vector",
+    "vector_table": "repro.runtime.lowering",
+}
 
-
-def __getattr__(name):
-    if name in _VECTOR_EXPORTS:
-        from repro.runtime import vector
-
-        return getattr(vector, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-__all__ = [
-    "AUTO",
-    "CompiledEngine",
-    "CompiledMonitor",
-    "EngineBackend",
-    "ExecutionPlan",
-    "VectorEngine",
-    "Workload",
-    "engine_choices",
-    "plan_execution",
-    "register_backend",
-    "as_compiled",
-    "compile_monitor",
-    "run_compiled",
-    "run_many",
-    "run_many_encoded",
-    "run_many_vector",
-    "run_many_vector_encoded",
-    "vector_table",
-]
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -19,7 +19,7 @@ single seam those names pass through:
 * :func:`plan_execution` — the planner that resolves
   ``engine="auto"``: the native stepper whenever it can be built,
   else the vector kernel for wide batches over predicable tables
-  (:attr:`~repro.runtime.vector.VectorTable.residual_ratio`) under
+  (:attr:`~repro.runtime.lowering.VectorTable.residual_ratio`) under
   NumPy, else the scalar compiled loop.
 
 Registering a new backend is one :func:`register_backend` call: the
@@ -382,8 +382,8 @@ def _native_ready(monitor) -> bool:
     if entry.unavailable_reason() is not None:
         return False
     from repro.runtime.compiled import as_compiled
+    from repro.runtime.lowering import vector_table
     from repro.runtime.native import native_plan_ok
-    from repro.runtime.vector import vector_table
 
     return native_plan_ok(vector_table(as_compiled(monitor)))
 
@@ -405,7 +405,7 @@ def plan_execution(monitor, workload: Optional[Workload] = None,
     3. otherwise **compiled**.
 
     The lowering both rules consult is memoized
-    (:func:`~repro.runtime.vector.vector_table`), so planning a batch
+    (:func:`~repro.runtime.lowering.vector_table`), so planning a batch
     against a warm monitor costs a few attribute reads and compiles
     nothing.  An unavailable native backend is never planned, while
     explicit ``engine="native"`` raises the uniform "is unavailable"
@@ -429,7 +429,7 @@ def plan_execution(monitor, workload: Optional[Workload] = None,
                   "is too narrow for the vector kernel")
     else:
         from repro.runtime.compiled import as_compiled
-        from repro.runtime.vector import vector_table
+        from repro.runtime.lowering import vector_table
 
         table = vector_table(as_compiled(monitor))
         if table.vectorizable and table.residual_ratio <= RESIDUAL_CUTOFF:

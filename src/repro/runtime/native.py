@@ -1,7 +1,7 @@
 """The compile-on-demand native batch backend (host ``cc`` + ctypes).
 
 :mod:`repro.codegen.c_gen` emits one self-contained C table-stepper
-per monitor, mirroring :class:`~repro.runtime.vector.VectorTable`'s
+per monitor, mirroring :class:`~repro.runtime.lowering.VectorTable`'s
 lowering; this module owns everything around that source text:
 
 * **compiler discovery** — ``$CC`` then ``cc``/``gcc``/``clang`` on
@@ -24,13 +24,15 @@ lowering; this module owns everything around that source text:
   :func:`run_many_native_encoded`, drop-ins for the ``run_many``
   family.  Mask streams are flattened into one ``int32`` buffer, the
   kernel steps every lane and writes state histories plus detection
-  ticks into out-buffers, and a nonzero status (missing cell, no
-  passing rung, nondeterminism, strict ``Del_evt`` under-run) replays
+  ticks into out-buffers, and a nonzero status (a mask outside the
+  alphabet, missing cell, no passing rung, nondeterminism, strict
+  ``Del_evt`` under-run) runs the mask-domain check and then replays
   the whole batch through the scalar ``run_many_encoded`` loop so
   error messages and anomaly ordering stay byte-identical to
-  ``run_many``.  Injected scoreboards, ``record_transitions`` runs
-  and non-lowerable tables delegate to the scalar loop outright —
-  identical results either way.
+  ``run_many``.  The stepper's own bounds guard is what lets in-range
+  batches skip the domain pre-scan.  Injected scoreboards,
+  ``record_transitions`` runs and non-lowerable tables delegate to the
+  scalar loop outright — identical results either way.
 """
 
 from __future__ import annotations
@@ -67,7 +69,7 @@ from repro.runtime.compiled import (
 )
 
 if TYPE_CHECKING:
-    from repro.runtime.vector import VectorTable
+    from repro.runtime.lowering import VectorTable
 
 __all__ = [
     "NativeKernel",
@@ -257,9 +259,9 @@ def native_kernel(
 
 def _build_kernel(compiled: CompiledMonitor) -> Optional[NativeKernel]:
     from repro.codegen.c_gen import lowerable, table_to_c
-    # Imported here: the vector module imports NumPy, which the VCD
-    # block parser, a user of this module, does without.
-    from repro.runtime.vector import vector_table
+    # Imported here: the VCD block parser, a user of this module, needs
+    # no table lowering.
+    from repro.runtime.lowering import vector_table
 
     if unavailable_reason() is not None:
         return None
@@ -321,8 +323,18 @@ def shared_object(source: str, bind: Callable[[ctypes.CDLL], _Bound]
 
 
 # -- the batch runners ------------------------------------------------------
+_INT32_MIN = -(1 << 31)
+_INT32_MAX = (1 << 31) - 1
+
+
 def _flatten_masks(mask_arrays) -> array:
-    """Concatenate per-lane mask streams into one ``int32`` buffer."""
+    """Concatenate per-lane mask streams into one ``int32`` buffer.
+
+    Never wraps a value into range: ``array("i")`` refuses values
+    outside int32 with ``OverflowError``, and a wider NumPy array is
+    bounds-checked before its cast.  Every value that does land in the
+    buffer is the lane's own, so the stepper's bounds guard sees it.
+    """
     flat = array("i")
     for stream in mask_arrays:
         if type(stream) is array and stream.typecode == "i":
@@ -334,6 +346,10 @@ def _flatten_masks(mask_arrays) -> array:
             # a raw-bytes copy: element iteration over ndarrays is slow.
             np = sys.modules.get("numpy")
             if np is not None and isinstance(stream, np.ndarray):
+                if stream.dtype != np.int32 and len(stream) and (
+                    stream.min() < _INT32_MIN or stream.max() > _INT32_MAX
+                ):
+                    raise OverflowError("mask outside int32")
                 flat.frombytes(
                     np.ascontiguousarray(
                         stream, dtype=np.int32
@@ -380,18 +396,22 @@ def run_many_native_encoded(
     no kernel — delegate to the scalar ``run_many_encoded``; any
     kernel anomaly replays the whole batch through the same loop so
     the raised error (message, trace-index order) is byte-identical.
+
+    A mask outside ``[0, 2^|Sigma|)`` raises :class:`MonitorError`
+    (see :func:`~repro.runtime.compiled.check_mask_domain`).  The
+    kernel's bounds guard catches such masks itself, so the domain
+    check runs only on the scalar paths and before an anomaly replay.
     """
-    compiled = as_compiled(monitor)
-    # The C stepper indexes its table with the raw mask: never let an
-    # out-of-range one reach it.
-    check_mask_domain(compiled, mask_arrays)
-    return _run_many_native(compiled, mask_arrays, scoreboards,
-                            record_transitions)
+    return _run_many_native(as_compiled(monitor), mask_arrays,
+                            scoreboards, record_transitions,
+                            in_range=False)
 
 
 def _run_many_native(compiled, mask_arrays, scoreboards,
-                     record_transitions) -> List[MonitorResult]:
-    """:func:`run_many_native_encoded` on masks known to be in range."""
+                     record_transitions, in_range=True
+                     ) -> List[MonitorResult]:
+    """:func:`run_many_native_encoded`; ``in_range`` skips the mask
+    domain check for masks encoded by the codec itself."""
     if scoreboards is not None and len(scoreboards) != len(mask_arrays):
         raise MonitorError(
             "run_many needs exactly one scoreboard per trace when provided"
@@ -401,6 +421,8 @@ def _run_many_native(compiled, mask_arrays, scoreboards,
         if scoreboards is None and not record_transitions else None
     )
     if kernel is None:
+        if not in_range:
+            check_mask_domain(compiled, mask_arrays)
         return _run_many_encoded(
             compiled, mask_arrays, scoreboards=scoreboards,
             record_transitions=record_transitions,
@@ -409,7 +431,12 @@ def _run_many_native(compiled, mask_arrays, scoreboards,
     if count == 0:
         return []
     lengths = [len(stream) for stream in mask_arrays]
-    flat = _flatten_masks(mask_arrays)
+    try:
+        flat = _flatten_masks(mask_arrays)
+    except OverflowError:
+        # A mask beyond int32 cannot reach the stepper: name it.
+        check_mask_domain(compiled, mask_arrays)
+        raise
     offsets = array("q", [0] * (count + 1))
     position = 0
     for index, length in enumerate(lengths):
@@ -424,9 +451,12 @@ def _run_many_native(compiled, mask_arrays, scoreboards,
         _addr(detections), _addr(det_counts),
     )
     if status != 0:
-        # Some lane hit an anomaly: replay the whole batch through the
-        # scalar loop, which raises run_many's exact error (earliest
-        # tick, lowest trace index).
+        # Some lane hit an anomaly or a mask outside the alphabet: the
+        # domain check names a bad mask first, as it always has, and
+        # otherwise the scalar loop replays the batch and raises
+        # run_many's exact error (earliest tick, lowest trace index).
+        if not in_range:
+            check_mask_domain(compiled, mask_arrays)
         return _run_many_encoded(compiled, mask_arrays)
     results: List[MonitorResult] = []
     name = compiled.name

@@ -1,81 +1,55 @@
-"""Trace-parallel vectorized batch execution over flat integer tables.
+"""Trace-parallel vectorized batch execution: the NumPy kernel.
 
 :func:`~repro.runtime.compiled.run_many` steps one trace element per
 Python iteration — fast per *monitor*, but the interpreter overhead is
-paid per lane-tick.  This kernel flattens a
-:class:`~repro.runtime.compiled.CompiledMonitor`'s check-free cells
-into a single integer array ``next_state[state * 2^|Sigma| + mask]``
-and advances **every trace of a batch in lock-step with one indexed
-gather per tick** (NumPy fancy indexing), so the per-tick interpreter
-cost is amortized over the whole batch width.
+paid per lane-tick.  This kernel steps the flat table IR of
+:mod:`repro.runtime.lowering` (:class:`~repro.runtime.lowering.VectorTable`,
+``next_state[state * 2^|Sigma| + mask]``) and advances **every trace
+of a batch in lock-step with one indexed gather per tick** (NumPy
+fancy indexing), so the per-tick interpreter cost is amortized over
+the whole batch width.  It is the one runtime module that imports
+NumPy; the lowering, the planner and the native stepper do without.
 
-Escape-mask design
-------------------
-Cells the gather cannot resolve directly are *escapes*, encoded as
-negative entries in the flat table:
-
-* **check-ladder cells** — their move depends on the dynamic
-  scoreboard;
-* **action-carrying transitions** — they mutate the scoreboard, and
-  the mutation must land in tick order;
-* **missing cells** — an incomplete monitor raises exactly as the
-  scalar engines do.
-
-Predicated ladders
-------------------
-Every ladder and action cell lowers further, at table-build time, to a
-**predicated plan**: each rung's condition is normalized to
-disjunctive normal form over literal atoms, and every DNF term becomes
-one row of four bitmasks — positive/negative ``Chk_evt`` literals over
-a packed scoreboard-*presence* word, and positive/negative input
-literals over the valuation mask.  At run time the escaped lanes of a
-tick resolve **all at once**: the per-lane presence words and masks
-are tested against the stacked ``(lane, rung)`` literal matrices, the
-first passing rung per lane falls out of one ``argmax``, successor
-states gather from a target matrix, and ``Add_evt``/``Del_evt``
-scoreboard effects apply to the ``counts[event, lane]`` matrix as one
-fancy-indexed delta add.  A companion *min-prefix* matrix detects
-strict ``Del_evt`` under-runs, and a rung-difference matrix detects
-the full-scan nondeterminism the scalar engines report — cells whose
-first-match safety :func:`~repro.optimize.ladders.prove_first_match`
-proves (and all ``ladder_exclusive`` monitors) skip that check
-entirely.  Every anomaly check runs *before* any mutation, so a lane
-that must raise **replays** through the scalar resolver on a
-scoreboard reconstructed from its pre-tick counts column: the raised
-error — message, trace-index order — is byte-identical to
-``run_many``'s.  Caller-injected scoreboards are real objects with
-observable mutations; those runs keep the scalar per-lane escape
-path.  The differential suite
-(``tests/runtime/test_vector_differential.py``) locks all of this
-down, including a seeded 100%-ladder-density stress generator.
-
-``VectorTable.escape_ratio`` reports the *static* lowering density
-(cells outside the one-gather fast path); ``residual_ratio`` reports
-what is left **after** predication — the cells whose lanes still drop
-to per-lane scalar resolution (missing cells, or everything when some
-cell resists predication).  The batch planner and the vector bench
-read the residual, not the raw density.
+Escaped lanes
+-------------
+Negative table entries are escapes (ladder, action and missing cells;
+see :mod:`repro.runtime.lowering`).  The escaped lanes of a tick
+resolve **all at once** against the stacked predicated plans
+(:func:`np_plan`): the per-lane presence words and masks are tested
+against the ``(lane, rung)`` literal matrices, the first passing rung
+per lane falls out of one ``argmax``, successor states gather from a
+target matrix, and ``Add_evt``/``Del_evt`` scoreboard effects apply
+to the ``counts[event, lane]`` matrix as one fancy-indexed delta add.
+A companion *min-prefix* matrix detects strict ``Del_evt`` under-runs,
+and a rung-difference matrix detects the full-scan nondeterminism the
+scalar engines report — ``safe`` cells skip that check entirely.
+Every anomaly check runs *before* any mutation, so a lane that must
+raise **replays** through the scalar resolver on a scoreboard
+reconstructed from its pre-tick counts column: the raised error —
+message, trace-index order — is byte-identical to ``run_many``'s.
+Caller-injected scoreboards are real objects with observable
+mutations; those runs keep the scalar per-lane escape path.  The
+differential suite (``tests/runtime/test_vector_differential.py``)
+locks all of this down, including a seeded 100%-ladder-density stress
+generator.
 
 NumPy is an **optional** dependency: when it is absent (or the
 ``REPRO_NO_NUMPY`` environment variable is set) there is no gather to
 run, and every batch steps through the scalar
 :func:`~repro.runtime.compiled.run_many_encoded` loop instead —
 identical results, so ``engine="vector"`` stays valid everywhere.
+``_np`` is that switch (tests patch it).
 """
 
 from __future__ import annotations
 
 import os
-from array import array
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Union
 
-from repro.cache import IdentityCache
 from repro.errors import MonitorError
-from repro.logic.expr import And, Const, Not, Or, ScoreboardCheck, _Ref
-from repro.monitor.automaton import AddEvt, DelEvt, Monitor, Transition
+from repro.monitor.automaton import Monitor
 from repro.monitor.engine import MonitorResult
 from repro.monitor.scoreboard import Scoreboard
-from repro.optimize.ladders import prove_first_match
 from repro.runtime.compiled import (
     CompiledEngine,
     CompiledMonitor,
@@ -84,12 +58,15 @@ from repro.runtime.compiled import (
     as_compiled,
     check_mask_domain,
 )
+from repro.runtime.lowering import MISSING, VectorTable, vector_table
 from repro.semantics.run import Trace
 
 __all__ = [
     "MISSING",
     "VectorEngine",
     "VectorTable",
+    "np_flat",
+    "np_plan",
     "run_many_vector",
     "run_many_vector_encoded",
     "vector_table",
@@ -101,158 +78,6 @@ except ImportError:  # pragma: no cover
     _np = None
 if os.environ.get("REPRO_NO_NUMPY"):  # test hook: force the scalar loop
     _np = None
-
-#: Flat-table marker for a cell with no enabled transition.  Escape
-#: cells with scalar payloads are encoded ``-2 - spec_index``.
-MISSING = -1
-
-#: A rung condition whose DNF exceeds this many terms stays scalar —
-#: real ladder conditions are small conjunctions of ``Chk_evt`` atoms.
-_MAX_RUNG_TERMS = 32
-
-#: ``Chk_evt`` literals pack into one presence word per lane; int64
-#: bounds the packable counts-matrix rows.
-_MAX_PRESENCE_BITS = 63
-
-
-class _PredicatedPlan:
-    """Predicated lowering of one escape cell: flat rung-*term* rows.
-
-    Each rung condition's DNF term is one row
-    ``(chk_pos, chk_neg, inp_pos, inp_neg, target, deltas, group)``:
-
-    * ``chk_pos``/``chk_neg`` — presence-word literals over the
-      table's counts-matrix rows (``Chk_evt`` and its negation);
-    * ``inp_pos``/``inp_neg`` — valuation-mask literals (input refs);
-    * ``target`` — the rung's successor state;
-    * ``deltas`` — the rung's scoreboard effect,
-      ``(counts_row, total, floor)`` per touched event (see
-      :func:`_rung_deltas`);
-    * ``group`` — rung behaviour class: terms with equal
-      ``(target, actions)`` share a group, and only cross-group double
-      passes are the full-scan nondeterminism the scalar engine
-      reports.
-
-    ``safe`` marks cells where first-match dispatch is provably the
-    full scan's answer (``ladder_exclusive`` monitors by construction,
-    single-group cells trivially, full-scan cells via
-    :func:`~repro.optimize.ladders.prove_first_match`): their runs
-    skip the conflict matrices entirely.
-    """
-
-    __slots__ = ("terms", "safe")
-
-    def __init__(self, terms: Tuple[tuple, ...], safe: bool):
-        self.terms = terms
-        self.safe = safe
-
-
-class _EscapeSpec:
-    """Scalar payload of one escape cell.
-
-    ``kind`` is ``"step"`` (unconditional transition with actions),
-    ``"ladder"``, or ``"scalar"`` (a cell whose condition falls
-    outside the predicated guard language — the whole monitor then
-    resolves escapes per lane).  ``plan`` is the
-    :class:`_PredicatedPlan`, or ``None`` for scalar cells.
-    """
-
-    __slots__ = ("kind", "cell", "state", "plan")
-
-    def __init__(self, kind, cell, state, plan=None):
-        self.kind = kind
-        self.cell = cell
-        self.state = state
-        self.plan = plan
-
-
-def _rung_deltas(transition: Transition, event_row) -> Tuple:
-    """Net scoreboard effect of one transition's action list.
-
-    ``(counts_row, total, floor)`` per touched event: ``total`` is the
-    net delta over the whole list, ``floor`` the minimum running total
-    any ``Del_evt`` step reaches during sequential application — a
-    lane under-runs (the strict-scoreboard error) iff
-    ``counts + floor < 0``, which the kernels test *before* applying
-    ``total``.
-    """
-    totals: dict = {}
-    floors: dict = {}
-    for action in transition.actions:
-        if isinstance(action, AddEvt):
-            step = 1
-        elif isinstance(action, DelEvt):
-            step = -1
-        else:  # pragma: no cover - no other Action kinds exist today
-            raise LookupError(f"unsupported action {action!r}")
-        for event in action.events:
-            row = event_row(event)
-            running = totals.get(row, 0) + step
-            totals[row] = running
-            if step < 0 and running < floors.get(row, 0):
-                floors[row] = running
-    return tuple(
-        (row, total, floors.get(row, 0))
-        for row, total in totals.items()
-        if total or floors.get(row, 0)
-    )
-
-
-def _literal_terms(expr, codec, event_row, negate=False) -> Optional[list]:
-    """Disjunctive normal form of a rung condition over literal atoms.
-
-    Returns ``(chk_pos, chk_neg, inp_pos, inp_neg)`` bitmask terms —
-    the condition holds iff some term's positive literals all hold and
-    none of its negative ones do; ``[]`` is constant false.  Returns
-    ``None`` when the condition falls outside the literal language or
-    its DNF exceeds :data:`_MAX_RUNG_TERMS` — the caller then keeps
-    the scalar escape path.
-    """
-    if isinstance(expr, Const):
-        return [(0, 0, 0, 0)] if bool(expr.value) ^ negate else []
-    if isinstance(expr, _Ref):
-        bit = codec.bit_of.get(expr.name, 0)
-        if not bit:
-            # Symbol outside the codec: constantly absent.
-            return [(0, 0, 0, 0)] if negate else []
-        return [(0, 0, 0, bit)] if negate else [(0, 0, bit, 0)]
-    if isinstance(expr, ScoreboardCheck):
-        row = event_row(expr.event)
-        if row >= _MAX_PRESENCE_BITS:
-            return None
-        bit = 1 << row
-        return [(0, bit, 0, 0)] if negate else [(bit, 0, 0, 0)]
-    if isinstance(expr, Not):
-        return _literal_terms(expr.operand, codec, event_row, not negate)
-    if isinstance(expr, (And, Or)):
-        parts = [
-            _literal_terms(arg, codec, event_row, negate)
-            for arg in expr.args
-        ]
-        if any(part is None for part in parts):
-            return None
-        if not (isinstance(expr, And) ^ negate):
-            # Disjunction (Or, or De Morgan'd And): concatenate.
-            union = [term for part in parts for term in part]
-            union = list(dict.fromkeys(union))
-            return None if len(union) > _MAX_RUNG_TERMS else union
-        # Conjunction: cross product, contradictory terms dropped.
-        terms = [(0, 0, 0, 0)]
-        for part in parts:
-            merged = []
-            for cp, cn, ip, im in terms:
-                for pcp, pcn, pip, pim in part:
-                    ncp, ncn = cp | pcp, cn | pcn
-                    nip, nim = ip | pip, im | pim
-                    if ncp & ncn or nip & nim:
-                        continue
-                    merged.append((ncp, ncn, nip, nim))
-            merged = list(dict.fromkeys(merged))
-            if len(merged) > _MAX_RUNG_TERMS:
-                return None
-            terms = merged
-        return terms
-    return None
 
 
 class _NpPlan:
@@ -312,168 +137,18 @@ class _NpPlan:
         self.has_conflicts = bool(self.diff.any())
 
 
-class VectorTable:
-    """A compiled monitor lowered to one flat ``next_state`` array.
-
-    ``flat[state * size + mask]`` is the successor state for check-free,
-    action-free cells; negative entries escape (:data:`MISSING` or an
-    index into ``specs``).  ``escape_ratio`` reports the static density
-    of escape cells; ``residual_ratio`` the post-predication residual —
-    the batch planner's signal for when the vector kernel stops paying
-    (see DESIGN.md).
-    """
-
-    __slots__ = ("compiled", "size", "n_states", "final", "flat",
-                 "escapes", "residual", "specs", "events",
-                 "vectorizable", "_np_flat", "_np_plan")
-
-    def __init__(self, compiled: CompiledMonitor):
-        self.compiled = compiled
-        self.size = size = compiled.codec.size
-        self.n_states = compiled.n_states
-        self.final = compiled.final
-        codec = compiled.codec
-        exclusive = compiled.ladder_exclusive
-        events: List[str] = []
-        rows: dict = {}
-
-        def event_row(event: str) -> int:
-            row = rows.get(event)
-            if row is None:
-                row = rows[event] = len(events)
-                events.append(event)
-            return row
-
-        specs: List[_EscapeSpec] = []
-        spec_of: dict = {}
-        vectorizable = True
-        escapes = 0
-        residual = 0
-        cells: List[int] = []
-        for state in range(compiled.n_states):
-            row = compiled._table[state]
-            for mask in range(size):
-                cell = row[mask]
-                if cell is None:
-                    cells.append(MISSING)
-                    escapes += 1
-                    residual += 1
-                    continue
-                if type(cell) is not tuple and not cell.actions:
-                    cells.append(cell.target)
-                    continue
-                escapes += 1
-                key = id(cell)
-                index = spec_of.get(key)
-                if index is None:
-                    index = len(specs)
-                    try:
-                        specs.append(self._lower_escape(
-                            cell, state, codec, event_row, exclusive
-                        ))
-                    except LookupError:
-                        vectorizable = False
-                        specs.append(_EscapeSpec("scalar", cell, state))
-                    spec_of[key] = index
-                if specs[index].plan is None:
-                    residual += 1
-                cells.append(-2 - index)
-        self.flat = array("i", cells)
-        self.escapes = escapes
-        self.residual = residual
-        self.specs = specs
-        self.events = tuple(events)
-        self.vectorizable = vectorizable
-        self._np_flat = None
-        self._np_plan = None
-
-    @staticmethod
-    def _lower_escape(cell, state, codec, event_row,
-                      exclusive) -> _EscapeSpec:
-        if type(cell) is not tuple:
-            term = (0, 0, 0, 0, cell.target,
-                    _rung_deltas(cell, event_row), 0)
-            return _EscapeSpec("step", cell, state,
-                               plan=_PredicatedPlan((term,), safe=True))
-        groups: dict = {}
-        terms: List[tuple] = []
-        for check, transition in cell:
-            key = (transition.target, transition.actions)
-            group = groups.setdefault(key, len(groups))
-            deltas = _rung_deltas(transition, event_row)
-            if check is None:
-                literals = [(0, 0, 0, 0)]
-            else:
-                literals = _literal_terms(check.expr, codec, event_row)
-                if literals is None:
-                    raise LookupError(
-                        f"rung condition {check!r} outside the "
-                        f"predicated guard language"
-                    )
-            # Stored per term: masked-compare form — ``pos`` plus the
-            # combined ``pos|neg`` mask per literal family (the term
-            # holds iff ``word & mask == pos``).
-            terms.extend(
-                (cp, cp | cn, ip, ip | im, transition.target, deltas,
-                 group)
-                for cp, cn, ip, im in literals
-            )
-        # First-match safety lets the run skip conflict detection:
-        # exclusive ladders by construction, single-behaviour cells
-        # trivially, full-scan cells via the hardening proof.
-        safe = (exclusive or len(groups) == 1
-                or prove_first_match(cell) is not None)
-        return _EscapeSpec("ladder", cell, state,
-                           plan=_PredicatedPlan(tuple(terms), safe))
-
-    @property
-    def escape_ratio(self) -> float:
-        """Static lowering density: cells outside the one-gather path."""
-        return self.escapes / len(self.flat) if len(self.flat) else 0.0
-
-    @property
-    def residual_ratio(self) -> float:
-        """Post-predication residual: the cell fraction whose lanes
-        still leave array code for per-lane scalar resolution.
-
-        Predicated ladder/step cells stay inside the kernel, so only
-        missing cells (which raise via scalar replay) count — unless
-        some cell resisted predication, in which case every escape
-        lane runs the scalar board path and the residual is the full
-        escape density.
-        """
-        if not self.vectorizable:
-            return self.escape_ratio
-        return self.residual / len(self.flat) if len(self.flat) else 0.0
-
-    def np_flat(self):
-        """The flat table as a NumPy array (built once, shared)."""
-        if self._np_flat is None:
-            self._np_flat = _np.asarray(self.flat, dtype=_np.int32)
-        return self._np_flat
-
-    def np_plan(self) -> _NpPlan:
-        """The stacked predicated-plan matrices (built once, shared)."""
-        if self._np_plan is None:
-            self._np_plan = _NpPlan(self.specs, len(self.events))
-        return self._np_plan
-
-    def __repr__(self):
-        return (f"VectorTable({self.compiled.name!r}, "
-                f"states={self.n_states}, size={self.size}, "
-                f"escapes={self.escapes}, residual={self.residual})")
+def np_flat(table: VectorTable):
+    """``table``'s flat array as a NumPy array (built once, shared)."""
+    if table._np_flat is None:
+        table._np_flat = _np.asarray(table.flat, dtype=_np.int32)
+    return table._np_flat
 
 
-#: Memoized lowerings, keyed by monitor identity.
-_TABLES = IdentityCache(limit=64)
-
-
-def vector_table(compiled: CompiledMonitor) -> VectorTable:
-    """The (memoized) flat lowering of ``compiled``."""
-    cached = _TABLES.get(compiled)
-    if cached is not None:
-        return cached
-    return _TABLES.put(compiled, VectorTable(compiled))
+def np_plan(table: VectorTable) -> _NpPlan:
+    """``table``'s stacked predicated-plan matrices (built once, shared)."""
+    if table._np_plan is None:
+        table._np_plan = _NpPlan(table.specs, len(table.events))
+    return table._np_plan
 
 
 def _resolve_escape(compiled, table, state: int, mask: int, scoreboard,
@@ -622,7 +297,7 @@ class _NumpyRun:
             if self.vector_boards and self.vt.escapes else None
         )
         self.plan = (
-            self.vt.np_plan()
+            np_plan(self.vt)
             if self.vector_boards and self.vt.escapes else None
         )
         # Per-lane packed Chk_evt-presence words, maintained
@@ -735,7 +410,7 @@ class _NumpyRun:
     def run(self) -> List[MonitorResult]:
         compiled = self.compiled
         vt = self.vt
-        flat = vt.np_flat()
+        flat = np_flat(vt)
         size = vt.size
         has_escapes = vt.escapes > 0
         scalar_escapes = self.boards is not None

@@ -14,24 +14,20 @@ occur as the chart specifies — see Figure 3's semantic mapping.
   generation for tests and benchmarks.
 """
 
-from repro.semantics.denotation import (
-    chart_window_lengths,
-    matches_window,
-    run_satisfies,
-    satisfying_windows,
-)
-from repro.semantics.generator import TraceGenerator
-from repro.semantics.run import GlobalRun, GlobalTick, Trace
-from repro.semantics.state import State
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "GlobalRun",
-    "GlobalTick",
-    "State",
-    "Trace",
-    "TraceGenerator",
-    "chart_window_lengths",
-    "matches_window",
-    "run_satisfies",
-    "satisfying_windows",
-]
+#: Exported name -> defining module, imported on first access.
+_EXPORTS = {
+    "GlobalRun": "repro.semantics.run",
+    "GlobalTick": "repro.semantics.run",
+    "State": "repro.semantics.state",
+    "Trace": "repro.semantics.run",
+    "TraceGenerator": "repro.semantics.generator",
+    "chart_window_lengths": "repro.semantics.denotation",
+    "matches_window": "repro.semantics.denotation",
+    "run_satisfies": "repro.semantics.denotation",
+    "satisfying_windows": "repro.semantics.denotation",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -20,21 +20,18 @@ Layering (one module per concern):
   handling, op dispatch, HTTP health endpoints, lifecycle.
 """
 
-from repro.serve.metrics import ServeMetrics
-from repro.serve.protocol import (
-    MAX_LINE_BYTES,
-    decode_request,
-    encode_message,
-)
-from repro.serve.server import MonitorService, ServeConfig
-from repro.serve.session import StreamSession
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "MAX_LINE_BYTES",
-    "MonitorService",
-    "ServeConfig",
-    "ServeMetrics",
-    "StreamSession",
-    "decode_request",
-    "encode_message",
-]
+#: Exported name -> defining module, imported on first access.
+_EXPORTS = {
+    "MAX_LINE_BYTES": "repro.serve.protocol",
+    "MonitorService": "repro.serve.server",
+    "ServeConfig": "repro.serve.server",
+    "ServeMetrics": "repro.serve.metrics",
+    "StreamSession": "repro.serve.session",
+    "decode_request": "repro.serve.protocol",
+    "encode_message": "repro.serve.protocol",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

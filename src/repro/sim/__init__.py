@@ -15,9 +15,16 @@ monitors consume.
   attachment, network hookup for multi-clock designs.
 """
 
-from repro.sim.kernel import Simulator
-from repro.sim.signal import Signal
-from repro.sim.testbench import Testbench, TraceRecorder
-from repro.sim.vcd import VcdWriter
+from repro._lazy import lazy_exports
 
-__all__ = ["Signal", "Simulator", "Testbench", "TraceRecorder", "VcdWriter"]
+#: Exported name -> defining module, imported on first access.
+_EXPORTS = {
+    "Signal": "repro.sim.signal",
+    "Simulator": "repro.sim.kernel",
+    "Testbench": "repro.sim.testbench",
+    "TraceRecorder": "repro.sim.testbench",
+    "VcdWriter": "repro.sim.vcd",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -18,23 +18,22 @@
   asynchronous (multi-clock) compositions.
 """
 
-from repro.synthesis.compose import MonitorBank, synthesize_chart
-from repro.synthesis.multiclock import synthesize_network
-from repro.synthesis.pattern import FlatArrow, FlatPattern, extract_pattern, flatten_chart
-from repro.synthesis.subset import SubsetMonitor
-from repro.synthesis.symbolic import symbolic_monitor
-from repro.synthesis.tr import synthesize_monitor, tr
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "FlatArrow",
-    "FlatPattern",
-    "MonitorBank",
-    "SubsetMonitor",
-    "extract_pattern",
-    "flatten_chart",
-    "symbolic_monitor",
-    "synthesize_chart",
-    "synthesize_monitor",
-    "synthesize_network",
-    "tr",
-]
+#: Exported name -> defining module, imported on first access.
+_EXPORTS = {
+    "FlatArrow": "repro.synthesis.pattern",
+    "FlatPattern": "repro.synthesis.pattern",
+    "MonitorBank": "repro.synthesis.compose",
+    "SubsetMonitor": "repro.synthesis.subset",
+    "extract_pattern": "repro.synthesis.pattern",
+    "flatten_chart": "repro.synthesis.pattern",
+    "symbolic_monitor": "repro.synthesis.symbolic",
+    "synthesize_chart": "repro.synthesis.compose",
+    "synthesize_monitor": "repro.synthesis.tr",
+    "synthesize_network": "repro.synthesis.multiclock",
+    "tr": "repro.synthesis.tr",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

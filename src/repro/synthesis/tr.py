@@ -45,6 +45,7 @@ from repro.synthesis.transition import (
     LadderRung,
     candidate_ladder,
     pattern_compatibility,
+    signature_ladder,
 )
 
 __all__ = [
@@ -207,12 +208,18 @@ def synthesize_compiled(
 ):
     """Emit a :class:`~repro.runtime.compiled.CompiledMonitor` directly.
 
-    Performs the same per-valuation ladder enumeration as
-    :func:`synthesize_monitor` but fills the dense dispatch table in
-    place of constructing minterm guard expressions — the table ``Tr``
-    computes *is* the compiled artifact.  Carrier
+    Fills the same dense ``(state, valuation)`` table as
+    :func:`synthesize_monitor`'s per-valuation enumeration, in place of
+    minterm guard expressions — the table ``Tr`` computes *is* the
+    compiled artifact.  The while loop reads a valuation ``e`` only
+    through which pattern elements ``P[k]`` it satisfies, for
+    ``k < min(n, s+1)``: each mask gets that *satisfaction signature*
+    once (one compiled ``P[k]`` test per element), one ladder and one
+    cell are built per distinct ``(state, signature)``, and every row
+    is filled by lookup.  Carrier
     :class:`~repro.monitor.automaton.Transition` objects (one per
-    distinct ``(state, target, actions, checks)``) keep the two-phase
+    distinct ``(state, target, actions, checks)``, in first-seen
+    state-major order) keep the two-phase
     ``enabled_transition``/``commit`` contract and coverage logging
     working; their guards record only the scoreboard condition, not the
     (implicit) valuation index.
@@ -231,49 +238,64 @@ def synthesize_compiled(
     n = pattern.length
     codec = AlphabetCodec(pattern.alphabet)
     compatibility = pattern_compatibility(pattern)
+    # signatures[mask]: bit k set iff the mask's valuation satisfies P[k].
+    signatures = [0] * codec.size
+    for k, expr in enumerate(pattern.exprs):
+        holds = expr.compile(codec)
+        for mask in codec.all_masks():
+            if holds(mask):
+                signatures[mask] |= 1 << k
     interned: Dict[Tuple[int, int, tuple, FrozenSet[str], tuple], Transition] = {}
     closures: Dict[FrozenSet[str], object] = {}
     # Equal ladders share one tuple (smaller table, one pickle copy).
     cells: Dict[tuple, tuple] = {}
+
+    def cell_for(state: int, signature: int):
+        rungs = []
+        failed_above: List[Expr] = []
+        for rung in signature_ladder(pattern, state, signature,
+                                     compatibility):
+            condition = check_conjunction(rung.checks)
+            actions = actions_for_move(
+                pattern, state, rung.target, extra_adds
+            )
+            key = (state, rung.target, actions, rung.checks,
+                   tuple(failed_above))
+            transition = interned.get(key)
+            if transition is None:
+                guard = And(
+                    (condition,) + tuple(failed_above)
+                ).simplify()
+                transition = Transition(state, guard, actions, rung.target)
+                interned[key] = transition
+            if rung.checks:
+                closure = closures.get(rung.checks)
+                if closure is None:
+                    closure = CompiledCheck(condition, codec)
+                    closures[rung.checks] = closure
+                rungs.append((closure, transition))
+                failed_above.append(Not(condition))
+            else:
+                rungs.append((None, transition))
+                break
+        if len(rungs) == 1 and rungs[0][0] is None:
+            return rungs[0][1]
+        cell = tuple(rungs)
+        return cells.setdefault(cell, cell)
+
     table = []
     for state in range(n + 1):
-        row = []
-        for mask in codec.all_masks():
-            ladder = candidate_ladder(
-                pattern, state, codec.decode(mask), compatibility
-            )
-            rungs = []
-            failed_above: List[Expr] = []
-            for rung in ladder:
-                condition = check_conjunction(rung.checks)
-                actions = actions_for_move(
-                    pattern, state, rung.target, extra_adds
-                )
-                key = (state, rung.target, actions, rung.checks,
-                       tuple(failed_above))
-                transition = interned.get(key)
-                if transition is None:
-                    guard = And(
-                        (condition,) + tuple(failed_above)
-                    ).simplify()
-                    transition = Transition(state, guard, actions, rung.target)
-                    interned[key] = transition
-                if rung.checks:
-                    closure = closures.get(rung.checks)
-                    if closure is None:
-                        closure = CompiledCheck(condition, codec)
-                        closures[rung.checks] = closure
-                    rungs.append((closure, transition))
-                    failed_above.append(Not(condition))
-                else:
-                    rungs.append((None, transition))
-                    break
-            if len(rungs) == 1 and rungs[0][0] is None:
-                row.append(rungs[0][1])
-            else:
-                cell = tuple(rungs)
-                row.append(cells.setdefault(cell, cell))
-        table.append(row)
+        # The descent from ``state`` tests P[0..min(n, state+1)) only.
+        tested = (1 << min(n, state + 1)) - 1
+        by_signature: Dict[int, object] = {}
+        # Masks in index order: cells and transitions are built in the
+        # order the per-valuation loop first met them.
+        for signature in signatures:
+            signature &= tested
+            if signature not in by_signature:
+                by_signature[signature] = cell_for(state, signature)
+        table.append([by_signature[signature & tested]
+                      for signature in signatures])
     return CompiledMonitor(
         name or pattern.name,
         n_states=n + 1,

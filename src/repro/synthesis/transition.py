@@ -37,6 +37,7 @@ __all__ = [
     "candidate_ladder",
     "compute_transition_table",
     "pattern_compatibility",
+    "signature_ladder",
 ]
 
 
@@ -103,12 +104,39 @@ def candidate_ladder(
     rung (empty prefix, no checks) is always present, so the ladder
     never dead-ends.
     """
+    return _descent(
+        pattern, state,
+        lambda k: pattern.exprs[k].evaluate(valuation), compatibility,
+    )
+
+
+def signature_ladder(
+    pattern: FlatPattern,
+    state: int,
+    signature: int,
+    compatibility: Dict[Tuple[int, int], bool],
+) -> List[LadderRung]:
+    """The descent for every valuation with satisfaction ``signature``.
+
+    Bit ``k`` of ``signature`` is set iff the valuation satisfies
+    ``P[k]``.  The while loop reads its valuation only through those
+    tests, for ``k < min(n, s+1)``, so this equals
+    :func:`candidate_ladder` for every valuation whose signature agrees
+    on those bits.
+    """
+    return _descent(
+        pattern, state, lambda k: signature >> k & 1, compatibility,
+    )
+
+
+def _descent(pattern, state, holds, compatibility) -> List[LadderRung]:
+    """The paper's while loop; ``holds(k)``: does the input match
+    ``P[k]`` (0-based)?"""
     n = pattern.length
     rungs: List[LadderRung] = []
     k = min(n, state + 1)
     while k > 0:
-        final_expr = pattern.exprs[k - 1]
-        if final_expr.evaluate(valuation) and _prefix_suffix_compatible(
+        if holds(k - 1) and _prefix_suffix_compatible(
             pattern, compatibility, k, state
         ):
             rungs.append(LadderRung(k, pattern.check_events_at(k - 1)))

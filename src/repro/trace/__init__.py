@@ -22,39 +22,27 @@ monitors consume, and scales checking beyond a single process:
   each task).
 """
 
-from repro.trace.bridge import trace_to_vcd
-from repro.trace.columnar import (
-    ColumnarTraceSet,
-    codec_fingerprint,
-    ingest_vcd,
-    masks_from_vcd,
-    masks_from_vcd_text,
-)
-from repro.trace.shard import (
-    available_cores,
-    run_bank_sharded,
-    run_sharded,
-    run_sharded_vcd,
-    shutdown_worker_pools,
-)
-from repro.trace.streaming import StreamingChecker, StreamReport
-from repro.trace.vcd_reader import SignalBinding, VcdReader, VcdSignal
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ColumnarTraceSet",
-    "SignalBinding",
-    "StreamReport",
-    "StreamingChecker",
-    "VcdReader",
-    "VcdSignal",
-    "available_cores",
-    "codec_fingerprint",
-    "ingest_vcd",
-    "masks_from_vcd",
-    "masks_from_vcd_text",
-    "run_bank_sharded",
-    "run_sharded",
-    "run_sharded_vcd",
-    "shutdown_worker_pools",
-    "trace_to_vcd",
-]
+#: Exported name -> defining module, imported on first access.
+_EXPORTS = {
+    "ColumnarTraceSet": "repro.trace.columnar",
+    "SignalBinding": "repro.trace.vcd_reader",
+    "StreamReport": "repro.trace.streaming",
+    "StreamingChecker": "repro.trace.streaming",
+    "VcdReader": "repro.trace.vcd_reader",
+    "VcdSignal": "repro.trace.vcd_reader",
+    "available_cores": "repro.trace.shard",
+    "codec_fingerprint": "repro.trace.columnar",
+    "ingest_vcd": "repro.trace.columnar",
+    "masks_from_vcd": "repro.trace.columnar",
+    "masks_from_vcd_text": "repro.trace.columnar",
+    "run_bank_sharded": "repro.trace.shard",
+    "run_sharded": "repro.trace.shard",
+    "run_sharded_vcd": "repro.trace.shard",
+    "shutdown_worker_pools": "repro.trace.shard",
+    "trace_to_vcd": "repro.trace.bridge",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -42,7 +42,6 @@ from __future__ import annotations
 
 import atexit
 import hashlib
-import multiprocessing
 import os
 import pickle
 import threading
@@ -128,6 +127,10 @@ def _retire_pool(pool) -> None:
 
 
 def _get_pool(method: Optional[str], workers: int):
+    # Imported here: only a pool needs it, and in-process runs (every
+    # one-job check) should not pay for it.
+    import multiprocessing
+
     context = multiprocessing.get_context(method)
     key = context.get_start_method()
     with _POOLS_LOCK:

@@ -10,13 +10,15 @@ CESC is a *visual* language; these modules provide the drawing layer:
   (and the closest modern analogue of the paper's figures).
 """
 
-from repro.visual.ascii_chart import render_scesc
-from repro.visual.timing import render_trace
-from repro.visual.wavedrom import trace_to_wavedrom, wavedrom_to_scesc
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "render_scesc",
-    "render_trace",
-    "trace_to_wavedrom",
-    "wavedrom_to_scesc",
-]
+#: Exported name -> defining module, imported on first access.
+_EXPORTS = {
+    "render_scesc": "repro.visual.ascii_chart",
+    "render_trace": "repro.visual.timing",
+    "trace_to_wavedrom": "repro.visual.wavedrom",
+    "wavedrom_to_scesc": "repro.visual.wavedrom",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

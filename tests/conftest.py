@@ -72,6 +72,9 @@ class DiffHarness:
     def chart(which):
         return DiffHarness.CHARTS[which]()
 
+    #: A seeded random chart, as the differential suites draw them.
+    random_chart = staticmethod(_random_chart)
+
     @staticmethod
     def traces(chart, count, seed, include_empty=True):
         """The standard mix: satisfying, random noise, violating."""

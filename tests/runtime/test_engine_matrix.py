@@ -343,25 +343,33 @@ def test_run_sharded_vcd_cache_path_accepts_batch_only_backends(
 
 # ------------------------------------------- mask domain at the runners ----
 @pytest.mark.parametrize("engine", ["compiled", "vector", "native"])
-@pytest.mark.parametrize("bad", [1 << 28, 1 << 5, -1])
+@pytest.mark.parametrize("bad", [1 << 28, 1 << 5, -1, 1 << 40,
+                                 (1 << 32) + 3])
 def test_encoded_runners_reject_out_of_range_masks(engine, bad,
                                                    vector_mode):
     """A mask outside ``[0, 2^|Sigma|)`` is a MonitorError naming the
     lane, tick and mask on every batch backend (regression: native
     read past its table — ``1 << 28`` crashed the process and
     ``2^|Sigma|`` read another state's row — while compiled and vector
-    raised a bare IndexError)."""
+    raised a bare IndexError).  Native skips the domain pre-scan, so
+    this also pins its other traps: a list mask beyond int32 (which
+    ``array('i')`` refuses with OverflowError) and an int64 array whose
+    value would wrap into range as int32 (``(1 << 32) + 3`` is 3)."""
     if engine == "native":
         _native_or_skip()
     compiled = tr_compiled(_chart())
     assert compiled.codec.size == 1 << 5  # the OCP chart's 5 symbols
     runner = backend(engine).encoded_runner()
+    np = vector_module._np
     # Two lanes, and one lane (the width every uncached check --vcd
     # runs at).
     for lanes, lane in (([[0, 1, 2], [3, bad, bad]], 1), ([[3, bad]], 0)):
         batches = [lanes]
-        if vector_module._np is not None:  # the .rtrc load form
-            batches.append([vector_module._np.array(masks, dtype="int32")
+        if np is not None:
+            if -(1 << 31) <= bad < 1 << 31:  # the .rtrc load form
+                batches.append([np.array(masks, dtype="int32")
+                                for masks in lanes])
+            batches.append([np.array(masks, dtype="int64")
                             for masks in lanes])
         for batch in batches:
             with pytest.raises(MonitorError) as caught:

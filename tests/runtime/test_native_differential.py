@@ -19,6 +19,8 @@ from repro.errors import MonitorError, ScoreboardError
 from repro.logic.expr import EventRef, Not, ScoreboardCheck, TRUE
 from repro.monitor.automaton import AddEvt, DelEvt, Monitor, Transition
 from repro.monitor.scoreboard import Scoreboard
+from repro.protocols.ocp import ocp_simple_read_chart
+from repro.runtime import vector as vector_module
 from repro.runtime.compiled import compile_monitor, run_many
 from repro.runtime.native import (
     native_kernel,
@@ -357,3 +359,57 @@ def test_native_encoded_accepts_every_stream_type():
         compiled,
         [np.asarray(stream, dtype=np.int32) for stream in masks])
     assert [r.detections for r in as_numpy] == expected
+
+
+# ------------------------------------------------- bounds guard ----
+@pytest.mark.parametrize("offset", [0, -33])
+def test_kernel_bounds_guard_returns_anomaly_status(offset):
+    """The emitted stepper refuses a mask outside ``[0, SIZE)`` with
+    status 1 before indexing its table: ``SIZE`` itself (which would
+    read the next state's row) and ``-1`` (before the array)."""
+    from array import array
+
+    from repro.runtime.native import _addr
+
+    compiled = tr_compiled(ocp_simple_read_chart())
+    kernel = native_kernel(compiled)
+    assert kernel is not None
+    size = compiled.codec.size
+    bad = size + offset
+    assert not 0 <= bad < size
+    masks = array("i", [0, 1, bad, 2])
+    offsets = array("q", [0, len(masks)])
+    history = array("i", bytes(4 * (len(masks) + 1)))
+    detections = array("i", bytes(4 * len(masks)))
+    det_counts = array("q", bytes(8))
+    status = kernel.run(_addr(masks), _addr(offsets), 1, _addr(history),
+                        _addr(detections), _addr(det_counts))
+    assert status == 1
+    ok = array("i", [0, 1, size - 1, 2])
+    assert kernel.run(_addr(ok), _addr(offsets), 1, _addr(history),
+                      _addr(detections), _addr(det_counts)) == 0
+
+
+def test_native_skips_the_domain_check_on_in_range_lanes(monkeypatch):
+    """The stepper's bounds guard makes the pre-scan redundant: in-range
+    ``array('i')``, list and int32 NumPy lanes never run it."""
+    from array import array
+
+    from repro.runtime import native as native_module
+
+    def refuse(*_):
+        raise AssertionError("mask domain pre-scan on in-range lanes")
+
+    monkeypatch.setattr(native_module, "check_mask_domain", refuse)
+    compiled = compile_monitor(_stress_monitor(35))
+    traces = _stress_traces(35, count=4)
+    masks = compiled.codec.encode_many(traces, as_list=True)
+    expected = [r.detections for r in run_many(compiled, traces)]
+    batches = [[array("i", stream) for stream in masks],
+               [list(stream) for stream in masks]]
+    if vector_module._np is not None:
+        batches.append([vector_module._np.asarray(stream, dtype="int32")
+                        for stream in masks])
+    for batch in batches:
+        results = run_many_native_encoded(compiled, batch)
+        assert [r.detections for r in results] == expected

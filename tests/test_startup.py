@@ -1,0 +1,151 @@
+"""Start-up cost: a command imports what its work needs, and no more.
+
+``import repro`` and every subpackage resolve their exported names on
+first use (PEP 562), and the CLI imports each verb's modules when it
+dispatches that verb.  ``check --vcd`` therefore runs parse, ``Tr``,
+VCD masks and the planned kernel without NumPy (the native path reads
+the NumPy-free table IR of :mod:`repro.runtime.lowering`), without
+``multiprocessing`` (only a worker pool needs it) and without the
+modules of other verbs.  The pin is checked with a C compiler and
+under ``REPRO_NO_CC=1``; it proves something about NumPy only where
+NumPy is installed.
+"""
+
+import ast
+import importlib
+import os
+import pkgutil
+import subprocess
+import sys
+import types
+
+import pytest
+
+import repro
+from repro.protocols.fixtures import ocp_simple_vcd
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SRC = os.path.join(ROOT, "src")
+SPEC = os.path.join(ROOT, "examples", "ocp_simple_read.cesc")
+
+#: Modules ``check --vcd`` must not load.
+NOT_LOADED = (
+    "numpy",
+    "multiprocessing",
+    "repro.analysis",
+    "repro.campaign",
+    "repro.codegen.psl",
+    "repro.codegen.python_gen",
+    "repro.codegen.sva",
+    "repro.codegen.verilog",
+    "repro.runtime.vector",
+    "repro.serve",
+    "repro.sim",
+)
+
+#: Ceiling on ``repro.*`` modules ``check --vcd`` loads (44 with a C
+#: compiler and 39 without when this was set; 82 before the lazy
+#: packages).
+MAX_REPRO_MODULES = 50
+
+#: ``python -m repro`` with the loaded module names printed at exit.
+_RUN_AS_MAIN = (
+    "import atexit, runpy, sys\n"
+    "atexit.register(lambda: sys.stderr.write(\n"
+    "    'MODULES ' + ' '.join(sorted(sys.modules)) + '\\n'))\n"
+    "sys.argv = ['repro'] + sys.argv[1:]\n"
+    "runpy.run_module('repro', run_name='__main__', alter_sys=True)\n"
+)
+
+
+def _env():
+    env = dict(os.environ, PYTHONPATH=SRC)
+    env.pop("REPRO_NO_NUMPY", None)
+    return env
+
+
+@pytest.mark.parametrize("cc", ["cc", "no_cc"])
+def test_check_vcd_loads_only_what_it_runs(cc, tmp_path):
+    dump = tmp_path / "ocp.vcd"
+    dump.write_text(ocp_simple_vcd(seed=3, repeats=2))
+    env = _env()
+    env.pop("REPRO_NO_CC", None)
+    if cc == "no_cc":
+        env["REPRO_NO_CC"] = "1"
+    result = subprocess.run(
+        [sys.executable, "-c", _RUN_AS_MAIN, "check", SPEC,
+         "ocp_simple_read", "--vcd", str(dump), "--clock", "clk"],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert result.returncode == 0, result.stdout + result.stderr
+    assert result.stdout.startswith(f"{dump}: ")
+    assert "detections at [" in result.stdout
+    modules = next(
+        line for line in result.stderr.splitlines()
+        if line.startswith("MODULES ")
+    ).split()[1:]
+    loaded = [name for name in NOT_LOADED
+              if any(m == name or m.startswith(name + ".")
+                     for m in modules)]
+    assert loaded == []
+    ours = [m for m in modules if m == "repro" or m.startswith("repro.")]
+    assert len(ours) <= MAX_REPRO_MODULES, ours
+
+
+def _packages():
+    """``repro`` and every subpackage, by name."""
+    return ["repro"] + sorted(
+        info.name
+        for info in pkgutil.walk_packages(repro.__path__, "repro.")
+        if info.ispkg
+    )
+
+
+@pytest.mark.parametrize("package", _packages())
+def test_every_exported_name_resolves(package):
+    module = importlib.import_module(package)
+    exported = getattr(module, "__all__", [])
+    for name in exported:
+        value = getattr(module, name)
+        assert value is not None
+        assert not isinstance(value, types.ModuleType), (package, name)
+    assert set(exported) <= set(dir(module))
+    namespace = {}
+    exec(f"from {package} import *", namespace)
+    assert set(exported) <= set(namespace)
+    with pytest.raises(AttributeError, match="no attribute 'nope'"):
+        getattr(module, "nope")
+
+
+_SUBMODULE_FIRST = (
+    "import sys, types\n"
+    "import repro.synthesis.tr\n"
+    "from repro.synthesis import tr\n"
+    "from repro import tr as top\n"
+    "assert not isinstance(tr, types.ModuleType), tr\n"
+    "assert tr is top is sys.modules['repro.synthesis.tr'].tr\n"
+)
+
+
+def test_a_name_spelled_like_its_submodule_stays_the_function():
+    """``repro.synthesis`` exports ``tr`` from ``repro.synthesis.tr``:
+    importing the submodule first must not bind the module over it."""
+    result = subprocess.run([sys.executable, "-c", _SUBMODULE_FIRST],
+                            env=_env(), capture_output=True, text=True,
+                            timeout=120)
+    assert result.returncode == 0, result.stderr
+
+
+def test_package_inits_import_no_modules():
+    """A package ``__init__`` imports only the lazy-export helper."""
+    for package in _packages():
+        path = importlib.import_module(package).__file__
+        with open(path, encoding="utf-8") as stream:
+            tree = ast.parse(stream.read())
+        imports = [
+            node.module if isinstance(node, ast.ImportFrom)
+            else node.names[0].name
+            for node in tree.body
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+        ]
+        assert imports in ([], ["repro._lazy"]), (package, imports)

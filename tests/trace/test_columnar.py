@@ -248,6 +248,8 @@ def test_load_structural_damage_raises_trace_error(columnar_mode,
 _LAZY_NUMPY = (
     "import sys, repro\n"
     "assert 'numpy' not in sys.modules, 'import repro loaded NumPy'\n"
+    "import repro.cli\n"
+    "assert 'numpy' not in sys.modules, 'import repro.cli loaded NumPy'\n"
     "from repro.trace import columnar\n"
     "columns = columnar.ColumnarTraceSet.from_mask_arrays([[1, 2]], 'ab')\n"
     "print(int('numpy' in sys.modules), columnar._np is not None,\n"
@@ -257,8 +259,9 @@ _LAZY_NUMPY = (
 
 @pytest.mark.parametrize("no_numpy", [False, True])
 def test_import_repro_loads_no_numpy(no_numpy):
-    """``import repro`` loads no NumPy; the columnar store imports it on
-    first use, and ``REPRO_NO_NUMPY`` still keeps it out."""
+    """``import repro`` and ``import repro.cli`` load no NumPy; the
+    columnar store imports it on first use, and ``REPRO_NO_NUMPY``
+    still keeps it out."""
     src = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                        "..", "..", "src")
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
