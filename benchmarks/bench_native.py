@@ -15,7 +15,12 @@ identical inputs:
 * the **auto-vs-best** legs — ``engine="auto"`` must stay within 10%
   of the best explicit backend at w1 and w32 *both* with the host
   compiler visible and with ``REPRO_NO_CC=1`` hiding it (the planner
-  falls back to the scalar/vector split of PR 9).
+  falls back to the scalar/vector split of PR 9);
+* **single-stream chunked** OCP simple read and AMBA AHB — one
+  :class:`~repro.trace.streaming.StreamingChecker` fed 500-tick
+  chunks, the shape of a ``repro serve`` stream; the gate requires the
+  ``native`` stream engine (one C call a chunk, state kept in C) to
+  beat the ``compiled`` chunk loop by >= 3x.
 
 Compilation happens once per monitor outside every timed region (the
 shared object persists in the on-disk cache), so the numbers measure
@@ -43,6 +48,7 @@ from repro.runtime.native import (
 )
 from repro.runtime.vector import _np, run_many_vector_encoded
 from repro.synthesis.tr import tr_compiled
+from repro.trace.streaming import StreamingChecker
 
 from conftest import record_results
 
@@ -59,11 +65,14 @@ _BATCH_TICKS = 200
 #: keep that fixed cost under a few percent of the run it dispatches.
 _AUTO_BATCH_TICKS = 800
 _NARROW_WIDTH = 32
+#: Ticks per pushed chunk in the stream legs (serve's push size).
+_STREAM_CHUNK = 500
 _REPEATS = 5
 #: CI gates.
 _MIN_SINGLE_SPEEDUP = 3.0   # native vs scalar compiled, one lane
 _MIN_NARROW_VS_VECTOR = 1.0  # parity-or-better vs vector at w32
 _MIN_AUTO_VS_BEST = 0.9      # auto within 10% of best explicit
+_MIN_STREAM_SPEEDUP = 3.0   # native vs compiled stream engine
 
 _SUITES = (
     ("ocp_simple_read", ocp_simple_read_chart, 7),
@@ -75,6 +84,7 @@ _SUITES = (
 _RESULT_KEYS = frozenset(
     [f"{name}_single" for name, _, _ in _SUITES]
     + [f"{name}_w{_NARROW_WIDTH}" for name, _, _ in _SUITES]
+    + [f"{name}_stream" for name, _, _ in _SUITES]
     + ["auto_vs_best"]
 )
 _record = functools.partial(record_results, _RESULTS_PATH, _RESULT_KEYS)
@@ -282,3 +292,48 @@ def test_auto_tracks_best_backend_with_and_without_cc(report, monkeypatch):
                 f"{leg[f'auto_engine_w{width}']!r})"
             )
     _record({"auto_vs_best": results})
+
+
+def test_native_stream_chunk_throughput(report):
+    """One stream in 500-tick chunks: the native stream engine vs the
+    compiled engine's chunk loop, through the checker serve drives."""
+    _skip_unless_native()
+    results = {}
+    for name, build, seed in _SUITES:
+        chart = build()
+        compiled = tr_compiled(chart)
+        assert native_kernel(compiled) is not None, (
+            f"{name}: table did not lower to C; the native stream leg "
+            "would silently measure the Python chunk loop"
+        )
+        base = _trace(chart, seed, _SINGLE_TICKS)
+        masks = compiled.codec.encode_many([base], as_list=True)[0]
+        chunks = [masks[start:start + _STREAM_CHUNK]
+                  for start in range(0, len(masks), _STREAM_CHUNK)]
+
+        def stream(engine):
+            checker = StreamingChecker(compiled, engine=engine)
+            for chunk in chunks:
+                checker.push_encoded(chunk)
+            return checker.report()
+
+        expected, = run_many(compiled, [base])
+        for engine in ("compiled", "native"):
+            assert stream(engine).detections == expected.detections
+        compiled_rate = _best_rate(lambda: stream("compiled"), len(masks))
+        native_rate = _best_rate(lambda: stream("native"), len(masks))
+        suite = {
+            "ticks": len(masks),
+            "chunk_ticks": _STREAM_CHUNK,
+            "compiled_ticks_per_s": round(compiled_rate),
+            "native_ticks_per_s": round(native_rate),
+            "speedup": round(native_rate / compiled_rate, 2),
+        }
+        report(f"{name} single-stream chunked: {suite}")
+        results[f"{name}_stream"] = suite
+    _record(results)
+    for name, suite in results.items():
+        assert suite["speedup"] >= _MIN_STREAM_SPEEDUP, (
+            f"{name}: native stream engine only {suite['speedup']:.2f}x "
+            f"of the compiled chunk loop (gate {_MIN_STREAM_SPEEDUP}x)"
+        )

@@ -79,7 +79,6 @@ _EXPORTS = {
     "StimulusSynthesizer": "repro.campaign.directed",
     "StreamReport": "repro.trace.streaming",
     "StreamingChecker": "repro.trace.streaming",
-    "VectorEngine": "repro.runtime.vector",
     "SubsetMonitor": "repro.synthesis.subset",
     "Tick": "repro.cesc.ast",
     "Trace": "repro.semantics.run",

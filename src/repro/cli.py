@@ -236,8 +236,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="bind port (default: 8750; 0 picks a free port)")
     serve.add_argument(
         "--engine", default=AUTO, choices=engine_choices("streaming"),
-        help="stepping backend for streams (default: auto — chunked "
-             "vector push when NumPy is live, scalar tables otherwise; "
+        help="stepping backend for streams (default: auto — one "
+             "native call per pushed chunk when a C compiler is "
+             "available, the compiled chunk loop otherwise; "
              "per-open overrides still apply)")
     serve.add_argument(
         "--jobs", type=int, default=1, metavar="N",

@@ -16,20 +16,34 @@ NumPy-free table IR of :mod:`repro.runtime.lowering`
   *before* any counts mutation — identical anomaly ordering to the
   scalar and vector kernels.
 
-The emitted entry point steps a whole batch of pre-encoded mask
-streams lane by lane and writes the per-lane state history and
-detection ticks into caller-provided out-buffers.  Its status codes:
+Two exported entry points call one static step loop, so the unit
+holds one copy of it:
 
-* ``0`` — every lane stepped to its end;
-* ``1`` — some lane hit an anomaly and stepping stopped there: a mask
-  outside ``[0, SIZE)`` (the bounds guard — the stepper never indexes
-  its table with an unchecked mask), a missing cell, no passing rung,
-  cross-group nondeterminism, or a strict ``Del_evt`` under-run.
+* the **batch** entry (:data:`ENTRY_SYMBOL`) steps a whole batch of
+  pre-encoded mask streams lane by lane from the initial state and
+  writes the per-lane state history and detection ticks into
+  caller-provided out-buffers;
+* the **stream** entry (:data:`ENTRY_SYMBOL` + :data:`STREAM_SUFFIX`)
+  steps one chunk from a state the caller keeps between calls — an
+  ``int32`` buffer holding the state and the scoreboard counts — and
+  writes the detection offsets and the number of ticks consumed.
+  Asked to stop, it returns right after the first detecting tick.  It
+  writes the buffer back only on success.
+
+Their status codes:
+
+* ``0`` — every lane (or the chunk) stepped to its end or its stop;
+* ``1`` — stepping hit an anomaly and stopped there: a mask outside
+  ``[0, SIZE)`` (the bounds guard — the stepper never indexes its
+  table with an unchecked mask), a missing cell, no passing rung,
+  cross-group nondeterminism, a strict ``Del_evt`` under-run, or a
+  scoreboard count that would leave ``int32`` (never a wrapped value).
 
 On ``1`` the caller (:mod:`repro.runtime.native`) runs the mask-domain
-check and then replays the batch through the scalar
-``run_many_encoded`` loop, so every error message stays byte-identical
-to ``run_many`` — the C side never formats errors.
+check and then replays the batch (or the chunk, from its start state)
+through the scalar engine, so every error message stays byte-identical
+to ``run_many`` and ``CompiledEngine.feed_masks`` — the C side never
+formats errors.
 
 :func:`table_to_c` raises :class:`~repro.errors.CodegenError` for
 tables outside the lowering (non-predicable cells, oversized dense
@@ -47,6 +61,7 @@ from repro.runtime.lowering import _MAX_PRESENCE_BITS, VectorTable
 __all__ = [
     "CGEN_VERSION",
     "ENTRY_SYMBOL",
+    "STREAM_SUFFIX",
     "lowerable",
     "table_to_c",
 ]
@@ -54,10 +69,13 @@ __all__ = [
 #: Bump on any change to the emitted code or its ABI: the version is
 #: written into the emitted source, which the shared-object cache key
 #: covers, so stale objects from older emitters can never be loaded.
-CGEN_VERSION = 2
+CGEN_VERSION = 3
 
-#: The exported entry point's symbol name.
+#: The exported batch entry point's symbol name.
 ENTRY_SYMBOL = "repro_native_run"
+
+#: Appended to the batch entry's symbol: the stream entry point.
+STREAM_SUFFIX = "_stream"
 
 #: Dense tables beyond this many cells are unreasonable as one static
 #: C array (the same order of magnitude the compiled runtime uses for
@@ -92,7 +110,8 @@ def _int_lines(values, suffix: str = "", per_line: int = 12) -> List[str]:
 
 
 def table_to_c(table: VectorTable, symbol: str = ENTRY_SYMBOL) -> str:
-    """Emit the batch table-stepper for ``table`` as C source text."""
+    """Emit the table-stepper for ``table`` as C source text: the batch
+    entry ``symbol`` and the stream entry ``symbol + STREAM_SUFFIX``."""
     if not lowerable(table):
         raise CodegenError(
             f"cannot lower monitor {table.compiled.name!r} to C: "
@@ -186,6 +205,93 @@ def table_to_c(table: VectorTable, symbol: str = ENTRY_SYMBOL) -> str:
         '#define EXPORT __attribute__((visibility("default")))',
         "#endif",
         "",
+        "/* The step loop both entry points share: step masks[0..len) from",
+        " * *state_io and counts, write the state after tick t to",
+        " * hist[t + 1] (when hist is not NULL) and detection offsets to",
+        " * det.  With stop set it returns right after the first",
+        " * detecting tick.  On 0, *state_io, counts, *n_det and",
+        " * *consumed hold the end of the run; on 1 (the first anomaly:",
+        " * a mask outside [0, SIZE), missing cell, no passing rung,",
+        " * cross-group nondeterminism, strict Del_evt under-run, a count",
+        " * leaving int32) they are partial and the caller discards them.",
+        " */",
+        "static int32_t step_loop(",
+        "    const int32_t *masks, int64_t len, int32_t stop,",
+        "    int32_t *state_io, int32_t *counts, int32_t *hist,",
+        "    int32_t *det, int64_t *n_det, int64_t *consumed)",
+        "{",
+        "    int32_t state = *state_io;",
+        "    int64_t presence = 0;",
+        "    for (int32_t row = 0; row < N_COUNTS; row++) {",
+        "        if (counts[row] > 0)",
+        "            presence |= (int64_t)1 << row;",
+        "    }",
+        "    int64_t found = 0;",
+        "    int64_t t = 0;",
+        "    while (t < len) {",
+        "        const int32_t mask = masks[t];",
+        "        if ((uint32_t)mask >= (uint32_t)SIZE)",
+        "            return 1;  /* mask outside the alphabet */",
+        "        int32_t nxt = FLAT[state * SIZE + mask];",
+        "        if (nxt < 0) {",
+        "            if (nxt == -1)",
+        "                return 1;  /* missing cell */",
+        "            const int32_t spec = -2 - nxt;",
+        "            const int32_t hi = TERM_OFF[spec + 1];",
+        "            int32_t chosen = -1;",
+        "            for (int32_t k = TERM_OFF[spec]; k < hi; k++) {",
+        "                if ((presence & T_CMASK[k]) == T_CPOS[k]",
+        "                    && (mask & T_IMASK[k]) == T_IPOS[k]) {",
+        "                    chosen = k;",
+        "                    break;",
+        "                }",
+        "            }",
+        "            if (chosen < 0)",
+        "                return 1;  /* no passing rung */",
+        "            if (!SPEC_SAFE[spec]) {",
+        "                const int32_t grp = T_GROUP[chosen];",
+        "                for (int32_t k = chosen + 1; k < hi; k++) {",
+        "                    if (T_GROUP[k] != grp",
+        "                        && (presence & T_CMASK[k]) == T_CPOS[k]",
+        "                        && (mask & T_IMASK[k]) == T_IPOS[k])",
+        "                        return 1;  /* nondeterminism */",
+        "                }",
+        "            }",
+        "            const int32_t dhi = T_DOFF[chosen + 1];",
+        "            for (int32_t d = T_DOFF[chosen]; d < dhi; d++) {",
+        "                const int64_t count = counts[D_ROW[d]];",
+        "                if (count + D_FLOOR[d] < 0)",
+        "                    return 1;  /* Del_evt under-run */",
+        "                if (count + D_TOTAL[d] > INT32_MAX)",
+        "                    return 1;  /* count leaves int32 */",
+        "            }",
+        "            for (int32_t d = T_DOFF[chosen]; d < dhi; d++) {",
+        "                const int32_t row = D_ROW[d];",
+        "                const int32_t value = counts[row] + D_TOTAL[d];",
+        "                counts[row] = value;",
+        "                if (value > 0)",
+        "                    presence |= (int64_t)1 << row;",
+        "                else",
+        "                    presence &= ~((int64_t)1 << row);",
+        "            }",
+        "            nxt = T_TARGET[chosen];",
+        "        }",
+        "        state = nxt;",
+        "        if (hist)",
+        "            hist[t + 1] = state;",
+        "        t++;",
+        "        if (state == FINAL) {",
+        "            det[found++] = (int32_t)(t - 1);",
+        "            if (stop)",
+        "                break;",
+        "        }",
+        "    }",
+        "    *state_io = state;",
+        "    *n_det = found;",
+        "    *consumed = t;",
+        "    return 0;",
+        "}",
+        "",
         "/* Step every lane of a batch of pre-encoded mask streams.",
         " *",
         " * masks      concatenated per-lane mask streams;",
@@ -196,11 +302,9 @@ def table_to_c(table: VectorTable, symbol: str = ENTRY_SYMBOL) -> str:
         " *            detections + offsets[i];",
         " * det_counts out: detections written per lane.",
         " *",
-        " * Returns 0 on success, 1 on the first anomaly (a mask",
-        " * outside [0, SIZE), missing cell, no passing rung,",
-        " * cross-group nondeterminism, strict Del_evt under-run) — the",
-        " * caller then replays the batch through the scalar engine for",
-        " * the byte-identical error.",
+        " * Returns 0 on success, 1 on the first anomaly — the caller",
+        " * then replays the batch through the scalar engine for the",
+        " * byte-identical error.",
         " */",
         f"EXPORT int32_t {symbol}(",
         "    const int32_t *masks,",
@@ -212,71 +316,47 @@ def table_to_c(table: VectorTable, symbol: str = ENTRY_SYMBOL) -> str:
         "{",
         "    for (int64_t lane = 0; lane < n_lanes; lane++) {",
         "        const int64_t lo = offsets[lane];",
-        "        const int64_t len = offsets[lane + 1] - lo;",
-        "        const int32_t *lane_masks = masks + lo;",
         "        int32_t *hist = history + lo + lane;",
-        "        int32_t *det = detections + lo;",
-        "        int64_t n_det = 0;",
         "        int32_t state = INITIAL;",
-        "        int64_t presence = 0;",
         "        int32_t counts[N_COUNTS];",
+        "        int64_t consumed;",
         "        memset(counts, 0, sizeof counts);",
         "        hist[0] = state;",
-        "        for (int64_t t = 0; t < len; t++) {",
-        "            const int32_t mask = lane_masks[t];",
-        "            if ((uint32_t)mask >= (uint32_t)SIZE)",
-        "                return 1;  /* mask outside the alphabet */",
-        "            int32_t nxt = FLAT[state * SIZE + mask];",
-        "            if (nxt < 0) {",
-        "                if (nxt == -1)",
-        "                    return 1;  /* missing cell */",
-        "                const int32_t spec = -2 - nxt;",
-        "                const int32_t hi = TERM_OFF[spec + 1];",
-        "                int32_t chosen = -1;",
-        "                for (int32_t k = TERM_OFF[spec]; k < hi; k++) {",
-        "                    if ((presence & T_CMASK[k]) == T_CPOS[k]",
-        "                        && (mask & T_IMASK[k]) == T_IPOS[k]) {",
-        "                        chosen = k;",
-        "                        break;",
-        "                    }",
-        "                }",
-        "                if (chosen < 0)",
-        "                    return 1;  /* no passing rung */",
-        "                if (!SPEC_SAFE[spec]) {",
-        "                    const int32_t grp = T_GROUP[chosen];",
-        "                    for (int32_t k = chosen + 1; k < hi; k++) {",
-        "                        if (T_GROUP[k] != grp",
-        "                            && (presence & T_CMASK[k])"
-        " == T_CPOS[k]",
-        "                            && (mask & T_IMASK[k])"
-        " == T_IPOS[k])",
-        "                            return 1;  /* nondeterminism */",
-        "                    }",
-        "                }",
-        "                const int32_t dhi = T_DOFF[chosen + 1];",
-        "                for (int32_t d = T_DOFF[chosen]; d < dhi; d++) {",
-        "                    if (counts[D_ROW[d]] + D_FLOOR[d] < 0)",
-        "                        return 1;  /* Del_evt under-run */",
-        "                }",
-        "                for (int32_t d = T_DOFF[chosen]; d < dhi; d++) {",
-        "                    const int32_t row = D_ROW[d];",
-        "                    const int32_t value = counts[row]"
-        " + D_TOTAL[d];",
-        "                    counts[row] = value;",
-        "                    if (value > 0)",
-        "                        presence |= (int64_t)1 << row;",
-        "                    else",
-        "                        presence &= ~((int64_t)1 << row);",
-        "                }",
-        "                nxt = T_TARGET[chosen];",
-        "            }",
-        "            state = nxt;",
-        "            hist[t + 1] = state;",
-        "            if (state == FINAL)",
-        "                det[n_det++] = (int32_t)t;",
-        "        }",
-        "        det_counts[lane] = n_det;",
+        "        if (step_loop(masks + lo, offsets[lane + 1] - lo, 0,",
+        "                      &state, counts, hist, detections + lo,",
+        "                      det_counts + lane, &consumed))",
+        "            return 1;",
         "    }",
+        "    return 0;",
+        "}",
+        "",
+        "/* Step one chunk of a stream from a state kept between calls.",
+        " *",
+        " * io         in/out: the state, then counts[N_COUNTS];",
+        " * stop       nonzero: stop right after the first detecting tick;",
+        " * detections out: detection offsets into the chunk;",
+        " * out        out: [detections written, ticks consumed].",
+        " *",
+        " * Returns 0 and writes io back, or 1 on the first anomaly with io",
+        " * unchanged — the caller replays the chunk from there through",
+        " * the scalar engine.",
+        " */",
+        f"EXPORT int32_t {symbol}{STREAM_SUFFIX}(",
+        "    const int32_t *masks,",
+        "    int64_t len,",
+        "    int32_t *io,",
+        "    int32_t stop,",
+        "    int32_t *detections,",
+        "    int64_t *out)",
+        "{",
+        "    int32_t state = io[0];",
+        "    int32_t counts[N_COUNTS];",
+        "    memcpy(counts, io + 1, sizeof counts);",
+        "    if (step_loop(masks, len, stop, &state, counts, NULL,",
+        "                  detections, out, out + 1))",
+        "        return 1;",
+        "    io[0] = state;",
+        "    memcpy(io + 1, counts, sizeof counts);",
         "    return 0;",
         "}",
     ])

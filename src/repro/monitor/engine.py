@@ -72,8 +72,9 @@ class EngineBase:
     object exposing ``name``/``initial``/``final``.
 
     ``record_history=False`` turns off the per-tick state history and
-    transition log, giving O(1) memory per tick regardless of trace
-    length — the streaming pipeline runs engines this way and drains
+    transition log — and the operation log of an engine-owned
+    scoreboard — giving O(1) memory per tick regardless of trace
+    length: the streaming pipeline runs engines this way and drains
     detections incrementally with :meth:`drain_detections`.
     """
 
@@ -81,7 +82,8 @@ class EngineBase:
                  record_history: bool = True):
         self._automaton = automaton
         self._owns_scoreboard = scoreboard is None
-        self._scoreboard = scoreboard if scoreboard is not None else Scoreboard()
+        self._scoreboard = (scoreboard if scoreboard is not None
+                            else Scoreboard(log=record_history))
         self._state = automaton.initial
         self._tick = 0
         self._record_history = record_history

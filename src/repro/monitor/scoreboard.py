@@ -16,7 +16,7 @@ monitors — it is the synchronisation medium between clock domains.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.errors import ScoreboardError
 
@@ -30,19 +30,23 @@ class Scoreboard:
     algorithm only deletes what it previously added, so a strict
     scoreboard treats that as an internal error; lenient mode clamps at
     zero (useful when experimenting with hand-edited monitors).
+    ``log=False`` keeps no operation log (:meth:`history` stays empty):
+    the scoreboard of a streaming engine then holds only its counts,
+    however long the stream.
     """
 
-    def __init__(self, strict: bool = True):
+    def __init__(self, strict: bool = True, log: bool = True):
         self._counts: Counter = Counter()
         self._strict = bool(strict)
-        self._history: List[Tuple[str, str]] = []
+        self._history: Optional[List[Tuple[str, str]]] = [] if log else None
 
     # -- the paper's three operations -------------------------------------
     def add(self, *events: str) -> None:
         """``Add_evt(e, ...)`` — record one occurrence of each event."""
         for event in events:
             self._counts[event] += 1
-            self._history.append(("add", event))
+            if self._history is not None:
+                self._history.append(("add", event))
 
     def delete(self, *events: str) -> None:
         """``Del_evt(e, ...)`` — remove one occurrence of each event."""
@@ -55,7 +59,8 @@ class Scoreboard:
                 self._counts[event] = 0
                 continue
             self._counts[event] -= 1
-            self._history.append(("del", event))
+            if self._history is not None:
+                self._history.append(("del", event))
 
     def contains(self, event: str) -> bool:
         """``Chk_evt(e)`` — is at least one occurrence recorded?"""
@@ -71,8 +76,9 @@ class Scoreboard:
         return {e: c for e, c in self._counts.items() if c > 0}
 
     def history(self) -> List[Tuple[str, str]]:
-        """Chronological list of ``("add"|"del", event)`` operations."""
-        return list(self._history)
+        """Chronological list of ``("add"|"del", event)`` operations
+        (empty when the scoreboard keeps no log)."""
+        return list(self._history or ())
 
     def restore(self, snapshot: Dict[str, int]) -> None:
         """Reset contents to a previously taken :meth:`snapshot`."""

@@ -48,7 +48,6 @@ _EXPORTS = {
     "CompiledMonitor": "repro.runtime.compiled",
     "EngineBackend": "repro.runtime.engines",
     "ExecutionPlan": "repro.runtime.engines",
-    "VectorEngine": "repro.runtime.vector",
     "Workload": "repro.runtime.engines",
     "engine_choices": "repro.runtime.engines",
     "plan_execution": "repro.runtime.engines",

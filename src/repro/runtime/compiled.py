@@ -494,6 +494,96 @@ class CompiledEngine(EngineBase):
             )
         return self.commit(cell)
 
+    def feed_masks(self, masks: Sequence[int],
+                   stop: bool = False) -> List[int]:
+        """Consume one chunk of encoded ticks; return detection offsets.
+
+        The streaming checker's chunk path: one tight loop over the
+        flat table of :func:`~repro.runtime.lowering.vector_table`,
+        without per-tick method dispatch.  Offsets are relative to the
+        first tick of the chunk; ``stop`` ends the chunk right after
+        its first detecting tick, so no later tick is stepped.  State,
+        tick count and scoreboard evolve exactly as per-tick
+        :meth:`step_mask` calls would — including on failure: a tick
+        that cannot step raises the error ``step_mask`` raises (a mask
+        outside the alphabet raises
+        :func:`check_mask_domain`'s), with the engine left at the
+        failing tick, earlier ticks committed and their detections
+        waiting in :meth:`drain_detections`.  Per-tick history
+        recording is not supported (streaming engines run
+        ``record_history=False``).
+        """
+        if self._record_history:
+            raise MonitorError(
+                "feed_masks is the streaming fast path; construct the "
+                "engine with record_history=False (step() records "
+                "history tick by tick)"
+            )
+        from repro.runtime.lowering import vector_table
+
+        compiled = self._compiled
+        vt = vector_table(compiled)
+        flat = vt.flat
+        size = vt.size
+        final = vt.final
+        # The flat index of an out-of-range mask is another state's
+        # cell: step only the in-range prefix, then name the bad mask.
+        end = len(masks)
+        if end and (min(masks) < 0 or max(masks) >= size):
+            end = next(offset for offset, mask in enumerate(masks)
+                       if not 0 <= mask < size)
+        scalar_table = self._table
+        scoreboard = self._scoreboard
+        exclusive = self._exclusive
+        state = self._state
+        detections: List[int] = []
+        stepped = end
+        stream = masks if end == len(masks) else masks[:end]
+        for offset, mask in enumerate(stream):
+            nxt = flat[state * size + mask]
+            if nxt < 0:
+                try:
+                    cell = scalar_table[state][mask]
+                    if type(cell) is tuple:
+                        cell = _resolve_ladder(
+                            cell, mask, scoreboard, exclusive,
+                            compiled.name, state,
+                        )
+                    if cell is None:
+                        raise MonitorError(
+                            f"monitor {compiled.name!r}: no transition "
+                            f"enabled in state {state} on input "
+                            f"{compiled.codec.decode(mask)!r} "
+                            f"(scoreboard {scoreboard!r})"
+                        )
+                    for action in cell.actions:
+                        action.apply(scoreboard)
+                except Exception:
+                    self._stopped_at(state, offset, detections)
+                    raise
+                nxt = cell.target
+            state = nxt
+            if state == final:
+                detections.append(offset)
+                if stop:
+                    stepped = offset + 1
+                    break
+        if stepped < len(masks) and not (stop and detections):
+            self._stopped_at(state, stepped, detections)
+            check_mask_domain(compiled, [masks])
+        self._state = state
+        self._tick += stepped
+        return detections
+
+    def _stopped_at(self, state: int, offset: int,
+                    detections: List[int]) -> None:
+        """Leave the engine where step-by-step stepping would have: at
+        the failing tick, with the chunk's detections before it
+        recorded (for :meth:`drain_detections`)."""
+        self._state = state
+        self._detections.extend(self._tick + hit for hit in detections)
+        self._tick += offset
+
 
 def run_compiled(
     monitor: Union[Monitor, CompiledMonitor],

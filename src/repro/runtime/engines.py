@@ -85,7 +85,6 @@ _CAPABILITY_FEATURES = {
     "step": "per-tick stepping",
     "batch": "batch execution",
     "streaming": "streaming checks",
-    "chunked": "chunked mask pushes",
     "sharded_worker": "sharded execution",
     "two_phase": "two-phase network stepping",
     "optimize_ok": "optimized monitors",
@@ -106,7 +105,7 @@ class EngineBackend:
 
     __slots__ = (
         "name", "steps", "when", "wants_compiled", "step", "batch",
-        "streaming", "chunked", "sharded_worker", "two_phase",
+        "streaming", "sharded_worker", "two_phase",
         "optimize_ok", "prefers_numpy", "_engine_factory",
         "_batch_factory", "_encoded_factory", "_availability",
     )
@@ -121,7 +120,6 @@ class EngineBackend:
         step: bool = True,
         batch: bool = False,
         streaming: bool = False,
-        chunked: bool = False,
         sharded_worker: bool = False,
         two_phase: bool = False,
         optimize_ok: bool = False,
@@ -138,7 +136,6 @@ class EngineBackend:
         self.step = step
         self.batch = batch
         self.streaming = streaming
-        self.chunked = chunked
         self.sharded_worker = sharded_worker
         self.two_phase = two_phase
         self.optimize_ok = optimize_ok
@@ -206,7 +203,7 @@ class EngineBackend:
 
     def __repr__(self):
         flags = ", ".join(
-            flag for flag in ("step", "batch", "streaming", "chunked",
+            flag for flag in ("step", "batch", "streaming",
                               "sharded_worker", "two_phase", "optimize_ok")
             if getattr(self, flag)
         )
@@ -240,7 +237,7 @@ def register_backend(backend_: EngineBackend, replace: bool = False) -> EngineBa
 
 def backend(name: str) -> EngineBackend:
     """The registered backend for ``name`` (uniform error if unknown)."""
-    found = _REGISTRY.get(name)
+    found = _REGISTRY.get(name) if isinstance(name, str) else None
     if found is None:
         raise unknown_engine(name)
     return found
@@ -276,12 +273,13 @@ def require_backend(name: str, capability: Optional[str] = None,
     """Resolve ``name`` and check one capability flag.
 
     Raises ``error_cls`` with the registry's uniform wording when the
-    name is unregistered, or when it is registered but lacks the
-    capability — the choice list in either message names exactly the
-    engines valid at the calling entry point (``auto=False`` for the
-    few seams that need a concrete backend).
+    name is unregistered (or not a string: a wire request may carry
+    any JSON value), or when it is registered but lacks the capability
+    — the choice list in either message names exactly the engines
+    valid at the calling entry point (``auto=False`` for the few seams
+    that need a concrete backend).
     """
-    found = _REGISTRY.get(name)
+    found = _REGISTRY.get(name) if isinstance(name, str) else None
     if found is None:
         raise unknown_engine(name, capability, error_cls, auto=auto)
     if capability is not None and not getattr(found, capability):
@@ -449,16 +447,18 @@ def plan_streaming(engine: str = AUTO, implication: bool = False,
     """Resolve an engine request for online (per-stream) checking.
 
     Implication specs interleave obligations with detections tick by
-    tick, so ``"auto"`` resolves them to the compiled scalar engine;
-    detector streams take the chunked vector path when NumPy is live.
-    An explicit name validates against the ``streaming`` capability.
+    tick, so ``"auto"`` resolves them to the compiled engine; detector
+    streams step each chunk in one native call when a C compiler is
+    available, else in the compiled engine's chunk loop.  An explicit
+    name validates against the ``streaming`` capability.
     """
     if engine != AUTO:
         return require_backend(engine, "streaming",
                                error_cls=error_cls).name
-    if implication or not numpy_ready():
+    native = _REGISTRY.get("native")
+    if implication or native is None or native.unavailable_reason():
         return "compiled"
-    return "vector"
+    return "native"
 
 
 def resolve_step_backend(engine: str, capability: str = "step",
@@ -490,7 +490,8 @@ def engines_markdown_table() -> str:
         "| `auto` | the planner's pick of the above | the default for "
         "every CLI entry point: `native` whenever a host C compiler "
         "can build it, else `vector` for batches of "
-        f"{VECTOR_WIDE_WIDTH}+ lanes under NumPy, else `compiled` |"
+        f"{VECTOR_WIDE_WIDTH}+ lanes under NumPy, else `compiled`; "
+        "implication streams always take `compiled` |"
     )
     return "\n".join(lines) + "\n"
 
@@ -506,12 +507,6 @@ def _compiled_engine_factory():
     from repro.runtime.compiled import CompiledEngine
 
     return CompiledEngine
-
-
-def _vector_engine_factory():
-    from repro.runtime.vector import VectorEngine
-
-    return VectorEngine
 
 
 def _compiled_batch_factory():
@@ -536,6 +531,12 @@ def _vector_encoded_factory():
     from repro.runtime.vector import run_many_vector_encoded
 
     return run_many_vector_encoded
+
+
+def _native_engine_factory():
+    from repro.runtime.native import NativeEngine
+
+    return NativeEngine
 
 
 def _native_batch_factory():
@@ -570,9 +571,9 @@ register_backend(EngineBackend(
 register_backend(EngineBackend(
     "compiled",
     steps="dense `(state, mask)` table, one trace per engine",
-    when="streaming/online checking, and every batch when neither a "
-         "C compiler nor a wide batch under NumPy is at hand: 5–50x "
-         "over interpreted",
+    when="implication streams, detector streams without a C compiler, "
+         "and every batch when neither a C compiler nor a wide batch "
+         "under NumPy is at hand: 5–50x over interpreted",
     wants_compiled=True,
     step=True,
     batch=True,
@@ -596,12 +597,9 @@ register_backend(EngineBackend(
     wants_compiled=True,
     step=False,
     batch=True,
-    streaming=True,
-    chunked=True,
     sharded_worker=True,
     optimize_ok=True,
     prefers_numpy=True,
-    engine_factory=_vector_engine_factory,
     batch_factory=_vector_batch_factory,
     encoded_factory=_vector_encoded_factory,
 ))
@@ -609,16 +607,19 @@ register_backend(EngineBackend(
 register_backend(EngineBackend(
     "native",
     steps="compile-on-demand C table-stepper (same flat table and "
-          "predicated rungs), one shared object per monitor",
-    when="every batch width when a host C compiler is present: "
-         "~2–4x over `compiled` and ~2–7x over `vector` from 1 to 256 "
-         "lanes, anomalies replay through the scalar engine for "
-         "identical errors",
+          "predicated rungs), one shared object per monitor; streams "
+          "keep their state in C between chunks",
+    when="every batch width and every detector stream when a host C "
+         "compiler is present: ~2–4x over `compiled` and ~2–7x over "
+         "`vector` from 1 to 256 lanes, anomalies replay through the "
+         "scalar engine for identical errors",
     wants_compiled=True,
     step=False,
     batch=True,
+    streaming=True,
     sharded_worker=True,
     optimize_ok=True,
+    engine_factory=_native_engine_factory,
     batch_factory=_native_batch_factory,
     encoded_factory=_native_encoded_factory,
     availability=_native_availability,

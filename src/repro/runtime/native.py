@@ -45,6 +45,7 @@ import subprocess
 import sys
 import tempfile
 from array import array
+from struct import error as struct_error, pack_into
 from typing import (
     TYPE_CHECKING,
     Callable,
@@ -62,6 +63,7 @@ from repro.monitor.automaton import Monitor
 from repro.monitor.engine import MonitorResult
 from repro.monitor.scoreboard import Scoreboard
 from repro.runtime.compiled import (
+    CompiledEngine,
     CompiledMonitor,
     _run_many_encoded,
     as_compiled,
@@ -72,6 +74,7 @@ if TYPE_CHECKING:
     from repro.runtime.lowering import VectorTable
 
 __all__ = [
+    "NativeEngine",
     "NativeKernel",
     "find_cc",
     "native_cache_root",
@@ -155,27 +158,38 @@ def _fingerprint(source: str, cc: str) -> str:
 
 
 class NativeKernel:
-    """One loaded shared object: the ctypes entry point plus metadata."""
+    """One loaded shared object: the ctypes entry points plus metadata.
 
-    __slots__ = ("compiled", "path", "fingerprint", "_fn", "_lib")
+    ``events`` names the scoreboard counts the stream entry's state
+    buffer carries after the state, in row order.
+    """
+
+    __slots__ = ("compiled", "path", "fingerprint", "events", "_fn",
+                 "_stream", "_lib")
 
     def __init__(self, compiled: CompiledMonitor, path: str,
-                 fingerprint: str, lib, fn):
+                 fingerprint: str, events: Tuple[str, ...], lib, fn,
+                 stream):
         self.compiled = compiled
         self.path = path
         self.fingerprint = fingerprint
+        self.events = events
         self._lib = lib
         self._fn = fn
+        self._stream = stream
 
     def run(self, flat_masks, offsets, n_lanes, history, detections,
             det_counts) -> int:
         return self._fn(flat_masks, offsets, n_lanes, history,
                         detections, det_counts)
 
+    def stream(self, masks, length, io, stop, detections, out) -> int:
+        return self._stream(masks, length, io, stop, detections, out)
+
 
 def _bind_stepper(lib) -> tuple:
-    """``(lib, fn)``: the stepper's entry point with its signature."""
-    from repro.codegen.c_gen import ENTRY_SYMBOL
+    """``(lib, fn, stream)``: the stepper's entry points, typed."""
+    from repro.codegen.c_gen import ENTRY_SYMBOL, STREAM_SUFFIX
 
     fn = getattr(lib, ENTRY_SYMBOL)
     fn.restype = ctypes.c_int32
@@ -187,7 +201,17 @@ def _bind_stepper(lib) -> tuple:
         ctypes.c_void_p,  # detections
         ctypes.c_void_p,  # det_counts
     )
-    return lib, fn
+    stream = getattr(lib, ENTRY_SYMBOL + STREAM_SUFFIX)
+    stream.restype = ctypes.c_int32
+    stream.argtypes = (
+        ctypes.c_void_p,  # masks
+        ctypes.c_int64,   # len
+        ctypes.c_void_p,  # io: state, counts
+        ctypes.c_int32,   # stop
+        ctypes.c_void_p,  # detections
+        ctypes.c_void_p,  # out: detections written, ticks consumed
+    )
+    return lib, fn, stream
 
 
 _Bound = TypeVar("_Bound")
@@ -271,8 +295,9 @@ def _build_kernel(compiled: CompiledMonitor) -> Optional[NativeKernel]:
     built = shared_object(table_to_c(table), _bind_stepper)
     if built is None:
         return None
-    path, key, (lib, fn) = built
-    return NativeKernel(compiled, path, key, lib, fn)
+    path, key, (lib, fn, stream) = built
+    return NativeKernel(compiled, path, key, table.events, lib, fn,
+                        stream)
 
 
 def shared_object(source: str, bind: Callable[[ctypes.CDLL], _Bound]
@@ -471,3 +496,126 @@ def _run_many_native(compiled, mask_arrays, scoreboards,
             length,
         ))
     return results
+
+
+# -- the stream engine ------------------------------------------------------
+class NativeEngine(CompiledEngine):
+    """A compiled engine whose :meth:`feed_masks` is one C call a chunk.
+
+    The stepper's stream entry keeps the engine's state and scoreboard
+    counts in an ``int32`` buffer between calls, so a stream of chunks
+    never leaves C while it is clean.  On an anomaly the entry writes
+    nothing back, and the chunk replays from its start state through
+    :meth:`CompiledEngine.feed_masks
+    <repro.runtime.compiled.CompiledEngine.feed_masks>`: the error text
+    and where the engine stops are the scalar loop's.  The Python
+    :class:`~repro.monitor.scoreboard.Scoreboard` is rebuilt from the
+    counts only when something reads it (:attr:`scoreboard`, per-tick
+    stepping, a replay).  An injected scoreboard, a table outside the
+    C lowering or a missing kernel steps every chunk in Python, as
+    :func:`run_many_native` does.
+    """
+
+    def __init__(self, monitor: Union[Monitor, CompiledMonitor],
+                 scoreboard: Optional[Scoreboard] = None,
+                 record_history: bool = True):
+        super().__init__(monitor, scoreboard=scoreboard,
+                         record_history=record_history)
+        # An injected scoreboard is an observable object: it steps in
+        # Python, tick by tick.
+        self._kernel = (native_kernel(self._compiled)
+                        if scoreboard is None else None)
+        self._in_c = False
+        if self._kernel is not None:
+            self._io = array("i", bytes(4 * (1 + max(
+                1, len(self._kernel.events)))))
+            # Chunk-sized in/out buffers, reused call after call.
+            self._masks = array("i")
+            self._found = array("i")
+            self._out = array("q", bytes(16))
+
+    # -- the Python side of the state --------------------------------------
+    def _sync_board(self) -> None:
+        """Hand the counts back to the Python scoreboard (events the
+        table never touches keep theirs)."""
+        if self._in_c:
+            self._in_c = False
+            io = self._io
+            counts = self._scoreboard.snapshot()
+            counts.update(
+                (event, io[1 + row])
+                for row, event in enumerate(self._kernel.events)
+            )
+            self._scoreboard.restore(counts)
+
+    def _load_io(self) -> bool:
+        """Copy state and counts into the C buffer; ``False`` when a
+        count does not fit ``int32`` (the chunk then steps in Python)."""
+        io = self._io
+        count = self._scoreboard.count
+        for row, event in enumerate(self._kernel.events):
+            value = count(event)
+            if value > _INT32_MAX:
+                return False
+            io[1 + row] = value
+        io[0] = self._state
+        self._in_c = True
+        return True
+
+    @property
+    def scoreboard(self) -> Scoreboard:
+        self._sync_board()
+        return self._scoreboard
+
+    def enabled_transition(self, valuation):
+        self._sync_board()
+        return super().enabled_transition(valuation)
+
+    def step_mask(self, mask: int) -> int:
+        self._sync_board()
+        return super().step_mask(mask)
+
+    def commit(self, transition, apply_actions: bool = True) -> int:
+        self._sync_board()
+        return super().commit(transition, apply_actions)
+
+    def reset(self) -> None:
+        self._in_c = False
+        super().reset()
+
+    # -- the chunk path ------------------------------------------------------
+    def feed_masks(self, masks: Sequence[int],
+                   stop: bool = False) -> List[int]:
+        """:meth:`CompiledEngine.feed_masks
+        <repro.runtime.compiled.CompiledEngine.feed_masks>`, one C call
+        per chunk."""
+        kernel = self._kernel
+        count = len(masks)
+        if kernel is None or self._record_history or not count or (
+            not self._in_c and not self._load_io()
+        ):
+            return super().feed_masks(masks, stop)
+        found = self._found
+        if len(found) < count:
+            self._masks = array("i", bytes(4 * count))
+            self._found = found = array("i", bytes(4 * count))
+        if type(masks) is array and masks.typecode == "i":
+            buffer = masks
+        else:
+            buffer = self._masks
+            try:
+                # Two to three times faster than array("i", masks).
+                pack_into(f"={count}i", buffer, 0, *masks)
+            except struct_error:
+                # Beyond int32: the scalar loop names the bad mask.
+                self._sync_board()
+                return super().feed_masks(masks, stop)
+        out = self._out
+        if kernel.stream(_addr(buffer), count, _addr(self._io),
+                         1 if stop else 0, _addr(found), _addr(out)):
+            # Nothing was written back: replay from the chunk's start.
+            self._sync_board()
+            return super().feed_masks(masks, stop)
+        self._state = self._io[0]
+        self._tick += out[1]
+        return found[:out[0]].tolist()

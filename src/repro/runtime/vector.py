@@ -51,7 +51,6 @@ from repro.monitor.automaton import Monitor
 from repro.monitor.engine import MonitorResult
 from repro.monitor.scoreboard import Scoreboard
 from repro.runtime.compiled import (
-    CompiledEngine,
     CompiledMonitor,
     _resolve_ladder,
     _run_many_encoded,
@@ -63,7 +62,6 @@ from repro.semantics.run import Trace
 
 __all__ = [
     "MISSING",
-    "VectorEngine",
     "VectorTable",
     "np_flat",
     "np_plan",
@@ -477,82 +475,3 @@ def _run_numpy(compiled, mask_arrays, scoreboards) -> List[MonitorResult]:
             for _ in range(count)
         ]
     return _NumpyRun(compiled, mask_arrays, scoreboards).run()
-
-
-class VectorEngine(CompiledEngine):
-    """A compiled engine with a chunked flat-table fast path.
-
-    Scalar ``step``/``feed``/two-phase semantics are inherited
-    unchanged from :class:`CompiledEngine`; :meth:`feed_masks` consumes
-    a pre-encoded chunk of ticks in one tight loop over the flat
-    integer table — the streaming checker's vector mode batches its
-    input into chunks and pushes them through here, skipping three
-    Python method calls per tick per monitor.
-    """
-
-    def __init__(self, monitor, scoreboard: Optional[Scoreboard] = None,
-                 record_history: bool = True):
-        super().__init__(monitor, scoreboard=scoreboard,
-                         record_history=record_history)
-        self._vt = vector_table(self._compiled)
-
-    def feed_masks(self, masks: Sequence[int]) -> List[int]:
-        """Consume one chunk of encoded ticks; return detection offsets.
-
-        Offsets are relative to the first tick of the chunk.  State,
-        tick count and scoreboard evolve exactly as ``len(masks)``
-        ``step`` calls would — including on failure: an escape that
-        cannot resolve raises the same error ``step`` raises, with the
-        engine left exactly where per-tick stepping would have left it
-        (state and tick at the failing element, earlier elements
-        committed).  Per-tick history recording is not supported
-        (streaming engines run ``record_history=False``).
-        """
-        if self._record_history:
-            raise MonitorError(
-                "feed_masks is the streaming fast path; construct the "
-                "engine with record_history=False (step() records "
-                "history tick by tick)"
-            )
-        vt = self._vt
-        flat = vt.flat
-        size = vt.size
-        final = vt.final
-        compiled = self._compiled
-        scalar_table = self._table
-        scoreboard = self._scoreboard
-        exclusive = self._exclusive
-        state = self._state
-        detections: List[int] = []
-        for offset, mask in enumerate(masks):
-            nxt = flat[state * size + mask]
-            if nxt < 0:
-                try:
-                    cell = scalar_table[state][mask]
-                    if type(cell) is tuple:
-                        cell = _resolve_ladder(
-                            cell, mask, scoreboard, exclusive,
-                            compiled.name, state,
-                        )
-                    if cell is None:
-                        raise MonitorError(
-                            f"monitor {compiled.name!r}: no transition "
-                            f"enabled in state {state} on input "
-                            f"{compiled.codec.decode(mask)!r} "
-                            f"(scoreboard {scoreboard!r})"
-                        )
-                    for action in cell.actions:
-                        action.apply(scoreboard)
-                except Exception:
-                    # Leave the engine where step-by-step stepping
-                    # would have: at the failing tick.
-                    self._state = state
-                    self._tick += offset
-                    raise
-                nxt = cell.target
-            state = nxt
-            if state == final:
-                detections.append(offset)
-        self._state = state
-        self._tick += len(masks)
-        return detections

@@ -20,9 +20,11 @@ Requests::
     {"op": "ping"}
 
 A ``push`` tick is the list of symbols *true* at that tick (the wire
-form of a :class:`~repro.logic.valuation.Valuation`); ``push_masks``
-ships pre-encoded codec masks instead — the zero-decode path for
-clients replaying ``.rtrc`` corpora.  The same port also answers
+form of a :class:`~repro.logic.valuation.Valuation`); a detector
+stream over one codec turns it straight into that codec's mask
+(:func:`ticks_to_masks`).  ``push_masks`` ships pre-encoded codec
+masks instead — the zero-decode path for clients replaying ``.rtrc``
+corpora.  The same port also answers
 plain ``GET /health`` and ``GET /metrics`` HTTP requests (see
 :mod:`repro.serve.server`), so one endpoint serves both the data
 plane and the ops loop.
@@ -43,6 +45,7 @@ __all__ = [
     "error_message",
     "masks_from_wire",
     "ticks_from_wire",
+    "ticks_to_masks",
 ]
 
 #: Hard cap on one request line (the asyncio reader limit): a single
@@ -68,7 +71,7 @@ def decode_request(line: bytes) -> dict:
     if not isinstance(message, dict):
         raise ServeError("request must be a JSON object")
     op = message.get("op")
-    if op not in _OPS:
+    if not isinstance(op, str) or op not in _OPS:
         raise ServeError(
             f"unknown op {op!r} (choose from {sorted(_OPS)})"
         )
@@ -87,8 +90,7 @@ def error_message(error, stream=None) -> dict:
     return message
 
 
-def ticks_from_wire(ticks) -> List[List[str]]:
-    """Validate a ``push`` payload: a list of true-symbol lists."""
+def _check_ticks(ticks) -> None:
     if not isinstance(ticks, list):
         raise ServeError("push needs 'ticks': a list of symbol lists")
     if len(ticks) > MAX_TICKS_PER_PUSH:
@@ -96,14 +98,45 @@ def ticks_from_wire(ticks) -> List[List[str]]:
             f"push of {len(ticks)} ticks exceeds the per-request cap "
             f"of {MAX_TICKS_PER_PUSH}; split the chunk"
         )
+
+
+_BAD_TICK = "each tick must be a list of true-symbol strings"
+
+
+def ticks_from_wire(ticks) -> List[List[str]]:
+    """Validate a ``push`` payload: a list of true-symbol lists."""
+    _check_ticks(ticks)
     for tick in ticks:
         if not isinstance(tick, list) or not all(
             isinstance(symbol, str) for symbol in tick
         ):
-            raise ServeError(
-                "each tick must be a list of true-symbol strings"
-            )
+            raise ServeError(_BAD_TICK)
     return ticks
+
+
+def ticks_to_masks(ticks, codec) -> List[int]:
+    """Validate a ``push`` payload and encode it under ``codec``.
+
+    One pass does :func:`ticks_from_wire`'s checks, with its error
+    texts, and ORs each symbol's bit into the tick's mask.  A symbol
+    outside the alphabet adds no bit, and duplicates and order do not
+    matter, so every mask equals ``codec.encode(Valuation(tick))``
+    and lies in the codec's range.
+    """
+    _check_ticks(ticks)
+    bit = codec.bit_of.get
+    masks: List[int] = []
+    append = masks.append
+    for tick in ticks:
+        if not isinstance(tick, list):
+            raise ServeError(_BAD_TICK)
+        mask = 0
+        for symbol in tick:
+            if not isinstance(symbol, str):
+                raise ServeError(_BAD_TICK)
+            mask |= bit(symbol, 0)
+        append(mask)
+    return masks
 
 
 def masks_from_wire(masks) -> List[int]:

@@ -17,8 +17,8 @@ Memory stays bounded end to end: the stream reader caps one line at
 ``max_line_bytes``, each stream buffers at most ``queue_chunks``
 chunks (:mod:`repro.serve.session`), and ``max_streams`` caps the
 stream population.  ``corpus`` answers batch verdicts over a warm
-``.rtrc`` corpus — mask arrays go straight from the memory-mapped
-file into the vector kernel, no re-encode — with detection lists
+``.rtrc`` corpus — mask arrays go straight from the loaded file into
+the planned batch kernel, no re-encode — with detection lists
 truncated at :data:`MAX_WIRE_DETECTIONS` per trace (exact counts
 always shipped).
 """
@@ -46,6 +46,7 @@ from repro.serve.protocol import (
     error_message,
     masks_from_wire,
     ticks_from_wire,
+    ticks_to_masks,
 )
 from repro.serve.session import DEFAULT_QUEUE_CHUNKS, StreamSession
 from repro.trace.streaming import StreamingChecker
@@ -165,7 +166,7 @@ class MonitorService:
     def _spec_for(self, name: Optional[str]):
         if name is None:
             name = self._default_name
-        spec = self._specs.get(name)
+        spec = self._specs.get(name) if isinstance(name, str) else None
         if spec is None:
             known = ", ".join(sorted(self._specs))
             raise ServeError(
@@ -178,22 +179,23 @@ class MonitorService:
         name, spec = self._spec_for(name)
         compiled = self._compiled.get(name)
         if compiled is None:
-            from repro.cesc.charts import Chart, as_chart
+            from repro.monitor.automaton import Monitor
             from repro.runtime.compiled import CompiledMonitor, as_compiled
             from repro.synthesis.tr import tr_compiled
 
-            if isinstance(spec, CompiledMonitor):
-                compiled = spec
-            elif isinstance(spec, Chart):
-                compiled = tr_compiled(spec)
-            else:
-                try:
-                    compiled = as_compiled(spec)
-                except (ReproError, TypeError, AttributeError):
-                    raise ServeError(
-                        f"monitor {name!r} does not reduce to a single "
-                        "compiled monitor; corpus checks need one"
-                    )
+            try:
+                compiled = (
+                    as_compiled(spec)
+                    if isinstance(spec, (Monitor, CompiledMonitor))
+                    else tr_compiled(spec)
+                )
+            except (ReproError, TypeError, AttributeError):
+                # Banks and composite charts (an implication, say)
+                # have no one table.
+                raise ServeError(
+                    f"monitor {name!r} does not reduce to a single "
+                    "compiled monitor; corpus checks need one"
+                )
         self._compiled[name] = compiled
         return name, compiled
 
@@ -279,11 +281,9 @@ class MonitorService:
             if op == "open":
                 return await self._op_open(message, sessions)
             if op == "push":
-                return await self._op_push(message, sessions, "ticks",
-                                           ticks_from_wire)
+                return await self._op_push(message, sessions)
             if op == "push_masks":
-                return await self._op_push(message, sessions, "masks",
-                                           masks_from_wire)
+                return await self._op_push_masks(message, sessions)
             if op == "poll":
                 return await self._op_poll(message, sessions)
             if op == "close":
@@ -352,16 +352,27 @@ class MonitorService:
         return {"ok": True, "stream": stream, "monitor": name,
                 "engine": checker.engine}
 
-    async def _op_push(self, message, sessions: Dict[str, StreamSession],
-                       field: str, validate) -> dict:
+    async def _op_push(self, message,
+                       sessions: Dict[str, StreamSession]) -> dict:
         session = self._session_for(message, sessions)
-        payload = validate(message.get(field))
-        kind = "masks" if field == "masks" else "ticks"
-        if kind == "masks":
-            # Out-of-range masks are the request's error, answered
-            # before the chunk is queued, not the stream's.
-            session.checker.validate_masks(payload, error_cls=ServeError)
-        return await session.submit(kind, payload)
+        codec = session.checker.codec
+        if codec is None:
+            return await session.submit(
+                "ticks", ticks_from_wire(message.get("ticks")))
+        # A detector stream over one codec: the ticks become in-range
+        # masks here, in the pass that validates them, and the worker
+        # steps them with no Valuation and no second domain scan.
+        return await session.submit(
+            "masks", ticks_to_masks(message.get("ticks"), codec))
+
+    async def _op_push_masks(self, message,
+                             sessions: Dict[str, StreamSession]) -> dict:
+        session = self._session_for(message, sessions)
+        payload = masks_from_wire(message.get("masks"))
+        # Out-of-range masks are the request's error, answered before
+        # the chunk is queued, not the stream's.
+        session.checker.validate_masks(payload, error_cls=ServeError)
+        return await session.submit("masks", payload)
 
     async def _op_poll(self, message,
                        sessions: Dict[str, StreamSession]) -> dict:
@@ -408,8 +419,11 @@ class MonitorService:
                     "corpus by key needs the service started with a "
                     "--cache root"
                 )
-            path = self._cache.path_for(str(key))
-        if not isinstance(path, str) or not os.path.exists(path):
+            try:
+                path = self._cache.path_for(str(key))
+            except ValueError as error:
+                raise ServeError(str(error))
+        if not isinstance(path, str) or not os.path.isfile(path):
             raise ServeError(f"no corpus at {path!r}")
         name, compiled = self._compiled_for(message.get("monitor"))
         if self.config.engine != AUTO:

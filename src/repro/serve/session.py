@@ -13,9 +13,10 @@ every later push is refused — the streaming analogue of dropping
 samples rather than stalling the generator).
 
 The worker steps the checker synchronously — chunks are small (capped
-at :data:`~repro.serve.protocol.MAX_TICKS_PER_PUSH` ticks) and the
-vector backend makes a chunk a handful of numpy calls — and yields to
-the loop between chunks so concurrent streams interleave fairly.
+at :data:`~repro.serve.protocol.MAX_TICKS_PER_PUSH` ticks) and a
+detector stream's chunk arrives as in-range masks that the native
+backend steps in one C call — and yields to the loop between chunks
+so concurrent streams interleave fairly.
 """
 
 from __future__ import annotations
@@ -89,14 +90,12 @@ class StreamSession:
             await asyncio.sleep(0)
 
     def _consume(self, kind: str, payload) -> None:
-        checker = self.checker
+        # Masks were range-checked (or encoded by the stream's codec)
+        # before they were queued.
         if kind == "masks":
-            checker.push_masks(payload)
-        elif checker.chunked:
-            checker.push_chunk([Valuation(tick) for tick in payload])
+            self.checker.push_encoded(payload)
         else:
-            for tick in payload:
-                checker.push(Valuation(tick))
+            self.checker.push_chunk([Valuation(tick) for tick in payload])
 
     def _publish_progress(self) -> None:
         """Fold this chunk's deltas into the service-wide counters."""

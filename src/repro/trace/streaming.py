@@ -17,10 +17,15 @@ engines as it arrives:
   implication specs) or first detection (``stop_on_detection``),
   which aborts the ingest loop without reading the rest of the dump.
 
+Table backends (``compiled``, ``native``) consume pushed chunks —
+:meth:`StreamingChecker.push_chunk`, :meth:`~StreamingChecker.push_masks`
+— through one path: each engine's ``feed_masks`` steps the whole chunk
+(one C call on ``native``, one flat-table loop on ``compiled``) and
+stops exactly at the first detecting tick when ``stop_on_detection``
+asks it to.
+
 ``repro check --vcd`` with a table engine does not stream: it reads
-each dump into one mask array (4 bytes a tick) for the batch kernels,
-which cannot resume state.  Constant-memory checking of arbitrarily
-long dumps comes back with a native streaming kernel (ROADMAP).
+each dump into one mask array (4 bytes a tick) for the batch kernels.
 
 Specs: a plain chart (or :class:`~repro.synthesis.compose.MonitorBank`,
 :class:`~repro.monitor.automaton.Monitor`,
@@ -35,7 +40,7 @@ from __future__ import annotations
 from itertools import islice
 from typing import Iterable, List, Tuple
 
-from repro.errors import MonitorError
+from repro.errors import MonitorError, ReproError
 from repro.logic.valuation import Valuation
 from repro.monitor.automaton import Monitor
 from repro.monitor.checker import (
@@ -54,10 +59,10 @@ from repro.runtime.engines import (
 
 __all__ = ["StreamReport", "StreamingChecker"]
 
-#: Ticks buffered per vector-mode chunk: enough to amortize the
-#: per-chunk Python overhead, small enough that early exits stay
-#: early (a chunk is the detection-latency granularity of nothing —
-#: verdict ticks are exact — only of wasted lookahead work).
+#: Ticks :meth:`StreamingChecker.feed` and
+#: :meth:`~StreamingChecker.feed_masks` buffer per chunk: enough to
+#: amortize the per-chunk Python overhead (verdict ticks are exact at
+#: any chunk size).
 DEFAULT_CHUNK_TICKS = 256
 
 
@@ -144,8 +149,8 @@ class StreamingChecker:
         self._live: List[Obligation] = []
         self.name, monitors = self._resolve_spec(spec, loop_limit)
         if self._backend is None:
-            # A detector spec with engine="auto": chunked vector
-            # streaming when NumPy is live, scalar compiled otherwise.
+            # A detector spec with engine="auto": native chunks when a
+            # C compiler is available, compiled chunks otherwise.
             self._backend = engine_backend(plan_streaming(AUTO))
         if self._consequents is not None and stop_on_detection:
             # An implication opens an obligation at each (antecedent)
@@ -159,22 +164,24 @@ class StreamingChecker:
             for monitor in monitors
         ]
         # Multi-member specs (banks, implication antecedents) usually
-        # synthesize every member over the *same* alphabet; stepping
-        # them per tick used to re-encode the valuation once per
-        # member.  Group engines by codec symbol ordering so push()
-        # encodes once per distinct alphabet — the interpreted backend
+        # synthesize every member over the *same* alphabet.  Group
+        # engines by codec symbol ordering so a tick or a chunk is
+        # encoded once per distinct alphabet — the interpreted backend
         # steps on guard trees and has no mask to share.
         self._push_groups = None
-        if self._backend.wants_compiled and len(self._engines) > 1:
+        self._codec = None
+        if self._backend.wants_compiled:
             groups: dict = {}
             for engine in self._engines:
                 codec = engine.monitor.codec
                 group = groups.get(codec.symbols)
                 if group is None:
-                    groups[codec.symbols] = (codec.encode, [engine])
+                    groups[codec.symbols] = (codec, [engine])
                 else:
                     group[1].append(engine)
             self._push_groups = list(groups.values())
+            if len(self._push_groups) == 1 and self._consequents is None:
+                self._codec = self._push_groups[0][0]
 
     # -- construction ----------------------------------------------------
     def _resolve_spec(self, spec, loop_limit: int):
@@ -240,9 +247,15 @@ class StreamingChecker:
         return self._backend.name
 
     @property
-    def chunked(self) -> bool:
-        """Does this checker's backend consume chunked mask pushes?"""
-        return self._backend.chunked
+    def codec(self):
+        """The one codec every member steps on, or ``None``.
+
+        Set for detector specs on a table backend whose members share
+        an alphabet: those take pre-encoded chunks
+        (:meth:`push_masks`).  Implications, the interpreted engine and
+        banks over several alphabets have no single codec.
+        """
+        return self._codec
 
     @property
     def ticks(self) -> int:
@@ -304,8 +317,8 @@ class StreamingChecker:
 
         detected = False
         if self._push_groups is not None:
-            for encode, engines in self._push_groups:
-                mask = encode(valuation)
+            for codec, engines in self._push_groups:
+                mask = codec.encode(valuation)
                 for engine in engines:
                     engine.step_mask(mask)
                     if engine.drain_detections():
@@ -327,15 +340,14 @@ class StreamingChecker:
         return not self._stopped
 
     def push_chunk(self, valuations: List[Valuation]) -> bool:
-        """Consume a batch of ticks through the vector fast path.
+        """Consume a batch of ticks; returns ``False`` once stopped.
 
         Verdict-equivalent to ``push`` per element — detections land on
-        exact ticks, ``stop_on_detection`` truncates the tick count at
-        the first detecting tick — but each engine consumes the whole
-        chunk in one :meth:`~repro.runtime.vector.VectorEngine.feed_masks`
-        call: the chunk is encoded once per member alphabet and stepped
-        over the flat table without per-tick method dispatch.  Returns
-        ``False`` once checking has stopped.
+        exact ticks, ``stop_on_detection`` ends the chunk at its first
+        detecting tick and no later tick is stepped.  On a table
+        backend the chunk is encoded once per member alphabet and each
+        engine consumes it in one ``feed_masks`` call; implications and
+        the interpreted engine push tick by tick.
 
         Caveat (multi-member error ordering): each member consumes the
         chunk in turn, so when *several* members would raise inside the
@@ -346,56 +358,38 @@ class StreamingChecker:
         single-member specs (the common case) behave identically to
         per-tick pushing.
         """
-        if not self._backend.chunked:
-            raise MonitorError(
-                "push_chunk is the vector fast path; construct the "
-                "checker with engine='vector' (push() streams per tick)"
-            )
-        if self._stopped:
-            return False
-        if not valuations:
-            return True
-        if self._stop_on_detection:
-            # Stopping at the first detection means ticks past it are
-            # never stepped — chunked lookahead would step them anyway
-            # and could surface errors (incomplete monitors, strict
-            # scoreboards) the per-tick checker never reaches.  Process
-            # per element; the chunk only batched the iteration.
+        if self._push_groups is None or self._consequents is not None:
             for valuation in valuations:
                 if not self.push(valuation):
                     return False
-            return True
-        base = self._tick
-        detected: set = set()
-        encoded: dict = {}
-        for engine in self._engines:
-            codec = engine.monitor.codec
-            masks = encoded.get(codec.symbols)
-            if masks is None:
-                encode = codec.encode
-                masks = [encode(v) for v in valuations]
-                encoded[codec.symbols] = masks
-            detected.update(engine.feed_masks(masks))
-        for offset in sorted(detected):
-            self._n_detections += 1
-            if len(self._detections) < self._max_recorded:
-                self._detections.append(base + offset)
-        self._tick = base + len(valuations)
-        return True
+            return not self._stopped
+        feeds = []
+        for codec, engines in self._push_groups:
+            encode = codec.encode
+            masks = [encode(valuation) for valuation in valuations]
+            feeds.extend((engine, masks) for engine in engines)
+        return self._step_chunk(feeds, len(valuations))
 
     def _require_shared_codec(self):
         """The codec every engine shares (pre-encoded input contract)."""
-        symbols = None
-        for engine in self._engines:
-            these = engine.monitor.codec.symbols
-            if symbols is None:
-                symbols = these
-            elif these != symbols:
-                raise MonitorError(
-                    "pre-encoded masks need every member over one shared "
-                    f"alphabet (got {list(symbols)} and {list(these)})"
-                )
-        return symbols
+        if not self._backend.wants_compiled:
+            raise MonitorError(
+                "push_masks steps pre-encoded tables; construct the "
+                "checker with engine='compiled' or engine='native'"
+            )
+        if self._consequents is not None:
+            raise MonitorError(
+                "pre-encoded streaming checks detector specs; an "
+                "implication interleaves obligations per valuation"
+            )
+        if self._codec is None:
+            first, second = self._push_groups[:2]
+            raise MonitorError(
+                "pre-encoded masks need every member over one shared "
+                f"alphabet (got {list(first[0].symbols)} and "
+                f"{list(second[0].symbols)})"
+            )
+        return self._codec
 
     def validate_masks(self, masks,
                        error_cls: type = MonitorError) -> None:
@@ -412,66 +406,88 @@ class StreamingChecker:
 
         The zero-encode twin of :meth:`push_chunk` for input that is
         *already* in mask form — a columnar trace set's arrays, a
-        cached corpus entry — verdict-equivalent tick for tick.  A
-        chunked backend eats the whole batch per
-        :meth:`~repro.runtime.vector.VectorEngine.feed_masks` call;
-        other table-stepping backends loop ``step_mask`` (identical
-        verdict ticks).  All members must share one alphabet (the
-        masks are in a single codec's bit layout), and a mask outside
-        it raises :class:`~repro.errors.MonitorError` before any tick
-        is stepped.  Returns ``False`` once checking stopped.
+        cached corpus entry — verdict-equivalent tick for tick.  All
+        members must share one alphabet (the masks are in a single
+        codec's bit layout), and a mask outside it raises
+        :class:`~repro.errors.MonitorError` before any tick is stepped.
+        Returns ``False`` once checking stopped.
         """
-        if not self._backend.wants_compiled:
-            raise MonitorError(
-                "push_masks steps pre-encoded tables; construct the "
-                "checker with engine='vector' or engine='compiled'"
-            )
-        if self._consequents is not None:
-            raise MonitorError(
-                "pre-encoded streaming checks detector specs; an "
-                "implication interleaves obligations per valuation"
-            )
         self._require_shared_codec()
         self.validate_masks(masks)
+        return self.push_encoded(masks)
+
+    def push_encoded(self, masks: List[int]) -> bool:
+        """:meth:`push_masks` for masks known to be in range — encoded
+        by :attr:`codec` itself — without the domain scan."""
+        if self._codec is None:
+            self._require_shared_codec()
+        return self._step_chunk(
+            [(engine, masks) for engine in self._engines], len(masks)
+        )
+
+    def _step_chunk(self, feeds, length: int) -> bool:
+        """Step ``length`` ticks: ``feeds`` pairs each engine with the
+        chunk in its own alphabet's masks."""
         if self._stopped:
             return False
-        if not len(masks):
+        if not length:
             return True
-        if self._stop_on_detection or not self._backend.chunked:
-            for mask in masks:
-                if self._stopped:
-                    return False
-                tick = self._tick
+        stop = self._stop_on_detection
+        base = self._tick
+        if len(feeds) == 1:
+            engine, masks = feeds[0]
+            start = engine.tick
+            try:
+                hits = engine.feed_masks(masks, stop=stop)
+            except ReproError:
+                # Count what per-tick pushing counts before it raises:
+                # the ticks and detections before the failing one.
+                self._record_hits(base, [
+                    tick - start for tick in engine.drain_detections()])
+                self._tick = base + engine.tick - start
+                raise
+        elif not stop:
+            found: set = set()
+            for engine, masks in feeds:
+                found.update(engine.feed_masks(masks))
+            hits = sorted(found)
+        else:
+            # Several members stopping at the first tick *any* of them
+            # detects: step them together, tick by tick, so none runs
+            # past it.
+            for offset in range(length):
                 detected = False
-                for engine in self._engines:
-                    engine.step_mask(mask)
+                for engine, masks in feeds:
+                    engine.step_mask(masks[offset])
                     if engine.drain_detections():
                         detected = True
-                if detected:
-                    self._n_detections += 1
-                    if len(self._detections) < self._max_recorded:
-                        self._detections.append(tick)
-                    if self._stop_on_detection:
-                        self._stopped = True
                 self._tick += 1
-            return not self._stopped
-        base = self._tick
-        detected_at: set = set()
-        for engine in self._engines:
-            detected_at.update(engine.feed_masks(masks))
-        for offset in sorted(detected_at):
-            self._n_detections += 1
-            if len(self._detections) < self._max_recorded:
-                self._detections.append(base + offset)
-        self._tick = base + len(masks)
+                if detected:
+                    self._record_hits(base, [offset])
+                    self._stopped = True
+                    return False
+            return True
+        self._record_hits(base, hits)
+        if stop and hits:
+            self._stopped = True
+            self._tick = base + hits[0] + 1
+            return False
+        self._tick = base + length
         return True
+
+    def _record_hits(self, base: int, offsets: List[int]) -> None:
+        self._n_detections += len(offsets)
+        room = self._max_recorded - len(self._detections)
+        if room > 0:
+            self._detections.extend(base + offset
+                                    for offset in offsets[:room])
 
     def feed_masks(self, masks) -> "StreamReport":
         """Consume a whole pre-encoded mask stream; return the report.
 
         ``masks`` is any int sequence — typically one trace of a
         :class:`~repro.trace.columnar.ColumnarTraceSet`, fed in
-        ``chunk_ticks`` slices so detection early-exit stays early.
+        ``chunk_ticks`` slices.
         """
         total = len(masks)
         cursor = 0
@@ -491,14 +507,15 @@ class StreamingChecker:
         a generator over a live simulation, or
         :meth:`VcdReader.valuations
         <repro.trace.vcd_reader.VcdReader.valuations>` — and is read
-        strictly one element at a time (``chunk_ticks`` elements at a
-        time for the vector backend, which batches the engine work
-        without changing any verdict tick).  A ``stop_on_detection``
-        check always reads and steps strictly per tick, whatever the
-        backend: buffering a chunk would pull (and step) live-source
-        ticks past the stopping detection.
+        ``chunk_ticks`` elements at a time on a table backend (which
+        batches the engine work without changing any verdict tick),
+        one element at a time otherwise.  A ``stop_on_detection`` check
+        always reads strictly per tick, whatever the backend: buffering
+        a chunk would pull live-source ticks past the stopping
+        detection.
         """
-        if self._backend.chunked and not self._stop_on_detection:
+        if (self._push_groups is not None and self._consequents is None
+                and not self._stop_on_detection):
             iterator = iter(valuations)
             while not self._stopped:
                 chunk = list(islice(iterator, self._chunk_ticks))

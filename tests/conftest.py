@@ -95,6 +95,16 @@ class DiffHarness:
         return traces
 
     @staticmethod
+    def stream_engines():
+        """The table backends a detector stream steps on here:
+        ``compiled``, and ``native`` when a C compiler is available."""
+        from repro.runtime.native import unavailable_reason
+
+        if unavailable_reason() is not None:
+            return ("compiled",)
+        return ("compiled", "native")
+
+    @staticmethod
     def reference(monitor, traces):
         """Interpreted-engine results: the semantics every backend
         must reproduce exactly."""

@@ -119,23 +119,23 @@ def test_registry_shape_is_the_documented_matrix():
     matrix = {
         name: {
             flag: getattr(backend(name), flag)
-            for flag in ("step", "batch", "streaming", "chunked",
+            for flag in ("step", "batch", "streaming",
                          "sharded_worker", "two_phase", "optimize_ok")
         }
         for name in backend_names()
     }
     assert matrix == {
         "interpreted": {"step": True, "batch": False, "streaming": True,
-                        "chunked": False, "sharded_worker": False,
+                        "sharded_worker": False,
                         "two_phase": True, "optimize_ok": False},
         "compiled": {"step": True, "batch": True, "streaming": True,
-                     "chunked": False, "sharded_worker": True,
+                     "sharded_worker": True,
                      "two_phase": True, "optimize_ok": True},
-        "vector": {"step": False, "batch": True, "streaming": True,
-                   "chunked": True, "sharded_worker": True,
+        "vector": {"step": False, "batch": True, "streaming": False,
+                   "sharded_worker": True,
                    "two_phase": False, "optimize_ok": True},
-        "native": {"step": False, "batch": True, "streaming": False,
-                   "chunked": False, "sharded_worker": True,
+        "native": {"step": False, "batch": True, "streaming": True,
+                   "sharded_worker": True,
                    "two_phase": False, "optimize_ok": True},
     }
 
@@ -187,9 +187,11 @@ def test_streaming_checker(engine, vector_mode):
             StreamingChecker(chart, engine=engine)
         assert str(caught.value) == (
             f"engine {engine!r} does not support streaming checks "
-            "(choose from: auto, interpreted, compiled, vector)"
+            "(choose from: auto, interpreted, compiled, native)"
         )
         return
+    if engine == "native":
+        _native_or_skip()
     for trace in traces:
         expected = run_monitor(
             synthesize_chart(chart).members[0][1], trace)
@@ -236,6 +238,8 @@ def test_serve_streaming_per_open_override(engine, vector_mode):
     trace = TraceGenerator(chart, seed=4).satisfying_trace(suffix=1)
     expected = run_monitor(synthesize_chart(chart).members[0][1], trace)
     streams = engine == AUTO or backend(engine).streaming
+    if streams and engine == "native":
+        _native_or_skip()
 
     async def scenario():
         service = MonitorService({"ocp": chart}, ServeConfig(port=0))
@@ -269,7 +273,7 @@ def test_serve_streaming_per_open_override(engine, vector_mode):
         assert not opened["ok"]
         assert opened["error"] == (
             f"engine {engine!r} does not support streaming checks "
-            "(choose from: auto, interpreted, compiled, vector)"
+            "(choose from: auto, interpreted, compiled, native)"
         )
         return
     assert opened["ok"], opened
@@ -460,9 +464,9 @@ def test_vector_batch_without_numpy_runs_the_scalar_loop(monkeypatch):
 # One template everywhere; the choice list names exactly the engines
 # valid at the raising entry point.
 # The streaming seams (StreamingChecker, ServeConfig) validate against
-# the streaming capability, so their choice list omits `native`.
+# the streaming capability, so their choice list omits `vector`.
 _UNKNOWN_FULL = ("unknown engine 'bogus' "
-                 "(choose from: auto, interpreted, compiled, vector)")
+                 "(choose from: auto, interpreted, compiled, native)")
 _UNKNOWN_STEP = ("unknown engine 'bogus' "
                  "(choose from: auto, interpreted, compiled)")
 _UNKNOWN_BATCH = ("unknown engine 'bogus' "
@@ -643,14 +647,13 @@ def test_engine_choices_per_capability():
                                        "native")
     assert engine_choices("step") == ("auto", "interpreted", "compiled")
     assert engine_choices("streaming") == ("auto", "interpreted",
-                                           "compiled", "vector")
+                                           "compiled", "native")
     assert engine_choices("sharded_worker") == ("auto", "compiled",
                                                 "vector", "native")
-    assert engine_choices("chunked", auto=False) == ("vector",)
 
 
 def test_require_backend_returns_the_registered_descriptor():
-    assert require_backend("vector", "chunked") is backend("vector")
+    assert require_backend("vector", "batch") is backend("vector")
     assert require_backend("interpreted", "streaming").wants_compiled \
         is False
 

@@ -10,8 +10,9 @@ Coverage: AMBA/OCP protocol charts (``tr_compiled`` direct emission
 *and* ``compile_monitor`` lowering, whose ladders use full-scan
 semantics), random CESC charts, the multiclock network's local
 monitors, an all-ladder monitor (100% escape density), empty traces,
-injected scoreboards, sharded workers, bank batches and the streaming
-checker's chunked vector mode.
+injected scoreboards, sharded workers and bank batches.  The streaming
+cases run on the table backends that stream (``compiled``, and
+``native`` with a C compiler): streaming has no vector mode.
 """
 
 import random
@@ -228,7 +229,7 @@ def test_vector_bank_batch_matches(vector_mode):
             == [r.detections for r in vector_results])
 
 
-def test_streaming_vector_chunked_push(vector_mode):
+def test_streaming_vector_chunked_push(vector_mode, diff_harness):
     chart = ocp_simple_read_chart()
     compiled = tr_compiled(chart)
     generator = TraceGenerator(chart, seed=61)
@@ -236,21 +237,22 @@ def test_streaming_vector_chunked_push(vector_mode):
     for _ in range(4):
         trace = trace.concat(generator.satisfying_trace(prefix=2, suffix=3))
     reference = StreamingChecker(compiled, stop_on_detection=False).feed(trace)
-    # A chunk size that does not divide the trace length exercises the
-    # partial-final-chunk path.
-    chunked = StreamingChecker(
-        compiled, engine="vector", stop_on_detection=False, chunk_ticks=7
-    ).feed(trace)
-    assert chunked.detections == reference.detections
-    assert chunked.ticks == reference.ticks
-    # stop_on_detection truncates at the first detecting tick.
     ref_stop = StreamingChecker(compiled, stop_on_detection=True).feed(trace)
-    vec_stop = StreamingChecker(
-        compiled, engine="vector", stop_on_detection=True, chunk_ticks=7
-    ).feed(trace)
-    assert vec_stop.detections == ref_stop.detections
-    assert vec_stop.ticks == ref_stop.ticks
-    assert vec_stop.stopped_early == ref_stop.stopped_early
+    for engine in diff_harness.stream_engines():
+        # A chunk size that does not divide the trace length exercises
+        # the partial-final-chunk path.
+        chunked = StreamingChecker(
+            compiled, engine=engine, stop_on_detection=False, chunk_ticks=7
+        ).feed(trace)
+        assert chunked.detections == reference.detections
+        assert chunked.ticks == reference.ticks
+        # stop_on_detection truncates at the first detecting tick.
+        vec_stop = StreamingChecker(
+            compiled, engine=engine, stop_on_detection=True, chunk_ticks=7
+        ).feed(trace)
+        assert vec_stop.detections == ref_stop.detections
+        assert vec_stop.ticks == ref_stop.ticks
+        assert vec_stop.stopped_early == ref_stop.stopped_early
 
 
 def test_vector_strict_del_raises_after_same_transition_add(vector_mode):
@@ -312,10 +314,11 @@ def test_vector_multi_failing_lanes_surface_the_same_error(vector_mode):
     assert outcomes[0].startswith("ScoreboardError")
 
 
-def test_streaming_vector_stop_on_detection_never_looks_ahead(vector_mode):
+def test_streaming_vector_stop_on_detection_never_looks_ahead(
+        vector_mode, diff_harness):
     """stop_on_detection must not step ticks past the stopping one —
-    an incomplete monitor erroring there would raise in vector mode
-    but not in per-tick compiled mode."""
+    an incomplete monitor erroring there would raise in a chunk that
+    looked ahead but not in per-tick compiled mode."""
     monitor = Monitor(
         "incomplete", n_states=2, initial=0, final=1,
         transitions=[
@@ -328,17 +331,23 @@ def test_streaming_vector_stop_on_detection_never_looks_ahead(vector_mode):
     compiled = compile_monitor(monitor)
     trace = Trace.from_sets([{"a"}, set()], alphabet={"a"})
     reference = StreamingChecker(compiled, stop_on_detection=True).feed(trace)
-    vectorized = StreamingChecker(
-        compiled, engine="vector", stop_on_detection=True, chunk_ticks=8
-    ).feed(trace)
-    assert vectorized.detections == reference.detections == [0]
-    assert vectorized.ticks == reference.ticks == 1
-    assert vectorized.stopped_early and reference.stopped_early
+    for engine in diff_harness.stream_engines():
+        vectorized = StreamingChecker(
+            compiled, engine=engine, stop_on_detection=True, chunk_ticks=8
+        ).feed(trace)
+        assert vectorized.detections == reference.detections == [0]
+        assert vectorized.ticks == reference.ticks == 1
+        assert vectorized.stopped_early and reference.stopped_early
 
 
-def test_streaming_vector_rejects_implications(vector_mode):
+def test_streaming_vector_rejects_implications(vector_mode, diff_harness):
+    """The one table backend that streams without per-tick stepping
+    (``native``) refuses implications; ``vector`` does not stream."""
     from repro.cesc.charts import Implication
     from repro.errors import MonitorError
+
+    if "native" not in diff_harness.stream_engines():
+        pytest.skip("native backend unavailable")
 
     def _chain(name, *events):
         builder = scesc(name).instances("M")
@@ -350,7 +359,7 @@ def test_streaming_vector_rejects_implications(vector_mode):
         ScescChart(_chain("req", "req")), ScescChart(_chain("ok", "ok"))
     )
     with pytest.raises(MonitorError, match="detector"):
-        StreamingChecker(implication, engine="vector")
+        StreamingChecker(implication, engine="native")
 
 
 # ------------------------------------------------- ladder stress ----
@@ -411,10 +420,11 @@ def _stress_traces(seed: int, count: int = 6):
 
 
 @pytest.mark.parametrize("seed", range(8))
-def test_ladder_stress_five_path_identity(seed, vector_mode):
+def test_ladder_stress_five_path_identity(seed, vector_mode, diff_harness):
     """Randomized all-ladder charts: verdict + detection-tick identity
     across interpreted, scalar compiled, vector (current mode),
-    streaming-vector and sharded-vector execution."""
+    streaming (compiled and native chunks) and sharded-vector
+    execution."""
     from repro.runtime.vector import vector_table
 
     monitor = _stress_monitor(seed)
@@ -431,13 +441,15 @@ def test_ladder_stress_five_path_identity(seed, vector_mode):
         assert ref.detections == sca.detections == vec.detections
         assert ref.states == sca.states == vec.states
         assert ref.ticks == sca.ticks == vec.ticks
-    streamed = [
-        StreamingChecker(compiled, engine="vector", stop_on_detection=False,
-                         chunk_ticks=5).feed(trace)
-        for trace in traces
-    ]
-    assert ([r.detections for r in streamed]
-            == [r.detections for r in reference])
+    for engine in diff_harness.stream_engines():
+        streamed = [
+            StreamingChecker(compiled, engine=engine,
+                             stop_on_detection=False,
+                             chunk_ticks=5).feed(trace)
+            for trace in traces
+        ]
+        assert ([r.detections for r in streamed]
+                == [r.detections for r in reference])
     sharded = run_sharded(compiled, traces[:-1], jobs=2, oversubscribe=True,
                           engine="vector")
     assert ([r.detections for r in sharded]

@@ -462,7 +462,7 @@ async def _http(host, port, request):
     return status, head, body
 
 
-def test_http_health_and_metrics_endpoints():
+def test_http_health_and_metrics_endpoints(diff_harness):
     async def scenario(service, host, port):
         health = await _http(host, port,
                              b"GET /health HTTP/1.1\r\nHost: x\r\n\r\n")
@@ -471,19 +471,20 @@ def test_http_health_and_metrics_endpoints():
         head = await _http(host, port, b"HEAD /health HTTP/1.1\r\n\r\n")
         return health, metrics, lost, head
 
-    health, metrics, lost, head = _serve(
-        {"hs": _handshake()}, engine="vector")(scenario)
-    status, _, body = health
-    document = json.loads(body)
-    assert status == 200
-    assert document["status"] == "ok"
-    assert document["monitors"] == ["hs"]
-    assert document["engine"] == "vector"
-    status, _, body = metrics
-    assert status == 200 and "ticks_per_s" in json.loads(body)
-    assert lost[0] == 404
-    assert head[0] == 200 and head[2] == b""  # HEAD ships no body
-    assert b"Content-Type: application/json" in health[1]
+    for engine in diff_harness.stream_engines():
+        health, metrics, lost, head = _serve(
+            {"hs": _handshake()}, engine=engine)(scenario)
+        status, _, body = health
+        document = json.loads(body)
+        assert status == 200
+        assert document["status"] == "ok"
+        assert document["monitors"] == ["hs"]
+        assert document["engine"] == engine
+        status, _, body = metrics
+        assert status == 200 and "ticks_per_s" in json.loads(body)
+        assert lost[0] == 404
+        assert head[0] == 200 and head[2] == b""  # HEAD ships no body
+        assert b"Content-Type: application/json" in health[1]
 
 
 # ---------------------------------------------------------- configuration ----
@@ -508,7 +509,7 @@ def test_service_accepts_bare_spec_and_named_registry():
     assert many.monitor_names() == ["a", "b"]
 
 
-def test_per_open_engine_override():
+def test_per_open_engine_override(diff_harness):
     chart = _handshake()
 
     async def scenario(service, host, port):
@@ -527,9 +528,11 @@ def test_per_open_engine_override():
         finally:
             writer.close()
 
-    opened, closed = _serve({"hs": chart}, engine="vector")(scenario)
-    assert opened["ok"] and opened["engine"] == "compiled"
-    # The override stuck, and push_masks steps any table backend: the
-    # compiled-engine stream consumed the pre-encoded tick cleanly.
-    assert "error" not in closed["report"]
-    assert closed["report"]["ticks"] == 1
+    for engine in diff_harness.stream_engines():
+        opened, closed = _serve({"hs": chart}, engine=engine)(scenario)
+        assert opened["ok"] and opened["engine"] == "compiled"
+        # The override stuck, and push_masks steps any table backend:
+        # the compiled-engine stream consumed the pre-encoded tick
+        # cleanly.
+        assert "error" not in closed["report"]
+        assert closed["report"]["ticks"] == 1

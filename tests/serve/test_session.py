@@ -24,58 +24,60 @@ def _handshake():
 TICKS = [["req"], ["ack"], [], ["req"], ["ack"]]
 
 
-def _reference(chart, engine="vector"):
+def _reference(chart, engine):
     checker = StreamingChecker(chart, engine=engine)
     for tick in TICKS:
         checker.push(Valuation(tick))
     return checker.report()
 
 
-def test_session_checks_submitted_chunks():
+def test_session_checks_submitted_chunks(diff_harness):
     chart = _handshake()
 
-    async def scenario():
+    async def scenario(engine):
         session = StreamSession("s1", StreamingChecker(chart,
-                                                       engine="vector"))
+                                                       engine=engine))
         session.start()
         assert (await session.submit("ticks", TICKS[:2]))["ok"]
         assert (await session.submit("ticks", TICKS[2:]))["ok"]
         report = await session.finish()
         return report
 
-    report = asyncio.run(scenario())
-    reference = _reference(chart)
-    assert report["detections"] == reference.detections
-    assert report["ticks"] == reference.ticks
-    assert report["ok"] and report["accepted"]
-    assert "error" not in report and "shed" not in report
+    for engine in diff_harness.stream_engines():
+        report = asyncio.run(scenario(engine))
+        reference = _reference(chart, engine)
+        assert report["detections"] == reference.detections
+        assert report["ticks"] == reference.ticks
+        assert report["ok"] and report["accepted"]
+        assert "error" not in report and "shed" not in report
 
 
-def test_session_counts_into_shared_metrics():
+def test_session_counts_into_shared_metrics(diff_harness):
     chart = _handshake()
-    metrics = ServeMetrics()
 
-    async def scenario():
+    async def scenario(engine, metrics):
         session = StreamSession("s1",
-                                StreamingChecker(chart, engine="vector"),
+                                StreamingChecker(chart, engine=engine),
                                 metrics=metrics)
         session.start()
         await session.submit("ticks", TICKS)
         await session.finish()
 
-    asyncio.run(scenario())
-    assert metrics.ticks_checked == len(TICKS)
-    assert metrics.chunks_checked == 1
-    assert metrics.detections == 2
+    for engine in diff_harness.stream_engines():
+        metrics = ServeMetrics()
+        asyncio.run(scenario(engine, metrics))
+        assert metrics.ticks_checked == len(TICKS)
+        assert metrics.chunks_checked == 1
+        assert metrics.detections == 2
 
 
-def test_backpressure_blocks_until_worker_drains():
+def test_backpressure_blocks_until_worker_drains(diff_harness):
     """Without shed_slow a full queue stalls submit, never drops."""
     chart = _handshake()
 
-    async def scenario():
+    async def scenario(engine):
         session = StreamSession("s1",
-                                StreamingChecker(chart, engine="vector"),
+                                StreamingChecker(chart, engine=engine),
                                 queue_chunks=1)
         session.start()
         for _ in range(6):  # 6x the queue bound; all must land
@@ -85,18 +87,18 @@ def test_backpressure_blocks_until_worker_drains():
             assert result["ok"]
         return await session.finish()
 
-    report = asyncio.run(scenario())
-    assert report["ticks"] == 6 * len(TICKS)
-    assert "shed" not in report
+    for engine in diff_harness.stream_engines():
+        report = asyncio.run(scenario(engine))
+        assert report["ticks"] == 6 * len(TICKS)
+        assert "shed" not in report
 
 
-def test_shed_slow_refuses_overrun_and_stays_shed():
+def test_shed_slow_refuses_overrun_and_stays_shed(diff_harness):
     chart = _handshake()
-    metrics = ServeMetrics()
 
-    async def scenario():
+    async def scenario(engine, metrics):
         session = StreamSession("s1",
-                                StreamingChecker(chart, engine="vector"),
+                                StreamingChecker(chart, engine=engine),
                                 metrics=metrics, queue_chunks=1,
                                 shed_slow=True)
         # Worker not started: the queue can only fill up.
@@ -111,10 +113,12 @@ def test_shed_slow_refuses_overrun_and_stays_shed():
         assert not third["ok"] and third["shed"]
         return await session.finish()
 
-    report = asyncio.run(scenario())
-    assert report["shed"] is True
-    assert report["ticks"] == len(TICKS)  # only the accepted chunk ran
-    assert metrics.streams_shed == 1
+    for engine in diff_harness.stream_engines():
+        metrics = ServeMetrics()
+        report = asyncio.run(scenario(engine, metrics))
+        assert report["shed"] is True
+        assert report["ticks"] == len(TICKS)  # only the accepted chunk ran
+        assert metrics.streams_shed == 1
 
 
 def test_worker_error_surfaces_on_ack_and_report():
@@ -145,12 +149,12 @@ def test_queue_chunks_must_be_positive():
                       queue_chunks=0)
 
 
-def test_abort_is_idempotent_and_finish_after_abort_reports():
+def test_abort_is_idempotent_and_finish_after_abort_reports(diff_harness):
     chart = _handshake()
 
-    async def scenario():
+    async def scenario(engine):
         session = StreamSession("s1",
-                                StreamingChecker(chart, engine="vector"))
+                                StreamingChecker(chart, engine=engine))
         session.start()
         await session.submit("ticks", TICKS)
         await session.drain()
@@ -158,5 +162,6 @@ def test_abort_is_idempotent_and_finish_after_abort_reports():
         await session.abort()
         return session.report_document()
 
-    report = asyncio.run(scenario())
-    assert report["ticks"] == len(TICKS)
+    for engine in diff_harness.stream_engines():
+        report = asyncio.run(scenario(engine))
+        assert report["ticks"] == len(TICKS)

@@ -8,13 +8,17 @@ the NumPy-free table IR of :mod:`repro.runtime.lowering`), without
 ``multiprocessing`` (only a worker pool needs it) and without the
 modules of other verbs.  The pin is checked with a C compiler and
 under ``REPRO_NO_CC=1``; it proves something about NumPy only where
-NumPy is installed.
+NumPy is installed.  A ``repro serve`` that opens, pushes to and
+closes a stream is held to the same NumPy pin.
 """
 
 import ast
 import importlib
+import json
 import os
 import pkgutil
+import signal
+import socket
 import subprocess
 import sys
 import types
@@ -80,16 +84,75 @@ def test_check_vcd_loads_only_what_it_runs(cc, tmp_path):
     assert result.returncode == 0, result.stdout + result.stderr
     assert result.stdout.startswith(f"{dump}: ")
     assert "detections at [" in result.stdout
-    modules = next(
-        line for line in result.stderr.splitlines()
-        if line.startswith("MODULES ")
-    ).split()[1:]
+    modules = _loaded(result.stderr)
     loaded = [name for name in NOT_LOADED
               if any(m == name or m.startswith(name + ".")
                      for m in modules)]
     assert loaded == []
     ours = [m for m in modules if m == "repro" or m.startswith("repro.")]
     assert len(ours) <= MAX_REPRO_MODULES, ours
+
+
+def _loaded(stderr):
+    return next(
+        line for line in stderr.splitlines()
+        if line.startswith("MODULES ")
+    ).split()[1:]
+
+
+#: ``repro serve`` under the module-listing wrapper, stopped by SIGINT
+#: (which a background shell job would otherwise hand down ignored).
+_SERVE_AS_MAIN = (
+    "import signal\n"
+    "signal.signal(signal.SIGINT, signal.default_int_handler)\n"
+    + _RUN_AS_MAIN
+)
+
+
+@pytest.mark.parametrize("cc", ["cc", "no_cc"])
+def test_serve_stream_loads_no_numpy(cc):
+    """Streams step in C or in the compiled chunk loop: neither needs
+    NumPy or the vector kernel."""
+    env = _env()
+    env.pop("REPRO_NO_CC", None)
+    if cc == "no_cc":
+        env["REPRO_NO_CC"] = "1"
+    process = subprocess.Popen(
+        [sys.executable, "-c", _SERVE_AS_MAIN, "serve", SPEC,
+         "ocp_simple_read", "--port", "0"],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+    )
+    try:
+        banner = process.stdout.readline()
+        assert banner.startswith("serving "), banner
+        host, port = banner.split(" on ", 1)[1].split(" ", 1)[0] \
+            .rsplit(":", 1)
+        requests = [
+            {"op": "open", "stream": "s"},
+            {"op": "push", "stream": "s",
+             "ticks": [["Addr", "MCmd_rd", "SCmd_accept"],
+                       ["SData", "SResp"], [], ["MCmd_rd"]] * 50},
+            {"op": "close", "stream": "s"},
+        ]
+        with socket.create_connection((host, int(port)), timeout=60) as sock:
+            stream = sock.makefile("rwb")
+            for request in requests:
+                stream.write(json.dumps(request).encode() + b"\n")
+                stream.flush()
+                answer = json.loads(stream.readline())
+                assert answer["ok"], answer
+        assert answer["report"]["ticks"] == 200
+        assert answer["report"]["n_detections"] == 50
+        process.send_signal(signal.SIGINT)
+        _, stderr = process.communicate(timeout=120)
+    finally:
+        if process.poll() is None:
+            process.kill()
+            process.communicate()
+    modules = _loaded(stderr)
+    assert [name for name in ("numpy", "repro.runtime.vector")
+            if any(m == name or m.startswith(name + ".")
+                   for m in modules)] == []
 
 
 def _packages():

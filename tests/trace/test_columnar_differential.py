@@ -123,7 +123,7 @@ def _handshake_chart():
     )
 
 
-def test_bank_push_groups_share_one_encode():
+def test_bank_push_groups_share_one_encode(diff_harness):
     """A shared-alphabet bank encodes once per tick, same verdicts."""
     bank = synthesize_chart(Loop(_handshake_chart(), name="hs_loop"))
     assert len(bank.monitors) > 1
@@ -131,7 +131,7 @@ def test_bank_push_groups_share_one_encode():
         prefix=2, suffix=2
     )
     expected = bank.run(trace).detections
-    for engine in ("interpreted", "compiled", "vector"):
+    for engine in ("interpreted",) + diff_harness.stream_engines():
         checker = StreamingChecker(bank, engine=engine)
         if engine != "interpreted":
             # The grouping fast path is active and fully grouped.
@@ -141,22 +141,24 @@ def test_bank_push_groups_share_one_encode():
         assert report.detections == expected, engine
 
 
-def test_feed_masks_matches_feed(columnar_mode):
+def test_feed_masks_matches_feed(columnar_mode, diff_harness):
     chart = _handshake_chart()
     compiled = tr_compiled(chart)
     trace = TraceGenerator(chart, seed=3).satisfying_trace(prefix=1,
                                                            suffix=3)
     masks = [compiled.codec.encode(v) for v in trace]
-    baseline = StreamingChecker(compiled, engine="vector").feed(trace)
-    encoded = StreamingChecker(compiled, engine="vector").feed_masks(masks)
-    assert _report_tuple(encoded) == _report_tuple(baseline)
-    # Early exit stays early in mask form too.
-    stopping = StreamingChecker(compiled, engine="vector",
-                                stop_on_detection=True)
-    report = stopping.feed_masks(masks)
-    assert report.stopped_early
-    assert report.detections == baseline.detections[:1]
-    assert report.ticks == baseline.detections[0] + 1
+    for engine in diff_harness.stream_engines():
+        baseline = StreamingChecker(compiled, engine=engine).feed(trace)
+        encoded = StreamingChecker(compiled,
+                                   engine=engine).feed_masks(masks)
+        assert _report_tuple(encoded) == _report_tuple(baseline)
+        # Early exit stays early in mask form too.
+        stopping = StreamingChecker(compiled, engine=engine,
+                                    stop_on_detection=True)
+        report = stopping.feed_masks(masks)
+        assert report.stopped_early
+        assert report.detections == baseline.detections[:1]
+        assert report.ticks == baseline.detections[0] + 1
 
 
 def test_push_masks_guards():

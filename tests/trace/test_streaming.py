@@ -248,45 +248,51 @@ def test_stop_on_detection_rejected_for_implications():
 
 
 # ------------------------------------------------ batch-path edge cases ----
-def test_empty_chunk_and_mask_batches_are_true_no_ops():
+def test_empty_chunk_and_mask_batches_are_true_no_ops(diff_harness):
     chart = _handshake()
-    checker = StreamingChecker(chart, engine="vector")
-    assert checker.push_chunk([]) is True
-    assert checker.push_masks([]) is True
-    assert checker.ticks == 0 and checker.n_detections == 0
-    # And they stay no-ops between real pushes, shifting no verdict tick.
-    codec = tr_compiled(chart).codec
-    trace = Trace.from_sets([{"req"}, {"ack"}, set(), {"req"}, {"ack"}],
-                            codec.symbols)
-    checker.push_chunk(list(trace)[:2])
-    checker.push_chunk([])
-    checker.push_masks([])
-    checker.push_chunk(list(trace)[2:])
-    reference = StreamingChecker(chart, engine="vector").feed(trace)
-    assert checker.report().detections == reference.detections
-    assert checker.ticks == trace.length
+    for engine in diff_harness.stream_engines():
+        checker = StreamingChecker(chart, engine=engine)
+        assert checker.push_chunk([]) is True
+        assert checker.push_masks([]) is True
+        assert checker.ticks == 0 and checker.n_detections == 0
+        # And they stay no-ops between real pushes, shifting no verdict
+        # tick.
+        codec = tr_compiled(chart).codec
+        trace = Trace.from_sets(
+            [{"req"}, {"ack"}, set(), {"req"}, {"ack"}], codec.symbols)
+        checker.push_chunk(list(trace)[:2])
+        checker.push_chunk([])
+        checker.push_masks([])
+        checker.push_chunk(list(trace)[2:])
+        reference = StreamingChecker(chart, engine=engine).feed(trace)
+        assert checker.report().detections == reference.detections
+        assert checker.ticks == trace.length
 
 
-def test_pushes_after_stopped_are_refused_without_advancing():
+def test_pushes_after_stopped_are_refused_without_advancing(diff_harness):
     chart = _handshake()
     trace = Trace.from_sets([{"req"}, {"ack"}], {"req", "ack"})
-    checker = StreamingChecker(chart, engine="vector",
-                               stop_on_detection=True)
-    checker.feed(trace)
-    assert checker.stopped
-    ticks_at_stop = checker.ticks
-    assert checker.push(trace[0]) is False
-    assert checker.push_chunk(list(trace)) is False
-    assert checker.push_masks([1, 2]) is False
-    assert checker.ticks == ticks_at_stop
-    assert checker.n_detections == 1
+    for engine in diff_harness.stream_engines():
+        checker = StreamingChecker(chart, engine=engine,
+                                   stop_on_detection=True)
+        checker.feed(trace)
+        assert checker.stopped
+        ticks_at_stop = checker.ticks
+        assert checker.push(trace[0]) is False
+        assert checker.push_chunk(list(trace)) is False
+        assert checker.push_masks([1, 2]) is False
+        assert checker.ticks == ticks_at_stop
+        assert checker.n_detections == 1
 
 
-@pytest.mark.parametrize("engine", ["auto", "compiled", "vector"])
-def test_push_masks_rejects_masks_outside_the_alphabet(engine):
+@pytest.mark.parametrize("engine", ["auto", "compiled", "native"])
+def test_push_masks_rejects_masks_outside_the_alphabet(engine,
+                                                        diff_harness):
     """An out-of-range mask is a MonitorError naming it, raised before
     any tick is stepped (it used to escape as a bare IndexError, or
     step a wrong row when negative)."""
+    if engine not in diff_harness.stream_engines() + ("auto",):
+        pytest.skip("native backend unavailable")
     compiled = tr_compiled(ocp_simple_read_chart())
     for bad, tick in (([1 << 28], 0), ([3, -1], 1)):
         checker = StreamingChecker(compiled, engine=engine)
@@ -297,7 +303,7 @@ def test_push_masks_rejects_masks_outside_the_alphabet(engine):
         assert checker.ticks == 0
 
 
-def test_interleaved_push_chunk_and_masks_match_batch():
+def test_interleaved_push_chunk_and_masks_match_batch(diff_harness):
     """One checker fed through all three entry points lands detections
     on exactly the ticks the one-shot batch run reports."""
     chart = ocp_simple_read_chart()
@@ -307,49 +313,52 @@ def test_interleaved_push_chunk_and_masks_match_batch():
     doubled = trace.concat(trace)
     masks = [int(m) for m in compiled.codec.encode_many([doubled])[0]]
     valuations = list(doubled)
-    reference = StreamingChecker(chart, engine="vector").feed(doubled)
+    for engine in diff_harness.stream_engines():
+        reference = StreamingChecker(chart, engine=engine).feed(doubled)
 
-    checker = StreamingChecker(chart, engine="vector")
-    cursor = 0
-    for index, stride in enumerate([3, 2, 4, 1, 5]):
-        if cursor >= len(valuations):
-            break
-        window = slice(cursor, cursor + stride)
-        if index % 3 == 0:
-            checker.push_masks(masks[window])
-        elif index % 3 == 1:
-            checker.push_chunk(valuations[window])
-        else:
-            for valuation in valuations[window]:
-                checker.push(valuation)
-        cursor += stride
-    checker.push_masks(masks[cursor:])
-    report = checker.report()
-    assert report.detections == reference.detections
-    assert report.ticks == doubled.length
-    assert report.n_detections == reference.n_detections
+        checker = StreamingChecker(chart, engine=engine)
+        cursor = 0
+        for index, stride in enumerate([3, 2, 4, 1, 5]):
+            if cursor >= len(valuations):
+                break
+            window = slice(cursor, cursor + stride)
+            if index % 3 == 0:
+                checker.push_masks(masks[window])
+            elif index % 3 == 1:
+                checker.push_chunk(valuations[window])
+            else:
+                for valuation in valuations[window]:
+                    checker.push(valuation)
+            cursor += stride
+        checker.push_masks(masks[cursor:])
+        report = checker.report()
+        assert report.detections == reference.detections
+        assert report.ticks == doubled.length
+        assert report.n_detections == reference.n_detections
 
 
 @pytest.mark.parametrize("split", [1, 2, 3, 5, 7])
-def test_detection_ticks_identical_across_chunk_boundary_splits(split):
+def test_detection_ticks_identical_across_chunk_boundary_splits(
+        split, diff_harness):
     """Chunk boundaries are invisible: wherever the stream is cut, the
     detection ticks equal the unchunked batch run's."""
     chart = ocp_simple_read_chart()
     trace = TraceGenerator(chart, seed=4).satisfying_trace(prefix=1,
                                                            suffix=1)
     doubled = trace.concat(trace)
-    reference = StreamingChecker(chart, engine="vector").feed(doubled)
     valuations = list(doubled)
-    checker = StreamingChecker(chart, engine="vector")
-    for start in range(0, len(valuations), split):
-        checker.push_chunk(valuations[start:start + split])
-    assert checker.report().detections == reference.detections
-    # Batch-path counters agree with the observer properties.
-    assert checker.n_detections == reference.n_detections
-    assert checker.ticks == doubled.length
+    for engine in diff_harness.stream_engines():
+        reference = StreamingChecker(chart, engine=engine).feed(doubled)
+        checker = StreamingChecker(chart, engine=engine)
+        for start in range(0, len(valuations), split):
+            checker.push_chunk(valuations[start:start + split])
+        assert checker.report().detections == reference.detections
+        # Batch-path counters agree with the observer properties.
+        assert checker.n_detections == reference.n_detections
+        assert checker.ticks == doubled.length
 
 
-def test_engine_observer_reports_backend():
+def test_engine_observer_reports_backend(diff_harness):
     chart = _handshake()
-    for engine in ("compiled", "interpreted", "vector"):
+    for engine in ("interpreted",) + diff_harness.stream_engines():
         assert StreamingChecker(chart, engine=engine).engine == engine
