@@ -1,21 +1,17 @@
-"""Native-backend benchmarks: single-stream and narrow-batch latency.
+"""Native-backend benchmarks: single-stream and batch latency.
 
 Measures the compile-on-demand C table-stepper
 (:mod:`repro.runtime.native`) on the workloads the planner routes to
-it, against the scalar compiled loop and the vector kernel on
-identical inputs:
+it, against the scalar compiled loop on identical inputs:
 
 * **single-stream** OCP simple read and AMBA AHB — one lane, the
   shape interactive checking and per-trace CLI runs produce; the CI
   gate requires the native stepper to beat the scalar compiled loop
-  by >= 3x per lane (locally ~5-6x);
-* the **narrow w32 batch** — the PR 8 regression shape: too few
-  lanes for per-tick NumPy overhead to amortize; the gate requires
-  the native stepper to at least match the vector kernel there;
+  by >= 3x per lane (locally ~5-7x);
 * the **auto-vs-best** legs — ``engine="auto"`` must stay within 10%
   of the best explicit backend at w1 and w32 *both* with the host
   compiler visible and with ``REPRO_NO_CC=1`` hiding it (the planner
-  falls back to the scalar/vector split of PR 9);
+  then falls back to the compiled loop);
 * **single-stream chunked** OCP simple read and AMBA AHB — one
   :class:`~repro.trace.streaming.StreamingChecker` fed 500-tick
   chunks, the shape of a ``repro serve`` stream; the gate requires the
@@ -46,7 +42,6 @@ from repro.runtime.native import (
     run_many_native_encoded,
     unavailable_reason,
 )
-from repro.runtime.vector import _np, run_many_vector_encoded
 from repro.synthesis.tr import tr_compiled
 from repro.trace.streaming import StreamingChecker
 
@@ -64,13 +59,13 @@ _BATCH_TICKS = 200
 #: The auto legs re-plan inside the timed region; longer batch traces
 #: keep that fixed cost under a few percent of the run it dispatches.
 _AUTO_BATCH_TICKS = 800
+#: The batch width of the auto legs besides one lane.
 _NARROW_WIDTH = 32
 #: Ticks per pushed chunk in the stream legs (serve's push size).
 _STREAM_CHUNK = 500
 _REPEATS = 5
 #: CI gates.
 _MIN_SINGLE_SPEEDUP = 3.0   # native vs scalar compiled, one lane
-_MIN_NARROW_VS_VECTOR = 1.0  # parity-or-better vs vector at w32
 _MIN_AUTO_VS_BEST = 0.9      # auto within 10% of best explicit
 _MIN_STREAM_SPEEDUP = 3.0   # native vs compiled stream engine
 
@@ -83,7 +78,6 @@ _SUITES = (
 #: Every top-level key this module records in BENCH_native.json.
 _RESULT_KEYS = frozenset(
     [f"{name}_single" for name, _, _ in _SUITES]
-    + [f"{name}_w{_NARROW_WIDTH}" for name, _, _ in _SUITES]
     + [f"{name}_stream" for name, _, _ in _SUITES]
     + ["auto_vs_best"]
 )
@@ -153,62 +147,16 @@ def test_native_single_stream_throughput(report):
         )
 
 
-def test_native_narrow_batch_vs_vector(report):
-    """w32: the PR 8 regression shape — native must match vector."""
-    _skip_unless_native()
-    if _np is None:
-        pytest.skip("NumPy unavailable: no vector kernel to compare")
-    results = {}
-    for name, build, seed in _SUITES:
-        chart = build()
-        compiled = tr_compiled(chart)
-        base = _trace(chart, seed, _BATCH_TICKS)
-        batch = [base] * _NARROW_WIDTH
-        total = sum(len(trace) for trace in batch)
-        mask_lists = compiled.codec.encode_many(batch, as_list=True)
-        mask_arrays = compiled.codec.encode_many(batch)
-        for left, right in zip(
-            run_many_vector_encoded(compiled, mask_arrays),
-            run_many_native_encoded(compiled, mask_lists),
-        ):
-            assert left.detections == right.detections
-            assert left.states == right.states
-        vector_rate = _best_rate(
-            lambda: run_many_vector_encoded(compiled, mask_arrays), total
-        )
-        native_rate = _best_rate(
-            lambda: run_many_native_encoded(compiled, mask_lists), total
-        )
-        suite = {
-            "width": _NARROW_WIDTH,
-            "ticks": total,
-            "vector_ticks_per_s": round(vector_rate),
-            "native_ticks_per_s": round(native_rate),
-            "native_vs_vector": round(native_rate / vector_rate, 2),
-        }
-        report(f"{name} w{_NARROW_WIDTH}: {suite}")
-        results[f"{name}_w{_NARROW_WIDTH}"] = suite
-    _record(results)
-    for name, suite in results.items():
-        assert suite["native_vs_vector"] >= _MIN_NARROW_VS_VECTOR, (
-            f"{name}: native stepper at {suite['native_vs_vector']:.2f}x "
-            f"of the vector kernel on the narrow batch "
-            f"(gate {_MIN_NARROW_VS_VECTOR}x)"
-        )
-
-
 def _auto_leg(compiled, widths, trace_for):
     """Time auto against every *available* explicit batch backend."""
     from repro.runtime.engines import backend
 
-    leg = {"native_available": unavailable_reason() is None,
-           "numpy": _np is not None}
+    leg = {"native_available": unavailable_reason() is None}
     for width in widths:
         base = trace_for(width)
         batch = [base] * width
         total = sum(len(trace) for trace in batch)
         mask_lists = compiled.codec.encode_many(batch, as_list=True)
-        mask_arrays = compiled.codec.encode_many(batch)
 
         plan = plan_execution(compiled, Workload.from_traces(batch))
         leg[f"auto_engine_w{width}"] = plan.engine
@@ -216,18 +164,11 @@ def _auto_leg(compiled, widths, trace_for):
         def run_auto():
             live = plan_execution(compiled, Workload.from_traces(batch),
                                   AUTO)
-            masks = (mask_arrays if live.backend.buffer_masks()
-                     else mask_lists)
-            live.encoded_runner()(compiled, masks)
+            live.encoded_runner()(compiled, mask_lists)
 
         contenders = [
             ("compiled", lambda: run_many_encoded(compiled, mask_lists)),
         ]
-        if _np is not None:
-            contenders.append(
-                ("vector", lambda: run_many_vector_encoded(
-                    compiled, mask_arrays))
-            )
         if backend("native").unavailable_reason() is None:
             contenders.append(
                 ("native", lambda: run_many_native_encoded(

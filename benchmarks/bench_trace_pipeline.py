@@ -26,17 +26,13 @@ from repro.cache import CorpusCache
 from repro.protocols.ocp import ocp_simple_read_chart
 from repro.runtime.compiled import run_compiled, run_many
 from repro.runtime.engines import Workload, plan_execution
+from repro.runtime.native import unavailable_reason
 from repro.trace import VcdReader, run_sharded, trace_to_vcd
 from repro.trace.columnar import (
     ColumnarTraceSet,
     check_masks,
     masks_from_vcd_text,
 )
-
-try:
-    import numpy as _np
-except ImportError:
-    _np = None
 
 _REPO_ROOT = pathlib.Path(__file__).parent.parent
 _RESULTS_PATH = _REPO_ROOT / "BENCH_trace.json"
@@ -166,8 +162,8 @@ def test_columnar_warm_throughput(report, tmp_path):
     planner's pick for the whole batch, and its encoded runner.  Both
     legs run once untimed first, so native builds (or SO-cache
     lookups) stay out of the timings, and both take the best of five.
-    Gated at >= 10x the baseline and >= 5M ticks/s under NumPy; the
-    array fallback's floor is 3x.
+    Gated at >= 10x the baseline and >= 5M ticks/s with the native
+    stepper; without a C compiler the floor is 3x.
     """
     compiled = tr_compiled(ocp_simple_read_chart())
     codec = compiled.codec
@@ -219,15 +215,16 @@ def test_columnar_warm_throughput(report, tmp_path):
         "columnar_warm_ticks_per_s": round(warm_rate),
         "columnar_warm_speedup": round(speedup, 1),
     })
-    floor = 10.0 if _np is not None else 3.0
+    native = unavailable_reason() is None
+    floor = 10.0 if native else 3.0
     assert speedup >= floor, (
         f"warm cached re-check only {speedup:.1f}x the uncached check "
         f"(promised >= {floor}x)"
     )
-    if _np is not None:
+    if native:
         assert warm_rate >= 5e6, (
             f"warm cached re-check at {warm_rate / 1e6:.2f}M ticks/s "
-            f"(promised >= 5M ticks/s under NumPy)"
+            f"(promised >= 5M ticks/s with the native stepper)"
         )
 
 

@@ -96,7 +96,6 @@ _EXPORTS = {
     "run_bank_sharded": "repro.trace.shard",
     "run_compiled": "repro.runtime.compiled",
     "run_many": "repro.runtime.compiled",
-    "run_many_vector": "repro.runtime.vector",
     "run_monitor": "repro.monitor.engine",
     "run_sharded": "repro.trace.shard",
     "scesc": "repro.cesc.builder",

@@ -22,8 +22,8 @@ every fault prediction held), 3 when it did not.
 
 Each handler imports the modules only its verb runs (consistency lint,
 code generators, renderers, the campaign and serve stacks), so a
-command pays start-up for its own work: ``check --vcd`` loads neither
-NumPy nor ``multiprocessing``.  ``parse_cesc`` and ``tr_compiled`` stay
+command pays start-up for its own work: ``check --vcd`` does not load
+``multiprocessing``.  ``parse_cesc`` and ``tr_compiled`` stay
 module-level names, and the trace-pipeline layers are looked up when
 called, so instrumentation can swap them by attribute.
 """
@@ -92,11 +92,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="WaveDrom JSON trace file (or use --vcd)")
     check.add_argument(
         "--engine", default=AUTO, choices=engine_choices(),
-        help="stepping backend (default: auto — the planner picks "
-             "from the workload shape): dense table dispatch, the "
-             "reference guard-tree interpreter, the trace-parallel "
-             "vector kernel, or the compile-on-demand native C "
-             "stepper (needs a host C compiler; identical verdicts)")
+        help="stepping backend (default: auto — native when a host C "
+             "compiler can build it, else compiled): dense table "
+             "dispatch, the reference guard-tree interpreter, "
+             "`vector` (compiled's batch runners under their old "
+             "name), or the compile-on-demand native C stepper "
+             "(needs a host C compiler; identical verdicts)")
     check.add_argument(
         "--optimize", action="store_true",
         help="run the monitor through the optimization pipeline "

@@ -2,7 +2,7 @@
 
 The C twin of :mod:`repro.codegen.python_gen`: one translation unit,
 no includes beyond ``<stdint.h>``/``<string.h>``, mirroring the
-NumPy-free table IR of :mod:`repro.runtime.lowering`
+table IR of :mod:`repro.runtime.lowering`
 (:class:`~repro.runtime.lowering.VectorTable`) exactly —
 
 * the flat ``int32 next_state[state * 2^|Sigma| + mask]`` dispatch
@@ -14,7 +14,7 @@ NumPy-free table IR of :mod:`repro.runtime.lowering`
   first-match safety is unproven;
 * per-term scoreboard deltas with min-prefix under-run floors, tested
   *before* any counts mutation — identical anomaly ordering to the
-  scalar and vector kernels.
+  scalar loop.
 
 Two exported entry points call one static step loop, so the unit
 holds one copy of it:

@@ -150,9 +150,7 @@ class AlphabetCodec(SlotPickle):
         """The whole trace's masks as one reusable ``array('i')``.
 
         Encoding a trace costs a Python loop per tick; batch runs feed
-        the *same* traces to every monitor of a bank (and the vector
-        kernel views the result as a NumPy buffer without copying), so
-        the arrays are memoized in a shared bounded cache keyed by the
+        the *same* traces to every monitor of a bank, so the arrays are memoized in a shared bounded cache keyed by the
         codec's symbol ordering and the trace's identity.  The returned
         array is shared — treat it as read-only.
         """

@@ -68,9 +68,9 @@ def prove_first_match(cell) -> Optional[tuple]:
     scanning is provably equivalent to the full scan for *every*
     scoreboard state; ``None`` when the proof fails.
 
-    Beyond :func:`harden_ladders`, the vector kernel's predication
-    planner (:mod:`repro.runtime.vector`) calls this per escape cell:
-    a proven cell skips the run-time conflict matrices entirely.
+    Beyond :func:`harden_ladders`, the table lowering
+    (:mod:`repro.runtime.lowering`) calls this per escape cell: a
+    proven cell skips the C stepper's run-time conflict scan.
     """
     events: set = set()
     for check, _ in cell:

@@ -20,14 +20,10 @@ performs, made persistent — so the hot loop is a list lookup:
 * :func:`~repro.runtime.compiled.run_compiled` /
   :func:`~repro.runtime.compiled.run_many` — whole-trace and batched
   lock-step execution;
-* :mod:`repro.runtime.lowering` — the NumPy-free table IR
+* :mod:`repro.runtime.lowering` — the table IR
   (:class:`~repro.runtime.lowering.VectorTable`): check-free cells
   lowered to one flat integer array, ladders to predicated rung terms;
-* :mod:`repro.runtime.vector` — the trace-parallel NumPy kernel over
-  that IR: one fancy-indexed gather per tick, ladders resolved as
-  predicated rung matrices (without NumPy, batches run the scalar
-  ``run_many`` loop);
-* :mod:`repro.runtime.native` — the same IR emitted as a C stepper,
+* :mod:`repro.runtime.native` — that IR emitted as a C stepper,
   compiled on demand by the host ``cc``;
 * :mod:`repro.runtime.engines` — the backend registry and the
   ``engine="auto"`` execution planner: every entry point resolves
@@ -36,7 +32,7 @@ performs, made persistent — so the hot loop is a list lookup:
 
 The interpreted engine remains the reference semantics; equivalence is
 enforced by property tests (``tests/test_properties.py``) and the
-vector differential suite.
+differential suites under ``tests/runtime``.
 """
 
 from repro._lazy import lazy_exports
@@ -57,8 +53,6 @@ _EXPORTS = {
     "run_compiled": "repro.runtime.compiled",
     "run_many": "repro.runtime.compiled",
     "run_many_encoded": "repro.runtime.compiled",
-    "run_many_vector": "repro.runtime.vector",
-    "run_many_vector_encoded": "repro.runtime.vector",
     "vector_table": "repro.runtime.lowering",
 }
 

@@ -641,11 +641,11 @@ def run_many_encoded(
     """:func:`run_many` over pre-encoded valuation-mask arrays.
 
     The sharded pipeline encodes traces once in the parent and ships
-    only the mask arrays to worker processes; the vector kernel shares
-    the same arrays.  ``mask_arrays`` entries may be any integer
-    sequence (``array('i')`` from
-    :meth:`~repro.logic.codec.AlphabetCodec.encode_trace`, a list, or a
-    NumPy array) — each is the per-tick mask stream of one trace.
+    only the mask arrays to worker processes.  ``mask_arrays`` entries
+    may be any integer sequence (``array('i')`` from
+    :meth:`~repro.logic.codec.AlphabetCodec.encode_trace`, a list, a
+    columnar set's lane) — each is the per-tick mask stream of one
+    trace.
     A mask outside ``[0, 2^|Sigma|)`` raises :class:`MonitorError`
     (see :func:`check_mask_domain`).
     """
@@ -669,13 +669,7 @@ def check_mask_domain(compiled: CompiledMonitor,
     """
     size = compiled.codec.size
     for masks in mask_arrays:
-        if not len(masks):
-            continue
-        if hasattr(masks, "min"):  # NumPy: a vectorized reduction
-            low, high = masks.min(), masks.max()
-        else:
-            low, high = min(masks), max(masks)
-        if low < 0 or high >= size:
+        if len(masks) and (min(masks) < 0 or max(masks) >= size):
             break
     else:
         return

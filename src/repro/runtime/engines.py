@@ -18,9 +18,7 @@ single seam those names pass through:
   errors carry identical wording and the live choice list everywhere;
 * :func:`plan_execution` — the planner that resolves
   ``engine="auto"``: the native stepper whenever it can be built,
-  else the vector kernel for wide batches over predicable tables
-  (:attr:`~repro.runtime.lowering.VectorTable.residual_ratio`) under
-  NumPy, else the scalar compiled loop.
+  else the scalar compiled loop.
 
 Registering a new backend is one :func:`register_backend` call: the
 CLI choice lists, the validation errors, the streaming checker, the
@@ -41,8 +39,6 @@ outside this module.
 
 from __future__ import annotations
 
-import os
-import sys
 from typing import Callable, Dict, Optional, Sequence, Tuple
 
 from repro.errors import MonitorError
@@ -56,7 +52,6 @@ __all__ = [
     "backend_names",
     "engine_choices",
     "engines_markdown_table",
-    "numpy_ready",
     "plan_execution",
     "plan_streaming",
     "register_backend",
@@ -68,17 +63,6 @@ __all__ = [
 #: The planner sentinel: entry points accepting it resolve the real
 #: backend through :func:`plan_execution` / :func:`plan_streaming`.
 AUTO = "auto"
-
-#: Without a native stepper, the lane count at which the vector
-#: kernel's per-tick array-op overhead is amortized (measured between
-#: 32 and 256 lanes on ladder-heavy charts): narrower batches run the
-#: scalar compiled loop.
-VECTOR_WIDE_WIDTH = 64
-
-#: Tables whose post-predication residual exceeds this fraction stay
-#: on the scalar loop at any width — residual lanes leave the vector
-#: kernel for per-lane scalar resolution, the worst of both worlds.
-RESIDUAL_CUTOFF = 0.10
 
 #: Capability flag -> how the missing feature reads in an error.
 _CAPABILITY_FEATURES = {
@@ -99,14 +83,13 @@ class EngineBackend:
     (:func:`engines_markdown_table`); the boolean flags are the
     capability matrix every entry point validates against; the three
     hook factories return the concrete callables on demand so that
-    registering a backend never imports its kernel (the vector hooks
-    pull in NumPy only when a vector run actually starts).
+    registering a backend never imports its kernel.
     """
 
     __slots__ = (
         "name", "steps", "when", "wants_compiled", "step", "batch",
         "streaming", "sharded_worker", "two_phase",
-        "optimize_ok", "prefers_numpy", "_engine_factory",
+        "optimize_ok", "_engine_factory",
         "_batch_factory", "_encoded_factory", "_availability",
     )
 
@@ -123,7 +106,6 @@ class EngineBackend:
         sharded_worker: bool = False,
         two_phase: bool = False,
         optimize_ok: bool = False,
-        prefers_numpy: bool = False,
         engine_factory: Optional[Callable] = None,
         batch_factory: Optional[Callable] = None,
         encoded_factory: Optional[Callable] = None,
@@ -139,7 +121,6 @@ class EngineBackend:
         self.sharded_worker = sharded_worker
         self.two_phase = two_phase
         self.optimize_ok = optimize_ok
-        self.prefers_numpy = prefers_numpy
         self._engine_factory = engine_factory
         self._batch_factory = batch_factory
         self._encoded_factory = encoded_factory
@@ -191,15 +172,6 @@ class EngineBackend:
         if self._availability is None:
             return None
         return self._availability()
-
-    def buffer_masks(self) -> bool:
-        """Should encoded input be buffer-backed arrays (vs lists)?
-
-        The NumPy vector kernel gathers fastest over buffer-backed
-        arrays; every scalar loop (which is what ``vector`` runs
-        without NumPy) indexes plain lists fastest.
-        """
-        return self.prefers_numpy and numpy_ready()
 
     def __repr__(self):
         flags = ", ".join(
@@ -300,26 +272,6 @@ def require_backend(name: str, capability: Optional[str] = None,
 
 
 # -- workload features ------------------------------------------------------
-def numpy_ready() -> bool:
-    """Is the NumPy vector kernel live in this process?
-
-    Follows the vector module's own switch when it is already loaded
-    (tests monkeypatch it to force fallback mode); otherwise answers
-    from the environment without importing NumPy.
-    """
-    vector = sys.modules.get("repro.runtime.vector")
-    if vector is not None:
-        return vector._np is not None
-    if os.environ.get("REPRO_NO_NUMPY"):
-        return False
-    try:
-        import importlib.util
-
-        return importlib.util.find_spec("numpy") is not None
-    except (ImportError, ValueError):  # pragma: no cover - exotic paths
-        return False
-
-
 class Workload:
     """The measurable shape of one batch: lane count and total ticks."""
 
@@ -392,17 +344,14 @@ def plan_execution(monitor, workload: Optional[Workload] = None,
     """Resolve an engine request against a monitor and a workload.
 
     An explicit name validates against ``capability`` and is honoured
-    verbatim.  ``"auto"`` applies three rules, in order:
+    verbatim.  ``"auto"`` applies two rules, in order:
 
     1. **native** when it is buildable: a C compiler is present (and
        not vetoed by ``REPRO_NO_CC``) and the table lowers to C — the
-       stepper leads every other kernel at every measured width;
-    2. otherwise **vector** when NumPy is live, the batch has at least
-       :data:`VECTOR_WIDE_WIDTH` lanes and the lowered table is
-       predicable (residual at most :data:`RESIDUAL_CUTOFF`);
-    3. otherwise **compiled**.
+       stepper leads the scalar loop at every measured width;
+    2. otherwise **compiled**.
 
-    The lowering both rules consult is memoized
+    The lowering rule 1 consults is memoized
     (:func:`~repro.runtime.lowering.vector_table`), so planning a batch
     against a warm monitor costs a few attribute reads and compiles
     nothing.  An unavailable native backend is never planned, while
@@ -420,26 +369,8 @@ def plan_execution(monitor, workload: Optional[Workload] = None,
             "auto: a C compiler is present and the table lowers to C",
             workload,
         )
-    if not numpy_ready():
-        reason = "no native stepper and no NumPy"
-    elif workload.n_traces < VECTOR_WIDE_WIDTH:
-        reason = (f"no native stepper; a {workload.n_traces}-lane batch "
-                  "is too narrow for the vector kernel")
-    else:
-        from repro.runtime.compiled import as_compiled
-        from repro.runtime.lowering import vector_table
-
-        table = vector_table(as_compiled(monitor))
-        if table.vectorizable and table.residual_ratio <= RESIDUAL_CUTOFF:
-            return ExecutionPlan(
-                backend("vector"),
-                f"auto: {workload.n_traces}-lane batch over a predicable "
-                "table",
-                workload,
-            )
-        reason = (f"no native stepper; {table.residual_ratio:.0%} of "
-                  "cells resolve escapes on the scalar path")
-    return ExecutionPlan(backend("compiled"), f"auto: {reason}", workload)
+    return ExecutionPlan(backend("compiled"), "auto: no native stepper",
+                         workload)
 
 
 def plan_streaming(engine: str = AUTO, implication: bool = False,
@@ -465,9 +396,9 @@ def resolve_step_backend(engine: str, capability: str = "step",
                          error_cls=MonitorError) -> EngineBackend:
     """Resolve an engine request for per-tick stepping contexts.
 
-    ``"auto"`` always means the compiled table here — per-tick
-    stepping has no batch width for the vector kernel to amortize
-    over, and the interpreted walker is the explicit-opt-in reference.
+    ``"auto"`` always means the compiled table here — no per-tick
+    stepping engine is faster, and the interpreted walker is the
+    explicit-opt-in reference.
     """
     if engine == AUTO:
         return require_backend("compiled", capability,
@@ -489,9 +420,8 @@ def engines_markdown_table() -> str:
     lines.append(
         "| `auto` | the planner's pick of the above | the default for "
         "every CLI entry point: `native` whenever a host C compiler "
-        "can build it, else `vector` for batches of "
-        f"{VECTOR_WIDE_WIDTH}+ lanes under NumPy, else `compiled`; "
-        "implication streams always take `compiled` |"
+        "can build it, else `compiled`; implication streams always "
+        "take `compiled` |"
     )
     return "\n".join(lines) + "\n"
 
@@ -519,18 +449,6 @@ def _compiled_encoded_factory():
     from repro.runtime.compiled import run_many_encoded
 
     return run_many_encoded
-
-
-def _vector_batch_factory():
-    from repro.runtime.vector import run_many_vector
-
-    return run_many_vector
-
-
-def _vector_encoded_factory():
-    from repro.runtime.vector import run_many_vector_encoded
-
-    return run_many_vector_encoded
 
 
 def _native_engine_factory():
@@ -571,9 +489,8 @@ register_backend(EngineBackend(
 register_backend(EngineBackend(
     "compiled",
     steps="dense `(state, mask)` table, one trace per engine",
-    when="implication streams, detector streams without a C compiler, "
-         "and every batch when neither a C compiler nor a wide batch "
-         "under NumPy is at hand: 5–50x over interpreted",
+    when="implication streams, and every batch and detector stream "
+         "when no C compiler is present: 5–50x over interpreted",
     wants_compiled=True,
     step=True,
     batch=True,
@@ -588,31 +505,28 @@ register_backend(EngineBackend(
 
 register_backend(EngineBackend(
     "vector",
-    steps="flat integer array, whole batch per gather; ladders as "
-          "predicated rung matrices",
-    when="wide batches (64+ lanes) under NumPy when no C compiler is "
-         "present: ~3x over `compiled` lock-step at 256 lanes in "
-         "`bench_vector.py` even at 65–75% ladder density, identical "
-         "verdicts and errors",
+    steps="`compiled`'s batch runners, under the name of the NumPy "
+          "kernel they replaced",
+    when="scripts that still name it: batches only, with `compiled`'s "
+         "verdicts, errors and speed",
     wants_compiled=True,
     step=False,
     batch=True,
     sharded_worker=True,
     optimize_ok=True,
-    prefers_numpy=True,
-    batch_factory=_vector_batch_factory,
-    encoded_factory=_vector_encoded_factory,
+    batch_factory=_compiled_batch_factory,
+    encoded_factory=_compiled_encoded_factory,
 ))
 
 register_backend(EngineBackend(
     "native",
-    steps="compile-on-demand C table-stepper (same flat table and "
-          "predicated rungs), one shared object per monitor; streams "
-          "keep their state in C between chunks",
+    steps="compile-on-demand C table-stepper (flat table, predicated "
+          "rungs), one shared object per monitor; streams keep their "
+          "state in C between chunks",
     when="every batch width and every detector stream when a host C "
-         "compiler is present: ~2–4x over `compiled` and ~2–7x over "
-         "`vector` from 1 to 256 lanes, anomalies replay through the "
-         "scalar engine for identical errors",
+         "compiler is present: ~4–7x over `compiled` at 1 and 32 lanes "
+         "and in 500-tick stream chunks (`bench_native.py`), anomalies "
+         "replay through the scalar engine for identical errors",
     wants_compiled=True,
     step=False,
     batch=True,

@@ -1,13 +1,12 @@
-"""The flat table IR every batch kernel steps: :class:`VectorTable`.
+"""The flat table IR the native stepper steps: :class:`VectorTable`.
 
 A :class:`~repro.runtime.compiled.CompiledMonitor`'s check-free cells
 flatten into one integer array ``next_state[state * 2^|Sigma| + mask]``;
 the C stepper (:mod:`repro.codegen.c_gen`, run by
-:mod:`repro.runtime.native`) and the NumPy kernel
-(:mod:`repro.runtime.vector`) both step that array.  This module builds
-it, with the stdlib only: the native path and the planner
-(:func:`~repro.runtime.engines.plan_execution`) read the lowering
-without importing NumPy.
+:mod:`repro.runtime.native`) steps that array.  This module builds it,
+with the stdlib only; the planner
+(:func:`~repro.runtime.engines.plan_execution`) reads the lowering to
+decide whether a table goes to C.
 
 Escape cells
 ------------
@@ -35,12 +34,11 @@ Cells whose first-match dispatch
 :func:`~repro.optimize.ladders.prove_first_match` proves (and every
 ``ladder_exclusive`` monitor) are marked ``safe`` and skip the
 cross-group conflict scan.  A condition outside the literal language
-keeps its cell on the scalar path (``vectorizable`` is then false).
+keeps its cell on the scalar path (``vectorizable`` is then false,
+and the table does not lower to C).
 
 ``VectorTable.escape_ratio`` reports the *static* lowering density
-(cells outside the one-load fast path); ``residual_ratio`` reports what
-is left **after** predication — the cells whose lanes still drop to
-per-lane scalar resolution.  The planner reads the residual.
+(cells outside the one-load fast path).
 """
 
 from __future__ import annotations
@@ -215,15 +213,11 @@ class VectorTable:
     ``flat[state * size + mask]`` is the successor state for check-free,
     action-free cells; negative entries escape (:data:`MISSING` or an
     index into ``specs``).  ``escape_ratio`` reports the static density
-    of escape cells; ``residual_ratio`` the post-predication residual —
-    the batch planner's signal for when the vector kernel stops paying
-    (see DESIGN.md).  ``_np_flat``/``_np_plan`` hold the NumPy views
-    :mod:`repro.runtime.vector` builds on first use.
+    of escape cells.
     """
 
     __slots__ = ("compiled", "size", "n_states", "final", "flat",
-                 "escapes", "residual", "specs", "events",
-                 "vectorizable", "_np_flat", "_np_plan")
+                 "escapes", "specs", "events", "vectorizable")
 
     def __init__(self, compiled: CompiledMonitor):
         self.compiled = compiled
@@ -246,7 +240,6 @@ class VectorTable:
         spec_of: dict = {}
         vectorizable = True
         escapes = 0
-        residual = 0
         cells: List[int] = []
         for state in range(compiled.n_states):
             row = compiled._table[state]
@@ -255,7 +248,6 @@ class VectorTable:
                 if cell is None:
                     cells.append(MISSING)
                     escapes += 1
-                    residual += 1
                     continue
                 if type(cell) is not tuple and not cell.actions:
                     cells.append(cell.target)
@@ -273,17 +265,12 @@ class VectorTable:
                         vectorizable = False
                         specs.append(_EscapeSpec("scalar", cell, state))
                     spec_of[key] = index
-                if specs[index].plan is None:
-                    residual += 1
                 cells.append(-2 - index)
         self.flat = array("i", cells)
         self.escapes = escapes
-        self.residual = residual
         self.specs = specs
         self.events = tuple(events)
         self.vectorizable = vectorizable
-        self._np_flat = None
-        self._np_plan = None
 
     @staticmethod
     def _lower_escape(cell, state, codec, event_row,
@@ -329,25 +316,10 @@ class VectorTable:
         """Static lowering density: cells outside the one-gather path."""
         return self.escapes / len(self.flat) if len(self.flat) else 0.0
 
-    @property
-    def residual_ratio(self) -> float:
-        """Post-predication residual: the cell fraction whose lanes
-        still leave array code for per-lane scalar resolution.
-
-        Predicated ladder/step cells stay inside the kernel, so only
-        missing cells (which raise via scalar replay) count — unless
-        some cell resisted predication, in which case every escape
-        lane runs the scalar board path and the residual is the full
-        escape density.
-        """
-        if not self.vectorizable:
-            return self.escape_ratio
-        return self.residual / len(self.flat) if len(self.flat) else 0.0
-
     def __repr__(self):
         return (f"VectorTable({self.compiled.name!r}, "
                 f"states={self.n_states}, size={self.size}, "
-                f"escapes={self.escapes}, residual={self.residual})")
+                f"escapes={self.escapes})")
 
 
 #: Memoized lowerings, keyed by monitor identity.

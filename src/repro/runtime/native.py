@@ -5,11 +5,11 @@ per monitor, mirroring :class:`~repro.runtime.lowering.VectorTable`'s
 lowering; this module owns everything around that source text:
 
 * **compiler discovery** — ``$CC`` then ``cc``/``gcc``/``clang`` on
-  ``PATH``; the C compiler is an *optional* dependency under the same
-  policy as NumPy: absent (or ``REPRO_NO_CC=1``) means the planner
-  never selects the backend and an explicit ``--engine native``
-  raises the registry's uniform unavailability error
-  (:func:`unavailable_reason` is the registry's availability hook);
+  ``PATH``; the C compiler is an *optional* dependency: absent (or
+  ``REPRO_NO_CC=1``) means the planner never selects the backend and
+  an explicit ``--engine native`` raises the registry's uniform
+  unavailability error (:func:`unavailable_reason` is the registry's
+  availability hook);
 * **the shared-object disk cache** — :func:`shared_object`, the one
   lookup/compile/publish/load path every C object takes (this
   stepper and the VCD block parser of :mod:`repro.trace.vcd_native`).
@@ -77,6 +77,7 @@ __all__ = [
     "NativeEngine",
     "NativeKernel",
     "find_cc",
+    "flatten_masks",
     "native_cache_root",
     "native_kernel",
     "native_plan_ok",
@@ -348,40 +349,23 @@ def shared_object(source: str, bind: Callable[[ctypes.CDLL], _Bound]
 
 
 # -- the batch runners ------------------------------------------------------
-_INT32_MIN = -(1 << 31)
 _INT32_MAX = (1 << 31) - 1
 
 
-def _flatten_masks(mask_arrays) -> array:
+def flatten_masks(mask_arrays) -> array:
     """Concatenate per-lane mask streams into one ``int32`` buffer.
 
     Never wraps a value into range: ``array("i")`` refuses values
-    outside int32 with ``OverflowError``, and a wider NumPy array is
-    bounds-checked before its cast.  Every value that does land in the
-    buffer is the lane's own, so the stepper's bounds guard sees it.
+    outside int32 with ``OverflowError``.  Every value that does land
+    in the buffer is the lane's own, so the stepper's bounds guard
+    sees it.
     """
     flat = array("i")
     for stream in mask_arrays:
-        if type(stream) is array and stream.typecode == "i":
-            flat.extend(stream)
-        elif type(stream) is list:
-            flat.extend(stream)
-        else:
-            # NumPy arrays (and any other integer sequence) go through
-            # a raw-bytes copy: element iteration over ndarrays is slow.
-            np = sys.modules.get("numpy")
-            if np is not None and isinstance(stream, np.ndarray):
-                if stream.dtype != np.int32 and len(stream) and (
-                    stream.min() < _INT32_MIN or stream.max() > _INT32_MAX
-                ):
-                    raise OverflowError("mask outside int32")
-                flat.frombytes(
-                    np.ascontiguousarray(
-                        stream, dtype=np.int32
-                    ).tobytes()
-                )
-            else:
-                flat.extend(int(mask) for mask in stream)
+        if type(stream) is array and stream.typecode != "i":
+            # array.extend takes only arrays of its own typecode.
+            stream = stream.tolist()
+        flat.extend(stream)
     return flat
 
 
@@ -457,7 +441,7 @@ def _run_many_native(compiled, mask_arrays, scoreboards,
         return []
     lengths = [len(stream) for stream in mask_arrays]
     try:
-        flat = _flatten_masks(mask_arrays)
+        flat = flatten_masks(mask_arrays)
     except OverflowError:
         # A mask beyond int32 cannot reach the stepper: name it.
         check_mask_domain(compiled, mask_arrays)

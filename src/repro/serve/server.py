@@ -369,7 +369,8 @@ class MonitorService:
                              sessions: Dict[str, StreamSession]) -> dict:
         session = self._session_for(message, sessions)
         payload = masks_from_wire(message.get("masks"))
-        # Out-of-range masks are the request's error, answered before
+        # A batch the stream cannot step (no one shared codec, or a
+        # mask out of range) is the request's error, answered before
         # the chunk is queued, not the stream's.
         session.checker.validate_masks(payload, error_cls=ServeError)
         return await session.submit("masks", payload)

@@ -161,10 +161,10 @@ class MonitorBank:
 
         Every member monitor is compiled once (memoized) and fed all
         ``traces`` through the registry's batch kernel for ``engine``
-        (``"compiled"``: scalar lock-step; ``"vector"``: the
-        trace-parallel gather kernel; ``"auto"``, the default, lets
-        :func:`~repro.runtime.engines.plan_execution` pick from the
-        batch width and chart shape — identical results either way);
+        (``"compiled"``: scalar lock-step; ``"native"``: the C
+        stepper; ``"auto"``, the default, lets
+        :func:`~repro.runtime.engines.plan_execution` pick — identical
+        results either way);
         returns one :class:`BankResult` per trace, each identical to
         what ``run(trace)`` would produce.  This is the bulk entry point for
         serving many concurrent scenarios against one specification.
@@ -188,9 +188,6 @@ class MonitorBank:
             return run_bank_sharded(self, traces, jobs=jobs,
                                     engine=plan.engine)
         runner = plan.encoded_runner()
-        # The NumPy kernel wants buffer-backed arrays; every scalar
-        # loop indexes lists fastest.
-        as_list = not plan.backend.buffer_masks()
         # Mask arrays are shared *explicitly* across same-alphabet
         # members — one encode per distinct codec per call, robust at
         # any batch size (the bounded encode cache alone thrashes on
@@ -201,7 +198,7 @@ class MonitorBank:
             key = compiled.codec.symbols
             masks = encoded_by_codec.get(key)
             if masks is None:
-                masks = compiled.codec.encode_many(traces, as_list=as_list)
+                masks = compiled.codec.encode_many(traces, as_list=True)
                 encoded_by_codec[key] = masks
             per_member.append(runner(compiled, masks))
         return [

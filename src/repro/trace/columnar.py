@@ -9,12 +9,13 @@ This module lets a dump be parsed once and checked many times:
   per-trace symbol-mask arrays pre-encoded against an
   :class:`~repro.logic.codec.AlphabetCodec` (the exact int layout the
   batch kernels step over), plus trace lengths, the codec
-  fingerprint, and sampling metadata.  Loading is NumPy-optional:
-  ``numpy.frombuffer`` over an ``mmap`` when NumPy is present, an
-  ``array('i')`` otherwise.  NumPy is imported on first use, so
-  importing this module (and ``repro``) loads none.  Every mask must
-  lie in ``[0, 2^|symbols|)``: a set built or loaded with any other
-  is a :class:`~repro.errors.TraceError`.
+  fingerprint, and sampling metadata.  A set holds its masks in one
+  ``array('i')``: a load reads the file, checks the crc and copies the
+  payload in with ``frombytes``.  Every mask must lie in
+  ``[0, 2^|symbols|)``: a set built or loaded with any other is a
+  :class:`~repro.errors.TraceError`.  That range check is one C loop
+  over the whole payload (:func:`repro.trace.vcd_native.mask_span`)
+  when a compiler is available, Python's ``min``/``max`` otherwise.
 
 * **conversion** — :func:`masks_from_vcd_text` and
   :func:`masks_from_vcd` parse a dump once, in this process, through
@@ -40,15 +41,17 @@ This module lets a dump be parsed once and checked many times:
     payload       sum(lengths) int32 mask values, trace-major
 
 A file is rejected (and a cache entry treated as a miss) when the
-magic or version mismatches, the size disagrees with the header, the
-payload crc32 does not verify, or a mask lies outside the alphabet.
+magic or version mismatches, the header is not that shape (symbols a
+list of strings, lengths a list of non-negative integers, meta an
+object), the symbols are not in a codec's order (sorted, distinct),
+the size disagrees with the header, the payload crc32 does not
+verify, or a mask lies outside the alphabet.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import mmap
 import os
 import struct
 import sys
@@ -74,39 +77,11 @@ __all__ = [
 ]
 
 
-_UNRESOLVED = object()
-
-
-def _numpy():
-    """NumPy, imported on first use — or ``None`` when it is missing or
-    ``REPRO_NO_NUMPY`` is set (the test hook forcing the fallback).
-
-    The module attribute ``_np`` holds the answer once known (tests
-    patch it); reading ``columnar._np`` from outside resolves it too.
-    """
-    module = globals().get("_np", _UNRESOLVED)
-    if module is _UNRESOLVED:
-        module = None
-        if not os.environ.get("REPRO_NO_NUMPY"):
-            try:
-                import numpy as module
-            except ImportError:  # pragma: no cover
-                module = None
-        globals()["_np"] = module
-    return module
-
-
-def __getattr__(name: str):
-    if name == "_np":
-        return _numpy()
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 RTRC_MAGIC = b"RTRC"
 RTRC_VERSION = 1
 
-#: Payload alignment: mask arrays start on this boundary so an mmap'd
-#: int32 view is aligned whatever the JSON header length.
+#: Payload alignment: mask arrays start on this boundary whatever the
+#: JSON header length.
 _ALIGN = 64
 
 
@@ -123,36 +98,26 @@ def codec_fingerprint(codec: Union[AlphabetCodec, Iterable[str]]) -> str:
     return hashlib.sha256(payload).hexdigest()
 
 
-def _masks_to_le_bytes(masks) -> bytes:
-    """Little-endian int32 bytes of one mask sequence."""
-    np = sys.modules.get("numpy")
-    if np is not None and isinstance(masks, np.ndarray):
-        return masks.astype("<i4", copy=False).tobytes()
-    if isinstance(masks, array) and masks.typecode == "i" and \
-            masks.itemsize == 4:
-        if sys.byteorder == "little":
-            return masks.tobytes()
-        swapped = array("i", masks)
-        swapped.byteswap()
-        return swapped.tobytes()
-    return struct.pack(f"<{len(masks)}i", *masks)
+def _span_error(low: int, high: int, n_symbols: int) -> TraceError:
+    size = 1 << n_symbols
+    return TraceError(
+        f"columnar masks span {low}..{high}; an alphabet of "
+        f"{n_symbols} symbols allows 0..{size - 1}"
+    )
 
 
 class ColumnarTraceSet:
     """An ordered set of pre-encoded mask streams over one codec.
 
-    ``masks(i)`` / ``mask_arrays()`` return views into one flat buffer
-    (a NumPy int32 array when NumPy is present, ``array('i')``
-    otherwise) in exactly the layout
-    :func:`~repro.runtime.vector.run_many_vector_encoded` consumes.
-    Treat them as read-only — loaded sets may be memory-mapped.
+    The masks live in one flat ``array('i')``; ``masks(i)`` /
+    ``mask_arrays()`` return each lane as its own ``array('i')``, the
+    input every batch runner takes.
     """
 
-    __slots__ = ("symbols", "lengths", "meta", "_flat", "_offsets",
-                 "_mmap")
+    __slots__ = ("symbols", "lengths", "meta", "_flat", "_offsets")
 
     def __init__(self, symbols: Sequence[str], lengths: Sequence[int],
-                 flat, meta: Optional[dict] = None, _mmap=None):
+                 flat, meta: Optional[dict] = None):
         self.symbols: Tuple[str, ...] = tuple(symbols)
         self.lengths: Tuple[int, ...] = tuple(int(n) for n in lengths)
         if any(n < 0 for n in self.lengths):
@@ -167,41 +132,27 @@ class ColumnarTraceSet:
                 f"columnar payload holds {len(flat)} masks; lengths "
                 f"sum to {offsets[-1]}"
             )
+        if type(flat) is not array or flat.typecode != "i":
+            flat = _int32_masks([flat], len(self.symbols))
         if len(flat):
-            # One min/max over the flat buffer (vectorised under NumPy)
-            # keeps every kernel's table lookups in range.
-            low, high = ((flat.min(), flat.max()) if hasattr(flat, "min")
-                         else (min(flat), max(flat)))
-            size = 1 << len(self.symbols)
-            if low < 0 or high >= size:
-                raise TraceError(
-                    f"columnar masks span {int(low)}..{int(high)}; an "
-                    f"alphabet of {len(self.symbols)} symbols allows "
-                    f"0..{size - 1}"
-                )
+            # One pass over the flat buffer keeps every kernel's table
+            # lookups in range.
+            from repro.trace.vcd_native import mask_span
+
+            low, high = mask_span(flat)
+            if low < 0 or high >= 1 << len(self.symbols):
+                raise _span_error(low, high, len(self.symbols))
         self._flat = flat
-        self._mmap = _mmap
 
     # -- construction ----------------------------------------------------
     @classmethod
     def from_mask_arrays(cls, mask_arrays: Sequence[Sequence[int]],
                          symbols: Sequence[str],
                          meta: Optional[dict] = None) -> "ColumnarTraceSet":
+        symbols = tuple(symbols)
         lengths = [len(masks) for masks in mask_arrays]
-        np = _numpy()
-        if np is not None:
-            flat = np.empty(sum(lengths), dtype=np.int32)
-            cursor = 0
-            for masks in mask_arrays:
-                flat[cursor:cursor + len(masks)] = np.asarray(
-                    masks, dtype=np.int32
-                )
-                cursor += len(masks)
-        else:
-            flat = array("i")
-            for masks in mask_arrays:
-                flat.extend(masks)
-        return cls(symbols, lengths, flat, meta=meta)
+        return cls(symbols, lengths,
+                   _int32_masks(mask_arrays, len(symbols)), meta=meta)
 
     @classmethod
     def from_traces(cls, traces: Sequence[Trace],
@@ -234,8 +185,8 @@ class ColumnarTraceSet:
     def codec(self) -> AlphabetCodec:
         return AlphabetCodec(self.symbols)
 
-    def masks(self, index: int):
-        """Trace ``index``'s mask stream (a zero-copy view; read-only)."""
+    def masks(self, index: int) -> array:
+        """Trace ``index``'s mask stream, as its own ``array('i')``."""
         start, end = self._offsets[index], self._offsets[index + 1]
         return self._flat[start:end]
 
@@ -245,7 +196,7 @@ class ColumnarTraceSet:
     def trace(self, index: int) -> Trace:
         """Decode one stream back into a :class:`Trace` (tests, tools)."""
         codec = self.codec()
-        return Trace([codec.decode(int(mask)) for mask in self.masks(index)],
+        return Trace([codec.decode(mask) for mask in self.masks(index)],
                      self.symbols)
 
     def __len__(self) -> int:
@@ -260,7 +211,11 @@ class ColumnarTraceSet:
 
     # -- serialisation ---------------------------------------------------
     def to_bytes(self) -> bytes:
-        payload = _masks_to_le_bytes(self._flat)
+        flat = self._flat
+        if sys.byteorder == "big":  # pragma: no cover - LE hosts
+            flat = array("i", flat)
+            flat.byteswap()
+        payload = flat.tobytes()
         header = json.dumps({
             "symbols": list(self.symbols),
             "fingerprint": self.fingerprint,
@@ -283,8 +238,7 @@ class ColumnarTraceSet:
         return path
 
     @classmethod
-    def from_bytes(cls, data, verify: bool = True,
-                   _mmap=None) -> "ColumnarTraceSet":
+    def from_bytes(cls, data, verify: bool = True) -> "ColumnarTraceSet":
         if len(data) < 12 or bytes(data[:4]) != RTRC_MAGIC:
             raise TraceError("not a columnar trace (.rtrc) payload")
         version, header_len = struct.unpack("<II", data[4:12])
@@ -301,8 +255,22 @@ class ColumnarTraceSet:
             lengths = header["lengths"]
             crc = header["payload_crc32"]
             meta = header.get("meta", {})
-        except (ValueError, KeyError, TypeError):
+        except (ValueError, KeyError, TypeError, RecursionError):
             raise TraceError("corrupt columnar trace header")
+        if not (isinstance(symbols, list)
+                and all(type(symbol) is str for symbol in symbols)
+                and isinstance(lengths, list)
+                and all(type(n) is int and n >= 0 for n in lengths)
+                and isinstance(meta, dict)):
+            raise TraceError("corrupt columnar trace header")
+        if symbols != sorted(set(symbols)):
+            # Masks are read in the codec's bit order, and the codec
+            # fingerprint is order-blind: a file in any other order
+            # would be checked on silently wrong bits.
+            raise TraceError(
+                f"corrupt columnar trace header: symbols {symbols} are "
+                "not a codec's order (sorted, distinct)"
+            )
         offset = 12 + header_len
         offset += (-offset) % _ALIGN
         total = sum(lengths)
@@ -314,36 +282,36 @@ class ColumnarTraceSet:
         payload = memoryview(data)[offset:]
         if verify and zlib.crc32(payload) != crc:
             raise TraceError("columnar payload failed its crc32 check")
-        np = _numpy()
-        if np is not None:
-            flat = np.frombuffer(payload, dtype="<i4")
-        else:
-            flat = array("i")
-            flat.frombytes(payload)
-            if sys.byteorder == "big":  # pragma: no cover - LE hosts
-                flat.byteswap()
-        return cls(symbols, lengths, flat, meta=meta, _mmap=_mmap)
+        flat = array("i")
+        flat.frombytes(payload)
+        if sys.byteorder == "big":  # pragma: no cover - LE hosts
+            flat.byteswap()
+        return cls(symbols, lengths, flat, meta=meta)
 
     @classmethod
     def load(cls, path: Union[str, "os.PathLike[str]"],
              verify: bool = True) -> "ColumnarTraceSet":
-        """Read a ``.rtrc`` file; memory-mapped under NumPy.
+        """Read a ``.rtrc`` file.
 
-        Magic, version, header shape, payload size and (unless
-        ``verify=False``) the payload crc32 are all checked before any
-        mask is served; every failure is a :class:`TraceError`.
+        Magic, version, header shape, payload size, (unless
+        ``verify=False``) the payload crc32 and the mask range are all
+        checked before any mask is served; every failure is a
+        :class:`TraceError`.
         """
         with open(os.fspath(path), "rb") as stream:
-            if _numpy() is not None:
-                try:
-                    mapped = mmap.mmap(stream.fileno(), 0,
-                                       access=mmap.ACCESS_READ)
-                except (ValueError, OSError):
-                    mapped = None  # empty or unmappable file
-                if mapped is not None:
-                    return cls.from_bytes(mapped, verify=verify,
-                                          _mmap=mapped)
             return cls.from_bytes(stream.read(), verify=verify)
+
+
+def _int32_masks(mask_arrays, n_symbols: int) -> array:
+    """Concatenate mask sequences into one ``array('i')``; a mask
+    beyond int32 is outside every alphabet a set can hold."""
+    from repro.runtime.native import flatten_masks
+
+    try:
+        return flatten_masks(mask_arrays)
+    except OverflowError:
+        values = [mask for masks in mask_arrays for mask in masks]
+        raise _span_error(min(values), max(values), n_symbols) from None
 
 
 # -- VCD conversion -----------------------------------------------------------

@@ -430,7 +430,7 @@ def run_sharded_vcd(
                    for path in paths]
     if jobs <= 1 or len(check_tasks) <= 1:
         return [_check_vcd_with(compiled, task) for task in check_tasks]
-    # Workers plan "auto" against their own process (compiler, NumPy).
+    # Workers plan "auto" against their own process (its compiler).
     digest, payload = _ship(compiled)
     tasks = [(digest, payload, task) for task in check_tasks]
     pool = _get_pool(mp_context, min(jobs, len(tasks)))

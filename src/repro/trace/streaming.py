@@ -370,21 +370,21 @@ class StreamingChecker:
             feeds.extend((engine, masks) for engine in engines)
         return self._step_chunk(feeds, len(valuations))
 
-    def _require_shared_codec(self):
+    def _require_shared_codec(self, error_cls: type = MonitorError):
         """The codec every engine shares (pre-encoded input contract)."""
         if not self._backend.wants_compiled:
-            raise MonitorError(
+            raise error_cls(
                 "push_masks steps pre-encoded tables; construct the "
                 "checker with engine='compiled' or engine='native'"
             )
         if self._consequents is not None:
-            raise MonitorError(
+            raise error_cls(
                 "pre-encoded streaming checks detector specs; an "
                 "implication interleaves obligations per valuation"
             )
         if self._codec is None:
             first, second = self._push_groups[:2]
-            raise MonitorError(
+            raise error_cls(
                 "pre-encoded masks need every member over one shared "
                 f"alphabet (got {list(first[0].symbols)} and "
                 f"{list(second[0].symbols)})"
@@ -393,13 +393,15 @@ class StreamingChecker:
 
     def validate_masks(self, masks,
                        error_cls: type = MonitorError) -> None:
-        """Reject masks outside the members' shared codec range with
-        :func:`~repro.runtime.compiled.check_mask_domain`'s wording
-        (:meth:`push_masks` runs it on every batch).  A checker that
-        steps no tables has no codec to check against."""
-        if self._backend.wants_compiled and self._engines:
-            check_mask_domain(self._engines[0].monitor, [masks],
-                              error_cls=error_cls)
+        """Reject a batch :meth:`push_encoded` cannot step, as
+        ``error_cls``: a checker without one shared codec (the
+        interpreted engine, an implication, members over several
+        alphabets), or a mask outside the codec's range
+        (:func:`~repro.runtime.compiled.check_mask_domain`'s wording).
+        :meth:`push_masks` runs it on every batch."""
+        self._require_shared_codec(error_cls)
+        check_mask_domain(self._engines[0].monitor, [masks],
+                          error_cls=error_cls)
 
     def push_masks(self, masks: List[int]) -> bool:
         """Consume a batch of pre-encoded ticks (table backends).
@@ -412,7 +414,6 @@ class StreamingChecker:
         :class:`~repro.errors.MonitorError` before any tick is stepped.
         Returns ``False`` once checking stopped.
         """
-        self._require_shared_codec()
         self.validate_masks(masks)
         return self.push_encoded(masks)
 

@@ -36,17 +36,23 @@ The contract with the Python path (``repro_vcd_block``'s status):
 
 Without a C compiler, or with ``REPRO_NO_CC=1``, :func:`block_parser`
 returns ``None`` and every block takes the Python path.
+
+The same unit holds the range check of a columnar trace set
+(:func:`mask_span`: the least and greatest mask of an ``array('i')``
+in one loop), since every ``.rtrc`` load runs it over the whole
+payload; without the unit it is Python's ``min`` and ``max``.
 """
 
 from __future__ import annotations
 
 import ctypes
 from array import array
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.runtime.native import shared_object, unavailable_reason
 
-__all__ = ["FALLBACK", "NativeBlocks", "available", "block_parser"]
+__all__ = ["FALLBACK", "NativeBlocks", "available", "block_parser",
+           "mask_span"]
 
 _SOURCE = r"""
 /* repro VCD change-stream block parser and sampler (fixed source;
@@ -396,6 +402,22 @@ truncated:
     /* A final block's truncation is an error: Python words it. */
     return final ? VCD_FALLBACK : VCD_TRUNCATED;
 }
+
+/* The least and greatest of n masks into span[0] and span[1] (the
+ * columnar range check; n == 0 leaves span[0] > span[1]). */
+EXPORT void repro_mask_span(const int32_t *masks, int64_t n,
+                            int32_t *span)
+{
+    int32_t low = INT32_MAX, high = INT32_MIN;
+    for (int64_t i = 0; i < n; i++) {
+        if (masks[i] < low)
+            low = masks[i];
+        if (masks[i] > high)
+            high = masks[i];
+    }
+    span[0] = low;
+    span[1] = high;
+}
 """
 
 _OK, _TRUNCATED, _FALLBACK, _FULL = 0, 1, 2, 3
@@ -452,12 +474,12 @@ class _Config(ctypes.Structure):
 class _Library:
     """The loaded parser object: its path, cache key and entry points."""
 
-    __slots__ = ("path", "key", "lib", "index", "block")
+    __slots__ = ("path", "key", "lib", "index", "block", "span")
 
     def __init__(self, path: str, key: str, bound: tuple):
         self.path = path
         self.key = key
-        self.lib, self.index, self.block = bound
+        self.lib, self.index, self.block, self.span = bound
 
 
 def _bind(lib) -> tuple:
@@ -476,7 +498,10 @@ def _bind(lib) -> tuple:
         ctypes.c_int64,                  # cap
         ctypes.POINTER(ctypes.c_int64),  # n_out
     )
-    return lib, index, block
+    span = lib.repro_mask_span
+    span.restype = None
+    span.argtypes = (ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p)
+    return lib, index, block, span
 
 
 #: The per-process parser: ``None`` until first use, then a
@@ -499,6 +524,17 @@ def _library() -> Optional[_Library]:
 def available() -> bool:
     """Is the C parser loaded (building it on first call)?"""
     return _library() is not None
+
+
+def mask_span(masks: array) -> Tuple[int, int]:
+    """``(min, max)`` of a non-empty ``array('i')``: one C loop when
+    the unit is available, else Python's ``min`` and ``max``."""
+    library = _library()
+    if library is None:
+        return min(masks), max(masks)
+    span = array("i", bytes(8))
+    library.span(masks.buffer_info()[0], len(masks), span.buffer_info()[0])
+    return span[0], span[1]
 
 
 def _in_int64(value: int) -> bool:

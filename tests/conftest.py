@@ -23,6 +23,7 @@ runtimes preloaded::
 import os
 import random
 import shutil
+import sys
 import tempfile
 
 import pytest
@@ -125,6 +126,18 @@ class DiffHarness:
 @pytest.fixture(scope="session")
 def diff_harness():
     return DiffHarness
+
+
+@pytest.fixture(params=["numpy", "fallback"])
+def numpy_mode(request, monkeypatch):
+    """NumPy loaded in this process (the module, where it is installed)
+    or unimportable (``None``).  The package has no NumPy path, so a
+    case run in both modes must answer alike; a case that hands masks
+    to a runner may hand it NumPy arrays in the first."""
+    if request.param == "numpy":
+        return pytest.importorskip("numpy")
+    monkeypatch.setitem(sys.modules, "numpy", None)
+    return None
 
 
 # -- sanitizer builds ---------------------------------------------------

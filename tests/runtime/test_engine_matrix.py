@@ -6,9 +6,10 @@ pools, the serving layer, cached corpus checks — the run either
 produces verdicts and tick counts identical to the interpreted
 reference, or raises the registry's uniform capability error with the
 exact wording and the entry point's own error subclass.  Every case
-runs in both NumPy and fallback modes (the ``REPRO_NO_NUMPY=1``
-contract), so the planner's ``auto`` resolution is exercised on both
-sides of the crossover.
+runs with NumPy loaded in the process (``numpy``, where it is
+installed) and with it unimportable (``fallback``): the product has no
+NumPy path, so both must answer alike, and where a case hands masks to
+a runner the ``numpy`` mode hands NumPy arrays too.
 
 This file also pins the README engines table to
 :func:`repro.runtime.engines.engines_markdown_table` so the docs
@@ -18,6 +19,8 @@ cannot drift from the registry.
 import asyncio
 import json
 import os
+import sys
+from array import array
 
 import pytest
 
@@ -32,7 +35,6 @@ from repro.monitor.checker import AssertionChecker
 from repro.monitor.engine import run_monitor
 from repro.protocols.fixtures import ocp_simple_vcd
 from repro.protocols.ocp import ocp_simple_read_chart
-from repro.runtime import vector as vector_module
 from repro.runtime.engines import (
     AUTO,
     EngineBackend,
@@ -41,7 +43,6 @@ from repro.runtime.engines import (
     backend_names,
     engine_choices,
     engines_markdown_table,
-    numpy_ready,
     plan_execution,
     register_backend,
     require_backend,
@@ -53,16 +54,6 @@ from repro.synthesis.tr import tr_compiled
 from repro.trace.columnar import check_vcd_cached
 from repro.trace.shard import run_sharded
 from repro.trace.streaming import StreamingChecker
-
-
-@pytest.fixture(params=["numpy", "fallback"])
-def vector_mode(request, monkeypatch):
-    """Run each matrix cell in both kernel modes."""
-    if request.param == "fallback":
-        monkeypatch.setattr(vector_module, "_np", None)
-    elif vector_module._np is None:
-        pytest.skip("NumPy not installed; only the fallback mode runs")
-    return request.param
 
 
 def _chart():
@@ -142,7 +133,7 @@ def test_registry_shape_is_the_documented_matrix():
 
 @pytest.mark.parametrize("engine", ["interpreted", "compiled", "vector",
                                     "native", AUTO])
-def test_bank_run_per_tick(engine, vector_mode):
+def test_bank_run_per_tick(engine, numpy_mode):
     traces = _traces(3)
     bank = synthesize_chart(_chart())
     reference = _reference(traces)
@@ -160,7 +151,7 @@ def test_bank_run_per_tick(engine, vector_mode):
 
 @pytest.mark.parametrize("engine", ["interpreted", "compiled", "vector",
                                     "native", AUTO])
-def test_bank_run_batch(engine, vector_mode):
+def test_bank_run_batch(engine, numpy_mode):
     traces = _traces()
     bank = synthesize_chart(_chart())
     reference = _reference(traces)
@@ -179,7 +170,7 @@ def test_bank_run_batch(engine, vector_mode):
 
 @pytest.mark.parametrize("engine", ["interpreted", "compiled", "vector",
                                     "native", AUTO])
-def test_streaming_checker(engine, vector_mode):
+def test_streaming_checker(engine, numpy_mode):
     traces = _traces(3)
     chart = _chart()
     if not (engine == AUTO or backend(engine).streaming):
@@ -207,7 +198,7 @@ def test_streaming_checker(engine, vector_mode):
 
 @pytest.mark.parametrize("engine", ["interpreted", "compiled", "vector",
                                     "native", AUTO])
-def test_run_sharded_worker_pool(engine, vector_mode):
+def test_run_sharded_worker_pool(engine, numpy_mode):
     traces = _traces()
     compiled = tr_compiled(_chart())
     reference = [run_monitor(synthesize_chart(_chart()).members[0][1],
@@ -233,7 +224,7 @@ def test_run_sharded_worker_pool(engine, vector_mode):
 
 @pytest.mark.parametrize("engine", ["interpreted", "compiled", "vector",
                                     "native", AUTO])
-def test_serve_streaming_per_open_override(engine, vector_mode):
+def test_serve_streaming_per_open_override(engine, numpy_mode):
     chart = _chart()
     trace = TraceGenerator(chart, seed=4).satisfying_trace(suffix=1)
     expected = run_monitor(synthesize_chart(chart).members[0][1], trace)
@@ -288,7 +279,7 @@ def test_serve_streaming_per_open_override(engine, vector_mode):
 
 @pytest.mark.parametrize("engine", ["interpreted", "compiled", "vector",
                                     "native", AUTO])
-def test_check_vcd_cached_corpus(engine, vector_mode, tmp_path):
+def test_check_vcd_cached_corpus(engine, numpy_mode, tmp_path):
     compiled = tr_compiled(_chart())
     paths = []
     for seed in (3, 5):
@@ -318,7 +309,7 @@ def test_check_vcd_cached_corpus(engine, vector_mode, tmp_path):
 
 
 def test_run_sharded_vcd_cache_path_accepts_batch_only_backends(
-        vector_mode, tmp_path):
+        numpy_mode, tmp_path):
     """``run_sharded_vcd`` feeds the *batch* kernels with or without a
     cache, so a batch-only backend (native) checks a dump on both
     paths with the compiled engine's verdicts."""
@@ -350,7 +341,7 @@ def test_run_sharded_vcd_cache_path_accepts_batch_only_backends(
 @pytest.mark.parametrize("bad", [1 << 28, 1 << 5, -1, 1 << 40,
                                  (1 << 32) + 3])
 def test_encoded_runners_reject_out_of_range_masks(engine, bad,
-                                                   vector_mode):
+                                                   numpy_mode):
     """A mask outside ``[0, 2^|Sigma|)`` is a MonitorError naming the
     lane, tick and mask on every batch backend (regression: native
     read past its table — ``1 << 28`` crashed the process and
@@ -364,13 +355,15 @@ def test_encoded_runners_reject_out_of_range_masks(engine, bad,
     compiled = tr_compiled(_chart())
     assert compiled.codec.size == 1 << 5  # the OCP chart's 5 symbols
     runner = backend(engine).encoded_runner()
-    np = vector_module._np
+    np = numpy_mode
     # Two lanes, and one lane (the width every uncached check --vcd
     # runs at).
     for lanes, lane in (([[0, 1, 2], [3, bad, bad]], 1), ([[3, bad]], 0)):
         batches = [lanes]
+        if -(1 << 31) <= bad < 1 << 31:  # the .rtrc load form
+            batches.append([array("i", masks) for masks in lanes])
         if np is not None:
-            if -(1 << 31) <= bad < 1 << 31:  # the .rtrc load form
+            if -(1 << 31) <= bad < 1 << 31:
                 batches.append([np.array(masks, dtype="int32")
                                 for masks in lanes])
             batches.append([np.array(masks, dtype="int64")
@@ -387,7 +380,7 @@ def test_encoded_runners_reject_out_of_range_masks(engine, bad,
 
 @pytest.mark.parametrize("engine", ["compiled", "vector", "native"])
 def test_trace_batch_runners_skip_the_mask_domain_check(
-        engine, vector_mode, monkeypatch):
+        engine, numpy_mode, monkeypatch):
     """Masks encoded from traces are in range by construction, so the
     trace-fed batch runners never pay the range check (only the
     encoded entry points take untrusted masks)."""
@@ -401,7 +394,7 @@ def test_trace_batch_runners_skip_the_mask_domain_check(
     def refuse(*_):
         raise AssertionError("range check on trace-encoded masks")
 
-    for module in (compiled_module, vector_module, native_module):
+    for module in (compiled_module, native_module):
         monkeypatch.setattr(module, "check_mask_domain", refuse)
     traces = _traces()
     compiled = tr_compiled(_chart())
@@ -411,50 +404,46 @@ def test_trace_batch_runners_skip_the_mask_domain_check(
         [r.detections for r in expected]
 
 
-def test_single_lane_vector_batch_runs_the_scalar_loop(vector_mode,
-                                                       monkeypatch):
-    """One lane has nothing to gather across: a width-1 vector batch
-    (an explicit ``check --vcd --engine vector``) steps through the
-    scalar loop, with the compiled engine's results."""
-    from repro.runtime.compiled import run_many_encoded
+def test_single_lane_vector_batch_runs_the_scalar_loop(numpy_mode):
+    """``vector`` is a batch-only alias: its runners are ``compiled``'s,
+    so a width-1 batch (an explicit ``check --vcd --engine vector``)
+    steps through the scalar loop with the compiled engine's
+    results."""
+    from repro.runtime.compiled import run_many, run_many_encoded
 
-    def refuse(*_):
-        raise AssertionError("lane-gather kernel ran for one lane")
-
-    monkeypatch.setattr(vector_module, "_run_numpy", refuse)
+    alias = backend("vector")
+    assert alias.encoded_runner() is run_many_encoded
+    assert alias.batch_runner() is run_many
     compiled = tr_compiled(_chart())
     lanes = compiled.codec.encode_many(_traces(1))
-    result, = vector_module.run_many_vector_encoded(compiled, lanes)
-    expected, = run_many_encoded(compiled, lanes)
+    result, = alias.encoded_runner()(compiled, lanes)
+    expected, = backend("compiled").encoded_runner()(compiled, lanes)
     assert result.states == expected.states
     assert result.detections == expected.detections
 
 
 def test_vector_batch_without_numpy_runs_the_scalar_loop(monkeypatch):
-    """Without NumPy there is no gather: a 256-lane ``vector`` batch
-    steps through the scalar loop, with the compiled engine's
+    """With NumPy unimportable, a 256-lane ``vector`` batch steps
+    through the scalar loop once, with the compiled engine's
     results."""
-    from repro.runtime.compiled import run_many_encoded
-
-    def refuse(*_):
-        raise AssertionError("lane-gather kernel ran without NumPy")
+    from repro.runtime import compiled as compiled_module
 
     scalar_runs = []
+    scalar_loop = compiled_module._run_many_encoded
 
-    def scalar_loop(*args, **kwargs):
+    def counted(*args, **kwargs):
         scalar_runs.append(len(args[1]))
-        return run_many_encoded(*args, **kwargs)
+        return scalar_loop(*args, **kwargs)
 
-    monkeypatch.setattr(vector_module, "_np", None)
-    monkeypatch.setattr(vector_module, "_run_numpy", refuse)
-    monkeypatch.setattr(vector_module, "_run_many_encoded", scalar_loop)
+    monkeypatch.setitem(sys.modules, "numpy", None)
+    monkeypatch.setattr(compiled_module, "_run_many_encoded", counted)
     compiled = tr_compiled(_chart())
     traces = _traces()
     lanes = compiled.codec.encode_many(
         [traces[index % len(traces)] for index in range(256)])
-    results = vector_module.run_many_vector_encoded(compiled, lanes)
+    results = backend("vector").encoded_runner()(compiled, lanes)
     assert scalar_runs == [256]
-    expected = run_many_encoded(compiled, lanes)
+    expected = scalar_loop(compiled, lanes)
     assert [r.states for r in results] == [r.states for r in expected]
     assert [r.detections for r in results] == \
         [r.detections for r in expected]
@@ -574,34 +563,30 @@ def test_two_phase_capability_error_from_network():
 
 # --------------------------------------------------- planner behaviour ----
 @pytest.mark.parametrize("cc", ["cc_visible", "cc_hidden"])
-def test_auto_plan_follows_the_three_rules(cc, vector_mode, monkeypatch):
-    """``auto`` is native whenever it can be built; else vector for
-    batches of 64+ lanes over a predicable table under NumPy; else
-    compiled — pinned at w1, w32 and w256."""
+def test_auto_plan_follows_the_two_rules(cc, numpy_mode, monkeypatch):
+    """``auto`` is native whenever it can be built, else compiled —
+    pinned at w1, w32 and w256, with the reason each rule gives."""
     if cc == "cc_hidden":
         monkeypatch.setenv("REPRO_NO_CC", "1")
     else:
         monkeypatch.delenv("REPRO_NO_CC", raising=False)
         _native_or_skip()
     compiled = tr_compiled(_chart())
-    planned = {
-        width: plan_execution(compiled, Workload(width, width * 12)).engine
-        for width in (1, 32, 256)
-    }
+    plans = [plan_execution(compiled, Workload(width, width * 12))
+             for width in (1, 32, 256)]
     if cc == "cc_visible":
-        expected = {1: "native", 32: "native", 256: "native"}
-    elif vector_mode == "numpy":
-        expected = {1: "compiled", 32: "compiled", 256: "vector"}
+        expected = ("native",
+                    "auto: a C compiler is present and the table lowers "
+                    "to C")
     else:
-        expected = {1: "compiled", 32: "compiled", 256: "compiled"}
-    assert planned == expected
+        expected = ("compiled", "auto: no native stepper")
+    assert {(plan.engine, plan.reason) for plan in plans} == {expected}
 
 
 def test_native_availability_gates_planner_and_explicit_use(monkeypatch):
-    """REPRO_NO_CC vetoes native exactly like REPRO_NO_NUMPY vetoes
-    the vector kernel: the planner falls back silently, explicit
-    selection gets the uniform unavailability error, and capability
-    errors still take precedence over availability."""
+    """REPRO_NO_CC vetoes native: the planner falls back silently,
+    explicit selection gets the uniform unavailability error, and
+    capability errors still take precedence over availability."""
     monkeypatch.setenv("REPRO_NO_CC", "1")
     compiled = tr_compiled(_chart())
     single = plan_execution(compiled, Workload(1, 12))
@@ -620,11 +605,6 @@ def test_native_availability_gates_planner_and_explicit_use(monkeypatch):
         "engine 'native' does not support per-tick stepping "
         "(choose from: auto, interpreted, compiled)"
     )
-
-
-def test_auto_resolution_follows_the_vector_module_switch(vector_mode):
-    expected = vector_mode == "numpy"
-    assert numpy_ready() is expected
 
 
 def test_registry_rejects_duplicates_and_the_sentinel():

@@ -1,7 +1,6 @@
 """Differential suite for the native C table-stepper backend.
 
-The same contract the vector kernel is pinned to, one layer down:
-whatever the host compiler emits must be observationally identical to
+Whatever the host compiler emits must be observationally identical to
 the interpreted reference and the scalar compiled loop — verdicts,
 detection ticks, state histories, and (via whole-batch scalar replay)
 the exact error message and trace-index ordering for every anomaly
@@ -20,15 +19,14 @@ from repro.logic.expr import EventRef, Not, ScoreboardCheck, TRUE
 from repro.monitor.automaton import AddEvt, DelEvt, Monitor, Transition
 from repro.monitor.scoreboard import Scoreboard
 from repro.protocols.ocp import ocp_simple_read_chart
-from repro.runtime import vector as vector_module
 from repro.runtime.compiled import compile_monitor, run_many
+from repro.runtime.lowering import vector_table
 from repro.runtime.native import (
     native_kernel,
     run_many_native,
     run_many_native_encoded,
     unavailable_reason,
 )
-from repro.runtime.vector import vector_table
 from repro.semantics.run import Trace
 from repro.synthesis.tr import tr, tr_compiled
 from repro.trace.shard import run_sharded
@@ -64,7 +62,8 @@ def test_native_matches_interpreted_and_scalar(which, diff_harness):
 
 # --------------------------------------------------- ladder stress ----
 def _stress_monitor(seed: int, n_states: int = 4) -> Monitor:
-    """Seeded 100%-ladder-density monitor (the vector suite's shape):
+    """Seeded 100%-ladder-density monitor (the ladder-stress shape of
+    ``test_vector_differential.py``):
     every compiled cell is a predicated check ladder, ``Del_evt`` only
     fires under ``Chk`` (including the del-then-re-add floor case), so
     runs never raise and every path must agree on verdicts."""
@@ -341,7 +340,8 @@ def test_native_so_cache_key_covers_the_compiler_flags(tmp_path,
 
 # ------------------------------------------------- encoded inputs ----
 def test_native_encoded_accepts_every_stream_type():
-    """Lists, array('i') streams and NumPy arrays flatten identically."""
+    """Lists, array('i') streams of any typecode and NumPy arrays (a
+    caller's own, where NumPy is installed) flatten identically."""
     from array import array
 
     compiled = compile_monitor(_stress_monitor(35))
@@ -351,9 +351,10 @@ def test_native_encoded_accepts_every_stream_type():
                 for r in run_many(compiled, traces)]
     as_lists = run_many_native_encoded(compiled, masks)
     assert [r.detections for r in as_lists] == expected
-    as_arrays = run_many_native_encoded(
-        compiled, [array("i", stream) for stream in masks])
-    assert [r.detections for r in as_arrays] == expected
+    for typecode in ("i", "q", "h"):
+        as_arrays = run_many_native_encoded(
+            compiled, [array(typecode, stream) for stream in masks])
+        assert [r.detections for r in as_arrays] == expected
     np = pytest.importorskip("numpy")
     as_numpy = run_many_native_encoded(
         compiled,
@@ -392,7 +393,9 @@ def test_kernel_bounds_guard_returns_anomaly_status(offset):
 
 def test_native_skips_the_domain_check_on_in_range_lanes(monkeypatch):
     """The stepper's bounds guard makes the pre-scan redundant: in-range
-    ``array('i')``, list and int32 NumPy lanes never run it."""
+    ``array('i')``, list and (a caller's) int32 NumPy lanes never run
+    it."""
+    import importlib
     from array import array
 
     from repro.runtime import native as native_module
@@ -407,8 +410,12 @@ def test_native_skips_the_domain_check_on_in_range_lanes(monkeypatch):
     expected = [r.detections for r in run_many(compiled, traces)]
     batches = [[array("i", stream) for stream in masks],
                [list(stream) for stream in masks]]
-    if vector_module._np is not None:
-        batches.append([vector_module._np.asarray(stream, dtype="int32")
+    try:
+        np = importlib.import_module("numpy")
+    except ImportError:
+        np = None
+    if np is not None:
+        batches.append([np.asarray(stream, dtype="int32")
                         for stream in masks])
     for batch in batches:
         results = run_many_native_encoded(compiled, batch)

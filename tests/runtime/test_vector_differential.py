@@ -1,10 +1,14 @@
-"""Differential suite: the vector kernel agrees with every other path.
+"""Differential suite: every batch backend on the vector-kernel cases.
 
-Every case runs in two modes — ``numpy`` (the fancy-indexing kernel
-with the vectorized scoreboard) and ``fallback`` (NumPy import masked,
-so every batch delegates to the scalar ``run_many`` loop) — and
-asserts tick-identical detections, state histories and tick counts
-against both the compiled table engine and the interpreted reference.
+The NumPy gather kernel these cases were written for is gone; the
+``vector`` name survives as a batch-only alias of ``compiled``'s
+runners.  Each case now runs through every batch backend available
+here — ``compiled``, the ``vector`` alias and, with a C compiler,
+``native`` — and asserts tick-identical detections, state histories
+and tick counts against the interpreted reference, and byte-identical
+errors against ``run_many``.  Every case runs with NumPy loaded in the
+process (``numpy``, where it is installed) and with it unimportable
+(``fallback``): neither may change an answer.
 
 Coverage: AMBA/OCP protocol charts (``tr_compiled`` direct emission
 *and* ``compile_monitor`` lowering, whose ladders use full-scan
@@ -12,7 +16,7 @@ semantics), random CESC charts, the multiclock network's local
 monitors, an all-ladder monitor (100% escape density), empty traces,
 injected scoreboards, sharded workers and bank batches.  The streaming
 cases run on the table backends that stream (``compiled``, and
-``native`` with a C compiler): streaming has no vector mode.
+``native`` with a C compiler).
 """
 
 import random
@@ -28,22 +32,22 @@ from repro.monitor.engine import run_monitor
 from repro.monitor.scoreboard import Scoreboard
 from repro.protocols.amba.charts import ahb_transaction_chart
 from repro.protocols.ocp import ocp_burst_read_chart, ocp_simple_read_chart
-from repro.runtime import vector as vector_module
 from repro.runtime.compiled import compile_monitor, run_many
-from repro.runtime.vector import run_many_vector
+from repro.runtime.engines import backend
+from repro.runtime.lowering import vector_table
 from repro.synthesis.compose import synthesize_chart
 from repro.synthesis.tr import tr, tr_compiled
 from repro.trace.shard import run_sharded
 
 
-@pytest.fixture(params=["numpy", "fallback"])
-def vector_mode(request, monkeypatch):
-    """Run each differential in both kernel modes."""
-    if request.param == "fallback":
-        monkeypatch.setattr(vector_module, "_np", None)
-    elif vector_module._np is None:
-        pytest.skip("NumPy not installed; only the fallback mode runs")
-    return request.param
+def _engines():
+    """The batch backends that run here besides ``compiled``."""
+    return [name for name in ("vector", "native")
+            if backend(name).unavailable_reason() is None]
+
+
+def _runners():
+    return [backend(name).batch_runner() for name in _engines()]
 
 
 def _random_chart(seed: int):
@@ -84,14 +88,15 @@ def _traces(chart, count, seed, include_empty=True):
     return traces
 
 
-def _assert_identical(monitor, compiled, traces, vector_mode):
+def _assert_identical(monitor, compiled, traces):
     reference = [run_monitor(monitor, trace) for trace in traces]
-    scalar = run_many(compiled, traces)
-    vectorized = run_many_vector(compiled, traces)
-    for ref, sca, vec in zip(reference, scalar, vectorized):
-        assert ref.detections == sca.detections == vec.detections
-        assert ref.states == sca.states == vec.states
-        assert ref.ticks == sca.ticks == vec.ticks
+    for runner in [run_many] + _runners():
+        results = runner(compiled, traces)
+        assert len(results) == len(reference)
+        for ref, got in zip(reference, results):
+            assert ref.detections == got.detections
+            assert ref.states == got.states
+            assert ref.ticks == got.ticks
 
 
 CHARTS = {
@@ -105,18 +110,18 @@ CHARTS = {
 
 
 @pytest.mark.parametrize("which", sorted(CHARTS))
-def test_vector_matches_compiled_and_interpreted(which, vector_mode):
+def test_vector_matches_compiled_and_interpreted(which, numpy_mode):
     chart = CHARTS[which]()
     monitor = tr(chart)
     # Direct emission (exclusive first-match ladders).
     _assert_identical(monitor, tr_compiled(chart),
-                      _traces(chart, 18, seed=3), vector_mode)
+                      _traces(chart, 18, seed=3))
     # Guard lowering (full-scan ladders, non-exclusive semantics).
     _assert_identical(monitor, compile_monitor(monitor),
-                      _traces(chart, 12, seed=5), vector_mode)
+                      _traces(chart, 12, seed=5))
 
 
-def test_vector_multiclock_local_monitors(vector_mode):
+def test_vector_multiclock_local_monitors(numpy_mode):
     from repro.protocols.readproto import multiclock_read_chart
     from repro.synthesis.multiclock import synthesize_network
 
@@ -131,7 +136,7 @@ def test_vector_multiclock_local_monitors(vector_mode):
             for length in (0, 1, len(projected) // 2)
         ]
         _assert_identical(local.monitor, compile_monitor(local.monitor),
-                          traces, vector_mode)
+                          traces)
 
 
 def _all_ladder_monitor() -> Monitor:
@@ -153,11 +158,9 @@ def _all_ladder_monitor() -> Monitor:
     )
 
 
-def test_vector_all_ladder_monitor(vector_mode):
+def test_vector_all_ladder_monitor(numpy_mode):
     monitor = _all_ladder_monitor()
     compiled = compile_monitor(monitor)
-    from repro.runtime.vector import vector_table
-
     assert vector_table(compiled).escape_ratio == 1.0
     rng = random.Random(17)
     traces = [
@@ -170,66 +173,72 @@ def test_vector_all_ladder_monitor(vector_mode):
         )
         for length in (0, 1, 5, 12, 30)
     ]
-    _assert_identical(monitor, compiled, traces, vector_mode)
+    _assert_identical(monitor, compiled, traces)
 
 
-def test_vector_empty_batch_and_empty_traces(vector_mode):
+def test_vector_empty_batch_and_empty_traces(numpy_mode):
     chart = ocp_simple_read_chart()
     compiled = tr_compiled(chart)
-    assert run_many_vector(compiled, []) == []
     empties = [Trace([], chart.alphabet()) for _ in range(3)]
-    results = run_many_vector(compiled, empties)
-    assert [r.detections for r in results] == [[], [], []]
-    assert [r.states for r in results] == [[compiled.initial]] * 3
-    assert [r.ticks for r in results] == [0, 0, 0]
+    for runner in _runners():
+        assert runner(compiled, []) == []
+        results = runner(compiled, empties)
+        assert [r.detections for r in results] == [[], [], []]
+        assert [r.states for r in results] == [[compiled.initial]] * 3
+        assert [r.ticks for r in results] == [0, 0, 0]
 
 
-def test_vector_injected_scoreboards_mutate_identically(vector_mode):
+def test_vector_injected_scoreboards_mutate_identically(numpy_mode):
     chart = ocp_simple_read_chart()
     compiled = tr_compiled(chart)
     traces = _traces(chart, 6, seed=21, include_empty=False)
     left = [Scoreboard() for _ in traces]
-    right = [Scoreboard() for _ in traces]
     scalar = run_many(compiled, traces, scoreboards=left)
-    vectorized = run_many_vector(compiled, traces, scoreboards=right)
-    assert ([r.detections for r in scalar]
-            == [r.detections for r in vectorized])
-    assert ([b.snapshot() for b in left]
-            == [b.snapshot() for b in right])
+    for runner in _runners():
+        right = [Scoreboard() for _ in traces]
+        results = runner(compiled, traces, scoreboards=right)
+        assert ([r.detections for r in scalar]
+                == [r.detections for r in results])
+        assert ([b.snapshot() for b in left]
+                == [b.snapshot() for b in right])
 
 
-def test_vector_record_transitions_delegates_to_scalar(vector_mode):
+def test_vector_record_transitions_delegates_to_scalar(numpy_mode):
     chart = ocp_simple_read_chart()
     compiled = tr_compiled(chart)
     traces = _traces(chart, 4, seed=31, include_empty=False)
     scalar = run_many(compiled, traces, record_transitions=True)
-    vectorized = run_many_vector(compiled, traces, record_transitions=True)
-    assert ([r.transitions for r in scalar]
-            == [r.transitions for r in vectorized])
+    for runner in _runners():
+        results = runner(compiled, traces, record_transitions=True)
+        assert ([r.transitions for r in scalar]
+                == [r.transitions for r in results])
 
 
-def test_vector_sharded_workers_match(vector_mode):
+def test_vector_sharded_workers_match(numpy_mode):
     chart = ocp_simple_read_chart()
     compiled = tr_compiled(chart)
     traces = _traces(chart, 10, seed=41, include_empty=False)
-    scalar = run_sharded(compiled, traces, jobs=2, oversubscribe=True)
-    vectorized = run_sharded(compiled, traces, jobs=2, oversubscribe=True,
-                             engine="vector")
-    assert ([r.detections for r in scalar]
-            == [r.detections for r in vectorized])
+    scalar = run_sharded(compiled, traces, jobs=2, oversubscribe=True,
+                         engine="compiled")
+    for engine in _engines():
+        sharded = run_sharded(compiled, traces, jobs=2,
+                              oversubscribe=True, engine=engine)
+        assert ([r.detections for r in scalar]
+                == [r.detections for r in sharded])
 
 
-def test_vector_bank_batch_matches(vector_mode):
+def test_vector_bank_batch_matches(numpy_mode):
     chart = ocp_simple_read_chart()
     bank = synthesize_chart(chart)
     traces = _traces(chart, 8, seed=51, include_empty=False)
-    compiled_results = bank.run_batch(traces)
-    vector_results = bank.run_batch(traces, engine="vector")
-    assert ([r.detections for r in compiled_results]
-            == [r.detections for r in vector_results])
+    compiled_results = bank.run_batch(traces, engine="compiled")
+    for engine in _engines():
+        results = bank.run_batch(traces, engine=engine)
+        assert ([r.detections for r in compiled_results]
+                == [r.detections for r in results])
 
 
-def test_streaming_vector_chunked_push(vector_mode, diff_harness):
+def test_streaming_vector_chunked_push(numpy_mode, diff_harness):
     chart = ocp_simple_read_chart()
     compiled = tr_compiled(chart)
     generator = TraceGenerator(chart, seed=61)
@@ -255,7 +264,7 @@ def test_streaming_vector_chunked_push(vector_mode, diff_harness):
         assert vec_stop.stopped_early == ref_stop.stopped_early
 
 
-def test_vector_strict_del_raises_after_same_transition_add(vector_mode):
+def test_vector_strict_del_raises_after_same_transition_add(numpy_mode):
     """A Del_evt under-run must raise even when the same transition's
     earlier Add already touched the counts (the replayed scoreboard is
     the pre-transition state, not the half-applied one)."""
@@ -274,17 +283,17 @@ def test_vector_strict_del_raises_after_same_transition_add(vector_mode):
     )
     compiled = compile_monitor(monitor)
     trace = [Trace.from_sets([{"a"}], alphabet={"a"})]
-    with pytest.raises(ScoreboardError, match="Del_evt\\(y\\)"):
-        run_many(compiled, trace)
-    with pytest.raises(ScoreboardError, match="Del_evt\\(y\\)"):
-        run_many_vector(compiled, trace)
+    for runner in [run_many] + _runners():
+        with pytest.raises(ScoreboardError, match="Del_evt\\(y\\)"):
+            runner(compiled, trace)
 
 
-def test_vector_multi_failing_lanes_surface_the_same_error(vector_mode):
-    """When several lanes fail at the same tick, the vector kernel must
-    raise the *lowest trace index* lane's error, exactly as run_many's
-    index-ordered loop does (regression: the grouped escape resolver
-    used to surface whichever cell group was processed first)."""
+def test_vector_multi_failing_lanes_surface_the_same_error(numpy_mode):
+    """When several lanes fail at the same tick, every batch backend
+    raises the *lowest trace index* lane's error, exactly as
+    run_many's index-ordered loop does (regression: the NumPy kernel's
+    grouped escape resolver surfaced whichever cell group it processed
+    first)."""
     from repro.errors import ScoreboardError
 
     monitor = Monitor(
@@ -304,18 +313,18 @@ def test_vector_multi_failing_lanes_surface_the_same_error(vector_mode):
         Trace.from_sets([{"a"}], alphabet={"a"}),  # missing cell
     ]
     outcomes = []
-    for runner in (run_many, run_many_vector):
+    for runner in [run_many] + _runners():
         try:
             runner(compiled, traces)
             outcomes.append("no error")
         except Exception as error:  # noqa: BLE001 - comparing identity
             outcomes.append(f"{type(error).__name__}: {error}")
-    assert outcomes[0] == outcomes[1]
+    assert len(set(outcomes)) == 1, outcomes
     assert outcomes[0].startswith("ScoreboardError")
 
 
 def test_streaming_vector_stop_on_detection_never_looks_ahead(
-        vector_mode, diff_harness):
+        numpy_mode, diff_harness):
     """stop_on_detection must not step ticks past the stopping one —
     an incomplete monitor erroring there would raise in a chunk that
     looked ahead but not in per-tick compiled mode."""
@@ -340,7 +349,7 @@ def test_streaming_vector_stop_on_detection_never_looks_ahead(
         assert vectorized.stopped_early and reference.stopped_early
 
 
-def test_streaming_vector_rejects_implications(vector_mode, diff_harness):
+def test_streaming_vector_rejects_implications(numpy_mode, diff_harness):
     """The one table backend that streams without per-tick stepping
     (``native``) refuses implications; ``vector`` does not stream."""
     from repro.cesc.charts import Implication
@@ -420,27 +429,18 @@ def _stress_traces(seed: int, count: int = 6):
 
 
 @pytest.mark.parametrize("seed", range(8))
-def test_ladder_stress_five_path_identity(seed, vector_mode, diff_harness):
+def test_ladder_stress_five_path_identity(seed, numpy_mode, diff_harness):
     """Randomized all-ladder charts: verdict + detection-tick identity
-    across interpreted, scalar compiled, vector (current mode),
-    streaming (compiled and native chunks) and sharded-vector
-    execution."""
-    from repro.runtime.vector import vector_table
-
+    across interpreted, scalar compiled, every other batch backend,
+    streaming (compiled and native chunks) and sharded execution."""
     monitor = _stress_monitor(seed)
     compiled = compile_monitor(monitor)
     table = vector_table(compiled)
     assert table.escape_ratio == 1.0
-    assert table.vectorizable
-    assert table.residual_ratio == 0.0  # predication covers every cell
+    assert table.vectorizable  # predication covers every cell
     traces = _stress_traces(seed)
+    _assert_identical(monitor, compiled, traces)
     reference = [run_monitor(monitor, trace) for trace in traces]
-    scalar = run_many(compiled, traces)
-    vectorized = run_many_vector(compiled, traces)
-    for ref, sca, vec in zip(reference, scalar, vectorized):
-        assert ref.detections == sca.detections == vec.detections
-        assert ref.states == sca.states == vec.states
-        assert ref.ticks == sca.ticks == vec.ticks
     for engine in diff_harness.stream_engines():
         streamed = [
             StreamingChecker(compiled, engine=engine,
@@ -450,37 +450,39 @@ def test_ladder_stress_five_path_identity(seed, vector_mode, diff_harness):
         ]
         assert ([r.detections for r in streamed]
                 == [r.detections for r in reference])
-    sharded = run_sharded(compiled, traces[:-1], jobs=2, oversubscribe=True,
-                          engine="vector")
-    assert ([r.detections for r in sharded]
-            == [r.detections for r in reference[:-1]])
+    for engine in _engines():
+        sharded = run_sharded(compiled, traces[:-1], jobs=2,
+                              oversubscribe=True, engine=engine)
+        assert ([r.detections for r in sharded]
+                == [r.detections for r in reference[:-1]])
 
 
 @pytest.mark.parametrize("seed", (2, 5))
-def test_ladder_stress_injected_scoreboards(seed, vector_mode):
-    """Injected scoreboards force the per-lane scalar escape path even
-    on all-ladder charts — verdicts and final board contents must
-    match run_many exactly."""
+def test_ladder_stress_injected_scoreboards(seed, numpy_mode):
+    """Injected scoreboards are observable objects, so every backend
+    steps them in Python even on all-ladder charts — verdicts and
+    final board contents must match run_many exactly."""
     monitor = _stress_monitor(seed)
     compiled = compile_monitor(monitor)
     traces = _stress_traces(seed)
     left = [Scoreboard() for _ in traces]
-    right = [Scoreboard() for _ in traces]
     scalar = run_many(compiled, traces, scoreboards=left)
-    vectorized = run_many_vector(compiled, traces, scoreboards=right)
-    assert ([r.detections for r in scalar]
-            == [r.detections for r in vectorized])
-    assert [b.snapshot() for b in left] == [b.snapshot() for b in right]
+    for runner in _runners():
+        right = [Scoreboard() for _ in traces]
+        results = runner(compiled, traces, scoreboards=right)
+        assert ([r.detections for r in scalar]
+                == [r.detections for r in results])
+        assert ([b.snapshot() for b in left]
+                == [b.snapshot() for b in right])
 
 
 # ----------------------------------------------- failure replay ----
-def test_predicated_dead_rung_failures_replay_in_trace_order(vector_mode):
+def test_predicated_dead_rung_failures_replay_in_trace_order(numpy_mode):
     """Cells that are only *dynamically* incomplete (no rung passes for
     the runtime scoreboard) must surface run_many's exact
     no-transition error — and when several lanes die at the same tick,
     the lowest trace index's error, which names that index."""
     from repro.errors import MonitorError
-    from repro.runtime.vector import vector_table
 
     monitor = Monitor(
         "dead_rung", n_states=1, initial=0, final=0,
@@ -503,15 +505,15 @@ def test_predicated_dead_rung_failures_replay_in_trace_order(vector_mode):
         Trace.from_sets([{"a"}, set(), set()], alphabet={"a"}),
     ]
     outcomes = []
-    for runner in (run_many, run_many_vector):
+    for runner in [run_many] + _runners():
         with pytest.raises(MonitorError) as info:
             runner(compiled, traces)
         outcomes.append(str(info.value))
-    assert outcomes[0] == outcomes[1]
+    assert len(set(outcomes)) == 1, outcomes
     assert "(trace 0, tick 1)" in outcomes[0]
 
 
-def test_predicated_mixed_failures_surface_lowest_index(vector_mode):
+def test_predicated_mixed_failures_surface_lowest_index(numpy_mode):
     """Two lanes failing at the same tick with *different* anomalies
     (strict Del_evt under-run vs dead rung): the surfaced error —
     type and message — is the lowest trace index's, in both orders."""
@@ -537,21 +539,20 @@ def test_predicated_mixed_failures_surface_lowest_index(vector_mode):
         ([dead, underrun], MonitorError),
     ):
         outcomes = []
-        for runner in (run_many, run_many_vector):
+        for runner in [run_many] + _runners():
             with pytest.raises(expected) as info:
                 runner(compiled, traces)
             outcomes.append(f"{type(info.value).__name__}: {info.value}")
-        assert outcomes[0] == outcomes[1]
+        assert len(set(outcomes)) == 1, outcomes
 
 
-def test_predicated_full_scan_conflict_matches_scalar(vector_mode):
+def test_predicated_full_scan_conflict_matches_scalar(numpy_mode):
     """A cell whose rungs can simultaneously pass with different
-    behaviour fails the first-match proof; the kernel's conflict
-    matrices must then surface the scalar full scan's nondeterminism
-    error at the exact tick it becomes dynamic."""
+    behaviour fails the first-match proof; every backend must then
+    surface the scalar full scan's nondeterminism error at the exact
+    tick it becomes dynamic."""
     from repro.errors import MonitorError
     from repro.logic.expr import TRUE as _TRUE
-    from repro.runtime.vector import vector_table
 
     monitor = Monitor(
         "nd_runtime", n_states=2, initial=0, final=1,
@@ -569,44 +570,20 @@ def test_predicated_full_scan_conflict_matches_scalar(vector_mode):
     # with different targets — the full scan reports nondeterminism.
     traces = [Trace.from_sets([set(), set()], alphabet={"a"})]
     outcomes = []
-    for runner in (run_many, run_many_vector):
+    for runner in [run_many] + _runners():
         with pytest.raises(MonitorError) as info:
             runner(compiled, traces)
         outcomes.append(str(info.value))
-    assert outcomes[0] == outcomes[1]
+    assert len(set(outcomes)) == 1, outcomes
     assert "nondeterministic in state" in outcomes[0]
 
 
-# ------------------------------------------------ residual ratio ----
-def test_residual_ratio_counts_only_post_predication_residue(vector_mode):
-    """escape_ratio reports static lowering density; residual_ratio
-    only what predication leaves for per-lane scalar resolution."""
-    from repro.runtime.vector import vector_table
-
-    monitor = Monitor(
-        "residual", n_states=2, initial=0, final=1,
-        transitions=[
-            Transition(0, EventRef("a") & Not(ScoreboardCheck("x")),
-                       (AddEvt("x"),), 1),
-            Transition(0, EventRef("a") & ScoreboardCheck("x"), (), 1),
-            # the no-'a' cell at state 0 is missing entirely
-            Transition(1, TRUE, (), 1),
-        ],
-        alphabet={"a"},
-    )
-    table = vector_table(compile_monitor(monitor))
-    assert table.vectorizable
-    assert table.escape_ratio == 0.5     # ladder + missing, of 4 cells
-    assert table.residual_ratio == 0.25  # only the missing cell remains
-    assert "escapes=2, residual=1" in repr(table)
-
-
-def test_unpredicable_cell_keeps_scalar_residual(vector_mode):
-    """A rung condition outside the literal language (DNF blowup) makes
-    the whole monitor fall back to per-lane scalar escapes:
-    residual_ratio then reports the full escape density — and verdicts
-    still match the scalar engine."""
-    from repro.runtime.vector import vector_table
+# ------------------------------------------------ scalar lowering ----
+def test_unpredicable_cell_keeps_scalar_residual(numpy_mode):
+    """A rung condition outside the literal language (DNF blowup) keeps
+    the whole table off the C lowering: every backend then steps it in
+    the scalar loop, with the scalar engine's verdicts."""
+    from repro.runtime.native import native_kernel
 
     wide = ScoreboardCheck("e0")
     for index in range(1, 40):
@@ -623,10 +600,12 @@ def test_unpredicable_cell_keeps_scalar_residual(vector_mode):
     compiled = compile_monitor(monitor)
     table = vector_table(compiled)
     assert not table.vectorizable
-    assert table.escape_ratio == table.residual_ratio == 0.5
+    assert table.escape_ratio == 0.5
+    assert native_kernel(compiled) is None
     traces = [Trace.from_sets([set(), {"a"}], alphabet={"a"})]
-    assert (run_many_vector(compiled, traces)[0].states
-            == run_many(compiled, traces)[0].states)
+    expected = run_many(compiled, traces)[0].states
+    for runner in _runners():
+        assert runner(compiled, traces)[0].states == expected
 
 
 def test_bank_encodes_each_trace_once():

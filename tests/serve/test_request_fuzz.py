@@ -12,9 +12,12 @@ time bound; a ``ping`` after every case proves the connection still
 works.  The reference for a stream is an ``interpreted``
 :class:`~repro.trace.streaming.StreamingChecker` fed one
 ``Valuation(tick)`` per accepted tick: ``poll`` and ``close`` reports
-must equal its report.  A stream's own error (the worker's
-``"{type}: {msg}"``) must name a :class:`~repro.errors.ReproError`
-subclass.  ``REPRO_FUZZ_CASES`` sets the case count (default 210).
+must equal its report, and no stream may carry an error — a request
+the stream cannot take (``push_masks`` on a stream without one shared
+codec included) is refused before its chunk is queued.  A stream's
+own error (the worker's ``"{type}: {msg}"``) must name a
+:class:`~repro.errors.ReproError` subclass.  ``REPRO_FUZZ_CASES`` sets
+the case count (default 210).
 """
 
 import asyncio
@@ -23,7 +26,7 @@ import os
 import random
 
 from repro.cesc.builder import ev, scesc
-from repro.cesc.charts import Implication
+from repro.cesc.charts import Alt, Implication
 from repro.errors import ReproError
 from repro.logic.valuation import Valuation
 from repro.protocols.ocp import ocp_simple_read_chart
@@ -63,10 +66,14 @@ def _names_a_repro_error(text):
 def _specs():
     antecedent = scesc("request").instances("M", "S").tick(ev("req"))
     consequent = scesc("response").instances("M", "S").tick(ev("ack"))
+    read = scesc("read").instances("M").tick(ev("req")).tick(ev("ack"))
+    write = scesc("write").instances("M").tick(ev("wr"))
     return {
         "ocp": ocp_simple_read_chart(),
         "impl": Implication(antecedent.build(), consequent.build(),
                             name="req_implies_ack"),
+        # Members over two alphabets: no one codec for pre-encoded input.
+        "alt": Alt([read.build(), write.build()], name="read_or_write"),
     }
 
 
@@ -80,9 +87,6 @@ class _Stream:
                                    stop_on_detection=stop)
         self.codec = checker.codec
         self.symbols = sorted(spec.alphabet())
-        # Pre-encoded pushes on a stream without one codec fail in the
-        # worker: the stream's error, not the request's.
-        self.poisoned = False
 
     def accept(self, ticks):
         for tick in ticks:
@@ -153,7 +157,7 @@ class _Fuzzer:
         self.counter += 1
         stream = f"s{self.counter}"
         message = {"op": "open", "stream": stream}
-        monitor = rng.choice(["ocp", "impl", None])
+        monitor = rng.choice(["ocp", "impl", "alt", None])
         if monitor is not None:
             message["monitor"] = monitor
         engine = rng.choice(self.engines + [None])
@@ -223,10 +227,6 @@ class _Fuzzer:
             valid = False
 
         def expect(answer):
-            if stream is not None and stream.poisoned and valid:
-                if not answer["ok"]:
-                    assert _names_a_repro_error(answer["error"]), answer
-                return
             assert answer["ok"] is valid, (mutation, answer)
             if valid:
                 assert answer["accepted"] == len(ticks)
@@ -256,30 +256,22 @@ class _Fuzzer:
             valid = False
         elif mutation == "range":
             masks.append(rng.choice([size, size + 1, 1 << 31]))
-            valid = False if stream and stream.codec else None
+            valid = False
         elif mutation == "int64":
             masks.append(rng.choice([1 << 63, 1 << 70, (1 << 64) + 3]))
-            valid = False if stream and stream.codec else None
+            valid = False
         elif mutation == "cap":
             message["masks"] = [0] * (MAX_TICKS_PER_PUSH + 1)
             valid = False
-        if stream is None:
+        if stream is None or stream.codec is None:
+            # Nothing to step pre-encoded masks with: the request's
+            # error, answered before anything is queued.
             valid = False
-        elif stream.codec is None and valid is not False:
-            valid = None  # the stream's error, after the ack
 
         def expect(answer):
-            if valid is False:
-                assert answer["ok"] is False, (mutation, answer)
+            assert answer["ok"] is valid, (mutation, answer)
+            if not valid:
                 return
-            if stream.poisoned:
-                if valid and not answer["ok"]:
-                    assert _names_a_repro_error(answer["error"]), answer
-                return
-            if valid is None:
-                stream.poisoned = answer["ok"]
-                return
-            assert answer["ok"], (mutation, answer)
             assert answer["accepted"] == len(masks)
             stream.accept([
                 [symbol for bit, symbol in enumerate(stream.codec.symbols)
@@ -290,10 +282,6 @@ class _Fuzzer:
         return message, expect
 
     def _report_check(self, stream, report):
-        if stream.poisoned:
-            assert "error" in report
-            assert _names_a_repro_error(report["error"]), report
-            return
         assert "error" not in report, report
         assert report == stream.report()
 
@@ -432,11 +420,28 @@ def test_request_line_fuzzer(tmp_path):
     asyncio.run(scenario())
 
 
+def _scenario(service, exchanges):
+    """Run ``(message, check)`` pairs over one connection in order."""
+
+    async def run():
+        host, port = await service.start()
+        try:
+            reader, writer = await asyncio.open_connection(host, port)
+            for message, check in exchanges:
+                check(await _exchange(reader, writer,
+                                      json.dumps(message).encode()))
+            writer.close()
+        finally:
+            await service.aclose()
+
+    asyncio.run(run())
+
+
 def test_stream_errors_name_a_repro_error():
     """The worker reports a failing stream as ``"{type}: {msg}"``; the
-    type is always a :class:`~repro.errors.ReproError` subclass —
-    pre-encoded pushes a stream cannot take, and a monitor with no
-    move for a tick."""
+    type is always a :class:`~repro.errors.ReproError` subclass — here
+    a monitor with no move for a tick, reached by ``push`` and by
+    ``push_masks``."""
     from repro.logic.expr import EventRef, Not
     from repro.monitor.automaton import Monitor, Transition
     from repro.runtime.compiled import compile_monitor
@@ -449,37 +454,66 @@ def test_stream_errors_name_a_repro_error():
         ],
         alphabet={"a"},
     ))
-    specs = dict(_specs(), incomplete=incomplete)
-    service = MonitorService(specs, ServeConfig(port=0))
-    streams = [
-        ({"monitor": "ocp", "engine": "interpreted"},
-         {"op": "push_masks", "masks": [1, 2]}),
-        ({"monitor": "impl", "engine": "compiled"},
-         {"op": "push_masks", "masks": [1]}),
-        ({"monitor": "incomplete"},
-         {"op": "push", "ticks": [[], ["a"], [], []]}),
-    ]
+    service = MonitorService(dict(_specs(), incomplete=incomplete),
+                             ServeConfig(port=0))
+    errors = []
 
-    async def scenario():
-        host, port = await service.start()
-        try:
-            reader, writer = await asyncio.open_connection(host, port)
-            errors = []
-            for index, (opening, push) in enumerate(streams):
-                stream = f"e{index}"
-                for message in (dict(opening, op="open", stream=stream),
-                                dict(push, stream=stream)):
-                    answer = await _exchange(
-                        reader, writer, json.dumps(message).encode())
-                    assert answer["ok"], answer
-                closed = await _exchange(reader, writer, json.dumps(
-                    {"op": "close", "stream": stream}).encode())
-                errors.append(closed["report"]["error"])
-            writer.close()
-            return errors
-        finally:
-            await service.aclose()
+    def accepted(answer):
+        assert answer["ok"], answer
 
-    errors = asyncio.run(scenario())
-    assert len(errors) == len(streams)
+    def closed(answer):
+        errors.append(answer["report"]["error"])
+
+    exchanges = []
+    for index, push in enumerate((
+            {"op": "push", "ticks": [[], ["a"], [], []]},
+            {"op": "push_masks", "masks": [0, 1, 0]})):
+        stream = f"e{index}"
+        exchanges += [
+            ({"op": "open", "stream": stream, "monitor": "incomplete"},
+             accepted),
+            (dict(push, stream=stream), accepted),
+            ({"op": "close", "stream": stream}, closed),
+        ]
+    _scenario(service, exchanges)
+    assert len(errors) == 2
     assert all(_names_a_repro_error(error) for error in errors), errors
+
+
+def test_push_masks_a_stream_cannot_take_is_refused_before_queueing():
+    """``push_masks`` on a stream with no one codec — the interpreted
+    engine, an implication, a bank over two alphabets — answers a
+    ServeError and queues nothing: the stream keeps taking ``push``
+    ticks and closes with no error."""
+    service = MonitorService(_specs(), ServeConfig(port=0))
+    cases = (
+        ({"monitor": "ocp", "engine": "interpreted"}, "pre-encoded tables",
+         [["Addr"], []]),
+        ({"monitor": "impl", "engine": "compiled"}, "detector specs",
+         [["req"], ["ack"]]),
+        ({"monitor": "alt"}, "one shared alphabet", [["req"], ["ack"]]),
+    )
+    reports = []
+    exchanges = []
+    for index, (opening, reason, ticks) in enumerate(cases):
+        stream = f"m{index}"
+
+        def refused(answer, reason=reason):
+            assert answer["ok"] is False, answer
+            assert reason in answer["error"], answer
+
+        def accepted(answer):
+            assert answer["ok"], answer
+
+        exchanges += [
+            (dict(opening, op="open", stream=stream), accepted),
+            ({"op": "push_masks", "stream": stream, "masks": [1, 0]},
+             refused),
+            ({"op": "push", "stream": stream, "ticks": ticks}, accepted),
+            ({"op": "close", "stream": stream},
+             lambda answer: reports.append(answer["report"])),
+        ]
+    _scenario(service, exchanges)
+    assert [report["ticks"] for report in reports] == [2, 2, 2]
+    assert all("error" not in report for report in reports), reports
+    assert service.metrics.protocol_errors == len(cases)

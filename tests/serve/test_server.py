@@ -13,7 +13,7 @@ from repro.cache import CorpusCache
 from repro.cesc.builder import ev, scesc
 from repro.errors import ServeError
 from repro.protocols.ocp import ocp_simple_read_chart
-from repro.runtime.vector import run_many_vector
+from repro.runtime.compiled import run_many
 from repro.serve import MonitorService, ServeConfig
 from repro.semantics.generator import TraceGenerator
 from repro.synthesis.tr import tr_compiled
@@ -59,7 +59,7 @@ def _serve(monitors, **config):
 # ------------------------------------------------------------ data plane ----
 def test_stream_verdicts_match_batch_across_64_concurrent_streams():
     """The acceptance bar: 64 interleaved streams, byte-identical
-    verdicts to the batch vector kernel, queues bounded throughout."""
+    verdicts to the batch kernel, queues bounded throughout."""
     chart = ocp_simple_read_chart()
     compiled = tr_compiled(chart)
     traces = []
@@ -70,7 +70,7 @@ def test_stream_verdicts_match_batch_across_64_concurrent_streams():
         else:
             traces.append(generator.satisfying_trace(
                 prefix=seed % 3, suffix=seed % 2))
-    batch = run_many_vector(compiled, traces)
+    batch = run_many(compiled, traces)
 
     async def one_stream(host, port, index):
         reader, writer = await asyncio.open_connection(host, port)
@@ -311,7 +311,7 @@ def test_corpus_op_by_path_matches_batch(tmp_path):
               for seed in range(5)]
     path = str(tmp_path / "corpus.rtrc")
     _corpus_for(compiled, traces).save(path)
-    batch = run_many_vector(compiled, traces)
+    batch = run_many(compiled, traces)
 
     async def scenario(service, host, port):
         reader, writer = await asyncio.open_connection(host, port)

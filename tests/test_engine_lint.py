@@ -37,6 +37,7 @@ def _hits(line):
     'if checker.engine == "auto":',
     'if args.engine in ("compiled", "vector"):',
     'if engine not in ["vector"]:',
+    'if engine == "native":',
 ])
 def test_detector_catches_raw_dispatch(line):
     assert _hits(line), line

@@ -3,13 +3,13 @@
 ``import repro`` and every subpackage resolve their exported names on
 first use (PEP 562), and the CLI imports each verb's modules when it
 dispatches that verb.  ``check --vcd`` therefore runs parse, ``Tr``,
-VCD masks and the planned kernel without NumPy (the native path reads
-the NumPy-free table IR of :mod:`repro.runtime.lowering`), without
-``multiprocessing`` (only a worker pool needs it) and without the
-modules of other verbs.  The pin is checked with a C compiler and
-under ``REPRO_NO_CC=1``; it proves something about NumPy only where
-NumPy is installed.  A ``repro serve`` that opens, pushes to and
-closes a stream is held to the same NumPy pin.
+VCD masks and the planned kernel without ``multiprocessing`` (only a
+worker pool needs it) and without the modules of other verbs.  No
+command loads NumPy: ``check --vcd``, a ``check --cache`` miss and
+then a hit, ``ingest``, and a ``repro serve`` that streams and answers
+a ``corpus`` op.  Every pin is checked with a C compiler and under
+``REPRO_NO_CC=1``; the NumPy pins prove something only where NumPy is
+installed.
 """
 
 import ast
@@ -27,6 +27,9 @@ import pytest
 
 import repro
 from repro.protocols.fixtures import ocp_simple_vcd
+from repro.protocols.ocp import ocp_simple_read_chart
+from repro.synthesis.tr import tr_compiled
+from repro.trace.columnar import ColumnarTraceSet
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(ROOT, "src")
@@ -42,7 +45,6 @@ NOT_LOADED = (
     "repro.codegen.python_gen",
     "repro.codegen.sva",
     "repro.codegen.verilog",
-    "repro.runtime.vector",
     "repro.serve",
     "repro.sim",
 )
@@ -62,35 +64,69 @@ _RUN_AS_MAIN = (
 )
 
 
-def _env():
+def _env(cc="cc"):
     env = dict(os.environ, PYTHONPATH=SRC)
-    env.pop("REPRO_NO_NUMPY", None)
+    env.pop("REPRO_NO_CC", None)
+    if cc == "no_cc":
+        env["REPRO_NO_CC"] = "1"
     return env
+
+
+def _run_cli(args, env):
+    """``python -m repro ARGS``: its result and the modules it loaded."""
+    result = subprocess.run(
+        [sys.executable, "-c", _RUN_AS_MAIN, *args],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert result.returncode == 0, result.stdout + result.stderr
+    return result, _loaded(result.stderr)
+
+
+def _among(names, modules):
+    return [name for name in names
+            if any(m == name or m.startswith(name + ".") for m in modules)]
 
 
 @pytest.mark.parametrize("cc", ["cc", "no_cc"])
 def test_check_vcd_loads_only_what_it_runs(cc, tmp_path):
     dump = tmp_path / "ocp.vcd"
     dump.write_text(ocp_simple_vcd(seed=3, repeats=2))
-    env = _env()
-    env.pop("REPRO_NO_CC", None)
-    if cc == "no_cc":
-        env["REPRO_NO_CC"] = "1"
-    result = subprocess.run(
-        [sys.executable, "-c", _RUN_AS_MAIN, "check", SPEC,
-         "ocp_simple_read", "--vcd", str(dump), "--clock", "clk"],
-        env=env, capture_output=True, text=True, timeout=300,
-    )
-    assert result.returncode == 0, result.stdout + result.stderr
+    result, modules = _run_cli(
+        ["check", SPEC, "ocp_simple_read", "--vcd", str(dump),
+         "--clock", "clk"], _env(cc))
     assert result.stdout.startswith(f"{dump}: ")
     assert "detections at [" in result.stdout
-    modules = _loaded(result.stderr)
-    loaded = [name for name in NOT_LOADED
-              if any(m == name or m.startswith(name + ".")
-                     for m in modules)]
-    assert loaded == []
+    assert _among(NOT_LOADED, modules) == []
     ours = [m for m in modules if m == "repro" or m.startswith("repro.")]
     assert len(ours) <= MAX_REPRO_MODULES, ours
+
+
+@pytest.mark.parametrize("cc", ["cc", "no_cc"])
+def test_cache_and_ingest_load_no_numpy(cc, tmp_path):
+    """A ``check --cache`` miss, then a hit, and both ``ingest`` forms
+    read and write ``.rtrc`` without NumPy."""
+    dump = tmp_path / "ocp.vcd"
+    dump.write_text(ocp_simple_vcd(seed=3, repeats=2))
+    env = _env(cc)
+    check = ["check", SPEC, "ocp_simple_read", "--vcd", str(dump),
+             "--clock", "clk", "--cache", str(tmp_path / "cache")]
+    runs = [
+        _run_cli(check, env),
+        _run_cli(check, env),
+        _run_cli(["ingest", SPEC, "ocp_simple_read", "--vcd", str(dump),
+                  "--clock", "clk", "--cache", str(tmp_path / "other")],
+                 env),
+        _run_cli(["ingest", SPEC, "ocp_simple_read", "--vcd", str(dump),
+                  "--clock", "clk", "--out", str(tmp_path / "ocp.rtrc")],
+                 env),
+    ]
+    (miss, _), (hit, _) = runs[:2]
+    assert miss.stdout == hit.stdout
+    assert "detections at [" in hit.stdout
+    assert len(list((tmp_path / "cache").glob("*.rtrc"))) == 1
+    assert (tmp_path / "ocp.rtrc").is_file()
+    assert [_among(("numpy",), modules) for _, modules in runs] == \
+        [[]] * len(runs)
 
 
 def _loaded(stderr):
@@ -110,13 +146,16 @@ _SERVE_AS_MAIN = (
 
 
 @pytest.mark.parametrize("cc", ["cc", "no_cc"])
-def test_serve_stream_loads_no_numpy(cc):
-    """Streams step in C or in the compiled chunk loop: neither needs
-    NumPy or the vector kernel."""
-    env = _env()
-    env.pop("REPRO_NO_CC", None)
-    if cc == "no_cc":
-        env["REPRO_NO_CC"] = "1"
+def test_serve_stream_loads_no_numpy(cc, tmp_path):
+    """Streams step in C or in the compiled chunk loop, and a corpus
+    op loads its ``.rtrc`` into one ``array('i')``: none of it needs
+    NumPy."""
+    codec = tr_compiled(ocp_simple_read_chart()).codec
+    corpus = str(tmp_path / "corpus.rtrc")
+    ColumnarTraceSet.from_mask_arrays(
+        [[mask % codec.size for mask in range(lane, lane + 300)]
+         for lane in range(64)], codec.symbols).save(corpus)
+    env = _env(cc)
     process = subprocess.Popen(
         [sys.executable, "-c", _SERVE_AS_MAIN, "serve", SPEC,
          "ocp_simple_read", "--port", "0"],
@@ -133,26 +172,28 @@ def test_serve_stream_loads_no_numpy(cc):
              "ticks": [["Addr", "MCmd_rd", "SCmd_accept"],
                        ["SData", "SResp"], [], ["MCmd_rd"]] * 50},
             {"op": "close", "stream": "s"},
+            {"op": "corpus", "path": corpus},
         ]
+        answers = []
         with socket.create_connection((host, int(port)), timeout=60) as sock:
             stream = sock.makefile("rwb")
             for request in requests:
                 stream.write(json.dumps(request).encode() + b"\n")
                 stream.flush()
-                answer = json.loads(stream.readline())
-                assert answer["ok"], answer
-        assert answer["report"]["ticks"] == 200
-        assert answer["report"]["n_detections"] == 50
+                answers.append(json.loads(stream.readline()))
+                assert answers[-1]["ok"], answers[-1]
+        closed, corpus_answer = answers[-2:]
+        assert closed["report"]["ticks"] == 200
+        assert closed["report"]["n_detections"] == 50
+        assert corpus_answer["n_traces"] == 64
+        assert corpus_answer["total_ticks"] == 64 * 300
         process.send_signal(signal.SIGINT)
         _, stderr = process.communicate(timeout=120)
     finally:
         if process.poll() is None:
             process.kill()
             process.communicate()
-    modules = _loaded(stderr)
-    assert [name for name in ("numpy", "repro.runtime.vector")
-            if any(m == name or m.startswith(name + ".")
-                   for m in modules)] == []
+    assert _among(("numpy",), _loaded(stderr)) == []
 
 
 def _packages():

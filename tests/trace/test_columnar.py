@@ -1,6 +1,5 @@
 """Tests for the ``.rtrc`` columnar trace store (format + round-trips)."""
 
-import importlib.util
 import json
 import os
 import struct
@@ -8,27 +7,18 @@ import subprocess
 import sys
 import zlib
 
+from array import array
+
 import pytest
 
 from repro.errors import TraceError
 from repro.logic.codec import AlphabetCodec
 from repro.semantics.run import Trace
-from repro.trace import columnar as columnar_module
 from repro.trace.columnar import (
     RTRC_VERSION,
     ColumnarTraceSet,
     codec_fingerprint,
 )
-
-
-@pytest.fixture(params=["numpy", "fallback"])
-def columnar_mode(request, monkeypatch):
-    """Run each case with and without the NumPy flat buffer."""
-    if request.param == "fallback":
-        monkeypatch.setattr(columnar_module, "_np", None)
-    elif columnar_module._np is None:
-        pytest.skip("NumPy not installed; only the fallback mode runs")
-    return request.param
 
 
 def _sample_set(meta=None):
@@ -40,7 +30,7 @@ def _sample_set(meta=None):
 
 
 # ------------------------------------------------------------ observers ----
-def test_shape_and_views(columnar_mode):
+def test_shape_and_views(numpy_mode):
     columns = _sample_set()
     assert columns.n_traces == 4
     assert len(columns) == 4
@@ -64,14 +54,14 @@ def test_fingerprint_tracks_symbol_ordering():
         codec_fingerprint(AlphabetCodec(["c", "b", "a"]))
 
 
-def test_payload_length_must_match_lengths(columnar_mode):
+def test_payload_length_must_match_lengths(numpy_mode):
     with pytest.raises(TraceError, match="lengths"):
         ColumnarTraceSet(("a",), (3,), [1, 2])
     with pytest.raises(TraceError, match="negative"):
         ColumnarTraceSet(("a",), (-1,), [])
 
 
-def test_trace_decode_round_trip(columnar_mode):
+def test_trace_decode_round_trip(numpy_mode):
     trace = Trace.from_sets(
         [{"a"}, set(), {"a", "c"}, {"b", "c"}],
         alphabet=("a", "b", "c"),
@@ -82,7 +72,7 @@ def test_trace_decode_round_trip(columnar_mode):
     assert set(decoded.alphabet) == set(trace.alphabet)
 
 
-def test_from_traces_matches_codec_encoding(columnar_mode):
+def test_from_traces_matches_codec_encoding(numpy_mode):
     trace = Trace.from_sets([{"x"}, {"x", "y"}, set()], alphabet=("x", "y"))
     codec = AlphabetCodec(trace.alphabet)
     columns = ColumnarTraceSet.from_traces([trace], alphabet=trace.alphabet)
@@ -90,7 +80,7 @@ def test_from_traces_matches_codec_encoding(columnar_mode):
 
 
 # --------------------------------------------------------- serialisation ----
-def test_bytes_round_trip(columnar_mode):
+def test_bytes_round_trip(numpy_mode):
     columns = _sample_set(meta={"clock": "clk", "note": "round-trip"})
     blob = columns.to_bytes()
     loaded = ColumnarTraceSet.from_bytes(blob)
@@ -111,7 +101,7 @@ def test_payload_is_aligned():
     assert len(blob) == payload_offset + 4 * 7
 
 
-def test_save_load_round_trip(columnar_mode, tmp_path):
+def test_save_load_round_trip(numpy_mode, tmp_path):
     columns = _sample_set()
     path = tmp_path / "corpus.rtrc"
     assert columns.save(path) == str(path)
@@ -123,7 +113,7 @@ def test_save_load_round_trip(columnar_mode, tmp_path):
         [list(m) for m in columns.mask_arrays()]
 
 
-def test_empty_set_round_trip(columnar_mode, tmp_path):
+def test_empty_set_round_trip(numpy_mode, tmp_path):
     columns = ColumnarTraceSet.from_mask_arrays([], symbols=("a",))
     path = tmp_path / "empty.rtrc"
     columns.save(path)
@@ -133,7 +123,7 @@ def test_empty_set_round_trip(columnar_mode, tmp_path):
 
 
 # ------------------------------------------------------------- rejection ----
-def test_rejects_bad_magic(columnar_mode):
+def test_rejects_bad_magic(numpy_mode):
     blob = bytearray(_sample_set().to_bytes())
     blob[:4] = b"NOPE"
     with pytest.raises(TraceError, match="not a columnar"):
@@ -142,14 +132,14 @@ def test_rejects_bad_magic(columnar_mode):
         ColumnarTraceSet.from_bytes(b"RT")  # shorter than the prefix
 
 
-def test_rejects_version_mismatch(columnar_mode):
+def test_rejects_version_mismatch(numpy_mode):
     blob = bytearray(_sample_set().to_bytes())
     blob[4:8] = struct.pack("<I", RTRC_VERSION + 1)
     with pytest.raises(TraceError, match="version"):
         ColumnarTraceSet.from_bytes(bytes(blob))
 
 
-def test_rejects_truncation(columnar_mode):
+def test_rejects_truncation(numpy_mode):
     blob = _sample_set().to_bytes()
     with pytest.raises(TraceError, match="truncated|payload"):
         ColumnarTraceSet.from_bytes(blob[:10])
@@ -159,7 +149,7 @@ def test_rejects_truncation(columnar_mode):
         ColumnarTraceSet.from_bytes(blob + b"\x00\x00\x00\x00")
 
 
-def test_rejects_corrupt_header_and_payload(columnar_mode):
+def test_rejects_corrupt_header_and_payload(numpy_mode):
     blob = bytearray(_sample_set().to_bytes())
     corrupt = bytearray(blob)
     corrupt[13] ^= 0xFF  # inside the JSON header
@@ -176,22 +166,28 @@ def test_rejects_corrupt_header_and_payload(columnar_mode):
     assert list(loaded.masks(3)) == [7, 1]
 
 
+def _header_image(header, values):
+    """A ``.rtrc`` image of ``header`` with a valid crc over int32
+    ``values``."""
+    payload = struct.pack(f"<{len(values)}i", *values)
+    blob = json.dumps(dict(header, payload_crc32=zlib.crc32(payload)),
+                      sort_keys=True).encode("utf-8")
+    prefix = b"RTRC" + struct.pack("<II", RTRC_VERSION, len(blob))
+    pad = b"\x00" * ((-(len(prefix) + len(blob))) % 64)
+    return prefix + blob + pad + payload
+
+
 def _rtrc_bytes(symbols, lengths, values):
     """A well-formed ``.rtrc`` image (valid crc) of arbitrary masks."""
-    payload = struct.pack(f"<{len(values)}i", *values)
-    header = json.dumps({
+    return _header_image({
         "symbols": list(symbols),
         "fingerprint": codec_fingerprint(symbols),
         "lengths": list(lengths),
-        "payload_crc32": zlib.crc32(payload),
         "meta": {},
-    }, sort_keys=True).encode("utf-8")
-    prefix = b"RTRC" + struct.pack("<II", RTRC_VERSION, len(header))
-    pad = b"\x00" * ((-(len(prefix) + len(header))) % 64)
-    return prefix + header + pad + payload
+    }, values)
 
 
-def test_masks_outside_the_alphabet_are_refused(columnar_mode, tmp_path):
+def test_masks_outside_the_alphabet_are_refused(numpy_mode, tmp_path):
     """A set is built or loaded only with every mask in
     ``[0, 2^|symbols|)``: from mask arrays, and from well-formed
     ``.rtrc`` bytes whose crc verifies."""
@@ -210,7 +206,7 @@ def test_masks_outside_the_alphabet_are_refused(columnar_mode, tmp_path):
     assert list(ColumnarTraceSet.from_bytes(in_range).masks(1)) == [3]
 
 
-def test_load_rejects_corrupt_file(columnar_mode, tmp_path):
+def test_load_rejects_corrupt_file(numpy_mode, tmp_path):
     path = tmp_path / "corrupt.rtrc"
     blob = bytearray(_sample_set().to_bytes())
     blob[-2] ^= 0x40
@@ -219,11 +215,11 @@ def test_load_rejects_corrupt_file(columnar_mode, tmp_path):
         ColumnarTraceSet.load(path)
 
 
-def test_load_structural_damage_raises_trace_error(columnar_mode,
+def test_load_structural_damage_raises_trace_error(numpy_mode,
                                                    tmp_path):
     """Every non-crc failure mode of a damaged file is a TraceError at
     ``load`` — magic, version, header JSON, and the payload-size
-    promise — on the mapped (NumPy) and the read path alike."""
+    promise."""
     blob = bytearray(_sample_set().to_bytes())
     cases = []
     bad_magic = bytearray(blob)
@@ -244,34 +240,93 @@ def test_load_structural_damage_raises_trace_error(columnar_mode,
             ColumnarTraceSet.load(path)
 
 
-# ------------------------------------------------------- lazy NumPy ----
-_LAZY_NUMPY = (
+def test_set_lives_in_one_int32_array(numpy_mode, tmp_path):
+    """Built, decoded or loaded, a set's masks are ``array('i')``."""
+    columns = _sample_set()
+    path = tmp_path / "corpus.rtrc"
+    columns.save(path)
+    for candidate in (columns, ColumnarTraceSet.from_bytes(
+            columns.to_bytes()), ColumnarTraceSet.load(path)):
+        lanes = candidate.mask_arrays()
+        assert all(type(lane) is array and lane.typecode == "i"
+                   for lane in lanes)
+        assert [list(lane) for lane in lanes] == \
+            [[0, 1, 3, 2], [5], [], [7, 0]]
+
+
+def test_masks_beyond_int32_are_refused():
+    """A mask no ``int32`` holds is outside every alphabet: a
+    TraceError naming the span, not a bare OverflowError."""
+    for bad in ([[0, 1 << 40]], [[-(1 << 35)], [1]]):
+        with pytest.raises(TraceError, match="span .* allows 0..7"):
+            ColumnarTraceSet.from_mask_arrays(bad, symbols=("a", "b", "c"))
+
+
+@pytest.mark.parametrize("field, value", [
+    ("symbols", "abc"), ("symbols", [1, 2]), ("symbols", None),
+    ("symbols", ["b", "a"]), ("symbols", ["a", "a"]),
+    ("lengths", "3"), ("lengths", [1.5, 1.5]), ("lengths", [True, 2]),
+    ("lengths", [-1, 4]), ("meta", [1]), ("meta", "clock"),
+])
+def test_header_of_the_wrong_shape_is_refused(field, value):
+    """Header fields of the wrong JSON type are a corrupt header, even
+    behind a valid crc: symbols a list of strings in a codec's order
+    (sorted, distinct — the codec fingerprint ignores order, so a
+    permuted file would have its bits read in the codec's order),
+    lengths a list of non-negative integers, meta an object."""
+    header = {"symbols": ["a", "b"], "lengths": [3], "meta": {}}
+    header[field] = value
+    with pytest.raises(TraceError, match="corrupt columnar trace header"):
+        ColumnarTraceSet.from_bytes(_header_image(header, [0, 1, 2]))
+
+
+def test_range_check_is_one_c_loop_with_a_compiler(monkeypatch):
+    """With a compiler the range check runs in the VCD unit's C loop;
+    under ``REPRO_NO_CC`` it is Python's min and max, with the same
+    answer."""
+    from repro.trace import vcd_native
+
+    masks = array("i", [5, 0, 7, 3, 7, 1])
+    monkeypatch.setenv("REPRO_NO_CC", "1")
+    assert vcd_native.mask_span(masks) == (0, 7)
+    monkeypatch.delenv("REPRO_NO_CC")
+    if not vcd_native.available():
+        pytest.skip("no C compiler: only the Python range check runs")
+    assert vcd_native.mask_span(masks) == (0, 7)
+    assert vcd_native.mask_span(array("i", [-3])) == (-3, -3)
+    assert vcd_native.mask_span(array("i", [1 << 30, -(1 << 31)])) == \
+        (-(1 << 31), 1 << 30)
+
+
+# ------------------------------------------------------------ no NumPy ----
+_NO_NUMPY = (
     "import sys, repro\n"
-    "assert 'numpy' not in sys.modules, 'import repro loaded NumPy'\n"
     "import repro.cli\n"
-    "assert 'numpy' not in sys.modules, 'import repro.cli loaded NumPy'\n"
     "from repro.trace import columnar\n"
     "columns = columnar.ColumnarTraceSet.from_mask_arrays([[1, 2]], 'ab')\n"
-    "print(int('numpy' in sys.modules), columnar._np is not None,\n"
-    "      type(columns.masks(0)).__module__)\n"
+    "loaded = columnar.ColumnarTraceSet.from_bytes(columns.to_bytes())\n"
+    "print(int('numpy' in sys.modules), type(loaded.masks(0)).__module__,\n"
+    "      list(loaded.masks(0)))\n"
 )
 
 
 @pytest.mark.parametrize("no_numpy", [False, True])
-def test_import_repro_loads_no_numpy(no_numpy):
-    """``import repro`` and ``import repro.cli`` load no NumPy; the
-    columnar store imports it on first use, and ``REPRO_NO_NUMPY``
-    still keeps it out."""
+def test_import_repro_loads_no_numpy(no_numpy, tmp_path):
+    """``import repro``, ``import repro.cli`` and a columnar build and
+    load import no NumPy, and work the same where NumPy cannot be
+    imported at all (a ``numpy`` package that raises ImportError
+    first on the path)."""
     src = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                        "..", "..", "src")
-    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
-    env.pop("REPRO_NO_NUMPY", None)
+    path = [os.path.abspath(src)]
     if no_numpy:
-        env["REPRO_NO_NUMPY"] = "1"
-    result = subprocess.run([sys.executable, "-c", _LAZY_NUMPY], env=env,
+        shim = tmp_path / "numpy"
+        shim.mkdir()
+        (shim / "__init__.py").write_text(
+            "raise ImportError('NumPy is masked for this test')\n")
+        path.insert(0, str(tmp_path))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    result = subprocess.run([sys.executable, "-c", _NO_NUMPY], env=env,
                             capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
-    if no_numpy or importlib.util.find_spec("numpy") is None:
-        assert result.stdout.split() == ["0", "False", "array"]
-    else:
-        assert result.stdout.split() == ["1", "True", "numpy"]
+    assert result.stdout.split() == ["0", "array", "[1,", "2]"]

@@ -2,8 +2,8 @@
 
 Uncached VCD checking, a cold cache and a warm cached columnar corpus
 hand the monitor identical verdicts; streaming over pre-encoded masks
-matches streaming over valuations; and with NumPy masked at import
-the conversion still gives the frozen per-change sampler's masks
+matches streaming over valuations; and with NumPy unimportable the
+conversion still gives the frozen per-change sampler's masks
 (``vcd_oracle.py``), multi-driver bindings included, at every block
 size.  The block-size differential of the conversion itself lives in
 ``test_vcd_blocks.py``.
@@ -17,60 +17,53 @@ import pytest
 
 from repro.cesc.builder import ev, scesc
 from repro.cesc.charts import Loop
-from repro.errors import MonitorError
+from repro.errors import MonitorError, TraceError
 from repro.logic.codec import AlphabetCodec
 from repro.protocols.fixtures import ocp_simple_vcd
 from repro.protocols.ocp import ocp_simple_read_chart
-from repro.runtime import vector as vector_module
 from repro.semantics.generator import TraceGenerator
 from repro.synthesis.compose import synthesize_chart
 from repro.synthesis.tr import tr_compiled
-from repro.trace import columnar as columnar_module
 from repro.trace.shard import run_sharded_vcd
 from repro.trace.streaming import StreamingChecker
 from repro.trace.vcd_reader import SignalBinding, VcdReader
 from vcd_oracle import TRICKY_VCD, oracle_masks
 
 
-@pytest.fixture(params=["numpy", "fallback"])
-def columnar_mode(request, monkeypatch):
-    """Run each differential with and without NumPy (both layers)."""
-    if request.param == "fallback":
-        monkeypatch.setattr(columnar_module, "_np", None)
-        monkeypatch.setattr(vector_module, "_np", None)
-    elif columnar_module._np is None:
-        pytest.skip("NumPy not installed; only the fallback mode runs")
-    return request.param
-
-
-def test_no_numpy_subprocess_differential():
-    """REPRO_NO_NUMPY=1 end-to-end: import-time fallback, same masks."""
+def test_no_numpy_subprocess_differential(tmp_path):
+    """A process where NumPy cannot be imported at all (a ``numpy``
+    package that raises ImportError first on the path): same masks."""
     here = os.path.dirname(os.path.abspath(__file__))
     src = os.path.join(here, "..", "..", "src")
+    shim = tmp_path / "numpy"
+    shim.mkdir()
+    (shim / "__init__.py").write_text(
+        "raise ImportError('NumPy is masked for this test')\n")
     script = (
+        "import sys\n"
         "from repro.protocols.fixtures import ocp_simple_vcd\n"
         "from repro.protocols.ocp import ocp_simple_read_chart\n"
         "from repro.synthesis.tr import tr_compiled\n"
         "from repro.trace import columnar\n"
         "from vcd_oracle import oracle_masks\n"
-        "assert columnar._np is None\n"
         "text = ocp_simple_vcd(seed=5)\n"
         "compiled = tr_compiled(ocp_simple_read_chart())\n"
         "codec = compiled.codec\n"
         "expected = oracle_masks(text, codec, clock='clk')\n"
         "masks = columnar.masks_from_vcd_text(text, codec, clock='clk')\n"
         "assert list(masks) == expected, (list(masks), expected)\n"
+        "assert 'numpy' not in sys.modules\n"
         "print('ok', len(expected))\n"
     )
-    env = dict(os.environ, REPRO_NO_NUMPY="1",
-               PYTHONPATH=os.pathsep.join([os.path.abspath(src), here]))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(tmp_path), os.path.abspath(src), here]))
     result = subprocess.run([sys.executable, "-c", script], env=env,
                             capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
     assert result.stdout.startswith("ok")
 
 
-def test_multi_driver_binding(columnar_mode):
+def test_multi_driver_binding(numpy_mode):
     """Two nets bound to one symbol: it reads true while either is
     high (the replay folds private code bits into symbol bits)."""
     binding = SignalBinding({"req": "busy", "ack": "busy", "data": "data"})
@@ -93,7 +86,7 @@ def _report_tuple(report):
 
 
 @pytest.mark.parametrize("engine", ["compiled", "vector"])
-def test_three_path_verdict_identity(columnar_mode, tmp_path, engine):
+def test_three_path_verdict_identity(numpy_mode, tmp_path, engine):
     """Uncached, cold cache, warm cache: one verdict."""
     compiled = tr_compiled(ocp_simple_read_chart())
     dumps = []
@@ -141,7 +134,7 @@ def test_bank_push_groups_share_one_encode(diff_harness):
         assert report.detections == expected, engine
 
 
-def test_feed_masks_matches_feed(columnar_mode, diff_harness):
+def test_feed_masks_matches_feed(numpy_mode, diff_harness):
     chart = _handshake_chart()
     compiled = tr_compiled(chart)
     trace = TraceGenerator(chart, seed=3).satisfying_trace(prefix=1,
@@ -171,3 +164,8 @@ def test_push_masks_guards():
     interpreted = StreamingChecker(_handshake_chart(), engine="interpreted")
     with pytest.raises(MonitorError, match="push_masks"):
         interpreted.push_masks([0])
+    # validate_masks is the same refusal, raised as the caller's class
+    # and before anything is stepped.
+    with pytest.raises(TraceError, match="push_masks"):
+        interpreted.validate_masks([0], error_cls=TraceError)
+    assert interpreted.report().ticks == 0

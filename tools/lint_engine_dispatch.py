@@ -27,7 +27,7 @@ import sys
 ALLOWED = {os.path.join("repro", "runtime", "engines.py")}
 
 #: Registered backend names plus the planner sentinel.
-_NAMES = r"(?:auto|interpreted|compiled|vector)"
+_NAMES = r"(?:auto|interpreted|compiled|vector|native)"
 _QUOTED = rf"""["']{_NAMES}["']"""
 #: Anything engine-ish on either side of the compare: bare ``engine``,
 #: ``args.engine``, ``self._engine_backend``, ``checker.engine``...
