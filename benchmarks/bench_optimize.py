@@ -20,7 +20,7 @@ from repro.optimize import optimize_monitor
 from repro.protocols.amba.charts import ahb_transaction_chart
 from repro.protocols.ocp import ocp_burst_read_chart, ocp_simple_read_chart
 from repro.runtime.compiled import run_compiled
-from repro.trace import run_sharded
+from repro.runtime.engines import Workload, plan_execution
 
 from conftest import record_results
 
@@ -47,8 +47,8 @@ def _table_bytes(compiled) -> int:
 
 
 def _pickle_bytes(compiled) -> int:
-    """Serialized monitor size — what the sharded pipeline ships to
-    workers and an on-disk compilation cache stores."""
+    """Serialized monitor size, source stripped — what an on-disk
+    compilation cache of the tables alone would store."""
     return len(pickle.dumps(compiled.without_source()))
 
 
@@ -80,15 +80,16 @@ def test_optimized_table_sizes_with_identical_verdicts(report):
         generated_class = namespace["Generated"]
 
         corpus = _corpus(chart)
-        sharded = run_sharded(compiled, corpus, jobs=2, oversubscribe=True)
-        for trace, shard_result in zip(corpus, sharded):
+        plan = plan_execution(compiled, Workload.from_traces(corpus))
+        batch = plan.batch_runner()(compiled, corpus)
+        for trace, batch_result in zip(corpus, batch):
             reference = run_monitor(monitor, trace).detections
             assert run_compiled(dense, trace).detections == reference
             assert run_compiled(compiled, trace).detections == reference
             assert StreamingChecker(
                 compiled, stop_on_detection=False
             ).feed(trace).detections == reference
-            assert list(shard_result.detections) == reference
+            assert list(batch_result.detections) == reference
             assert generated_class().feed(
                 [valuation.true for valuation in trace]
             ).detections == reference

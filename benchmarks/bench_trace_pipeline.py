@@ -1,18 +1,12 @@
-"""Trace-pipeline benchmarks: VCD ingestion, the columnar cache,
-streaming, and sharding.
+"""Trace-pipeline benchmarks: VCD ingestion, the columnar cache and
+streaming.
 
 * VCD ingestion throughput (ticks/second through ``VcdReader``);
 * cold columnar ingest against the frozen per-change reader, and a
   warm cached corpus re-check against the uncached ``check --vcd``
   path (both gated);
 * streaming vs batch checking on one long trace (identical verdicts,
-  bounded memory);
-* sharded vs single-process batch on many traces, recording the
-  speedup per worker count in ``BENCH_trace.json``.
-
-Sharding wins are hardware-dependent (CI runners may expose two
-cores), so correctness is asserted hard and the speedup is gated only
-on hosts with two or more available cores.
+  bounded memory).
 """
 
 import functools
@@ -24,10 +18,10 @@ import time
 from repro import StreamingChecker, TraceGenerator, tr_compiled
 from repro.cache import CorpusCache
 from repro.protocols.ocp import ocp_simple_read_chart
-from repro.runtime.compiled import run_compiled, run_many
+from repro.runtime.compiled import run_compiled
 from repro.runtime.engines import Workload, plan_execution
 from repro.runtime.native import unavailable_reason
-from repro.trace import VcdReader, run_sharded, trace_to_vcd
+from repro.trace import VcdReader, trace_to_vcd
 from repro.trace.columnar import (
     ColumnarTraceSet,
     check_masks,
@@ -44,17 +38,14 @@ from vcd_oracle import oracle_masks  # noqa: E402
 from conftest import record_results  # noqa: E402
 
 _LONG_TRACE_TICKS = 4000
-_BATCH_TRACES = 48
-_BATCH_TICKS = 6000
 
 
 #: Every top-level key this module records in BENCH_trace.json.
 _RESULT_KEYS = frozenset({
     "batch_ticks_per_s", "columnar_ingest_speedup",
     "columnar_ingest_ticks_per_s", "columnar_warm_speedup",
-    "columnar_warm_ticks_per_s", "shard_cores", "shard_jobs2_s",
-    "shard_jobs4_s", "shard_single_s", "shard_speedup_jobs4",
-    "stream_ticks_per_s", "vcd_ingest_ticks_per_s",
+    "columnar_warm_ticks_per_s", "stream_ticks_per_s",
+    "vcd_ingest_ticks_per_s",
 })
 _record = functools.partial(record_results, _RESULTS_PATH, _RESULT_KEYS)
 
@@ -251,59 +242,3 @@ def test_streaming_matches_batch_on_long_trace(report):
         "stream_ticks_per_s": round(trace.length / stream_s),
         "batch_ticks_per_s": round(trace.length / batch_s),
     })
-
-
-def test_sharded_vs_lockstep_batch(report):
-    """Sharded fan-out vs lock-step, mask arrays pickled into each task.
-
-    Workers are forced real (``oversubscribe=True``) so the measurement
-    is a genuine cross-process one everywhere.  The headline
-    ``shard_speedup_jobs4`` is *gated* only where the hardware can
-    deliver it: >= 2.5x with four or more available cores, >= 1.3x with
-    two or three.  A single-core runner cannot speed anything up by
-    adding processes — there the numbers are recorded, not asserted.
-    """
-    from repro.trace.shard import available_cores
-
-    chart = ocp_simple_read_chart()
-    compiled = tr_compiled(chart)
-    base = _long_trace(_BATCH_TICKS)
-    traces = [base for _ in range(_BATCH_TRACES)]
-
-    single_s, lockstep = _best_of(3, lambda: run_many(compiled, traces))
-
-    timings = {}
-    for jobs in (2, 4):
-        # Warm the exact-size pool first with one untimed batch:
-        # spawning workers and loading each worker's kernel are one-time
-        # costs campaign loops amortise, not part of the steady state.
-        run_sharded(compiled, traces, jobs=jobs, oversubscribe=True)
-        timings[jobs], sharded = _best_of(3, lambda: run_sharded(
-            compiled, traces, jobs=jobs, oversubscribe=True))
-        assert [r.detections for r in sharded] == [
-            r.detections for r in lockstep
-        ]
-
-    total_ticks = sum(len(t) for t in traces)
-    cores = available_cores()
-    speedup = single_s / timings[4]
-    report(f"batch of {len(traces)} traces ({total_ticks} ticks, "
-           f"{cores} core(s)): single {single_s * 1e3:.1f} ms, "
-           + ", ".join(f"jobs={j} {s * 1e3:.1f} ms"
-                       for j, s in timings.items()))
-    _record({
-        "shard_cores": cores,
-        "shard_single_s": round(single_s, 4),
-        **{f"shard_jobs{j}_s": round(s, 4) for j, s in timings.items()},
-        "shard_speedup_jobs4": round(speedup, 2),
-    })
-    if cores >= 4:
-        floor = 2.5
-    elif cores >= 2:
-        floor = 1.3
-    else:
-        return  # one core: nothing to gain from more processes
-    assert speedup >= floor, (
-        f"sharded jobs=4 at {speedup:.2f}x the lock-step batch on "
-        f"{cores} cores (promised >= {floor}x)"
-    )

@@ -93,11 +93,9 @@ _EXPORTS = {
     "optimize_monitor": "repro.optimize.pipeline",
     "parse_cesc": "repro.cesc.parser",
     "parse_expr": "repro.logic.parser",
-    "run_bank_sharded": "repro.trace.shard",
     "run_compiled": "repro.runtime.compiled",
     "run_many": "repro.runtime.compiled",
     "run_monitor": "repro.monitor.engine",
-    "run_sharded": "repro.trace.shard",
     "scesc": "repro.cesc.builder",
     "symbolic_monitor": "repro.synthesis.symbolic",
     "synthesize_chart": "repro.synthesis.compose",

@@ -4,11 +4,10 @@ Verification closure needs to know whether the testbench actually drove
 the monitor through its scenario spine and its failure edges.
 :class:`MonitorCoverage` accumulates over any number of runs — live
 engines, batch :class:`~repro.monitor.engine.MonitorResult` lists
-(including ones shipped back from sharded worker processes), or raw
-state/transition folds — and reports state coverage, transition
-coverage and the never-taken edges that
-:class:`~repro.campaign.CoverageCampaign` turns into directed-trace
-targets.
+(including unpickled ones), or raw state/transition folds — and
+reports state coverage, transition coverage and the never-taken edges
+that :class:`~repro.campaign.CoverageCampaign` turns into
+directed-trace targets.
 
 Not every edge of a synthesized monitor is reachable: ``Tr`` completes
 the transition function over *all* scoreboard valuations, so edges
@@ -78,12 +77,12 @@ class MonitorCoverage:
         self.record_path(engine.result().states, engine.transition_log)
 
     def record_result(self, result: MonitorResult) -> None:
-        """Fold one batch result (``run_many``/``run_sharded`` output).
+        """Fold one batch result (a planned batch runner's output).
 
         The result must carry its transition log — run the batch with
         ``record_transitions=True``.  Transition objects compare
-        structurally, so results unpickled from worker processes fold
-        correctly into a collector tracking the parent's monitor.
+        structurally, so unpickled results fold correctly into a
+        collector tracking the original monitor.
         """
         if result.transitions is None:
             raise ValueError(
@@ -121,7 +120,7 @@ class MonitorCoverage:
 
         Both must track the same automaton (directly or through the
         compiled/interpreted link) — merging lets per-engine or
-        per-worker collectors combine into one closure picture.
+        per-run collectors combine into one closure picture.
         """
         if not self._matches(other._monitor):
             raise ValueError(

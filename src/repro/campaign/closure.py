@@ -3,10 +3,9 @@
 A :class:`CoverageCampaign` connects the pieces the repo already had
 but never wired together: :class:`~repro.semantics.generator.TraceGenerator`
 randomness, :class:`~repro.analysis.coverage.MonitorCoverage`
-accounting, and batch execution
-(:func:`~repro.runtime.compiled.run_many` in-process,
-:func:`~repro.trace.shard.run_sharded` across worker processes) — and
-closes the loop with the :class:`~repro.campaign.directed.StimulusSynthesizer`:
+accounting, and the planned batch runner
+(:func:`~repro.runtime.engines.plan_execution`) — and closes the loop
+with the :class:`~repro.campaign.directed.StimulusSynthesizer`:
 
 1. *Exclude the impossible.*  One reachability pass proves which
    states/edges no run can ever exercise (``Tr`` completes the
@@ -38,12 +37,12 @@ from repro.cesc.charts import Chart, as_chart
 from repro.errors import CampaignError
 from repro.logic.valuation import Valuation
 from repro.monitor.automaton import Monitor
-from repro.runtime.compiled import CompiledMonitor
+from repro.runtime.compiled import CompiledMonitor, as_compiled
+from repro.runtime.engines import Workload, plan_execution
 from repro.semantics.generator import TraceGenerator
 from repro.semantics.run import Trace
 from repro.synthesis.tr import tr_compiled
 from repro.trace.bridge import trace_to_vcd
-from repro.trace.shard import run_sharded
 
 __all__ = ["CorpusEntry", "CampaignReport", "CoverageCampaign"]
 
@@ -194,17 +193,11 @@ class CoverageCampaign:
     come from a :class:`~repro.semantics.generator.TraceGenerator` —
     or a ready :class:`~repro.monitor.automaton.Monitor` /
     :class:`~repro.runtime.compiled.CompiledMonitor` (seeds then fall
-    back to directed noise over the monitor's own alphabet).
-
-    ``jobs`` > 1 executes batches through
-    :func:`~repro.trace.shard.run_sharded` worker processes;
-    the default stays in-process through
-    :func:`~repro.runtime.compiled.run_many`.
+    back to directed noise over the monitor's own alphabet).  Batches
+    run in this process through the planned batch runner.
     """
 
-    def __init__(self, spec, monitor=None, seed: int = 0, jobs: int = 1,
-                 mp_context: Optional[str] = None,
-                 oversubscribe: bool = False,
+    def __init__(self, spec, monitor=None, seed: int = 0,
                  noise_density: float = 0.3,
                  scoreboard_cap: int = 8,
                  max_depth: Optional[int] = None):
@@ -232,9 +225,6 @@ class CoverageCampaign:
             self._monitor = monitor
         self._seed = seed
         self._noise_density = noise_density
-        self._jobs = jobs
-        self._mp_context = mp_context
-        self._oversubscribe = oversubscribe
         self._synthesizer = StimulusSynthesizer(
             self._monitor, scoreboard_cap=scoreboard_cap, max_depth=max_depth
         )
@@ -249,13 +239,10 @@ class CoverageCampaign:
 
     # -- execution --------------------------------------------------------
     def _execute(self, traces: Sequence[Trace]):
-        # run_sharded owns the jobs<=1 fallback (it degrades to
-        # run_many with identical results).
-        return run_sharded(
-            self._monitor, traces, jobs=self._jobs,
-            mp_context=self._mp_context, record_transitions=True,
-            oversubscribe=self._oversubscribe,
-        )
+        compiled = as_compiled(self._monitor)
+        plan = plan_execution(compiled, Workload.from_traces(traces))
+        return plan.batch_runner()(compiled, traces,
+                                   record_transitions=True)
 
     def _seed_traces(self, count: int) -> List[Trace]:
         if count <= 0:

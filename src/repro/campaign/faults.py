@@ -12,13 +12,13 @@ via :func:`~repro.protocols.faults.replace_tick`, or a random
 and *predicts* the mutant's detection ticks by replaying it through
 the reference engine at build time.
 
-:meth:`FaultMutationCampaign.run` then executes all mutants through
-the batch backend (:func:`~repro.runtime.compiled.run_many`, or
-:func:`~repro.trace.shard.run_sharded` with ``jobs``) and checks every
-observation against its prediction — a mismatch means the execution
-backend disagrees with the reference semantics and is reported as
-such, not averaged into a detection rate.  A trial is *killed* when
-the baseline detection tick disappeared from the mutant's run.
+:meth:`FaultMutationCampaign.run` then executes all mutants in one
+planned batch (:func:`~repro.runtime.engines.plan_execution`) and
+checks every observation against its prediction — a mismatch means
+the execution backend disagrees with the reference semantics and is
+reported as such, not averaged into a detection rate.  A trial is
+*killed* when the baseline detection tick disappeared from the
+mutant's run.
 """
 
 from __future__ import annotations
@@ -29,9 +29,9 @@ from repro.campaign.directed import DirectedTrace, StimulusSynthesizer
 from repro.errors import CampaignError, ScoreboardError
 from repro.monitor.engine import MonitorEngine
 from repro.protocols.faults import FaultCampaign, replace_tick
-from repro.runtime.compiled import CompiledEngine, CompiledMonitor
+from repro.runtime.compiled import CompiledEngine, CompiledMonitor, as_compiled
+from repro.runtime.engines import Workload, plan_execution
 from repro.semantics.run import Trace
-from repro.trace.shard import run_sharded
 
 __all__ = ["FaultTrial", "FaultReport", "FaultMutationCampaign"]
 
@@ -206,18 +206,14 @@ class FaultMutationCampaign:
         return trials
 
     def run(self, trials: Optional[Sequence[FaultTrial]] = None,
-            jobs: int = 1, mp_context: Optional[str] = None,
-            oversubscribe: bool = False,
             random_mutations: int = 8) -> FaultReport:
         """Execute the trials in a batch and report kills + mismatches."""
         if trials is None:
             trials = self.build(random_mutations=random_mutations)
         traces = [trial.trace for trial in trials]
-        # run_sharded owns the jobs<=1 fallback (identical results).
-        results = run_sharded(
-            self._monitor, traces, jobs=jobs, mp_context=mp_context,
-            oversubscribe=oversubscribe,
-        )
+        compiled = as_compiled(self._monitor)
+        plan = plan_execution(compiled, Workload.from_traces(traces))
+        results = plan.batch_runner()(compiled, traces)
         return FaultReport(
             trials, [tuple(result.detections) for result in results]
         )

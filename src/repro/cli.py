@@ -22,8 +22,8 @@ every fault prediction held), 3 when it did not.
 
 Each handler imports the modules only its verb runs (consistency lint,
 code generators, renderers, the campaign and serve stacks), so a
-command pays start-up for its own work: ``check --vcd`` does not load
-``multiprocessing``.  ``parse_cesc`` and ``tr_compiled`` stay
+command pays start-up for its own work: ``check --vcd`` loads none
+of the campaign or serve modules.  ``parse_cesc`` and ``tr_compiled`` stay
 module-level names, and the trace-pipeline layers are looked up when
 called, so instrumentation can swap them by attribute.
 """
@@ -120,12 +120,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="map a VCD signal to a chart symbol (repeatable; default "
              "binds every signal to its own name)")
     check.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
-        help="shard uncached --vcd dumps across N worker processes, "
-             "each parsing and checking its own (0 = one per core; "
-             "needs a table-compiling --engine; no effect with "
-             "--cache)")
-    check.add_argument(
         "--cache", metavar="DIR",
         help="content-addressed columnar corpus cache: dumps are "
              "ingested to pre-encoded .rtrc entries on first sight and "
@@ -149,6 +143,7 @@ def build_parser() -> argparse.ArgumentParser:
     ingest.add_argument(
         "--bind", action="append", default=[], metavar="SIGNAL=SYMBOL",
         help="map a VCD signal to a chart symbol (repeatable)")
+    # Kept only because perfbench's corpus_cache workload passes it.
     ingest.add_argument(
         "--jobs", type=int, default=1, metavar="N",
         help="has no effect: every dump is parsed once, in this "
@@ -194,10 +189,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="random traces executed before directed generation "
              "(default: 12)")
     campaign.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
-        help="shard batch execution across N worker processes "
-             "(0 = one per core)")
-    campaign.add_argument(
         "--engine", default=AUTO, choices=engine_choices("step"),
         help="monitor form the campaign covers: the compiled dispatch "
              "table's compressed edges (auto resolves here, the "
@@ -241,11 +232,6 @@ def build_parser() -> argparse.ArgumentParser:
              "native call per pushed chunk when a C compiler is "
              "available, the compiled chunk loop otherwise; "
              "per-open overrides still apply)")
-    serve.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
-        help="fan corpus checks out to N persistent worker processes "
-             "off the event loop (0 = one per core; default 1: check "
-             "on-loop)")
     serve.add_argument(
         "--optimize", action="store_true",
         help="serve optimized monitors (minimised, pruned, hardened); "
@@ -400,37 +386,33 @@ def _validate_check_args(args) -> None:
             "output)"
         )
     if args.trace and (args.clock is not None or args.period is not None
-                       or args.bind or args.jobs != 1
-                       or args.cache is not None):
+                       or args.bind or args.cache is not None):
         # These flags only shape VCD ingestion; accepting them with a
         # WaveDrom trace would silently compute a verdict with none of
         # them applied.
         raise ReproError(
-            "--clock/--period/--bind/--jobs/--cache apply to --vcd "
+            "--clock/--period/--bind/--cache apply to --vcd "
             "dumps only, not to a WaveDrom trace"
         )
-    if args.jobs < 0:
-        raise ReproError(f"--jobs must be >= 0 (got {args.jobs})")
     backend = engine_backend(args.engine) if args.engine != AUTO else None
-    if args.jobs != 1 and backend is not None \
-            and not backend.sharded_worker:
-        raise ReproError(
-            "--jobs needs --engine "
-            + ", ".join(backend_names("sharded_worker"))
-        )
-    if args.optimize and backend is not None and not backend.optimize_ok:
-        # The pipeline's artifact is a compiled dispatch table; the
-        # interpreted backend exists as the unoptimized reference.
-        raise ReproError(
-            "--optimize needs --engine "
-            + ", ".join(backend_names("optimize_ok"))
-        )
+    _require_compiled_for_optimize(args, backend)
     if args.cache is not None and backend is not None \
             and not backend.batch:
         # Cached entries are mask arrays over the compiled codec; the
         # interpreted engine steps guard trees on valuations.
         raise ReproError(
             "--cache needs --engine " + ", ".join(backend_names("batch"))
+        )
+
+
+def _require_compiled_for_optimize(args, backend) -> None:
+    if args.optimize and backend is not None \
+            and not backend.wants_compiled:
+        # The pipeline's artifact is a compiled dispatch table; the
+        # interpreted backend exists as the unoptimized reference.
+        raise ReproError(
+            "--optimize needs --engine "
+            + ", ".join(backend_names("wants_compiled"))
         )
 
 
@@ -445,45 +427,32 @@ def _write_stream_report(out, path, report) -> bool:
 
 
 def _check_vcd(args, chart, out) -> int:
-    """Check every dump, sharded if asked.
+    """Check every dump, in this process.
 
     Table engines read each dump into masks in bounded blocks and
-    check them in the planned batch kernel; with ``--jobs N`` and no
-    ``--cache`` each worker process parses *and* checks its own dumps.
-    The interpreted engine streams decoded valuations, in-process.
+    check them in the planned batch kernel; the interpreted engine
+    streams decoded valuations.
     """
     from repro.trace.shard import run_sharded_vcd
-    from repro.trace.streaming import StreamingChecker
     from repro.trace.vcd_reader import SignalBinding, VcdReader
 
     binding = SignalBinding.parse(args.bind) if args.bind else None
     for path in args.vcd:
         # Header-only parse: surfaces missing lanes (and unreadable
-        # files) before any worker fans out.
+        # files) before any dump is checked.
         with VcdReader(path, binding=binding) as reader:
             _note_missing_lanes(
                 chart, reader.alphabet(clock=args.clock), path, out
             )
     backend = engine_backend(args.engine) if args.engine != AUTO else None
-    if backend is None or backend.wants_compiled:
-        reports = run_sharded_vcd(
-            _compiled_for_check(args, chart), args.vcd, jobs=args.jobs,
-            clock=args.clock, period=args.period, binding=binding,
-            engine=args.engine, cache=args.cache,
-        )
-    else:
-        # The interpreted reference walks guard trees on the raw
-        # synthesis output, in-process.
-        monitor = tr(chart)
-        reports = []
-        for path in args.vcd:
-            with VcdReader(path, binding=binding) as reader:
-                reports.append(
-                    StreamingChecker(monitor, engine=args.engine).feed(
-                        reader.valuations(clock=args.clock,
-                                          period=args.period)
-                    )
-                )
+    # The interpreted reference walks guard trees on the raw synthesis
+    # output.
+    monitor = (_compiled_for_check(args, chart)
+               if backend is None or backend.wants_compiled else tr(chart))
+    reports = run_sharded_vcd(
+        monitor, args.vcd, clock=args.clock, period=args.period,
+        binding=binding, engine=args.engine, cache=args.cache,
+    )
     status = 0
     for path, report in zip(args.vcd, reports):
         if not _write_stream_report(out, path, report):
@@ -586,9 +555,7 @@ def _cmd_campaign(args, out) -> int:
     else:
         monitor = (tr_compiled(chart) if backend.wants_compiled
                    else tr(chart))
-    campaign = CoverageCampaign(
-        chart, monitor=monitor, seed=args.seed, jobs=args.jobs,
-    )
+    campaign = CoverageCampaign(chart, monitor=monitor, seed=args.seed)
     report = campaign.run(
         target_state_coverage=args.target_coverage,
         target_transition_coverage=args.target_coverage,
@@ -599,7 +566,7 @@ def _cmd_campaign(args, out) -> int:
     if args.faults:
         fault_report = FaultMutationCampaign(
             monitor, seed=args.seed, synthesizer=campaign.synthesizer,
-        ).run(jobs=args.jobs, random_mutations=args.faults)
+        ).run(random_mutations=args.faults)
     exported: List[str] = []
     if args.export_vcd:
         exported = report.export_vcd(args.export_vcd)
@@ -667,11 +634,7 @@ def _cmd_serve(args, out) -> int:
     from repro.serve import MonitorService, ServeConfig
 
     backend = engine_backend(args.engine) if args.engine != AUTO else None
-    if args.optimize and backend is not None and not backend.optimize_ok:
-        raise ReproError(
-            "--optimize needs --engine "
-            + ", ".join(backend_names("optimize_ok"))
-        )
+    _require_compiled_for_optimize(args, backend)
     wants_compiled = backend.wants_compiled if backend is not None else True
     monitors = {}
     for name in args.charts:
@@ -686,7 +649,7 @@ def _cmd_serve(args, out) -> int:
             monitors[name] = tr(chart)
     service = MonitorService(monitors, ServeConfig(
         host=args.host, port=args.port, engine=args.engine,
-        jobs=args.jobs, queue_chunks=args.queue_chunks,
+        queue_chunks=args.queue_chunks,
         shed_slow=args.shed_slow, max_streams=args.max_streams,
         cache_root=args.cache,
     ))

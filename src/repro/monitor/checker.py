@@ -156,7 +156,7 @@ class AssertionChecker:
         from repro.runtime.engines import resolve_step_backend
 
         backend = resolve_step_backend(engine, error_cls=MonitorError)
-        if optimize and not backend.optimize_ok:
+        if optimize and not backend.wants_compiled:
             # The pipeline's artifact is a compiled dispatch table; the
             # interpreted members would silently run unoptimized.
             raise MonitorError(

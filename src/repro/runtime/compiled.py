@@ -71,11 +71,10 @@ def map_table_cells(compiled: "CompiledMonitor", convert) -> list:
 class CompiledCheck:
     """A compiled scoreboard-check closure that survives pickling.
 
-    ``Expr.compile`` returns a plain closure, which cannot cross
-    process boundaries; the sharded trace pipeline ships whole compiled
-    monitors to worker processes.  This wrapper keeps the source
-    expression and codec alongside the closure and recompiles on
-    unpickle, so a check ladder pickles as data while calls stay a
+    ``Expr.compile`` returns a plain closure, which cannot be pickled,
+    and a compiled monitor pickles whole.  This wrapper keeps the
+    source expression and codec alongside the closure and recompiles
+    on unpickle, so a check ladder pickles as data while calls stay a
     single indirection.
     """
 
@@ -161,10 +160,10 @@ class CompiledMonitor(SlotPickle):
     def without_source(self) -> "CompiledMonitor":
         """A copy that shares the table but drops the interpreted source.
 
-        The source automaton exists for in-process coverage matching;
-        the sharded runner strips it before shipping monitors to
-        worker processes, roughly halving the pickle payload.  Plain
-        pickling (e.g. an on-disk compilation cache) keeps the source.
+        The source automaton exists for coverage matching and the
+        interpreted engine; dropping it roughly halves the pickle
+        payload.  Plain pickling (e.g. an on-disk compilation cache)
+        keeps the source.
         """
         if self.source is None:
             return self
@@ -640,9 +639,9 @@ def run_many_encoded(
 ) -> List[MonitorResult]:
     """:func:`run_many` over pre-encoded valuation-mask arrays.
 
-    The sharded pipeline encodes traces once in the parent and ships
-    only the mask arrays to worker processes.  ``mask_arrays`` entries
-    may be any integer sequence (``array('i')`` from
+    For callers that already hold masks (a loaded ``.rtrc`` set, a
+    VCD dump read into masks).  ``mask_arrays`` entries may be any
+    integer sequence (``array('i')`` from
     :meth:`~repro.logic.codec.AlphabetCodec.encode_trace`, a list, a
     columnar set's lane) — each is the per-tick mask stream of one
     trace.

@@ -1,16 +1,15 @@
 """The engine registry and the auto-selecting execution planner.
 
-Every execution path in the package — per-tick stepping, in-process
-batches, streaming, sharded worker pools, the serving layer, cached
-corpus checks — dispatches on a *backend name* (``"interpreted"``,
-``"compiled"``, ``"vector"``, ``"native"``).  This module is the
-single seam those names pass through:
+Every execution path in the package — per-tick stepping, batches,
+streaming, the serving layer, cached corpus checks — dispatches on a
+*backend name* (``"interpreted"``, ``"compiled"``, ``"vector"``,
+``"native"``).  This module is the single seam those names pass
+through:
 
 * :class:`EngineBackend` — one backend's descriptor: capability flags
-  (can it batch?  stream?  run as a sharded worker kernel?  honour the
-  two-phase network contract?  consume optimization-pipeline
-  artifacts?) plus lazy runner hooks mirroring the concrete entry
-  points (``make_engine`` for per-tick stepping engines,
+  (does it step compiled tables?  batch?  stream?  honour the
+  two-phase network contract?) plus lazy runner hooks mirroring the
+  concrete entry points (``make_engine`` for per-tick stepping engines,
   ``batch_runner``/``encoded_runner`` for the ``run_many`` family);
 * a process-wide **registry** (:func:`register_backend`,
   :func:`backend`, :func:`backend_names`) that every entry point
@@ -21,9 +20,9 @@ single seam those names pass through:
   else the scalar compiled loop.
 
 Registering a new backend is one :func:`register_backend` call: the
-CLI choice lists, the validation errors, the streaming checker, the
-sharded worker kernels and the serve layer all read the registry, so
-no entry point needs to change.  The ``native`` backend (the C
+CLI choice lists, the validation errors, the streaming checker and
+the serve layer all read the registry, so no entry point needs to
+change.  The ``native`` backend (the C
 table-stepper emitted by :mod:`repro.codegen.c_gen`, compiled on
 demand by :mod:`repro.runtime.native`) is exactly that call: it adds
 an ``availability`` hook so a missing host compiler (or
@@ -69,9 +68,7 @@ _CAPABILITY_FEATURES = {
     "step": "per-tick stepping",
     "batch": "batch execution",
     "streaming": "streaming checks",
-    "sharded_worker": "sharded execution",
     "two_phase": "two-phase network stepping",
-    "optimize_ok": "optimized monitors",
 }
 
 
@@ -88,8 +85,7 @@ class EngineBackend:
 
     __slots__ = (
         "name", "steps", "when", "wants_compiled", "step", "batch",
-        "streaming", "sharded_worker", "two_phase",
-        "optimize_ok", "_engine_factory",
+        "streaming", "two_phase", "_engine_factory",
         "_batch_factory", "_encoded_factory", "_availability",
     )
 
@@ -103,9 +99,7 @@ class EngineBackend:
         step: bool = True,
         batch: bool = False,
         streaming: bool = False,
-        sharded_worker: bool = False,
         two_phase: bool = False,
-        optimize_ok: bool = False,
         engine_factory: Optional[Callable] = None,
         batch_factory: Optional[Callable] = None,
         encoded_factory: Optional[Callable] = None,
@@ -118,9 +112,7 @@ class EngineBackend:
         self.step = step
         self.batch = batch
         self.streaming = streaming
-        self.sharded_worker = sharded_worker
         self.two_phase = two_phase
-        self.optimize_ok = optimize_ok
         self._engine_factory = engine_factory
         self._batch_factory = batch_factory
         self._encoded_factory = encoded_factory
@@ -175,8 +167,7 @@ class EngineBackend:
 
     def __repr__(self):
         flags = ", ".join(
-            flag for flag in ("step", "batch", "streaming",
-                              "sharded_worker", "two_phase", "optimize_ok")
+            flag for flag in ("step", "batch", "streaming", "two_phase")
             if getattr(self, flag)
         )
         return f"EngineBackend({self.name!r}, {flags})"
@@ -495,9 +486,7 @@ register_backend(EngineBackend(
     step=True,
     batch=True,
     streaming=True,
-    sharded_worker=True,
     two_phase=True,
-    optimize_ok=True,
     engine_factory=_compiled_engine_factory,
     batch_factory=_compiled_batch_factory,
     encoded_factory=_compiled_encoded_factory,
@@ -512,8 +501,6 @@ register_backend(EngineBackend(
     wants_compiled=True,
     step=False,
     batch=True,
-    sharded_worker=True,
-    optimize_ok=True,
     batch_factory=_compiled_batch_factory,
     encoded_factory=_compiled_encoded_factory,
 ))
@@ -531,8 +518,6 @@ register_backend(EngineBackend(
     step=False,
     batch=True,
     streaming=True,
-    sharded_worker=True,
-    optimize_ok=True,
     engine_factory=_native_engine_factory,
     batch_factory=_native_batch_factory,
     encoded_factory=_native_encoded_factory,

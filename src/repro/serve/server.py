@@ -60,7 +60,7 @@ MAX_WIRE_DETECTIONS = 1000
 class ServeConfig:
     """Knobs of one service instance (all bounded-memory relevant)."""
 
-    __slots__ = ("host", "port", "engine", "jobs", "queue_chunks",
+    __slots__ = ("host", "port", "engine", "queue_chunks",
                  "shed_slow", "max_streams", "stop_on_violation",
                  "loop_limit", "cache_root", "max_line_bytes")
 
@@ -69,7 +69,6 @@ class ServeConfig:
         host: str = "127.0.0.1",
         port: int = 0,
         engine: str = AUTO,
-        jobs: int = 1,
         queue_chunks: int = DEFAULT_QUEUE_CHUNKS,
         shed_slow: bool = False,
         max_streams: int = 1024,
@@ -80,8 +79,6 @@ class ServeConfig:
     ):
         if engine != AUTO:
             require_backend(engine, "streaming", error_cls=ServeError)
-        if jobs < 0:
-            raise ServeError("jobs must be >= 0 (0: one per core)")
         if queue_chunks <= 0:
             raise ServeError("queue_chunks must be positive")
         if max_streams <= 0:
@@ -91,7 +88,6 @@ class ServeConfig:
         self.host = host
         self.port = port
         self.engine = engine
-        self.jobs = jobs
         self.queue_chunks = queue_chunks
         self.shed_slow = shed_slow
         self.max_streams = max_streams
@@ -215,7 +211,6 @@ class MonitorService:
             "status": "ok",
             "uptime_s": round(self.metrics.uptime_s, 3),
             "engine": self.config.engine,
-            "jobs": self.config.jobs,
             "monitors": self.monitor_names(),
             "streams": {
                 "live": len(self._sessions),
@@ -397,15 +392,10 @@ class MonitorService:
     async def _op_corpus(self, message) -> dict:
         """Batch-check a warm ``.rtrc`` corpus, no re-encode.
 
-        The engine (and whether the batch stays on the event loop at
-        all) comes from the planner.  With ``jobs == 1`` the kernel
-        runs on-loop: it holds the GIL either way, so an executor would
-        only add handoff latency while other streams still could not
-        progress.  With ``jobs != 1`` the pre-encoded mask arrays fan
-        out to the persistent shard worker pools
-        (:func:`~repro.trace.shard.run_sharded_encoded`) from an
-        executor thread — the thread blocks on pool IPC, not the GIL,
-        so pings and live streams keep being served mid-corpus.
+        The engine comes from the planner, and the kernel runs on the
+        event loop: it holds the GIL either way, so a thread would only
+        add handoff latency while other streams still could not
+        progress.
         """
         from repro.trace.columnar import ColumnarTraceSet, codec_fingerprint
 
@@ -441,23 +431,7 @@ class MonitorService:
         plan = plan_execution(compiled, Workload.from_traces(mask_arrays),
                               self.config.engine, capability="batch",
                               error_cls=ServeError)
-        if self.config.jobs != 1 and columns.n_traces > 1:
-            import functools
-
-            from repro.trace.shard import run_sharded_encoded
-
-            loop = asyncio.get_running_loop()
-            # An explicit --jobs is honoured verbatim (oversubscribe):
-            # the operator sized the pool deliberately, and clamping to
-            # this host's affinity set would silently re-serialise the
-            # corpus on small containers.
-            results = await loop.run_in_executor(None, functools.partial(
-                run_sharded_encoded, compiled, mask_arrays,
-                jobs=self.config.jobs, engine=plan.engine,
-                oversubscribe=True,
-            ))
-        else:
-            results = plan.encoded_runner()(compiled, mask_arrays)
+        results = plan.encoded_runner()(compiled, mask_arrays)
         self.metrics.corpus_checks += 1
         self.metrics.corpus_ticks += columns.total_ticks
         reports = [

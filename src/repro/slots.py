@@ -4,9 +4,9 @@ Most of the core value types (:class:`~repro.logic.valuation.Valuation`,
 expressions, transitions, traces, codecs, compiled monitors) are
 slotted and guard themselves with a ``__setattr__`` that raises — which
 also breaks the *default* pickle path, because unpickling a slotted
-object restores state via ``setattr``.  The sharded trace pipeline
-ships compiled monitors and traces across process boundaries, so these
-classes must round-trip through pickle exactly.
+object restores state via ``setattr``.  Compiled monitors, traces and
+batch results are plain data a caller may store or send elsewhere, so
+these classes must round-trip through pickle exactly.
 
 :class:`SlotPickle` restores state with ``object.__setattr__`` instead,
 collecting every slot along the MRO.  It adds no per-instance storage

@@ -130,7 +130,7 @@ class MonitorBank:
         from repro.runtime.engines import resolve_step_backend
 
         backend = resolve_step_backend(engine, error_cls=SynthesisError)
-        if self.optimize and not backend.optimize_ok:
+        if self.optimize and not backend.wants_compiled:
             # Mirrors AssertionChecker: the pipeline's artifact is the
             # compiled table, and silently running the raw interpreted
             # members would fake an optimized run.
@@ -155,7 +155,6 @@ class MonitorBank:
         return BankResult([eng.result() for eng in engines])
 
     def run_batch(self, traces: Sequence[Trace],
-                  jobs: Optional[int] = None,
                   engine: str = "auto") -> List[BankResult]:
         """Scan many traces with a batch backend.
 
@@ -170,10 +169,6 @@ class MonitorBank:
         serving many concurrent scenarios against one specification.
         Each trace is encoded to its mask array once per distinct
         member alphabet (the shared codec cache), not once per member.
-
-        ``jobs`` > 1 shards the workload across that many worker
-        processes via :func:`~repro.trace.shard.run_bank_sharded`
-        (``jobs=0`` means one per core); the default stays in-process.
         """
         from repro.runtime.engines import Workload, plan_execution
 
@@ -182,11 +177,6 @@ class MonitorBank:
             Workload.from_traces(traces) if self.members else Workload(),
             engine, capability="batch", error_cls=SynthesisError,
         )
-        if jobs is not None and jobs != 1:
-            from repro.trace.shard import run_bank_sharded
-
-            return run_bank_sharded(self, traces, jobs=jobs,
-                                    engine=plan.engine)
         runner = plan.encoded_runner()
         # Mask arrays are shared *explicitly* across same-alphabet
         # members — one encode per distinct codec per call, robust at

@@ -2,7 +2,7 @@
 
 The synthesis layer turns visual specs into monitors; this package
 turns *real simulation dumps* into the valuation streams those
-monitors consume, and scales checking beyond a single process:
+monitors consume, and checks them:
 
 * :mod:`repro.trace.vcd_reader` — :class:`VcdReader`, the one VCD
   front-end (the counterpart of :class:`~repro.sim.vcd.VcdWriter`):
@@ -16,10 +16,8 @@ monitors consume, and scales checking beyond a single process:
   content-addressed corpus ingest (:func:`ingest_vcd`);
 * :mod:`repro.trace.streaming` — :class:`StreamingChecker`, online
   checking with bounded memory and early exit;
-* :mod:`repro.trace.shard` — :func:`run_sharded` /
-  :func:`run_bank_sharded`, multiprocessing fan-out of compiled-table
-  checking across worker processes (mask arrays travel pickled inside
-  each task).
+* :mod:`repro.trace.shard` — :func:`run_sharded_vcd`, checking many
+  dumps (or their cached ``.rtrc`` entries) in this process.
 """
 
 from repro._lazy import lazy_exports
@@ -32,15 +30,11 @@ _EXPORTS = {
     "StreamingChecker": "repro.trace.streaming",
     "VcdReader": "repro.trace.vcd_reader",
     "VcdSignal": "repro.trace.vcd_reader",
-    "available_cores": "repro.trace.shard",
     "codec_fingerprint": "repro.trace.columnar",
     "ingest_vcd": "repro.trace.columnar",
     "masks_from_vcd": "repro.trace.columnar",
     "masks_from_vcd_text": "repro.trace.columnar",
-    "run_bank_sharded": "repro.trace.shard",
-    "run_sharded": "repro.trace.shard",
     "run_sharded_vcd": "repro.trace.shard",
-    "shutdown_worker_pools": "repro.trace.shard",
     "trace_to_vcd": "repro.trace.bridge",
 }
 

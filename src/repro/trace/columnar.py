@@ -61,7 +61,7 @@ from typing import Iterable, Optional, Sequence, Tuple, Union
 
 from repro.cache import CorpusCache
 from repro.errors import TraceError
-from repro.logic.codec import AlphabetCodec
+from repro.logic.codec import MAX_CODEC_SYMBOLS, AlphabetCodec
 from repro.semantics.run import Trace
 from repro.trace.vcd_reader import VcdReader
 
@@ -111,7 +111,8 @@ class ColumnarTraceSet:
 
     The masks live in one flat ``array('i')``; ``masks(i)`` /
     ``mask_arrays()`` return each lane as its own ``array('i')``, the
-    input every batch runner takes.
+    input every batch runner takes.  ``symbols`` must be in a codec's
+    order (sorted, distinct): mask bits are read in that order.
     """
 
     __slots__ = ("symbols", "lengths", "meta", "_flat", "_offsets")
@@ -119,6 +120,13 @@ class ColumnarTraceSet:
     def __init__(self, symbols: Sequence[str], lengths: Sequence[int],
                  flat, meta: Optional[dict] = None):
         self.symbols: Tuple[str, ...] = tuple(symbols)
+        if list(self.symbols) != sorted(set(self.symbols)):
+            # The codec fingerprint is order-blind: a set in any other
+            # order would be checked on silently wrong bits.
+            raise TraceError(
+                f"columnar symbols {list(self.symbols)} are not a "
+                "codec's order (sorted, distinct)"
+            )
         self.lengths: Tuple[int, ...] = tuple(int(n) for n in lengths)
         if any(n < 0 for n in self.lengths):
             raise TraceError("negative trace length in columnar set")
@@ -183,6 +191,13 @@ class ColumnarTraceSet:
         return self._offsets[-1]
 
     def codec(self) -> AlphabetCodec:
+        if len(self.symbols) > MAX_CODEC_SYMBOLS:
+            # Such a set loads (its masks are range-checked), but no
+            # monitor has its alphabet.
+            raise TraceError(
+                f"columnar set of {len(self.symbols)} symbols has no "
+                f"codec: the dense-table cap is {MAX_CODEC_SYMBOLS}"
+            )
         return AlphabetCodec(self.symbols)
 
     def masks(self, index: int) -> array:
@@ -263,14 +278,6 @@ class ColumnarTraceSet:
                 and all(type(n) is int and n >= 0 for n in lengths)
                 and isinstance(meta, dict)):
             raise TraceError("corrupt columnar trace header")
-        if symbols != sorted(set(symbols)):
-            # Masks are read in the codec's bit order, and the codec
-            # fingerprint is order-blind: a file in any other order
-            # would be checked on silently wrong bits.
-            raise TraceError(
-                f"corrupt columnar trace header: symbols {symbols} are "
-                "not a codec's order (sorted, distinct)"
-            )
         offset = 12 + header_len
         offset += (-offset) % _ALIGN
         total = sum(lengths)
@@ -329,8 +336,8 @@ def masks_from_vcd_text(
 
     This is :meth:`VcdReader.masks
     <repro.trace.vcd_reader.VcdReader.masks>` over the text: one parse,
-    in this process.  ``jobs`` has no effect; it is accepted for
-    existing callers.
+    in this process.  ``jobs`` has no effect; it stays only because
+    ``perfbench/traced.py`` passes it.
     """
     return VcdReader.from_text(text, binding=binding).masks(
         codec, clock=clock, period=period, offset=offset, until=until)
@@ -347,7 +354,7 @@ def masks_from_vcd(
     jobs: Optional[int] = 1,
 ) -> array:
     """:func:`masks_from_vcd_text` over a dump file, streamed in blocks
-    (``jobs`` has no effect)."""
+    (``jobs`` has no effect; ``perfbench/traced.py`` passes it)."""
     with VcdReader(os.fspath(source), binding=binding) as reader:
         return reader.masks(codec, clock=clock, period=period,
                             offset=offset, until=until)

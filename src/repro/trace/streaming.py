@@ -374,8 +374,9 @@ class StreamingChecker:
         """The codec every engine shares (pre-encoded input contract)."""
         if not self._backend.wants_compiled:
             raise error_cls(
-                "push_masks steps pre-encoded tables; construct the "
-                "checker with engine='compiled' or engine='native'"
+                "push_masks steps pre-encoded tables; engine "
+                f"{self._backend.name!r} has none (use engine "
+                "'compiled' or 'native')"
             )
         if self._consequents is not None:
             raise error_cls(

@@ -18,7 +18,6 @@ from repro.logic.expr import TRUE, EventRef, Not
 from repro.monitor.automaton import Monitor, Transition
 from repro.protocols.ocp import ocp_simple_read_chart
 from repro.runtime.compiled import compile_monitor, run_many
-from repro.trace.shard import run_sharded
 
 
 def _chain(name, *events):
@@ -170,21 +169,22 @@ def test_merge_and_record_reject_foreign_monitors():
         coverage.record(MonitorEngine(foreign))
 
 
-def test_sharded_results_fold_across_process_boundaries():
-    """Transitions unpickled from workers compare structurally equal,
-    so coverage folding works on run_sharded output too."""
+def test_unpickled_results_fold_into_coverage():
+    """Transitions of unpickled batch results compare structurally
+    equal, so coverage folds them into the original monitor's
+    collector."""
     chart = ocp_simple_read_chart()
     compiled = tr_compiled(chart)
     generator = TraceGenerator(chart, seed=1)
     traces = [generator.satisfying_trace(prefix=1, suffix=1)
               for _ in range(4)]
-    results = run_sharded(compiled, traces, jobs=2, oversubscribe=True,
-                          record_transitions=True)
+    local = run_many(compiled, traces, record_transitions=True)
+    results = pickle.loads(pickle.dumps(local))
     coverage = MonitorCoverage(compiled)
-    for result in results:
-        # Worker round-trip: the objects are copies, not identities.
-        assert pickle.loads(pickle.dumps(result.transitions[0])) \
-            == result.transitions[0]
+    for result, original in zip(results, local):
+        # Copies, not identities, yet structurally equal.
+        assert result.transitions[0] is not original.transitions[0]
+        assert result.transitions == original.transitions
         coverage.record_result(result)
     assert coverage.runs == len(traces)
     assert coverage.transition_coverage() > 0

@@ -69,17 +69,6 @@ def test_campaign_accepts_bare_monitor_without_chart():
     assert report.transition_coverage == 1.0
 
 
-def test_campaign_sharded_execution_matches_in_process():
-    chart = ocp_simple_read_chart()
-    in_process = CoverageCampaign(chart, seed=9).run(budget=64)
-    sharded = CoverageCampaign(
-        chart, seed=9, jobs=2, oversubscribe=True
-    ).run(budget=64)
-    assert sharded.reached
-    assert ([entry.detections for entry in sharded.corpus]
-            == [entry.detections for entry in in_process.corpus])
-
-
 def test_corpus_round_trips_through_vcd_export(tmp_path):
     campaign = CoverageCampaign(ocp_simple_read_chart(), seed=2)
     report = campaign.run(budget=64)

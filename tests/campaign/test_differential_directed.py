@@ -7,8 +7,8 @@ execution paths —
 1. the interpreted engine (``run_monitor``, the reference semantics),
 2. the compiled table engine (``run_compiled``),
 3. the streaming checker (``StreamingChecker.feed``),
-4. the sharded parallel runner (``run_sharded``, real worker
-   processes via ``oversubscribe``),
+4. the planned batch runner (native with a C compiler, else the
+   compiled lock-step loop),
 5. the generated standalone Python checker (``monitor_to_python``) —
 
 and each must report detections at exactly the ticks the synthesizer
@@ -25,7 +25,6 @@ from repro import (
     StreamingChecker,
     run_monitor,
     run_compiled,
-    run_sharded,
     tr,
 )
 from repro.campaign.directed import StimulusSynthesizer
@@ -142,11 +141,10 @@ def test_five_paths_agree_with_predictions(name):
 
 
 @pytest.mark.parametrize("name", sorted(FAMILIES))
-def test_sharded_path_agrees_on_the_directed_batch(name):
+def test_batch_path_agrees_on_the_directed_batch(name, diff_harness):
     family = _family(name)
     traces = [d.trace for d in family.directed]
-    results = run_sharded(family.compiled, traces, jobs=2,
-                          oversubscribe=True)
+    results = diff_harness.planned_batch(family.compiled, traces)
     for directed, result in zip(family.directed, results):
         assert (list(result.detections)
                 == list(directed.predicted_detections)), directed.label

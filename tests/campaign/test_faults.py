@@ -29,12 +29,10 @@ def test_targeted_trials_kill_the_detection(chart_builder):
                 not in trial.predicted_detections)
 
 
-@pytest.mark.parametrize("jobs,oversubscribe", [(1, False), (2, True)])
-def test_run_confirms_every_prediction(jobs, oversubscribe):
+def test_run_confirms_every_prediction():
     campaign = FaultMutationCampaign(tr_compiled(ocp_simple_read_chart()),
                                      seed=3)
-    report = campaign.run(jobs=jobs, oversubscribe=oversubscribe,
-                          random_mutations=12)
+    report = campaign.run(random_mutations=12)
     assert report.ok, report.mismatches
     assert report.n_trials >= campaign.base.trace.length
     assert report.n_killed >= campaign.base.trace.length

@@ -106,6 +106,15 @@ class DiffHarness:
         return ("compiled", "native")
 
     @staticmethod
+    def planned_batch(compiled, traces, **kwargs):
+        """The planned batch runner campaigns and ``check`` run: native
+        with a C compiler, else the compiled lock-step loop."""
+        from repro.runtime.engines import Workload, plan_execution
+
+        plan = plan_execution(compiled, Workload.from_traces(traces))
+        return plan.batch_runner()(compiled, traces, **kwargs)
+
+    @staticmethod
     def reference(monitor, traces):
         """Interpreted-engine results: the semantics every backend
         must reproduce exactly."""

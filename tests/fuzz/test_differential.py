@@ -8,7 +8,8 @@ all five execution paths:
 1. the interpreted engine (``run_monitor`` — the reference semantics),
 2. the compiled table engine (``run_compiled``),
 3. the streaming checker (``StreamingChecker.feed``),
-4. the sharded parallel runner (``run_sharded``, 2 worker processes),
+4. the batch runners (``run_many``, and the planned batch runner:
+   native with a C compiler),
 5. the generated standalone Python checker (``monitor_to_python``),
 6. the native C table-stepper (``run_many_native``, when the host has
    a C compiler).
@@ -36,7 +37,6 @@ from repro import (
     TraceGenerator,
     run_monitor,
     run_compiled,
-    run_sharded,
     tr,
     tr_compiled,
 )
@@ -170,23 +170,17 @@ def test_differential_case(name, index):
 
 
 @pytest.mark.parametrize("name", sorted(FAMILIES))
-def test_differential_sharded_family(name):
-    """Path 4: the sharded runner agrees on the whole family batch.
-
-    ``oversubscribe`` keeps this a genuine cross-process check even on
-    single-core CI runners (worker requests are otherwise capped at
-    the core count).
-    """
+def test_differential_batch_family(name, diff_harness):
+    """Path 4: the batch runners agree on the whole family batch."""
     family = _family(name)
-    sharded = run_sharded(family.compiled, family.traces, jobs=2,
-                          oversubscribe=True)
+    planned = diff_harness.planned_batch(family.compiled, family.traces)
     lockstep = run_many(family.compiled, family.traces)
-    assert len(sharded) == len(family.traces)
-    for shard_result, lock_result, reference in zip(
-        sharded, lockstep, family.reference
+    assert len(planned) == len(family.traces)
+    for planned_result, lock_result, reference in zip(
+        planned, lockstep, family.reference
     ):
-        assert shard_result.detections == reference.detections
-        assert shard_result.ticks == reference.ticks
+        assert planned_result.detections == reference.detections
+        assert planned_result.ticks == reference.ticks
         assert lock_result.detections == reference.detections
 
 

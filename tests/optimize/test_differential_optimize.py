@@ -7,8 +7,8 @@ execution paths —
 1. the interpreted engine on the *optimized* automaton,
 2. the compiled table engine on the pruned + hardened table,
 3. the streaming checker over the optimized table,
-4. the sharded parallel runner (real worker processes, so optimized
-   tables must survive pickling),
+4. the planned batch runner over a pickled copy of the optimized
+   table (optimized tables must survive pickling),
 5. the generated standalone Python checker from the optimized
    automaton —
 
@@ -19,6 +19,7 @@ variant whose declared alphabet carries junk symbols, so the pruning
 pass provably engages and stays tick-identical.
 """
 
+import pickle
 import random
 
 import pytest
@@ -26,7 +27,6 @@ import pytest
 from repro import (
     StreamingChecker,
     run_monitor,
-    run_sharded,
     run_compiled,
     tr,
 )
@@ -169,11 +169,11 @@ def test_five_paths_match_the_unoptimized_reference(name):
 
 
 @pytest.mark.parametrize("name", sorted(FAMILIES))
-def test_sharded_path_matches_on_the_directed_batch(name):
+def test_batch_path_matches_on_the_directed_batch(name, diff_harness):
     family = _family(name)
     traces = [d.trace for d in family.directed]
-    results = run_sharded(family.result.compiled, traces, jobs=2,
-                          oversubscribe=True)
+    clone = pickle.loads(pickle.dumps(family.result.compiled))
+    results = diff_harness.planned_batch(clone, traces)
     for directed, result in zip(family.directed, results):
         assert (list(result.detections)
                 == list(directed.predicted_detections)), directed.label

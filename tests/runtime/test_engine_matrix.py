@@ -1,8 +1,8 @@
 """Capability matrix: every backend against every entry point.
 
 For each registered backend and each execution entry point — per-tick
-bank stepping, in-process batches, streaming checks, sharded worker
-pools, the serving layer, cached corpus checks — the run either
+bank stepping, batches, streaming checks, the serving layer, cached
+corpus checks — the run either
 produces verdicts and tick counts identical to the interpreted
 reference, or raises the registry's uniform capability error with the
 exact wording and the entry point's own error subclass.  Every case
@@ -52,7 +52,6 @@ from repro.serve import MonitorService, ServeConfig
 from repro.synthesis.compose import synthesize_chart
 from repro.synthesis.tr import tr_compiled
 from repro.trace.columnar import check_vcd_cached
-from repro.trace.shard import run_sharded
 from repro.trace.streaming import StreamingChecker
 
 
@@ -110,24 +109,21 @@ def test_registry_shape_is_the_documented_matrix():
     matrix = {
         name: {
             flag: getattr(backend(name), flag)
-            for flag in ("step", "batch", "streaming",
-                         "sharded_worker", "two_phase", "optimize_ok")
+            for flag in ("wants_compiled", "step", "batch", "streaming",
+                         "two_phase")
         }
         for name in backend_names()
     }
     assert matrix == {
-        "interpreted": {"step": True, "batch": False, "streaming": True,
-                        "sharded_worker": False,
-                        "two_phase": True, "optimize_ok": False},
-        "compiled": {"step": True, "batch": True, "streaming": True,
-                     "sharded_worker": True,
-                     "two_phase": True, "optimize_ok": True},
-        "vector": {"step": False, "batch": True, "streaming": False,
-                   "sharded_worker": True,
-                   "two_phase": False, "optimize_ok": True},
-        "native": {"step": False, "batch": True, "streaming": True,
-                   "sharded_worker": True,
-                   "two_phase": False, "optimize_ok": True},
+        "interpreted": {"wants_compiled": False, "step": True,
+                        "batch": False, "streaming": True,
+                        "two_phase": True},
+        "compiled": {"wants_compiled": True, "step": True, "batch": True,
+                     "streaming": True, "two_phase": True},
+        "vector": {"wants_compiled": True, "step": False, "batch": True,
+                   "streaming": False, "two_phase": False},
+        "native": {"wants_compiled": True, "step": False, "batch": True,
+                   "streaming": True, "two_phase": False},
     }
 
 
@@ -194,32 +190,6 @@ def test_streaming_checker(engine, numpy_mode):
         assert report.ticks == expected.ticks
         # auto resolves to a concrete registered name, never "auto".
         assert checker.engine in backend_names("streaming")
-
-
-@pytest.mark.parametrize("engine", ["interpreted", "compiled", "vector",
-                                    "native", AUTO])
-def test_run_sharded_worker_pool(engine, numpy_mode):
-    traces = _traces()
-    compiled = tr_compiled(_chart())
-    reference = [run_monitor(synthesize_chart(_chart()).members[0][1],
-                             trace) for trace in traces]
-    if not (engine == AUTO or backend(engine).sharded_worker):
-        with pytest.raises(MonitorError) as caught:
-            run_sharded(compiled, traces, jobs=2, engine=engine,
-                        oversubscribe=True)
-        assert str(caught.value) == (
-            f"engine {engine!r} does not support sharded execution "
-            "(choose from: auto, compiled, vector, native)"
-        )
-        return
-    if engine == "native":
-        _native_or_skip()
-    results = run_sharded(compiled, traces, jobs=2, engine=engine,
-                          oversubscribe=True)
-    for result, expected in zip(results, reference):
-        assert result.detections == expected.detections
-        assert result.ticks == expected.ticks
-        assert result.accepted == expected.accepted
 
 
 @pytest.mark.parametrize("engine", ["interpreted", "compiled", "vector",
@@ -491,10 +461,6 @@ def test_unknown_engine_message_is_identical_everywhere():
         bank.run_batch([trace], engine="bogus")
     assert str(batch.value) == _UNKNOWN_BATCH
 
-    with pytest.raises(MonitorError) as sharded:
-        run_sharded(compiled, [trace], engine="bogus")
-    assert str(sharded.value) == _UNKNOWN_BATCH
-
     with pytest.raises(TraceError) as cached:
         check_vcd_cached(compiled, [], "unused-cache", engine="bogus")
     assert str(cached.value) == _UNKNOWN_BATCH
@@ -628,7 +594,7 @@ def test_engine_choices_per_capability():
     assert engine_choices("step") == ("auto", "interpreted", "compiled")
     assert engine_choices("streaming") == ("auto", "interpreted",
                                            "compiled", "native")
-    assert engine_choices("sharded_worker") == ("auto", "compiled",
+    assert engine_choices("wants_compiled") == ("auto", "compiled",
                                                 "vector", "native")
 
 

@@ -29,7 +29,6 @@ from repro.runtime.native import (
 )
 from repro.semantics.run import Trace
 from repro.synthesis.tr import tr, tr_compiled
-from repro.trace.shard import run_sharded
 
 pytestmark = pytest.mark.skipif(
     unavailable_reason() is not None,
@@ -121,10 +120,6 @@ def test_ladder_stress_native_identity(seed, diff_harness):
     reference = diff_harness.reference(monitor, traces)
     diff_harness.assert_identity(reference,
                                  run_many_native(compiled, traces))
-    sharded = run_sharded(compiled, traces[:-1], jobs=2,
-                          oversubscribe=True, engine="native")
-    assert ([r.detections for r in sharded]
-            == [r.detections for r in reference[:-1]])
 
 
 # --------------------------------------------------- failure replay ----

@@ -14,7 +14,7 @@ Coverage: AMBA/OCP protocol charts (``tr_compiled`` direct emission
 *and* ``compile_monitor`` lowering, whose ladders use full-scan
 semantics), random CESC charts, the multiclock network's local
 monitors, an all-ladder monitor (100% escape density), empty traces,
-injected scoreboards, sharded workers and bank batches.  The streaming
+injected scoreboards and bank batches.  The streaming
 cases run on the table backends that stream (``compiled``, and
 ``native`` with a C compiler).
 """
@@ -37,7 +37,6 @@ from repro.runtime.engines import backend
 from repro.runtime.lowering import vector_table
 from repro.synthesis.compose import synthesize_chart
 from repro.synthesis.tr import tr, tr_compiled
-from repro.trace.shard import run_sharded
 
 
 def _engines():
@@ -212,19 +211,6 @@ def test_vector_record_transitions_delegates_to_scalar(numpy_mode):
         results = runner(compiled, traces, record_transitions=True)
         assert ([r.transitions for r in scalar]
                 == [r.transitions for r in results])
-
-
-def test_vector_sharded_workers_match(numpy_mode):
-    chart = ocp_simple_read_chart()
-    compiled = tr_compiled(chart)
-    traces = _traces(chart, 10, seed=41, include_empty=False)
-    scalar = run_sharded(compiled, traces, jobs=2, oversubscribe=True,
-                         engine="compiled")
-    for engine in _engines():
-        sharded = run_sharded(compiled, traces, jobs=2,
-                              oversubscribe=True, engine=engine)
-        assert ([r.detections for r in scalar]
-                == [r.detections for r in sharded])
 
 
 def test_vector_bank_batch_matches(numpy_mode):
@@ -431,8 +417,8 @@ def _stress_traces(seed: int, count: int = 6):
 @pytest.mark.parametrize("seed", range(8))
 def test_ladder_stress_five_path_identity(seed, numpy_mode, diff_harness):
     """Randomized all-ladder charts: verdict + detection-tick identity
-    across interpreted, scalar compiled, every other batch backend,
-    streaming (compiled and native chunks) and sharded execution."""
+    across interpreted, scalar compiled, every other batch backend and
+    streaming (compiled and native chunks)."""
     monitor = _stress_monitor(seed)
     compiled = compile_monitor(monitor)
     table = vector_table(compiled)
@@ -450,11 +436,6 @@ def test_ladder_stress_five_path_identity(seed, numpy_mode, diff_harness):
         ]
         assert ([r.detections for r in streamed]
                 == [r.detections for r in reference])
-    for engine in _engines():
-        sharded = run_sharded(compiled, traces[:-1], jobs=2,
-                              oversubscribe=True, engine=engine)
-        assert ([r.detections for r in sharded]
-                == [r.detections for r in reference[:-1]])
 
 
 @pytest.mark.parametrize("seed", (2, 5))

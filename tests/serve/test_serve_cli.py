@@ -142,7 +142,7 @@ def test_serve_cli_matches_check_cli_across_concurrent_streams(dumps):
 def test_serve_optimize_names_every_optimizing_engine():
     """``serve --optimize`` rejects an engine that cannot run optimized
     monitors with the same choice list ``check`` prints: every
-    ``optimize_ok`` backend, ``native`` included."""
+    backend that steps compiled tables, ``native`` included."""
     out = io.StringIO()
     status = main(["serve", _SPEC, _CHART, "--engine", "interpreted",
                    "--optimize"], out=out)

@@ -373,79 +373,25 @@ def test_corpus_by_key_without_cache_root_is_refused(tmp_path):
     assert not answer["ok"] and "--cache" in answer["error"]
 
 
-def test_corpus_jobs_offload_keeps_loop_responsive(tmp_path, monkeypatch):
-    """``--jobs 2`` fans the corpus out to shard worker pools off the
-    event loop: verdicts stay identical to the on-loop check, and a
-    ping on a second connection is answered while the corpus is still
-    in flight.
-
-    The sharded runner is wrapped with a delay so "in flight" is
-    deterministic (the persistent worker pools may already be warm
-    from earlier tests): the delay runs where the runner runs, so if
-    the corpus op ever moves back onto the event loop, the ping
-    stalls behind it and the mid-corpus assertion fails.
-    """
-    import time as time_module
-
-    from repro.trace import shard as shard_module
-
-    chart = ocp_simple_read_chart()
-    compiled = tr_compiled(chart)
-    traces = []
-    for seed in range(48):
-        generator = TraceGenerator(chart, seed=seed)
-        traces.append(generator.satisfying_trace(
-            prefix=seed % 4, suffix=2 + seed % 5))
-    path = str(tmp_path / "corpus.rtrc")
-    _corpus_for(compiled, traces).save(path)
-
-    real_run = shard_module.run_sharded_encoded
-    calls = []
-
-    def slow_run(*args, **kwargs):
-        calls.append(kwargs.get("jobs"))
-        time_module.sleep(0.3)
-        return real_run(*args, **kwargs)
-
-    monkeypatch.setattr(shard_module, "run_sharded_encoded", slow_run)
-
-    async def check(service, host, port):
+def test_push_masks_to_an_interpreted_stream_names_the_open_field():
+    """The refusal reads right on the wire: it names the ``engine`` a
+    stream must be opened with, not a library constructor."""
+    async def scenario(service, host, port):
         reader, writer = await asyncio.open_connection(host, port)
         try:
-            return await _rpc(reader, writer,
-                              {"op": "corpus", "path": path})
+            await _rpc(reader, writer, {"op": "open", "stream": "s",
+                                        "engine": "interpreted"})
+            return await _rpc(reader, writer, {
+                "op": "push_masks", "stream": "s", "masks": [1, 0]})
         finally:
             writer.close()
 
-    async def offloaded(service, host, port):
-        corpus_task = asyncio.ensure_future(check(service, host, port))
-        # Give the request a head start so the ping lands mid-corpus.
-        await asyncio.sleep(0.05)
-        ping_reader, ping_writer = await asyncio.open_connection(
-            host, port)
-        try:
-            pong = await asyncio.wait_for(
-                _rpc(ping_reader, ping_writer, {"op": "ping"}), timeout=2
-            )
-        finally:
-            ping_writer.close()
-        mid_corpus = not corpus_task.done()
-        answer = await corpus_task
-        return pong, mid_corpus, answer
-
-    pong, mid_corpus, answer = _serve({"ocp": compiled},
-                                      jobs=2)(offloaded)
-    baseline = _serve({"ocp": compiled})(check)
-    assert calls == [2], "jobs!=1 must route through run_sharded_encoded"
-    assert pong["ok"] and "pong" in pong
-    assert mid_corpus, "ping was not answered until the corpus finished"
-    assert answer["ok"] and answer["n_traces"] == len(traces)
-    assert answer["reports"] == baseline["reports"]
-
-
-def test_serve_config_rejects_negative_jobs():
-    with pytest.raises(ServeError, match="jobs"):
-        ServeConfig(jobs=-1)
+    answer = _serve({"hs": _handshake()})(scenario)
+    assert answer["ok"] is False
+    assert answer["error"] == (
+        "push_masks steps pre-encoded tables; engine 'interpreted' has "
+        "none (use engine 'compiled' or 'native')"
+    )
 
 
 # ------------------------------------------------------------- HTTP plane ----
@@ -480,6 +426,8 @@ def test_http_health_and_metrics_endpoints(diff_harness):
         assert document["status"] == "ok"
         assert document["monitors"] == ["hs"]
         assert document["engine"] == engine
+        assert set(document) == {"status", "uptime_s", "engine",
+                                 "monitors", "streams"}
         status, _, body = metrics
         assert status == 200 and "ticks_per_s" in json.loads(body)
         assert lost[0] == 404

@@ -121,7 +121,7 @@ def test_missing_file_is_reported():
     assert "error:" in text
 
 
-# ---------------------------------------------------- VCD / sharded check ----
+# ------------------------------------------------------------ VCD check ----
 @pytest.fixture()
 def amba_setup(tmp_path):
     from repro.cesc.serialize import scesc_to_dsl
@@ -146,10 +146,9 @@ def test_check_vcd_single_dump(amba_setup):
     assert "detections at [4]" in text
 
 
-def test_check_vcd_sharded_jobs(amba_setup):
+def test_check_vcd_many_dumps(amba_setup):
     spec, dumps = amba_setup
-    argv = ["check", spec, "ahb_transaction", "--clock", "clk",
-            "--jobs", "4"]
+    argv = ["check", spec, "ahb_transaction", "--clock", "clk"]
     for dump in dumps:
         argv += ["--vcd", dump]
     status, text = _run(argv)
@@ -248,39 +247,35 @@ def test_check_wavedrom_rejects_vcd_only_flags(spec_file, tmp_path):
                    {"name": "ack", "wave": "001"}]
     }))
     for extra in (["--clock", "clk"], ["--period", "1"],
-                  ["--bind", "a=b"], ["--jobs", "4"]):
+                  ["--bind", "a=b"]):
         status, text = _run(
             ["check", spec_file, "handshake", str(trace)] + extra)
         assert status == 2
         assert "apply to --vcd dumps only" in text
 
 
-def test_check_single_dump_streams_regardless_of_jobs(amba_setup):
-    """One dump can't shard, so --jobs N stays on the streaming path."""
+@pytest.mark.parametrize("verb", ["check", "campaign", "serve"])
+def test_jobs_is_not_an_option(verb, amba_setup, capsys):
+    """Everything runs in one process: ``--jobs`` is a usage error."""
     spec, dumps = amba_setup
-    status, text = _run(["check", spec, "ahb_transaction",
-                         "--vcd", dumps[0], "--clock", "clk",
-                         "--jobs", "0"])
+    argv = [verb, spec, "ahb_transaction", "--jobs", "2"]
+    if verb == "check":
+        argv += ["--vcd", dumps[0], "--clock", "clk"]
+    with pytest.raises(SystemExit) as exit_:
+        main(argv, out=io.StringIO())
+    assert exit_.value.code == 2
+    assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
+
+
+def test_ingest_still_accepts_jobs(amba_setup, tmp_path):
+    """``ingest --jobs 1`` parses and has no effect."""
+    spec, dumps = amba_setup
+    out = str(tmp_path / "amba.rtrc")
+    status, text = _run(["ingest", spec, "ahb_transaction", "--vcd",
+                         dumps[0], "--clock", "clk", "--out", out,
+                         "--jobs", "1"])
     assert status == 0
-    assert "detections at [4]" in text
-
-
-def test_check_rejects_negative_jobs(amba_setup):
-    spec, dumps = amba_setup
-    status, text = _run(["check", spec, "ahb_transaction",
-                         "--vcd", dumps[0], "--clock", "clk",
-                         "--jobs", "-3"])
-    assert status == 2
-    assert "--jobs must be >= 0" in text
-
-
-def test_check_jobs_requires_compiled_engine(amba_setup):
-    spec, dumps = amba_setup
-    status, text = _run(["check", spec, "ahb_transaction",
-                         "--vcd", dumps[0], "--clock", "clk",
-                         "--jobs", "2", "--engine", "interpreted"])
-    assert status == 2
-    assert "--jobs needs --engine compiled" in text
+    assert f"-> {out} (parsed)" in text
 
 
 def test_check_vcd_with_binding(tmp_path):

@@ -3,9 +3,11 @@
 ``import repro`` and every subpackage resolve their exported names on
 first use (PEP 562), and the CLI imports each verb's modules when it
 dispatches that verb.  ``check --vcd`` therefore runs parse, ``Tr``,
-VCD masks and the planned kernel without ``multiprocessing`` (only a
-worker pool needs it) and without the modules of other verbs.  No
-command loads NumPy: ``check --vcd``, a ``check --cache`` miss and
+VCD masks and the planned kernel without the modules of other verbs.
+Everything runs in one process, so no command loads
+``multiprocessing``: ``check --vcd``, a ``campaign`` with fault
+trials, and a ``repro serve`` that answers a ``corpus`` op are pinned.
+No command loads NumPy: ``check --vcd``, a ``check --cache`` miss and
 then a hit, ``ingest``, and a ``repro serve`` that streams and answers
 a ``corpus`` op.  Every pin is checked with a C compiler and under
 ``REPRO_NO_CC=1``; the NumPy pins prove something only where NumPy is
@@ -129,6 +131,18 @@ def test_cache_and_ingest_load_no_numpy(cc, tmp_path):
         [[]] * len(runs)
 
 
+@pytest.mark.parametrize("cc", ["cc", "no_cc"])
+def test_campaign_loads_no_multiprocessing(cc):
+    """Coverage batches and fault trials run in the planned batch
+    runner, in this process."""
+    result, modules = _run_cli(
+        ["campaign", SPEC, "ocp_simple_read", "--budget", "64",
+         "--faults", "8"], _env(cc))
+    assert result.stdout.startswith("campaign ocp_simple_read: closure")
+    assert "faults: " in result.stdout
+    assert _among(("multiprocessing", "numpy"), modules) == []
+
+
 def _loaded(stderr):
     return next(
         line for line in stderr.splitlines()
@@ -148,8 +162,8 @@ _SERVE_AS_MAIN = (
 @pytest.mark.parametrize("cc", ["cc", "no_cc"])
 def test_serve_stream_loads_no_numpy(cc, tmp_path):
     """Streams step in C or in the compiled chunk loop, and a corpus
-    op loads its ``.rtrc`` into one ``array('i')``: none of it needs
-    NumPy."""
+    op loads its ``.rtrc`` into one ``array('i')`` and checks it on the
+    event loop: none of it needs NumPy or ``multiprocessing``."""
     codec = tr_compiled(ocp_simple_read_chart()).codec
     corpus = str(tmp_path / "corpus.rtrc")
     ColumnarTraceSet.from_mask_arrays(
@@ -193,7 +207,7 @@ def test_serve_stream_loads_no_numpy(cc, tmp_path):
         if process.poll() is None:
             process.kill()
             process.communicate()
-    assert _among(("numpy",), _loaded(stderr)) == []
+    assert _among(("multiprocessing", "numpy"), _loaded(stderr)) == []
 
 
 def _packages():

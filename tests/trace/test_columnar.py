@@ -270,14 +270,42 @@ def test_masks_beyond_int32_are_refused():
 ])
 def test_header_of_the_wrong_shape_is_refused(field, value):
     """Header fields of the wrong JSON type are a corrupt header, even
-    behind a valid crc: symbols a list of strings in a codec's order
-    (sorted, distinct — the codec fingerprint ignores order, so a
-    permuted file would have its bits read in the codec's order),
-    lengths a list of non-negative integers, meta an object."""
+    behind a valid crc: symbols a list of strings, lengths a list of
+    non-negative integers, meta an object.  Symbols out of a codec's
+    order (sorted, distinct — the codec fingerprint ignores order, so a
+    permuted file would have its bits read in the codec's order) are
+    refused by the set itself, as every constructor refuses them."""
     header = {"symbols": ["a", "b"], "lengths": [3], "meta": {}}
     header[field] = value
-    with pytest.raises(TraceError, match="corrupt columnar trace header"):
+    reason = ("not a codec's order" if value in (["b", "a"], ["a", "a"])
+              else "corrupt columnar trace header")
+    with pytest.raises(TraceError, match=reason):
         ColumnarTraceSet.from_bytes(_header_image(header, [0, 1, 2]))
+
+
+@pytest.mark.parametrize("symbols", [("b", "a"), ("a", "a"),
+                                     ("a", "c", "b")])
+def test_every_constructor_refuses_symbols_out_of_codec_order(symbols):
+    """Built in Python, a set in another order would decode mask 1 as
+    the codec's first symbol and save a file ``load`` refuses."""
+    lanes = [[0, 1]]
+    with pytest.raises(TraceError, match="not a codec's order"):
+        ColumnarTraceSet.from_mask_arrays(lanes, symbols=symbols)
+    with pytest.raises(TraceError, match="not a codec's order"):
+        ColumnarTraceSet(symbols, [2], array("i", [0, 1]))
+
+
+def test_a_set_wider_than_any_codec_loads_but_has_no_codec():
+    """A 25-symbol set loads (its masks are range-checked), but
+    ``codec()`` and ``trace()`` answer a TraceError, not the codec's
+    ExprError."""
+    symbols = [f"s{index:02d}" for index in range(25)]
+    wide = ColumnarTraceSet.from_bytes(ColumnarTraceSet.from_mask_arrays(
+        [[0, 1 << 24]], symbols=symbols).to_bytes())
+    assert list(wide.masks(0)) == [0, 1 << 24]
+    for call in (wide.codec, lambda: wide.trace(0)):
+        with pytest.raises(TraceError, match="25 symbols has no codec"):
+            call()
 
 
 def test_range_check_is_one_c_loop_with_a_compiler(monkeypatch):

@@ -95,13 +95,13 @@ def test_three_path_verdict_identity(numpy_mode, tmp_path, engine):
         path.write_text(ocp_simple_vcd(seed=seed, repeats=1 + seed))
         dumps.append(str(path))
     cache = tmp_path / "cache"
-    streamed = run_sharded_vcd(compiled, dumps, jobs=1, clock="clk",
+    streamed = run_sharded_vcd(compiled, dumps, clock="clk",
                                engine=engine)
-    cold = run_sharded_vcd(compiled, dumps, jobs=1, clock="clk",
-                           engine=engine, cache=str(cache))
+    cold = run_sharded_vcd(compiled, dumps, clock="clk", engine=engine,
+                           cache=str(cache))
     assert len(list(cache.glob("*.rtrc"))) == len(dumps)
-    warm = run_sharded_vcd(compiled, dumps, jobs=1, clock="clk",
-                           engine=engine, cache=str(cache))
+    warm = run_sharded_vcd(compiled, dumps, clock="clk", engine=engine,
+                           cache=str(cache))
     for a, b, c in zip(streamed, cold, warm):
         assert _report_tuple(a) == _report_tuple(b) == _report_tuple(c)
 

@@ -160,7 +160,7 @@ def test_stale_codec_entry_is_not_served(dump, codec, tmp_path):
     cache = CorpusCache(tmp_path / "cache")
     _, _, entry_path = _ingest(dump, codec, cache)
     imposter = ColumnarTraceSet.from_mask_arrays(
-        [[1, 2, 3]], symbols=("not", "the", "alphabet")
+        [[1, 2, 3]], symbols=("alphabet", "not", "the")
     )
     imposter.save(entry_path)
     rebuilt, hit, _ = _ingest(dump, codec, cache)

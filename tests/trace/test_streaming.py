@@ -221,8 +221,8 @@ def test_interpreted_backend_accepts_compiled_monitor_via_source():
     # Plain pickling keeps the source (on-disk compilation caches stay
     # fully capable)...
     assert pickle.loads(pickle.dumps(compiled)).source is not None
-    # ...while a source-stripped copy (what sharded workers receive)
-    # gives a clean error for interpreted stepping, not a crash.
+    # ...while a source-stripped copy gives a clean error for
+    # interpreted stepping, not a crash.
     stripped = compiled.without_source()
     assert stripped.source is None
     with pytest.raises(MonitorError, match="no interpreted source"):
