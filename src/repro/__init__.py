@@ -66,7 +66,6 @@ _EXPORTS = {
     "MonitorNetwork": "repro.monitor.network",
     "MonitorResult": "repro.monitor.engine",
     "Not": "repro.logic.expr",
-    "OptimizationResult": "repro.optimize.pipeline",
     "Or": "repro.logic.expr",
     "Par": "repro.cesc.charts",
     "PropRef": "repro.logic.expr",
@@ -89,8 +88,6 @@ _EXPORTS = {
     "Verdict": "repro.monitor.checker",
     "compile_monitor": "repro.runtime.compiled",
     "ev": "repro.cesc.builder",
-    "optimize_compiled": "repro.optimize.pipeline",
-    "optimize_monitor": "repro.optimize.pipeline",
     "parse_cesc": "repro.cesc.parser",
     "parse_expr": "repro.logic.parser",
     "run_compiled": "repro.runtime.compiled",

@@ -24,12 +24,12 @@ from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from repro.cesc.ast import SCESC
 from repro.cesc.charts import ScescChart
-from repro.errors import MonitorError
+from repro.errors import ExprError, MonitorError
+from repro.logic.codec import MAX_CODEC_SYMBOLS, AlphabetCodec
 from repro.logic.sat import jointly_satisfiable
 from repro.logic.valuation import Valuation, enumerate_valuations
-from repro.monitor.automaton import Monitor
+from repro.monitor.automaton import Monitor, Transition
 from repro.monitor.engine import run_monitor
-from repro.monitor.minimize import transition_function
 from repro.semantics.denotation import satisfying_windows
 from repro.semantics.generator import TraceGenerator
 from repro.semantics.run import Trace
@@ -41,7 +41,68 @@ __all__ = [
     "exhaustive_theorem_check",
     "paper_construction_exact",
     "sampled_theorem_check",
+    "transition_function",
 ]
+
+
+def _codec_for(monitor: Monitor) -> AlphabetCodec:
+    """The codec enumerating the monitor's valuations, cap enforced.
+
+    The dense ``2^|Sigma|`` enumeration below shares
+    :data:`~repro.logic.codec.MAX_CODEC_SYMBOLS` with the compiled
+    runtime — one limit for every layer that materialises the
+    valuation space.
+    """
+    if len(monitor.alphabet) > MAX_CODEC_SYMBOLS:
+        raise MonitorError(
+            f"monitor {monitor.name!r}: alphabet of "
+            f"{len(monitor.alphabet)} symbols exceeds the "
+            f"2^{MAX_CODEC_SYMBOLS} valuation-enumeration cap "
+            f"(shared with AlphabetCodec) — prune the alphabet or "
+            f"split the chart"
+        )
+    return AlphabetCodec(monitor.alphabet)
+
+
+def transition_function(
+    monitor: Monitor,
+) -> Dict[Tuple[int, FrozenSet[str]], int]:
+    """Explicit ``(state, valuation) -> state`` table over the alphabet.
+
+    Requires an action-free monitor whose guards reference only input
+    symbols (no ``Chk_evt``); raises on anything else.
+    """
+    if monitor.has_actions():
+        raise MonitorError(
+            f"monitor {monitor.name!r} carries scoreboard actions; its "
+            "transition function is scoreboard-dependent"
+        )
+    codec = _codec_for(monitor)
+    table: Dict[Tuple[int, FrozenSet[str]], int] = {}
+    for state in monitor.states:
+        outgoing = monitor.transitions_from(state)
+        for mask in codec.all_masks():
+            valuation = codec.decode(mask)
+            enabled = [
+                t for t in outgoing
+                if _guard_holds(t, valuation)
+            ]
+            if len({t.target for t in enabled}) != 1:
+                raise MonitorError(
+                    f"monitor {monitor.name!r}: state {state} has "
+                    f"{len(enabled)} enabled transitions on {valuation!r}"
+                )
+            table[(state, valuation.true)] = enabled[0].target
+    return table
+
+
+def _guard_holds(transition: Transition, valuation: Valuation) -> bool:
+    try:
+        return transition.guard.evaluate(valuation)
+    except ExprError as error:  # Chk_evt evaluated without a scoreboard
+        raise MonitorError(
+            f"guard {transition.guard!r} is scoreboard-dependent: {error}"
+        ) from error
 
 
 def paper_construction_exact(pattern) -> bool:

@@ -37,7 +37,7 @@ from typing import List, Optional
 
 from repro.cesc.charts import ScescChart
 from repro.cesc.parser import parse_cesc
-from repro.errors import ReproError
+from repro.errors import ChartError, ReproError
 from repro.monitor.engine import run_monitor
 from repro.runtime.engines import (
     AUTO,
@@ -99,12 +99,6 @@ def build_parser() -> argparse.ArgumentParser:
              "name), or the compile-on-demand native C stepper "
              "(needs a host C compiler; identical verdicts)")
     check.add_argument(
-        "--optimize", action="store_true",
-        help="run the monitor through the optimization pipeline "
-             "(state minimisation, alphabet pruning, ladder hardening) "
-             "before checking — identical verdicts, smaller tables "
-             "(needs a table-compiling --engine)")
-    check.add_argument(
         "--vcd", action="append", default=[], metavar="DUMP",
         help="VCD waveform dump to check (repeatable; each dump is one "
              "trace)")
@@ -154,10 +148,6 @@ def build_parser() -> argparse.ArgumentParser:
              "validated against the registry — .rtrc output itself is "
              "backend-agnostic mask arrays")
     ingest.add_argument(
-        "--optimize", action="store_true",
-        help="encode against the optimized monitor's (possibly pruned) "
-             "alphabet — match the flag you will pass to check")
-    ingest.add_argument(
         "--cache", metavar="DIR",
         help="store entries content-addressed in this corpus cache "
              "directory (the form `check --cache` reads back)")
@@ -194,10 +184,6 @@ def build_parser() -> argparse.ArgumentParser:
              "table's compressed edges (auto resolves here, the "
              "default) or the dense interpreted automaton")
     campaign.add_argument(
-        "--optimize", action="store_true",
-        help="cover the optimized monitor (minimised, pruned, "
-             "hardened) instead of the raw synthesis output")
-    campaign.add_argument(
         "--faults", type=int, default=0, metavar="N",
         help="additionally run a fault-mutation campaign with N random "
              "mutants on top of the per-tick targeted ones")
@@ -233,10 +219,6 @@ def build_parser() -> argparse.ArgumentParser:
              "available, the compiled chunk loop otherwise; "
              "per-open overrides still apply)")
     serve.add_argument(
-        "--optimize", action="store_true",
-        help="serve optimized monitors (minimised, pruned, hardened); "
-             "identical verdicts (needs a table-compiling --engine)")
-    serve.add_argument(
         "--queue-chunks", type=int, default=8, metavar="N",
         help="chunks buffered per stream before backpressure (or "
              "shedding) kicks in (default: 8)")
@@ -254,9 +236,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _read_text(path: str) -> str:
+    """An input file's text; a file that is not UTF-8 is a typed error."""
+    with open(path, "rb") as stream:
+        data = stream.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as error:
+        raise ReproError(
+            f"{path}: not UTF-8 text (byte {error.start}: {error.reason})"
+        ) from None
+
+
 def _load_scesc(spec_path: str, chart_name: str):
-    with open(spec_path) as stream:
-        spec = parse_cesc(stream.read())
+    spec = parse_cesc(_read_text(spec_path))
     if chart_name not in spec.charts:
         known = ", ".join(sorted(spec.charts)) or "(none)"
         raise ReproError(
@@ -270,8 +263,7 @@ def _cmd_validate(args, out) -> int:
     from repro.analysis.consistency import check_consistency
     from repro.cesc.validate import validate_scesc
 
-    with open(args.spec) as stream:
-        spec = parse_cesc(stream.read())
+    spec = parse_cesc(_read_text(args.spec))
     status = 0
     for name, chart in sorted(spec.charts.items()):
         structural: List[str] = []
@@ -357,8 +349,10 @@ def _load_wavedrom_trace(args, chart, out):
     """
     from repro.visual.wavedrom import wavedrom_to_trace
 
-    with open(args.trace) as stream:
-        trace = wavedrom_to_trace(json.load(stream))
+    try:
+        trace = wavedrom_to_trace(_read_text(args.trace))
+    except ChartError as error:
+        raise ChartError(f"{args.trace}: {error}") from None
     _note_missing_lanes(chart, trace.alphabet, args.trace, out)
     return trace
 
@@ -395,24 +389,12 @@ def _validate_check_args(args) -> None:
             "dumps only, not to a WaveDrom trace"
         )
     backend = engine_backend(args.engine) if args.engine != AUTO else None
-    _require_compiled_for_optimize(args, backend)
     if args.cache is not None and backend is not None \
             and not backend.batch:
         # Cached entries are mask arrays over the compiled codec; the
         # interpreted engine steps guard trees on valuations.
         raise ReproError(
             "--cache needs --engine " + ", ".join(backend_names("batch"))
-        )
-
-
-def _require_compiled_for_optimize(args, backend) -> None:
-    if args.optimize and backend is not None \
-            and not backend.wants_compiled:
-        # The pipeline's artifact is a compiled dispatch table; the
-        # interpreted backend exists as the unoptimized reference.
-        raise ReproError(
-            "--optimize needs --engine "
-            + ", ".join(backend_names("wants_compiled"))
         )
 
 
@@ -447,7 +429,7 @@ def _check_vcd(args, chart, out) -> int:
     backend = engine_backend(args.engine) if args.engine != AUTO else None
     # The interpreted reference walks guard trees on the raw synthesis
     # output.
-    monitor = (_compiled_for_check(args, chart)
+    monitor = (tr_compiled(chart)
                if backend is None or backend.wants_compiled else tr(chart))
     reports = run_sharded_vcd(
         monitor, args.vcd, clock=args.clock, period=args.period,
@@ -460,15 +442,6 @@ def _check_vcd(args, chart, out) -> int:
     return status
 
 
-def _compiled_for_check(args, chart):
-    """The compiled monitor a ``check`` run dispatches on."""
-    if args.optimize:
-        from repro.optimize import optimize_monitor
-
-        return optimize_monitor(tr(chart)).compiled
-    return tr_compiled(chart)
-
-
 def _cmd_check(args, out) -> int:
     chart = _load_scesc(args.spec, args.chart)
     _validate_check_args(args)
@@ -479,7 +452,7 @@ def _cmd_check(args, out) -> int:
     if backend is not None and not backend.batch:
         result = run_monitor(tr(chart), trace)
     else:
-        compiled = _compiled_for_check(args, chart)
+        compiled = tr_compiled(chart)
         plan = plan_execution(compiled, Workload.from_traces([trace]),
                               args.engine, capability="batch",
                               error_cls=ReproError)
@@ -512,7 +485,7 @@ def _cmd_ingest(args, out) -> int:
         # Validated against the registry (the .rtrc output itself is
         # backend-agnostic; this catches a later-check mismatch early).
         require_backend(args.engine, "batch", error_cls=ReproError)
-    compiled = _compiled_for_check(args, chart)
+    compiled = tr_compiled(chart)
     binding = SignalBinding.parse(args.bind) if args.bind else None
     cache = CorpusCache(args.cache) if args.cache else None
     out.write(f"codec: {len(compiled.codec.symbols)} symbols, "
@@ -546,15 +519,7 @@ def _cmd_campaign(args, out) -> int:
     if args.budget <= 0:
         raise ReproError(f"--budget must be positive (got {args.budget})")
     backend = resolve_step_backend(args.engine, error_cls=ReproError)
-    if args.optimize:
-        from repro.optimize import optimize_monitor
-
-        optimized = optimize_monitor(tr(chart))
-        monitor = (optimized.compiled if backend.wants_compiled
-                   else optimized.monitor)
-    else:
-        monitor = (tr_compiled(chart) if backend.wants_compiled
-                   else tr(chart))
+    monitor = tr_compiled(chart) if backend.wants_compiled else tr(chart)
     campaign = CoverageCampaign(chart, monitor=monitor, seed=args.seed)
     report = campaign.run(
         target_state_coverage=args.target_coverage,
@@ -634,19 +599,11 @@ def _cmd_serve(args, out) -> int:
     from repro.serve import MonitorService, ServeConfig
 
     backend = engine_backend(args.engine) if args.engine != AUTO else None
-    _require_compiled_for_optimize(args, backend)
     wants_compiled = backend.wants_compiled if backend is not None else True
     monitors = {}
     for name in args.charts:
         chart = _load_scesc(args.spec, name)
-        if args.optimize:
-            from repro.optimize import optimize_monitor
-
-            monitors[name] = optimize_monitor(tr(chart)).compiled
-        elif wants_compiled:
-            monitors[name] = tr_compiled(chart)
-        else:
-            monitors[name] = tr(chart)
+        monitors[name] = tr_compiled(chart) if wants_compiled else tr(chart)
     service = MonitorService(monitors, ServeConfig(
         host=args.host, port=args.port, engine=args.engine,
         queue_chunks=args.queue_chunks,
@@ -687,10 +644,9 @@ def main(argv: Optional[List[str]] = None, out=None) -> int:
     }
     try:
         return handlers[args.command](args, out)
-    except ReproError as error:
-        out.write(f"error: {error}\n")
-        return 2
-    except FileNotFoundError as error:
+    except (ReproError, OSError) as error:
+        # OSError: a missing, unreadable or directory input path (its
+        # message names the path).
         out.write(f"error: {error}\n")
         return 2
 

@@ -24,7 +24,7 @@ Design notes
 
 from __future__ import annotations
 
-from typing import FrozenSet, Iterable, Iterator, Mapping, Optional, Tuple
+from typing import FrozenSet, Iterable, Iterator, Mapping, Tuple
 
 from repro.errors import ExprError
 from repro.slots import SlotPickle
@@ -42,7 +42,6 @@ __all__ = [
     "Or",
     "all_of",
     "any_of",
-    "intern_expr",
     "symbols_of",
     "event_symbols_of",
     "prop_symbols_of",
@@ -477,39 +476,6 @@ def all_of(exprs: Iterable[Expr]) -> Expr:
 def any_of(exprs: Iterable[Expr]) -> Expr:
     """Disjunction of ``exprs`` (``FALSE`` when empty), simplified."""
     return Or(tuple(exprs)).simplify()
-
-
-def intern_expr(expr: Expr, cache: Optional[dict] = None) -> Expr:
-    """Hash-cons ``expr``: equal subtrees become the *same* object.
-
-    Synthesis and minimisation build guards bottom-up without sharing,
-    so a monitor's transitions typically hold hundreds of structurally
-    equal but distinct subtrees.  Interning them makes equality checks
-    short-circuit on identity and — because pickle memoizes by object
-    identity — collapses the serialized payload to one copy per
-    distinct subtree.  The result is ``==`` to the input.
-
-    Pass a shared ``cache`` to intern across several expressions (e.g.
-    every guard of a monitor).
-    """
-    if cache is None:
-        cache = {}
-
-    def visit(node: Expr) -> Expr:
-        interned = cache.get(node)
-        if interned is not None:
-            return interned
-        if isinstance(node, _Nary):
-            args = tuple(visit(arg) for arg in node.args)
-            if any(new is not old for new, old in zip(args, node.args)):
-                node = type(node)(args)
-        elif isinstance(node, Not):
-            operand = visit(node.operand)
-            if operand is not node.operand:
-                node = Not(operand)
-        return cache.setdefault(node, node)
-
-    return visit(expr)
 
 
 def _walk(expr: Expr) -> Iterator[Expr]:

@@ -14,8 +14,6 @@ which the specified scenario occurs.
   (pass/fail verdicts for implication charts, overlapping obligations);
 * :mod:`repro.monitor.network` — multi-clock monitor networks sharing
   one scoreboard (the paper's local-monitor composition);
-* :mod:`repro.monitor.minimize` — DFA minimisation for action-free
-  monitors;
 * :mod:`repro.monitor.dot` / :mod:`repro.monitor.stats` — export and
   size metrics.
 """

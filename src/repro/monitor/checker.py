@@ -21,7 +21,7 @@ Verdicts:
 from __future__ import annotations
 
 import enum
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import List, Optional, Set, Tuple
 
 from repro.cesc.charts import Chart, Implication, as_chart
 from repro.errors import MonitorError
@@ -138,8 +138,7 @@ class AssertionChecker:
     """Checker for ``A => C`` implication charts over clocked traces."""
 
     def __init__(self, chart: Chart, variant: str = "tr",
-                 loop_limit: int = 3, engine: str = "interpreted",
-                 optimize: bool = False):
+                 loop_limit: int = 3, engine: str = "interpreted"):
         # Imported here to keep repro.monitor importable on its own
         # (synthesis depends on monitor for its output types).
         from repro.synthesis.compose import synthesize_chart
@@ -156,17 +155,10 @@ class AssertionChecker:
         from repro.runtime.engines import resolve_step_backend
 
         backend = resolve_step_backend(engine, error_cls=MonitorError)
-        if optimize and not backend.wants_compiled:
-            # The pipeline's artifact is a compiled dispatch table; the
-            # interpreted members would silently run unoptimized.
-            raise MonitorError(
-                "optimize=True requires engine=\"compiled\""
-            )
         self._chart = chart
         self._backend = backend
         self._bank: MonitorBank = synthesize_chart(
             chart.antecedent, variant=variant, loop_limit=loop_limit,
-            optimize=optimize,
         )
         self._consequents: List[FlatPattern] = flatten_chart(
             chart.consequent, loop_limit=loop_limit

@@ -66,16 +66,9 @@ class NetworkResult:
 
 
 class MonitorNetwork:
-    """The set of communicating local monitors for one async chart.
+    """The set of communicating local monitors for one async chart."""
 
-    ``optimize=True`` lowers each local monitor through the
-    optimization pipeline (minimise + prune + harden) when the
-    compiled backend is selected — behaviour, including the two-phase
-    scoreboard contract, is unchanged.
-    """
-
-    def __init__(self, name: str, locals_: Sequence[LocalMonitor],
-                 optimize: bool = False):
+    def __init__(self, name: str, locals_: Sequence[LocalMonitor]):
         if not locals_:
             raise MonitorError(f"monitor network {name!r} has no members")
         clock_names = [lm.clock.name for lm in locals_]
@@ -86,21 +79,15 @@ class MonitorNetwork:
             )
         self.name = name
         self.locals = list(locals_)
-        self.optimize = bool(optimize)
         self._compiled_cache: Dict[str, object] = {}
 
     def _compiled_local(self, local: LocalMonitor):
         """Memoized compiled form of one local monitor."""
         compiled = self._compiled_cache.get(local.clock.name)
         if compiled is None:
-            if self.optimize:
-                from repro.optimize import optimize_monitor
+            from repro.runtime.compiled import compile_monitor
 
-                compiled = optimize_monitor(local.monitor).compiled
-            else:
-                from repro.runtime.compiled import compile_monitor
-
-                compiled = compile_monitor(local.monitor)
+            compiled = compile_monitor(local.monitor)
             self._compiled_cache[local.clock.name] = compiled
         return compiled
 

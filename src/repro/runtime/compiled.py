@@ -57,17 +57,6 @@ __all__ = [
 Cell = Union[Transition, Tuple[Tuple[Optional[Callable], Transition], ...], None]
 
 
-def map_table_cells(compiled: "CompiledMonitor", convert) -> list:
-    """A new table with ``convert`` applied to every cell.
-
-    ``convert`` sees each cell slot; callers that intern converted
-    cells should memoize inside ``convert`` (cells are shared across
-    slots by identity).  This is the one rebuild loop the
-    table-rewriting passes (ladder hardening, carrier slimming) share.
-    """
-    return [[convert(cell) for cell in row] for row in compiled._table]
-
-
 class CompiledCheck:
     """A compiled scoreboard-check closure that survives pickling.
 
@@ -157,22 +146,6 @@ class CompiledMonitor(SlotPickle):
     def __setattr__(self, name, value):
         raise AttributeError("CompiledMonitor is immutable")
 
-    def without_source(self) -> "CompiledMonitor":
-        """A copy that shares the table but drops the interpreted source.
-
-        The source automaton exists for coverage matching and the
-        interpreted engine; dropping it roughly halves the pickle
-        payload.  Plain pickling (e.g. an on-disk compilation cache)
-        keeps the source.
-        """
-        if self.source is None:
-            return self
-        clone = CompiledMonitor.__new__(CompiledMonitor)
-        state = self.__getstate__()
-        state["source"] = None
-        clone.__setstate__(state)
-        return clone
-
     # -- structure -------------------------------------------------------
     @property
     def states(self) -> range:
@@ -206,8 +179,7 @@ class CompiledMonitor(SlotPickle):
         )
 
     def cell(self, state: int, mask: int) -> Cell:
-        """The cell for ``(state, mask)`` (table scans: synthesizers,
-        pruning)."""
+        """The cell for ``(state, mask)`` (table scans: synthesizers)."""
         return self._table[state][mask]
 
     def events(self) -> frozenset:

@@ -30,9 +30,8 @@ a packed scoreboard-*presence* word, and positive/negative input
 literals over the valuation mask — plus the rung's successor state and
 its scoreboard deltas (:func:`_rung_deltas`, with min-prefix floors
 that expose strict ``Del_evt`` under-runs before any mutation).
-Cells whose first-match dispatch
-:func:`~repro.optimize.ladders.prove_first_match` proves (and every
-``ladder_exclusive`` monitor) are marked ``safe`` and skip the
+Cells whose first-match dispatch :func:`prove_first_match` proves (and
+every ``ladder_exclusive`` monitor) are marked ``safe`` and skip the
 cross-group conflict scan.  A condition outside the literal language
 keeps its cell on the scalar path (``vectorizable`` is then false,
 and the table does not lower to C).
@@ -44,15 +43,24 @@ and the table does not lower to C).
 from __future__ import annotations
 
 from array import array
+from itertools import combinations
 from typing import List, Optional, Tuple
 
 from repro.cache import IdentityCache
-from repro.logic.expr import And, Const, Not, Or, ScoreboardCheck, _Ref
+from repro.logic.expr import (
+    And,
+    Const,
+    Not,
+    Or,
+    ScoreboardCheck,
+    _Ref,
+    scoreboard_checks_of,
+    symbols_of,
+)
 from repro.monitor.automaton import AddEvt, DelEvt, Transition
-from repro.optimize.ladders import prove_first_match
 from repro.runtime.compiled import CompiledMonitor
 
-__all__ = ["MISSING", "VectorTable", "vector_table"]
+__all__ = ["MISSING", "VectorTable", "prove_first_match", "vector_table"]
 
 #: Flat-table marker for a cell with no enabled transition.  Escape
 #: cells with scalar payloads are encoded ``-2 - spec_index``.
@@ -65,6 +73,57 @@ _MAX_RUNG_TERMS = 32
 #: ``Chk_evt`` literals pack into one presence word per lane; int64
 #: bounds the packable counts-matrix rows.
 _MAX_PRESENCE_BITS = 63
+
+#: Ladder cells checking more than this many distinct events are not
+#: proved — the case analysis is ``2^k`` scoreboard states per cell.
+MAX_PROOF_ATOMS = 10
+
+
+class _SetBoard:
+    """A scoreboard stub: ``Chk_evt`` presence over a fixed event set."""
+
+    __slots__ = ("_events",)
+
+    def __init__(self, events):
+        self._events = frozenset(events)
+
+    def contains(self, event: str) -> bool:
+        return event in self._events
+
+
+def prove_first_match(cell) -> bool:
+    """Whether first-match dispatch of a ladder cell is provably safe.
+
+    A full-scan ladder raises when rungs with different
+    ``(target, actions)`` pass on the same tick.  When every rung's
+    residue mentions only ``Chk_evt`` atoms — a pure presence test —
+    enumerating the subsets of the cell's checked events covers every
+    scoreboard state, so the proof is complete: ``True`` when no subset
+    passes two rungs that behave differently.  A residue reading an
+    input symbol, or more than :data:`MAX_PROOF_ATOMS` checked events,
+    gives ``False``.
+    """
+    events: set = set()
+    for check, _ in cell:
+        if check is None:
+            continue
+        if symbols_of(check.expr):
+            return False
+        events |= scoreboard_checks_of(check.expr)
+    if len(events) > MAX_PROOF_ATOMS:
+        return False
+    ordered = sorted(events)
+    for size in range(len(ordered) + 1):
+        for subset in combinations(ordered, size):
+            board = _SetBoard(subset)
+            behaviours = {
+                (transition.target, transition.actions)
+                for check, transition in cell
+                if check is None or check.expr.evaluate(None, board)
+            }
+            if len(behaviours) > 1:
+                return False
+    return True
 
 
 class _PredicatedPlan:
@@ -88,8 +147,8 @@ class _PredicatedPlan:
     ``safe`` marks cells where first-match dispatch is provably the
     full scan's answer (``ladder_exclusive`` monitors by construction,
     single-group cells trivially, full-scan cells via
-    :func:`~repro.optimize.ladders.prove_first_match`): their runs
-    skip the conflict check entirely.
+    :func:`prove_first_match`): their runs skip the conflict check
+    entirely.
     """
 
     __slots__ = ("terms", "safe")
@@ -305,9 +364,8 @@ class VectorTable:
             )
         # First-match safety lets the run skip conflict detection:
         # exclusive ladders by construction, single-behaviour cells
-        # trivially, full-scan cells via the hardening proof.
-        safe = (exclusive or len(groups) == 1
-                or prove_first_match(cell) is not None)
+        # trivially, full-scan cells via the proof.
+        safe = exclusive or len(groups) == 1 or prove_first_match(cell)
         return _EscapeSpec("ladder", cell, state,
                            plan=_PredicatedPlan(tuple(terms), safe))
 

@@ -2,10 +2,10 @@
 
 Everything else in the package is batch CLI — synthesize, check,
 exit.  :mod:`repro.serve` keeps the expensive part (synthesizing and
-optimizing a compiled monitor bank) resident in one process and
-multiplexes many concurrent trace streams through it over a tiny
-newline-delimited JSON protocol, with bounded-memory backpressure per
-stream and health/metrics endpoints for the ops loop.
+compiling a monitor bank) resident in one process and multiplexes
+many concurrent trace streams through it over a tiny newline-delimited
+JSON protocol, with bounded-memory backpressure per stream and
+health/metrics endpoints for the ops loop.
 
 Layering (one module per concern):
 

@@ -3,7 +3,7 @@
 :class:`MonitorService` owns a *registry* of named monitor specs
 (charts, monitors, compiled monitors, banks — anything
 :class:`~repro.trace.streaming.StreamingChecker` resolves), loaded
-and optimized **once**; every stream a client opens shares those
+and compiled **once**; every stream a client opens shares those
 tables.  One listening port speaks two dialects:
 
 * the newline-delimited JSON data plane of

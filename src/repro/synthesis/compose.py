@@ -17,11 +17,10 @@ Asynchronous composition is handled separately by
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.cesc.charts import Chart, as_chart
 from repro.errors import SynthesisError
-from repro.logic.valuation import Valuation
 from repro.monitor.automaton import Monitor
 from repro.monitor.engine import MonitorResult
 from repro.monitor.scoreboard import Scoreboard
@@ -59,21 +58,14 @@ class MonitorBank:
     Each member owns its own scoreboard (alternatives are independent
     matching attempts); a shared scoreboard can be injected for
     multi-clock use.
-
-    ``optimize=True`` routes compilation through the optimization
-    pipeline (:func:`repro.optimize.optimize_monitor` — minimisation,
-    alphabet pruning, ladder hardening), shrinking the memoized
-    dispatch tables with tick-identical behaviour.
     """
 
     def __init__(self, name: str,
-                 members: Sequence[Tuple[FlatPattern, Monitor]],
-                 optimize: bool = False):
+                 members: Sequence[Tuple[FlatPattern, Monitor]]):
         if not members:
             raise SynthesisError(f"monitor bank {name!r} has no members")
         self.name = name
         self.members = list(members)
-        self.optimize = bool(optimize)
         self._compiled: Optional[List["CompiledMonitor"]] = None
 
     @property
@@ -95,23 +87,14 @@ class MonitorBank:
 
         Compilation happens on first use and is memoized — banks are
         long-lived relative to the traces they scan, so the cost is
-        paid once per bank, not per run.  An ``optimize=True`` bank
-        lowers each member through the optimization pipeline instead.
+        paid once per bank, not per run.
         """
         from repro.runtime.compiled import compile_monitor
 
         if self._compiled is None:
-            if self.optimize:
-                from repro.optimize import optimize_monitor
-
-                self._compiled = [
-                    optimize_monitor(monitor).compiled
-                    for _, monitor in self.members
-                ]
-            else:
-                self._compiled = [
-                    compile_monitor(monitor) for _, monitor in self.members
-                ]
+            self._compiled = [
+                compile_monitor(monitor) for _, monitor in self.members
+            ]
         return self._compiled
 
     def run(self, trace: Trace,
@@ -130,14 +113,6 @@ class MonitorBank:
         from repro.runtime.engines import resolve_step_backend
 
         backend = resolve_step_backend(engine, error_cls=SynthesisError)
-        if self.optimize and not backend.wants_compiled:
-            # Mirrors AssertionChecker: the pipeline's artifact is the
-            # compiled table, and silently running the raw interpreted
-            # members would fake an optimized run.
-            raise SynthesisError(
-                "an optimize=True bank runs with engine=\"compiled\" "
-                "(the interpreted members are the unoptimized reference)"
-            )
         stepped = (self.compiled_members() if backend.wants_compiled
                    else [monitor for _, monitor in self.members])
         engines = [
@@ -208,15 +183,12 @@ def synthesize_chart(
     variant: str = "tr",
     loop_limit: int = 3,
     name: Optional[str] = None,
-    optimize: bool = False,
 ) -> MonitorBank:
     """Synthesize a monitor bank for a synchronous chart.
 
     ``variant`` selects the guard representation: ``"tr"`` keeps the
     paper's per-valuation minterm table; ``"symbolic"`` compresses it
     into figure-style labelled edges (behaviourally identical).
-    ``optimize`` makes the bank compile its members through the
-    optimization pipeline (minimise + prune + harden).
     """
     chart = as_chart(chart)
     if variant not in ("tr", "symbolic"):
@@ -228,4 +200,4 @@ def synthesize_chart(
         if variant == "symbolic":
             monitor = symbolic_monitor(monitor)
         members.append((pattern, monitor))
-    return MonitorBank(name or chart.name, members, optimize=optimize)
+    return MonitorBank(name or chart.name, members)

@@ -22,7 +22,7 @@ ticks, with one shared scoreboard as the synchronisation medium.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Optional, Set
+from typing import Dict, List, Optional, Set
 
 from repro.cesc.charts import AsyncPar
 from repro.errors import SynthesisError
@@ -38,13 +38,8 @@ def synthesize_network(
     chart: AsyncPar,
     variant: str = "tr",
     name: Optional[str] = None,
-    optimize: bool = False,
 ) -> MonitorNetwork:
-    """Build the local-monitor network for an asynchronous composition.
-
-    ``optimize`` makes the network lower its local monitors through
-    the optimization pipeline when the compiled backend runs them.
-    """
+    """Build the local-monitor network for an asynchronous composition."""
     if not isinstance(chart, AsyncPar):
         raise SynthesisError(
             "synthesize_network requires an AsyncPar chart; synchronous "
@@ -92,4 +87,4 @@ def synthesize_network(
         if variant == "symbolic":
             monitor = symbolic_monitor(monitor)
         locals_.append(LocalMonitor(child.name, clock, monitor))
-    return MonitorNetwork(name or chart.name, locals_, optimize=optimize)
+    return MonitorNetwork(name or chart.name, locals_)

@@ -71,9 +71,25 @@ def _expand_wave(wave: str, name: str) -> List[bool]:
 
 
 def wavedrom_to_trace(document: Union[str, dict]) -> Trace:
-    """Decode a bi-level WaveDrom document into a trace."""
+    """Decode a bi-level WaveDrom document into a trace.
+
+    ``document`` is JSON text or its parsed form: an object whose
+    ``signal`` is a non-empty list of lanes, each an object with a
+    string ``name`` and a string ``wave``.  Anything else raises
+    :class:`~repro.errors.ChartError`.
+    """
     if isinstance(document, str):
-        document = json.loads(document)
+        try:
+            document = json.loads(document)
+        except (ValueError, RecursionError) as error:
+            raise ChartError(
+                f"WaveDrom document is not valid JSON: {error}"
+            ) from None
+    if not isinstance(document, dict):
+        raise ChartError(
+            "WaveDrom document must be a JSON object, not "
+            f"{type(document).__name__}"
+        )
     signals = document.get("signal")
     if not isinstance(signals, list) or not signals:
         raise ChartError("WaveDrom document has no 'signal' array")
@@ -82,8 +98,12 @@ def wavedrom_to_trace(document: Union[str, dict]) -> Trace:
     for lane in signals:
         if not isinstance(lane, dict) or "name" not in lane:
             raise ChartError("unsupported WaveDrom lane (grouping not handled)")
-        name = lane["name"]
-        levels = _expand_wave(lane.get("wave", ""), name)
+        name, wave = lane["name"], lane.get("wave")
+        if not isinstance(name, str):
+            raise ChartError(f"WaveDrom lane name {name!r} is not a string")
+        if not isinstance(wave, str):
+            raise ChartError(f"signal {name!r}: 'wave' must be a string")
+        levels = _expand_wave(wave, name)
         lanes[name] = levels
         length = max(length, len(levels))
     sets = []

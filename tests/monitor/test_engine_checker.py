@@ -1,16 +1,16 @@
-"""Tests for the monitor engine, checker verdicts and minimisation."""
+"""Tests for the monitor engine, checker verdicts and transition tables."""
 
 import pytest
 
+from repro.analysis.equivalence import transition_function
 from repro.cesc.builder import ev, scesc
-from repro.cesc.charts import Alt, Implication, ScescChart, Seq
+from repro.cesc.charts import Alt, Implication, ScescChart
 from repro.errors import MonitorError
-from repro.logic.expr import EventRef, Not, TRUE
+from repro.logic.expr import EventRef, TRUE
 from repro.monitor.automaton import AddEvt, Monitor, Transition
 from repro.monitor.checker import AssertionChecker, Verdict
 from repro.monitor.dot import monitor_to_dot, network_to_dot
 from repro.monitor.engine import MonitorEngine, run_monitor
-from repro.monitor.minimize import minimize_monitor, transition_function
 from repro.monitor.stats import guard_literals, monitor_stats
 from repro.logic.valuation import Valuation
 from repro.semantics.run import Trace
@@ -144,37 +144,7 @@ def test_checker_requires_implication():
         AssertionChecker(ScescChart(_one("a", "a")))
 
 
-# ---------------------------------------------------------- minimisation ----
-def test_minimize_reduces_redundant_states():
-    monitor = tr(_one("abc", "a", "b", "c"))
-    minimal = minimize_monitor(monitor)
-    assert minimal.n_states <= monitor.n_states
-    trace = Trace.from_sets([{"a"}, {"b"}, {"c"}], alphabet={"a", "b", "c"})
-    assert run_monitor(minimal, trace).detections == \
-        run_monitor(monitor, trace).detections
-
-
-def test_minimize_handles_action_monitors():
-    """Scoreboard-aware minimisation: action monitors minimise too,
-    with identical detections (the action signature is part of the
-    refinement signature, so no distinct action histories merge)."""
-    chart = (
-        scesc("arrowed").instances("M")
-        .tick(ev("x")).tick(ev("y"))
-        .arrow("a", cause="x", effect="y")
-        .build()
-    )
-    monitor = tr(chart)
-    minimal = minimize_monitor(monitor)
-    assert minimal.n_states <= monitor.n_states
-    assert minimal.has_actions()
-    for sets in ([{"x"}, {"y"}], [{"y"}, {"x"}, {"x"}, {"y"}],
-                 [set(), {"x", "y"}, {"y"}]):
-        trace = Trace.from_sets(sets, alphabet={"x", "y"})
-        assert run_monitor(minimal, trace).detections == \
-            run_monitor(monitor, trace).detections
-
-
+# ---------------------------------------------------- transition table ----
 def test_transition_function_table():
     monitor = tr(_one("ab", "a", "b"))
     table = transition_function(monitor)

@@ -1,31 +1,24 @@
-"""Regression tests for the minimize/codec bugfixes.
-
-Three defects fixed alongside the optimization pipeline:
+"""Regression tests for ``transition_function``'s guard and cap fixes.
 
 1. ``_guard_holds`` used to catch bare ``Exception`` and relabel every
    guard-evaluation failure as "scoreboard-dependent"; now only the
    scoreboard-check error (:class:`~repro.errors.ExprError`) converts,
    chained, and everything else propagates.
-2. ``minimize_monitor``/``transition_function`` enumerated ``2^|Sigma|``
-   valuations with no cap, hanging on wide alphabets that
-   ``AlphabetCodec`` correctly refuses; both now share the codec's
-   ``MAX_CODEC_SYMBOLS`` limit with a clear ``MonitorError``.
-3. ``minimize_monitor`` only discovered an unreachable final state
-   *after* a full partition refinement; the empty-language check now
-   runs first, and the ``initial == final`` (empty-chart) edge works.
+2. ``transition_function`` enumerated ``2^|Sigma|`` valuations with no
+   cap, hanging on wide alphabets that ``AlphabetCodec`` correctly
+   refuses; it now shares the codec's ``MAX_CODEC_SYMBOLS`` limit with
+   a clear ``MonitorError``.
 """
 
 import time
 
 import pytest
 
+from repro.analysis.equivalence import transition_function
 from repro.errors import ExprError, MonitorError
 from repro.logic.codec import MAX_CODEC_SYMBOLS
-from repro.logic.expr import TRUE, EventRef, Expr, Not, ScoreboardCheck
+from repro.logic.expr import TRUE, Expr, Not, ScoreboardCheck
 from repro.monitor.automaton import Monitor, Transition
-from repro.monitor.engine import run_monitor
-from repro.monitor.minimize import minimize_monitor, transition_function
-from repro.semantics.run import Trace
 
 
 def _self_loop(alphabet):
@@ -82,44 +75,12 @@ def test_transition_function_refuses_wide_alphabets_fast():
     assert time.perf_counter() - start < 1.0  # refused, not enumerated
 
 
-def test_minimize_refuses_wide_alphabets_fast():
-    wide = _self_loop({f"s{i}" for i in range(MAX_CODEC_SYMBOLS + 5)})
-    start = time.perf_counter()
-    with pytest.raises(MonitorError, match="valuation-enumeration cap"):
-        minimize_monitor(wide)
-    assert time.perf_counter() - start < 1.0
-
-
 def test_cap_boundary_is_shared_with_the_codec():
     at_cap = _self_loop({f"s{i}" for i in range(MAX_CODEC_SYMBOLS + 1)})
     with pytest.raises(MonitorError):
-        minimize_monitor(at_cap)
-    # MAX_CODEC_SYMBOLS itself is legal for the codec, so minimisation
+        transition_function(at_cap)
+    # MAX_CODEC_SYMBOLS itself is legal for the codec, so the table
     # must accept it too — but enumerating 2^20 valuations here would
     # make the suite crawl, so exercise a comfortably-legal width.
     small = _self_loop({"a", "b", "c"})
-    assert minimize_monitor(small).n_states == 1
-
-
-# --------------------------------------------- empty-language ordering ----
-def test_unreachable_final_raises_before_refinement():
-    """State 1 (final) is unreachable *and* has no outgoing
-    transitions: the old eager table build would have died on the
-    incomplete state before ever reporting the real problem."""
-    monitor = Monitor(
-        "empty", n_states=2, initial=0, final=1,
-        transitions=[Transition(0, TRUE, (), 0)],
-        alphabet={"a"},
-    )
-    with pytest.raises(MonitorError, match="language is empty"):
-        minimize_monitor(monitor)
-
-
-def test_initial_equals_final_minimizes():
-    monitor = _self_loop({"a"})
-    minimal = minimize_monitor(monitor)
-    assert minimal.n_states == 1
-    assert minimal.initial == minimal.final == 0
-    trace = Trace.from_sets([{"a"}, set()], alphabet={"a"})
-    assert (run_monitor(minimal, trace).detections
-            == run_monitor(monitor, trace).detections == [0, 1])
+    assert len(transition_function(small)) == 8

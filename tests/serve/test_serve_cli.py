@@ -77,7 +77,7 @@ def test_serve_cli_matches_check_cli_across_concurrent_streams(dumps):
     env["PYTHONPATH"] = os.path.join(_REPO, "src")
     process = subprocess.Popen(
         [sys.executable, "-m", "repro.cli", "serve", _SPEC, _CHART,
-         "--port", "0", "--optimize"],
+         "--port", "0"],
         stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
         cwd=_REPO, env=env,
     )
@@ -137,16 +137,3 @@ def test_serve_cli_matches_check_cli_across_concurrent_streams(dumps):
         except subprocess.TimeoutExpired:
             process.kill()
             process.wait(timeout=15)
-
-
-def test_serve_optimize_names_every_optimizing_engine():
-    """``serve --optimize`` rejects an engine that cannot run optimized
-    monitors with the same choice list ``check`` prints: every
-    backend that steps compiled tables, ``native`` included."""
-    out = io.StringIO()
-    status = main(["serve", _SPEC, _CHART, "--engine", "interpreted",
-                   "--optimize"], out=out)
-    assert status == 2
-    assert out.getvalue() == (
-        "error: --optimize needs --engine compiled, vector, native\n"
-    )

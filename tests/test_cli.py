@@ -121,6 +121,51 @@ def test_missing_file_is_reported():
     assert "error:" in text
 
 
+#: Unreadable or malformed input files: the file's bytes (``None``
+#: for a directory) and the argv naming it as ``{path}``.
+_BAD_INPUTS = {
+    "wave-not-string": (b'{"signal": [{"name": "req", "wave": true}]}',
+                        ["check", "{spec}", "handshake", "{path}"]),
+    "top-level-list": (b'[{"name": "req", "wave": "01"}]',
+                       ["check", "{spec}", "handshake", "{path}"]),
+    "truncated-json": (b'{"signal": [{"name": "req", "wave": "01"',
+                       ["check", "{spec}", "handshake", "{path}"]),
+    "name-not-string": (b'{"signal": [{"name": 5, "wave": "01"}]}',
+                        ["check", "{spec}", "handshake", "{path}"]),
+    "trace-not-utf8": (b'{"signal": [{"name": "req", "wave": "0\xff"}]}',
+                       ["check", "{spec}", "handshake", "{path}"]),
+    "spec-not-utf8": (b"chart handshake { instances M; tick: \xe9; }",
+                      ["validate", "{path}"]),
+    "spec-is-directory": (None, ["validate", "{path}"]),
+    "check-spec-is-directory": (None, ["check", "{path}", "handshake",
+                                       "--vcd", "{path}", "--clock", "clk"]),
+    "trace-is-directory": (None, ["check", "{spec}", "handshake", "{path}"]),
+    "vcd-is-directory": (None, ["check", "{spec}", "handshake", "--vcd",
+                                "{path}", "--clock", "clk"]),
+    "ingest-vcd-is-directory": (None, ["ingest", "{spec}", "handshake",
+                                       "--vcd", "{path}", "--clock", "clk",
+                                       "--out", "{path}.rtrc"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_INPUTS))
+def test_bad_input_files_are_typed_errors(case, spec_file, tmp_path, capsys):
+    """Each exits 2 with one ``error:`` line naming the file."""
+    contents, argv = _BAD_INPUTS[case]
+    path = tmp_path / "input"
+    if contents is None:
+        path.mkdir()
+    else:
+        path.write_bytes(contents)
+    status, text = _run([arg.format(spec=spec_file, path=path)
+                         for arg in argv])
+    errors = [line for line in text.splitlines()
+              if line.startswith("error:")]
+    assert status == 2, text
+    assert len(errors) == 1 and str(path) in errors[0], text
+    assert "Traceback" not in text + capsys.readouterr().err
+
+
 # ------------------------------------------------------------ VCD check ----
 @pytest.fixture()
 def amba_setup(tmp_path):
@@ -265,6 +310,20 @@ def test_jobs_is_not_an_option(verb, amba_setup, capsys):
         main(argv, out=io.StringIO())
     assert exit_.value.code == 2
     assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("verb", ["check", "ingest", "campaign", "serve"])
+def test_optimize_is_not_an_option(verb, amba_setup, capsys):
+    """The optimization pipeline is gone: ``--optimize`` is a usage
+    error."""
+    spec, dumps = amba_setup
+    argv = [verb, spec, "ahb_transaction", "--optimize"]
+    if verb in ("check", "ingest"):
+        argv += ["--vcd", dumps[0], "--clock", "clk"]
+    with pytest.raises(SystemExit) as exit_:
+        main(argv, out=io.StringIO())
+    assert exit_.value.code == 2
+    assert "unrecognized arguments: --optimize" in capsys.readouterr().err
 
 
 def test_ingest_still_accepts_jobs(amba_setup, tmp_path):

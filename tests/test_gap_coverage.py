@@ -1,8 +1,8 @@
 """Targeted tests for paths not covered elsewhere.
 
-Subset-DFA materialisation, minimisation as a canonicaliser, engine
-transition logs, monitor-network error paths, DSL corner cases, HDL
-operator coverage, and codegen edge cases.
+Subset-DFA materialisation, engine transition logs, monitor-network
+error paths, DSL corner cases, HDL operator coverage, and codegen edge
+cases.
 """
 
 import pytest
@@ -13,10 +13,9 @@ from repro.cesc.ast import Clock
 from repro.cesc.builder import ev, scesc
 from repro.errors import HdlSimError, MonitorError, SynthesisError
 from repro.hdl.sim import VerilogSim
-from repro.logic.expr import EventRef, Not, TRUE
+from repro.logic.expr import EventRef, TRUE
 from repro.logic.valuation import Valuation
 from repro.monitor.engine import MonitorEngine
-from repro.monitor.minimize import minimize_monitor
 from repro.monitor.network import LocalMonitor, MonitorNetwork
 from repro.synthesis.pattern import extract_pattern
 
@@ -48,36 +47,6 @@ def test_subset_monitor_reset_and_positions():
     subset.reset()
     assert subset.positions == frozenset({0})
     assert not subset.accepted
-
-
-# ---------------------------------------------------------- minimisation ----
-def test_minimize_is_canonical_for_equivalent_charts():
-    """Two syntactically different charts with the same language get
-    isomorphic minimal DFAs (same state count)."""
-    left = _chain("l", "a", "a")
-    # Same language via a guard that simplifies to the same constraint.
-    right = (
-        scesc("r").instances("M")
-        .tick(ev("a", guard=TRUE))
-        .tick(ev("a"))
-        .build()
-    )
-    assert minimize_monitor(tr(left)).n_states == \
-        minimize_monitor(tr(right)).n_states
-
-
-def test_minimize_preserves_detections_on_random_traffic():
-    from repro.cesc.charts import ScescChart
-    from repro.semantics.generator import TraceGenerator
-
-    chart = _chain("abc", "a", "b", "c")
-    monitor = tr(chart)
-    minimal = minimize_monitor(monitor)
-    generator = TraceGenerator(ScescChart(chart), seed=5)
-    for _ in range(5):
-        trace = generator.random_trace(10)
-        assert run_monitor(minimal, trace).detections == \
-            run_monitor(monitor, trace).detections
 
 
 # ----------------------------------------------------------------- engine ----
