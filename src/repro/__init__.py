@@ -47,7 +47,7 @@ _EXPORTS = {
     "CausalityArrow": "repro.cesc.ast",
     "Chart": "repro.cesc.charts",
     "Clock": "repro.cesc.ast",
-    "CompiledEngine": "repro.runtime.compiled",
+    "CompiledEngine": "repro.monitor.engine",
     "CompiledMonitor": "repro.runtime.compiled",
     "CoverageCampaign": "repro.campaign.closure",
     "CrossArrow": "repro.cesc.charts",
@@ -64,7 +64,7 @@ _EXPORTS = {
     "MonitorBank": "repro.synthesis.compose",
     "MonitorEngine": "repro.monitor.engine",
     "MonitorNetwork": "repro.monitor.network",
-    "MonitorResult": "repro.monitor.engine",
+    "MonitorResult": "repro.runtime.compiled",
     "Not": "repro.logic.expr",
     "Or": "repro.logic.expr",
     "Par": "repro.cesc.charts",
@@ -76,7 +76,7 @@ _EXPORTS = {
     "Seq": "repro.cesc.charts",
     "SignalBinding": "repro.trace.vcd_reader",
     "StimulusSynthesizer": "repro.campaign.directed",
-    "StreamReport": "repro.trace.streaming",
+    "StreamReport": "repro.trace.shard",
     "StreamingChecker": "repro.trace.streaming",
     "SubsetMonitor": "repro.synthesis.subset",
     "Tick": "repro.cesc.ast",
@@ -97,7 +97,7 @@ _EXPORTS = {
     "symbolic_monitor": "repro.synthesis.symbolic",
     "synthesize_chart": "repro.synthesis.compose",
     "synthesize_compiled": "repro.synthesis.tr",
-    "synthesize_monitor": "repro.synthesis.tr",
+    "synthesize_monitor": "repro.synthesis.dense",
     "synthesize_network": "repro.synthesis.multiclock",
     "tr": "repro.synthesis.tr",
     "tr_compiled": "repro.synthesis.tr",

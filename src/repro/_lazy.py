@@ -1,9 +1,9 @@
 """Lazy package façades (PEP 562): exported names resolve on first use.
 
-Every ``repro`` package ``__init__`` declares one map from each name it
-exports to the module that defines it, and installs the hooks
-:func:`lazy_exports` returns.  Importing a package then imports none of
-its modules: ``from repro import tr`` loads what ``tr`` needs, and a
+Every ``repro`` package ``__init__``, and each module a name moved out
+of, declares one map from each name it exports to the module that
+defines it, and installs the hooks :func:`lazy_exports` returns.
+Importing a package then imports none of its modules: ``from repro import tr`` loads what ``tr`` needs, and a
 CLI verb pays only for the modules it runs.
 """
 

@@ -3,7 +3,7 @@
 Verification closure needs to know whether the testbench actually drove
 the monitor through its scenario spine and its failure edges.
 :class:`MonitorCoverage` accumulates over any number of runs — live
-engines, batch :class:`~repro.monitor.engine.MonitorResult` lists
+engines, batch :class:`~repro.runtime.compiled.MonitorResult` lists
 (including unpickled ones), or raw state/transition folds — and
 reports state coverage, transition coverage and the never-taken edges
 that :class:`~repro.campaign.CoverageCampaign` turns into
@@ -24,7 +24,7 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.monitor.automaton import Monitor, Transition
-from repro.monitor.engine import MonitorResult
+from repro.runtime.compiled import MonitorResult
 
 __all__ = ["MonitorCoverage", "CoverageCollector"]
 

@@ -37,9 +37,9 @@ from repro.logic.expr import scoreboard_checks_of
 from repro.logic.sat import satisfying_valuation
 from repro.logic.valuation import Valuation
 from repro.monitor.automaton import AddEvt, DelEvt, Monitor, Transition
-from repro.monitor.engine import MonitorEngine
+from repro.monitor.engine import CompiledEngine, MonitorEngine
 from repro.monitor.scoreboard import Scoreboard
-from repro.runtime.compiled import CompiledEngine, CompiledMonitor
+from repro.runtime.compiled import CompiledMonitor
 from repro.semantics.run import Trace
 
 __all__ = ["DirectedTrace", "StimulusSynthesizer"]

@@ -27,9 +27,9 @@ from typing import List, Optional, Sequence, Tuple
 
 from repro.campaign.directed import DirectedTrace, StimulusSynthesizer
 from repro.errors import CampaignError, ScoreboardError
-from repro.monitor.engine import MonitorEngine
+from repro.monitor.engine import CompiledEngine, MonitorEngine
 from repro.protocols.faults import FaultCampaign, replace_tick
-from repro.runtime.compiled import CompiledEngine, CompiledMonitor, as_compiled
+from repro.runtime.compiled import CompiledMonitor, as_compiled
 from repro.runtime.engines import Workload, plan_execution
 from repro.semantics.run import Trace
 

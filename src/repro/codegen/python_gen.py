@@ -11,7 +11,7 @@ Two emission styles are supported:
 * ``"table"`` (default) — the compiled-runtime shape: a dense
   ``(state, valuation_mask)`` dispatch table whose cells are check
   ladders ``(guard_lambda_or_None, target, scoreboard_ops)``, scanned
-  first-match like :class:`~repro.runtime.compiled.CompiledEngine`;
+  first-match like :class:`~repro.monitor.engine.CompiledEngine`;
 * ``"ladder"`` — the legacy ``if/elif`` guard chain per state,
   mirroring the interpreted engine.
 
@@ -165,7 +165,7 @@ def _table_source(monitor: Monitor, class_name: str) -> str:
     (:func:`repro.runtime.compiled.lower_monitor` /
     :func:`~repro.runtime.compiled.cell_rungs`), so the generated
     standalone checker cannot drift from what
-    :class:`~repro.runtime.compiled.CompiledEngine` executes.  Cells
+    :class:`~repro.monitor.engine.CompiledEngine` executes.  Cells
     are interned so the table stays readable for protocol-sized
     alphabets.
     """

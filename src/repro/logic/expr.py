@@ -24,7 +24,7 @@ Design notes
 
 from __future__ import annotations
 
-from typing import FrozenSet, Iterable, Iterator, Mapping, Tuple
+from typing import FrozenSet, Iterable, Iterator, Tuple
 
 from repro.errors import ExprError
 from repro.slots import SlotPickle
@@ -46,7 +46,6 @@ __all__ = [
     "event_symbols_of",
     "prop_symbols_of",
     "scoreboard_checks_of",
-    "substitute_checks",
 ]
 
 
@@ -514,24 +513,3 @@ def scoreboard_checks_of(expr: Expr) -> FrozenSet[str]:
     return frozenset(
         node.event for node in _walk(expr) if isinstance(node, ScoreboardCheck)
     )
-
-
-def substitute_checks(expr: Expr, values: Mapping[str, bool]) -> Expr:
-    """Replace ``Chk_evt(e)`` atoms by constants according to ``values``.
-
-    Used when reasoning about guards purely over the input alphabet
-    (e.g. inside SAT-based compatibility checks, where the scoreboard
-    state is abstracted away).  Checks absent from ``values`` are left
-    in place.
-    """
-    if isinstance(expr, ScoreboardCheck):
-        if expr.event in values:
-            return TRUE if values[expr.event] else FALSE
-        return expr
-    if isinstance(expr, Not):
-        return Not(substitute_checks(expr.operand, values))
-    if isinstance(expr, _Nary):
-        return type(expr)(
-            tuple(substitute_checks(a, values) for a in expr.args)
-        )
-    return expr

@@ -8,8 +8,9 @@ which the specified scenario occurs.
 * :mod:`repro.monitor.scoreboard` — the dynamic scoreboard (a multiset
   of recorded event occurrences) with ``Add_evt``/``Del_evt``/``Chk_evt``;
 * :mod:`repro.monitor.automaton` — monitors, transitions and actions;
-* :mod:`repro.monitor.engine` — stepping a monitor over a trace,
-  recording detections (visits to the final state);
+* :mod:`repro.monitor.engine` — the per-tick engines (interpreted,
+  compiled, native) stepping a monitor over a trace, recording
+  detections (visits to the final state);
 * :mod:`repro.monitor.checker` — assertion-checker semantics
   (pass/fail verdicts for implication charts, overlapping obligations);
 * :mod:`repro.monitor.network` — multi-clock monitor networks sharing
@@ -28,7 +29,7 @@ _EXPORTS = {
     "Monitor": "repro.monitor.automaton",
     "MonitorEngine": "repro.monitor.engine",
     "MonitorNetwork": "repro.monitor.network",
-    "MonitorResult": "repro.monitor.engine",
+    "MonitorResult": "repro.runtime.compiled",
     "NULL_ACTION": "repro.monitor.automaton",
     "NetworkResult": "repro.monitor.network",
     "NullAction": "repro.monitor.automaton",

@@ -116,7 +116,7 @@ class MonitorNetwork:
         monitor from the registry — any backend honouring the
         two-phase contract (``"interpreted"``: guard-tree walking, the
         reference semantics; ``"compiled"``: dense table dispatch via
-        :class:`~repro.runtime.compiled.CompiledEngine`; ``"auto"``
+        :class:`~repro.monitor.engine.CompiledEngine`; ``"auto"``
         resolves to compiled).  Results are identical.
         """
         from repro.runtime.engines import resolve_step_backend

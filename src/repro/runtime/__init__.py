@@ -14,12 +14,12 @@ performs, made persistent — so the hot loop is a list lookup:
 * :func:`~repro.runtime.compiled.compile_monitor` — lower any
   :class:`~repro.monitor.automaton.Monitor` (dense ``Tr`` output,
   symbolic, or hand-built) to a :class:`CompiledMonitor`;
-* :class:`~repro.runtime.compiled.CompiledEngine` — same
+* :class:`~repro.monitor.engine.CompiledEngine` — same
   ``step``/``feed``/``result`` contract as ``MonitorEngine`` (including
   two-phase ``enabled_transition``/``commit``), on the compiled table;
 * :func:`~repro.runtime.compiled.run_compiled` /
   :func:`~repro.runtime.compiled.run_many` — whole-trace and batched
-  lock-step execution;
+  lock-step execution, reporting a ``MonitorResult``;
 * :mod:`repro.runtime.lowering` — the table IR
   (:class:`~repro.runtime.lowering.VectorTable`): check-free cells
   lowered to one flat integer array, ladders to predicated rung terms;
@@ -40,7 +40,7 @@ from repro._lazy import lazy_exports
 #: Exported name -> defining module, imported on first access.
 _EXPORTS = {
     "AUTO": "repro.runtime.engines",
-    "CompiledEngine": "repro.runtime.compiled",
+    "CompiledEngine": "repro.monitor.engine",
     "CompiledMonitor": "repro.runtime.compiled",
     "EngineBackend": "repro.runtime.engines",
     "ExecutionPlan": "repro.runtime.engines",

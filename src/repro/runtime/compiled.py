@@ -1,4 +1,4 @@
-"""Dense-table compiled monitors and the table-dispatch engine.
+"""Dense-table compiled monitors and the batch table-dispatch runners.
 
 ``Tr`` already enumerates every valuation of the restricted alphabet
 when it builds the KMP-style transition table; a
@@ -21,26 +21,30 @@ input part (precomputed into a truth bitmap over all masks) and a
 scoreboard-dependent residue (compiled to a closure).
 :mod:`repro.synthesis.tr` also emits compiled monitors *directly* from
 the ladder enumeration, skipping minterm guard construction entirely.
+
+The batch runners and their :class:`MonitorResult` live here; the
+per-tick :class:`~repro.monitor.engine.CompiledEngine` lives beside the
+other engines and still resolves here.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple, Union
 
+from repro._lazy import lazy_exports
 from repro.errors import MonitorError
 from repro.logic.codec import AlphabetCodec
 from repro.logic.expr import And, Expr, all_of, scoreboard_checks_of
 from repro.logic.valuation import Valuation
 from repro.monitor.automaton import Monitor, Transition
-from repro.monitor.engine import EngineBase, MonitorResult
 from repro.monitor.scoreboard import Scoreboard
-from repro.semantics.run import Trace
 from repro.slots import SlotPickle
 
 __all__ = [
     "CompiledCheck",
     "CompiledMonitor",
     "CompiledEngine",
+    "MonitorResult",
     "as_compiled",
     "cell_rungs",
     "check_mask_domain",
@@ -50,6 +54,9 @@ __all__ = [
     "run_many",
     "run_many_encoded",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__, {"CompiledEngine": "repro.monitor.engine"})
 
 #: One dispatch cell: a transition (unconditional), a check ladder of
 #: ``(compiled_check_or_None, transition)`` rungs, or ``None`` (no
@@ -405,167 +412,54 @@ def as_compiled(monitor: Union[Monitor, CompiledMonitor]) -> CompiledMonitor:
     return compile_monitor(monitor)
 
 
-class CompiledEngine(EngineBase):
-    """Table-dispatch monitor execution, drop-in for ``MonitorEngine``.
+class MonitorResult:
+    """Outcome of running a monitor over a finite trace."""
 
-    Same observable contract — ``step``/``feed``/``result``,
-    ``detections``, ``transition_log``, and the two-phase
-    ``enabled_transition``/``commit`` split that multi-clock networks
-    and assertion checkers rely on (inherited from the shared
-    :class:`~repro.monitor.engine.EngineBase`) — but each step is a
-    dense table lookup instead of a guard-tree walk.  Accepts a
-    ``Monitor`` (compiled on construction) or a prebuilt
-    ``CompiledMonitor`` (shareable across engines; compilation cost
-    paid once).
-    """
+    __slots__ = ("monitor_name", "states", "detections", "ticks",
+                 "transitions")
 
-    def __init__(self, monitor: Union[Monitor, CompiledMonitor],
-                 scoreboard: Optional[Scoreboard] = None,
-                 record_history: bool = True):
-        compiled = as_compiled(monitor)
-        super().__init__(compiled, scoreboard, record_history=record_history)
-        self._compiled = compiled
-        self._table = compiled._table
-        self._encode = compiled.codec.encode
-        self._exclusive = compiled.ladder_exclusive
+    def __init__(self, monitor_name: str, states: List[int],
+                 detections: List[int], ticks: int,
+                 transitions: Optional[Tuple[Transition, ...]] = None):
+        self.monitor_name = monitor_name
+        #: state sequence, ``states[0]`` initial, one entry per tick after.
+        self.states = states
+        #: tick indices (0-based) at which the final state was entered.
+        self.detections = detections
+        self.ticks = ticks
+        #: transitions taken, in tick order — present when the run was
+        #: executed with history/transition recording (coverage folding
+        #: reads these), ``None`` otherwise.
+        self.transitions = transitions
 
     @property
-    def monitor(self) -> CompiledMonitor:
-        return self._compiled
+    def accepted(self) -> bool:
+        """Did the scenario occur at least once?"""
+        return bool(self.detections)
 
-    def enabled_transition(self, valuation: Valuation) -> Transition:
-        """The unique transition enabled by ``valuation`` right now."""
-        return self._compiled.dispatch(
-            self._state, self._encode(valuation), self._scoreboard
+    @property
+    def first_detection(self) -> Optional[int]:
+        return self.detections[0] if self.detections else None
+
+    def __repr__(self):
+        return (
+            f"MonitorResult({self.monitor_name!r}, ticks={self.ticks}, "
+            f"detections={self.detections})"
         )
-
-    def step(self, valuation: Valuation) -> int:
-        """Consume one trace element; return the new state."""
-        return self.step_mask(self._encode(valuation))
-
-    def step_mask(self, mask: int) -> int:
-        """Consume one pre-encoded valuation mask; return the new state.
-
-        The mask form of :meth:`step`: bank streaming encodes a tick
-        once per distinct member alphabet and steps every member
-        through here, instead of once per member.
-        """
-        cell = self._table[self._state][mask]
-        if type(cell) is tuple:
-            cell = _resolve_ladder(
-                cell, mask, self._scoreboard, self._exclusive,
-                self._compiled.name, self._state,
-            )
-        if cell is None:
-            raise MonitorError(
-                f"monitor {self._compiled.name!r}: no transition enabled "
-                f"in state {self._state} on input "
-                f"{self._compiled.codec.decode(mask)!r} "
-                f"(scoreboard {self._scoreboard!r})"
-            )
-        return self.commit(cell)
-
-    def feed_masks(self, masks: Sequence[int],
-                   stop: bool = False) -> List[int]:
-        """Consume one chunk of encoded ticks; return detection offsets.
-
-        The streaming checker's chunk path: one tight loop over the
-        flat table of :func:`~repro.runtime.lowering.vector_table`,
-        without per-tick method dispatch.  Offsets are relative to the
-        first tick of the chunk; ``stop`` ends the chunk right after
-        its first detecting tick, so no later tick is stepped.  State,
-        tick count and scoreboard evolve exactly as per-tick
-        :meth:`step_mask` calls would — including on failure: a tick
-        that cannot step raises the error ``step_mask`` raises (a mask
-        outside the alphabet raises
-        :func:`check_mask_domain`'s), with the engine left at the
-        failing tick, earlier ticks committed and their detections
-        waiting in :meth:`drain_detections`.  Per-tick history
-        recording is not supported (streaming engines run
-        ``record_history=False``).
-        """
-        if self._record_history:
-            raise MonitorError(
-                "feed_masks is the streaming fast path; construct the "
-                "engine with record_history=False (step() records "
-                "history tick by tick)"
-            )
-        from repro.runtime.lowering import vector_table
-
-        compiled = self._compiled
-        vt = vector_table(compiled)
-        flat = vt.flat
-        size = vt.size
-        final = vt.final
-        # The flat index of an out-of-range mask is another state's
-        # cell: step only the in-range prefix, then name the bad mask.
-        end = len(masks)
-        if end and (min(masks) < 0 or max(masks) >= size):
-            end = next(offset for offset, mask in enumerate(masks)
-                       if not 0 <= mask < size)
-        scalar_table = self._table
-        scoreboard = self._scoreboard
-        exclusive = self._exclusive
-        state = self._state
-        detections: List[int] = []
-        stepped = end
-        stream = masks if end == len(masks) else masks[:end]
-        for offset, mask in enumerate(stream):
-            nxt = flat[state * size + mask]
-            if nxt < 0:
-                try:
-                    cell = scalar_table[state][mask]
-                    if type(cell) is tuple:
-                        cell = _resolve_ladder(
-                            cell, mask, scoreboard, exclusive,
-                            compiled.name, state,
-                        )
-                    if cell is None:
-                        raise MonitorError(
-                            f"monitor {compiled.name!r}: no transition "
-                            f"enabled in state {state} on input "
-                            f"{compiled.codec.decode(mask)!r} "
-                            f"(scoreboard {scoreboard!r})"
-                        )
-                    for action in cell.actions:
-                        action.apply(scoreboard)
-                except Exception:
-                    self._stopped_at(state, offset, detections)
-                    raise
-                nxt = cell.target
-            state = nxt
-            if state == final:
-                detections.append(offset)
-                if stop:
-                    stepped = offset + 1
-                    break
-        if stepped < len(masks) and not (stop and detections):
-            self._stopped_at(state, stepped, detections)
-            check_mask_domain(compiled, [masks])
-        self._state = state
-        self._tick += stepped
-        return detections
-
-    def _stopped_at(self, state: int, offset: int,
-                    detections: List[int]) -> None:
-        """Leave the engine where step-by-step stepping would have: at
-        the failing tick, with the chunk's detections before it
-        recorded (for :meth:`drain_detections`)."""
-        self._state = state
-        self._detections.extend(self._tick + hit for hit in detections)
-        self._tick += offset
 
 
 def run_compiled(
     monitor: Union[Monitor, CompiledMonitor],
-    trace: Trace,
+    trace: Iterable[Valuation],
     scoreboard: Optional[Scoreboard] = None,
 ) -> MonitorResult:
     """Run the compiled engine over a whole trace.
 
     Drop-in for :func:`~repro.monitor.engine.run_monitor`; produces an
-    identical :class:`~repro.monitor.engine.MonitorResult`.
+    identical :class:`MonitorResult`.
     """
+    from repro.monitor.engine import CompiledEngine
+
     engine = CompiledEngine(monitor, scoreboard=scoreboard)
     engine.feed(trace)
     return engine.result()
@@ -573,7 +467,7 @@ def run_compiled(
 
 def run_many(
     monitor: Union[Monitor, CompiledMonitor],
-    traces: Sequence[Trace],
+    traces: Sequence[Sequence[Valuation]],
     scoreboards: Optional[Sequence[Scoreboard]] = None,
     record_transitions: bool = False,
 ) -> List[MonitorResult]:

@@ -425,7 +425,7 @@ def _interpreted_engine_factory():
 
 
 def _compiled_engine_factory():
-    from repro.runtime.compiled import CompiledEngine
+    from repro.monitor.engine import CompiledEngine
 
     return CompiledEngine
 
@@ -443,7 +443,7 @@ def _compiled_encoded_factory():
 
 
 def _native_engine_factory():
-    from repro.runtime.native import NativeEngine
+    from repro.monitor.engine import NativeEngine
 
     return NativeEngine
 

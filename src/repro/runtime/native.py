@@ -33,6 +33,9 @@ lowering; this module owns everything around that source text:
   batches skip the domain pre-scan.  Injected scoreboards,
   ``record_transitions`` runs and non-lowerable tables delegate to the
   scalar loop outright — identical results either way.
+
+The stream engine on the same kernel,
+:class:`~repro.monitor.engine.NativeEngine`, still resolves here.
 """
 
 from __future__ import annotations
@@ -41,11 +44,9 @@ import ctypes
 import hashlib
 import os
 import shutil
-import subprocess
 import sys
 import tempfile
 from array import array
-from struct import error as struct_error, pack_into
 from typing import (
     TYPE_CHECKING,
     Callable,
@@ -57,18 +58,14 @@ from typing import (
     Union,
 )
 
+from repro._lazy import lazy_exports
 from repro.cache import CorpusCache, IdentityCache
 from repro.errors import MonitorError
 from repro.monitor.automaton import Monitor
-from repro.monitor.engine import MonitorResult
 from repro.monitor.scoreboard import Scoreboard
 from repro.runtime.compiled import (
-    CompiledEngine,
-    CompiledMonitor,
-    _run_many_encoded,
-    as_compiled,
-    check_mask_domain,
-)
+    CompiledMonitor, MonitorResult, _run_many_encoded, as_compiled,
+    check_mask_domain)
 
 if TYPE_CHECKING:
     from repro.runtime.lowering import VectorTable
@@ -86,6 +83,9 @@ __all__ = [
     "shared_object",
     "unavailable_reason",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__, {"NativeEngine": "repro.monitor.engine"})
 
 #: Compiler flags: optimized, position-independent, silent shared
 #: object.  C99 for declarations-in-for; no platform extensions.  Read
@@ -229,6 +229,8 @@ def _load_so(path: str, bind: Callable[[ctypes.CDLL], _Bound]
 
 def _compile_so(cc: str, source: str, so_path: str) -> bool:
     """Compile ``source`` to ``so_path``; False on any toolchain error."""
+    import subprocess
+
     with tempfile.TemporaryDirectory(prefix="repro-cgen-") as workdir:
         c_path = os.path.join(workdir, "stepper.c")
         with open(c_path, "w", encoding="utf-8") as stream:
@@ -349,9 +351,6 @@ def shared_object(source: str, bind: Callable[[ctypes.CDLL], _Bound]
 
 
 # -- the batch runners ------------------------------------------------------
-_INT32_MAX = (1 << 31) - 1
-
-
 def flatten_masks(mask_arrays) -> array:
     """Concatenate per-lane mask streams into one ``int32`` buffer.
 
@@ -480,126 +479,3 @@ def _run_many_native(compiled, mask_arrays, scoreboards,
             length,
         ))
     return results
-
-
-# -- the stream engine ------------------------------------------------------
-class NativeEngine(CompiledEngine):
-    """A compiled engine whose :meth:`feed_masks` is one C call a chunk.
-
-    The stepper's stream entry keeps the engine's state and scoreboard
-    counts in an ``int32`` buffer between calls, so a stream of chunks
-    never leaves C while it is clean.  On an anomaly the entry writes
-    nothing back, and the chunk replays from its start state through
-    :meth:`CompiledEngine.feed_masks
-    <repro.runtime.compiled.CompiledEngine.feed_masks>`: the error text
-    and where the engine stops are the scalar loop's.  The Python
-    :class:`~repro.monitor.scoreboard.Scoreboard` is rebuilt from the
-    counts only when something reads it (:attr:`scoreboard`, per-tick
-    stepping, a replay).  An injected scoreboard, a table outside the
-    C lowering or a missing kernel steps every chunk in Python, as
-    :func:`run_many_native` does.
-    """
-
-    def __init__(self, monitor: Union[Monitor, CompiledMonitor],
-                 scoreboard: Optional[Scoreboard] = None,
-                 record_history: bool = True):
-        super().__init__(monitor, scoreboard=scoreboard,
-                         record_history=record_history)
-        # An injected scoreboard is an observable object: it steps in
-        # Python, tick by tick.
-        self._kernel = (native_kernel(self._compiled)
-                        if scoreboard is None else None)
-        self._in_c = False
-        if self._kernel is not None:
-            self._io = array("i", bytes(4 * (1 + max(
-                1, len(self._kernel.events)))))
-            # Chunk-sized in/out buffers, reused call after call.
-            self._masks = array("i")
-            self._found = array("i")
-            self._out = array("q", bytes(16))
-
-    # -- the Python side of the state --------------------------------------
-    def _sync_board(self) -> None:
-        """Hand the counts back to the Python scoreboard (events the
-        table never touches keep theirs)."""
-        if self._in_c:
-            self._in_c = False
-            io = self._io
-            counts = self._scoreboard.snapshot()
-            counts.update(
-                (event, io[1 + row])
-                for row, event in enumerate(self._kernel.events)
-            )
-            self._scoreboard.restore(counts)
-
-    def _load_io(self) -> bool:
-        """Copy state and counts into the C buffer; ``False`` when a
-        count does not fit ``int32`` (the chunk then steps in Python)."""
-        io = self._io
-        count = self._scoreboard.count
-        for row, event in enumerate(self._kernel.events):
-            value = count(event)
-            if value > _INT32_MAX:
-                return False
-            io[1 + row] = value
-        io[0] = self._state
-        self._in_c = True
-        return True
-
-    @property
-    def scoreboard(self) -> Scoreboard:
-        self._sync_board()
-        return self._scoreboard
-
-    def enabled_transition(self, valuation):
-        self._sync_board()
-        return super().enabled_transition(valuation)
-
-    def step_mask(self, mask: int) -> int:
-        self._sync_board()
-        return super().step_mask(mask)
-
-    def commit(self, transition, apply_actions: bool = True) -> int:
-        self._sync_board()
-        return super().commit(transition, apply_actions)
-
-    def reset(self) -> None:
-        self._in_c = False
-        super().reset()
-
-    # -- the chunk path ------------------------------------------------------
-    def feed_masks(self, masks: Sequence[int],
-                   stop: bool = False) -> List[int]:
-        """:meth:`CompiledEngine.feed_masks
-        <repro.runtime.compiled.CompiledEngine.feed_masks>`, one C call
-        per chunk."""
-        kernel = self._kernel
-        count = len(masks)
-        if kernel is None or self._record_history or not count or (
-            not self._in_c and not self._load_io()
-        ):
-            return super().feed_masks(masks, stop)
-        found = self._found
-        if len(found) < count:
-            self._masks = array("i", bytes(4 * count))
-            self._found = found = array("i", bytes(4 * count))
-        if type(masks) is array and masks.typecode == "i":
-            buffer = masks
-        else:
-            buffer = self._masks
-            try:
-                # Two to three times faster than array("i", masks).
-                pack_into(f"={count}i", buffer, 0, *masks)
-            except struct_error:
-                # Beyond int32: the scalar loop names the bad mask.
-                self._sync_board()
-                return super().feed_masks(masks, stop)
-        out = self._out
-        if kernel.stream(_addr(buffer), count, _addr(self._io),
-                         1 if stop else 0, _addr(found), _addr(out)):
-            # Nothing was written back: replay from the chunk's start.
-            self._sync_board()
-            return super().feed_masks(masks, stop)
-        self._state = self._io[0]
-        self._tick += out[1]
-        return found[:out[0]].tolist()

@@ -6,8 +6,9 @@
   KMP-style transition table over Boolean-expression patterns;
 * :mod:`repro.synthesis.causality` — ``add_causality_check``: the
   scoreboard ``Add_evt``/``Chk_evt``/``Del_evt`` discipline;
-* :mod:`repro.synthesis.tr` — the main paper-faithful construction
-  producing a :class:`~repro.monitor.automaton.Monitor`;
+* :mod:`repro.synthesis.tr` / :mod:`repro.synthesis.dense` — the main
+  paper-faithful construction producing a
+  :class:`~repro.monitor.automaton.Monitor` (and ``tr_compiled``);
 * :mod:`repro.synthesis.symbolic` — guard grouping + Quine–McCluskey
   minimisation, recovering the figure-style symbolic monitors;
 * :mod:`repro.synthesis.subset` — the exact ``Sigma* . L`` detector via
@@ -30,7 +31,7 @@ _EXPORTS = {
     "flatten_chart": "repro.synthesis.pattern",
     "symbolic_monitor": "repro.synthesis.symbolic",
     "synthesize_chart": "repro.synthesis.compose",
-    "synthesize_monitor": "repro.synthesis.tr",
+    "synthesize_monitor": "repro.synthesis.dense",
     "synthesize_network": "repro.synthesis.multiclock",
     "tr": "repro.synthesis.tr",
 }

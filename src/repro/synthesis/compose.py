@@ -22,12 +22,12 @@ from typing import List, Optional, Sequence, Tuple
 from repro.cesc.charts import Chart, as_chart
 from repro.errors import SynthesisError
 from repro.monitor.automaton import Monitor
-from repro.monitor.engine import MonitorResult
 from repro.monitor.scoreboard import Scoreboard
+from repro.runtime.compiled import MonitorResult
 from repro.semantics.run import Trace
 from repro.synthesis.pattern import FlatPattern, flatten_chart
 from repro.synthesis.symbolic import symbolic_monitor
-from repro.synthesis.tr import synthesize_monitor
+from repro.synthesis.dense import synthesize_monitor
 
 __all__ = ["MonitorBank", "BankResult", "synthesize_chart"]
 

@@ -29,7 +29,7 @@ from repro.errors import SynthesisError
 from repro.monitor.network import LocalMonitor, MonitorNetwork
 from repro.synthesis.pattern import extract_pattern
 from repro.synthesis.symbolic import symbolic_monitor
-from repro.synthesis.tr import synthesize_monitor
+from repro.synthesis.dense import synthesize_monitor
 
 __all__ = ["synthesize_network"]
 

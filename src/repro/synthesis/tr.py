@@ -10,11 +10,13 @@ Follows Section 5's ``main`` routine:
 4. ``add_causality_check(ex, ey)`` for every causality arrow — the
    ``Add_evt`` / ``Chk_evt`` / ``Del_evt`` scoreboard discipline.
 
-The output is a deterministic, complete
+:func:`tr` returns a deterministic, complete
 :class:`~repro.monitor.automaton.Monitor` whose transition guards are
 *minterms* over the restricted alphabet (optionally conjoined with
-``Chk_evt`` conditions).  :mod:`repro.synthesis.symbolic` compresses
-those minterm fans into the compact figure-style guards.
+``Chk_evt`` conditions), built by :mod:`repro.synthesis.dense`.
+:mod:`repro.synthesis.symbolic` compresses those minterm fans into the
+compact figure-style guards; :func:`tr_compiled` fills the same table
+per satisfaction signature, straight into the compiled runtime.
 
 Complexity is the paper's: ``O((n+1) * 2^|Sigma|)`` table entries — the
 restricted alphabet (symbols actually mentioned by the chart) keeps
@@ -23,30 +25,16 @@ this tractable for protocol-sized specifications.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Mapping, Optional, Tuple
 
+from repro._lazy import lazy_exports
 from repro.cesc.ast import SCESC
 from repro.errors import SynthesisError
-from repro.logic.expr import (
-    And,
-    EventRef,
-    Expr,
-    Not,
-    PropRef,
-    ScoreboardCheck,
-    TRUE,
-    all_of,
-)
-from repro.logic.valuation import enumerate_valuations
+from repro.logic.expr import And, Expr, Not, ScoreboardCheck, all_of
 from repro.monitor.automaton import Monitor, Transition
-from repro.synthesis.causality import actions_for_move, checks_at
+from repro.synthesis.causality import actions_for_move
 from repro.synthesis.pattern import FlatPattern, extract_pattern
-from repro.synthesis.transition import (
-    LadderRung,
-    candidate_ladder,
-    pattern_compatibility,
-    signature_ladder,
-)
+from repro.synthesis.transition import pattern_compatibility, signature_ladder
 
 __all__ = [
     "minterm_expr",
@@ -57,64 +45,17 @@ __all__ = [
     "tr_compiled",
 ]
 
+__getattr__, __dir__ = lazy_exports(__name__, dict.fromkeys(
+    ("minterm_expr", "synthesize_monitor"), "repro.synthesis.dense"))
+
 _MAX_ALPHABET = 16
 
 
-def minterm_expr(true_symbols: FrozenSet[str], alphabet: Sequence[str],
-                 props: FrozenSet[str]) -> Expr:
-    """The complete product term selecting exactly one valuation."""
-    literals: List[Expr] = []
-    for symbol in alphabet:
-        atom: Expr = PropRef(symbol) if symbol in props else EventRef(symbol)
-        literals.append(atom if symbol in true_symbols else Not(atom))
-    return all_of(literals)
-
-
-def check_conjunction(events: FrozenSet[str]) -> Expr:
-    """``Chk_evt(e1) & ... & Chk_evt(ek)`` (``TRUE`` when empty)."""
-    return all_of(ScoreboardCheck(e) for e in sorted(events))
-
-
-def _ladder_transitions(
+def checked_pattern(
     pattern: FlatPattern,
-    state: int,
-    minterm: Expr,
-    ladder: Sequence[LadderRung],
-    extra_adds: Optional[Mapping[int, FrozenSet[str]]],
-) -> List[Transition]:
-    """Turn a while-loop descent into disjoint guarded transitions.
-
-    Rung ``i`` fires when its ``Chk_evt`` conjunction holds and every
-    higher rung's conjunction fails; the last rung (no checks) is the
-    unconditional floor, so the guards partition the input space.
-    """
-    transitions: List[Transition] = []
-    failed_above: List[Expr] = []
-    for rung in ladder:
-        condition = check_conjunction(rung.checks)
-        guard = And(
-            (minterm, condition) + tuple(failed_above)
-        ).simplify()
-        actions = actions_for_move(pattern, state, rung.target, extra_adds)
-        transitions.append(Transition(state, guard, actions, rung.target))
-        if condition == TRUE:
-            break
-        failed_above.append(Not(condition))
-    return transitions
-
-
-def synthesize_monitor(
-    pattern: FlatPattern,
-    name: Optional[str] = None,
-    extra_adds: Optional[Mapping[int, FrozenSet[str]]] = None,
     extra_checks: Optional[Mapping[int, FrozenSet[str]]] = None,
-) -> Monitor:
-    """Synthesize the monitor for a flat pattern (paper's ``Tr`` core).
-
-    ``extra_adds`` / ``extra_checks`` inject cross-domain causality
-    obligations (tick -> event set) when the pattern is one local chart
-    of a multi-clock composition.
-    """
+) -> FlatPattern:
+    """``pattern`` under the alphabet cap, cross-domain checks folded in."""
     if len(pattern.alphabet) > _MAX_ALPHABET:
         raise SynthesisError(
             f"pattern {pattern.name!r} has {len(pattern.alphabet)} symbols; "
@@ -123,26 +64,12 @@ def synthesize_monitor(
         )
     if extra_checks:
         pattern = _with_extra_checks(pattern, extra_checks)
-    n = pattern.length
-    alphabet = sorted(pattern.alphabet)
-    compatibility = pattern_compatibility(pattern)
-    transitions: List[Transition] = []
-    for state in range(n + 1):
-        for valuation in enumerate_valuations(alphabet):
-            ladder = candidate_ladder(pattern, state, valuation, compatibility)
-            minterm = minterm_expr(valuation.true, alphabet, pattern.props)
-            transitions.extend(
-                _ladder_transitions(pattern, state, minterm, ladder, extra_adds)
-            )
-    return Monitor(
-        name or pattern.name,
-        n_states=n + 1,
-        initial=0,
-        final=n,
-        transitions=transitions,
-        alphabet=pattern.alphabet,
-        props=pattern.props,
-    )
+    return pattern
+
+
+def check_conjunction(events: FrozenSet[str]) -> Expr:
+    """``Chk_evt(e1) & ... & Chk_evt(ek)`` (``TRUE`` when empty)."""
+    return all_of(ScoreboardCheck(e) for e in sorted(events))
 
 
 def _with_extra_checks(
@@ -209,7 +136,8 @@ def synthesize_compiled(
     """Emit a :class:`~repro.runtime.compiled.CompiledMonitor` directly.
 
     Fills the same dense ``(state, valuation)`` table as
-    :func:`synthesize_monitor`'s per-valuation enumeration, in place of
+    :func:`~repro.synthesis.dense.synthesize_monitor`'s per-valuation
+    enumeration, in place of
     minterm guard expressions — the table ``Tr`` computes *is* the
     compiled artifact.  The while loop reads a valuation ``e`` only
     through which pattern elements ``P[k]`` it satisfies, for
@@ -227,14 +155,7 @@ def synthesize_compiled(
     from repro.logic.codec import AlphabetCodec
     from repro.runtime.compiled import CompiledCheck, CompiledMonitor
 
-    if len(pattern.alphabet) > _MAX_ALPHABET:
-        raise SynthesisError(
-            f"pattern {pattern.name!r} has {len(pattern.alphabet)} symbols; "
-            f"the valuation enumeration (2^|Sigma|) is capped at "
-            f"2^{_MAX_ALPHABET} — split the chart or reduce its alphabet"
-        )
-    if extra_checks:
-        pattern = _with_extra_checks(pattern, extra_checks)
+    pattern = checked_pattern(pattern, extra_checks)
     n = pattern.length
     codec = AlphabetCodec(pattern.alphabet)
     compatibility = pattern_compatibility(pattern)
@@ -313,6 +234,8 @@ def synthesize_compiled(
 
 def tr(chart: SCESC, name: Optional[str] = None) -> Monitor:
     """The paper's ``main`` routine: SCESC in, monitor out."""
+    from repro.synthesis.dense import synthesize_monitor
+
     return synthesize_monitor(extract_pattern(chart), name=name)
 
 

@@ -26,7 +26,7 @@ from repro._lazy import lazy_exports
 _EXPORTS = {
     "ColumnarTraceSet": "repro.trace.columnar",
     "SignalBinding": "repro.trace.vcd_reader",
-    "StreamReport": "repro.trace.streaming",
+    "StreamReport": "repro.trace.shard",
     "StreamingChecker": "repro.trace.streaming",
     "VcdReader": "repro.trace.vcd_reader",
     "VcdSignal": "repro.trace.vcd_reader",

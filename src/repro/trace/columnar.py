@@ -59,6 +59,7 @@ import zlib
 from array import array
 from typing import Iterable, Optional, Sequence, Tuple, Union
 
+from repro._lazy import lazy_exports
 from repro.cache import CorpusCache
 from repro.errors import TraceError
 from repro.logic.codec import MAX_CODEC_SYMBOLS, AlphabetCodec
@@ -75,6 +76,10 @@ __all__ = [
     "masks_from_vcd",
     "masks_from_vcd_text",
 ]
+
+#: ``check_masks`` lives with the uncached dump loop it ends.
+__getattr__, __dir__ = lazy_exports(
+    __name__, {"check_masks": "repro.trace.shard"})
 
 
 RTRC_MAGIC = b"RTRC"
@@ -453,36 +458,6 @@ def ingest_vcd(
     return built, False, entry_path
 
 
-def check_masks(monitor, masks, engine: str = "auto",
-                max_recorded: int = 10_000):
-    """Check one dump's mask stream in the planned batch kernel.
-
-    The last step of every table-engine ``check --vcd``, cached or
-    not: the planner sees one lane of ``len(masks)`` ticks (the native
-    stepper when a C compiler is present, else the compiled loop), and
-    the result comes back as a
-    :class:`~repro.trace.streaming.StreamReport` holding the first
-    ``max_recorded`` detections.
-    """
-    from repro.runtime.engines import Workload, plan_execution
-    from repro.trace.streaming import StreamReport
-
-    plan = plan_execution(monitor, Workload(1, len(masks)), engine,
-                          capability="batch", error_cls=TraceError)
-    detections = plan.encoded_runner()(monitor, [masks])[0].detections
-    return StreamReport(
-        monitor.name,
-        ticks=len(masks),
-        detections=list(detections[:max_recorded]),
-        n_detections=len(detections),
-        violations=[],
-        n_violations=0,
-        n_passes=0,
-        n_pending=0,
-        stopped_early=False,
-    )
-
-
 def check_vcd_cached(
     monitor,
     paths: Sequence[str],
@@ -501,11 +476,12 @@ def check_vcd_cached(
     :func:`~repro.trace.shard.run_sharded_vcd`: each dump is resolved
     through :func:`ingest_vcd` (warm hits read pre-encoded masks off
     disk; misses parse the dump and populate the cache) and its masks
-    go through :func:`check_masks`, the step the uncached path ends
-    with too.
+    go through :func:`~repro.trace.shard.check_masks`, the step the
+    uncached path ends with too.
     """
     from repro.runtime.compiled import as_compiled
     from repro.runtime.engines import AUTO, require_backend
+    from repro.trace.shard import check_masks
 
     if engine != AUTO:
         # Validate up front so an empty path list still rejects a bad

@@ -2,9 +2,11 @@
 
 :func:`run_sharded_vcd` reads each dump through the VCD front-end in
 bounded blocks into one mask array and checks it in the planned batch
-kernel (:func:`~repro.trace.columnar.check_masks`); the interpreted
-engine streams decoded valuations instead.  With a corpus cache it
-resolves dumps through :func:`~repro.trace.columnar.check_vcd_cached`.
+kernel (:func:`check_masks`, reporting a :class:`StreamReport`); the
+interpreted engine streams decoded valuations instead.  With a corpus
+cache it resolves dumps through
+:func:`~repro.trace.columnar.check_vcd_cached`.  The streaming checker
+and the corpus store load only when a check needs them.
 
 Every batch, dump, campaign and corpus check runs in the calling
 process: with the native stepper a worker pool won no measured
@@ -18,14 +20,88 @@ because ``perfbench/traced.py`` calls them.
 from __future__ import annotations
 
 import os
-from typing import Optional, Sequence, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
-from repro.errors import MonitorError
+from repro.errors import MonitorError, TraceError
 from repro.monitor.automaton import Monitor
 from repro.runtime.compiled import CompiledMonitor, as_compiled
 from repro.runtime.engines import AUTO, backend, require_backend
 
-__all__ = ["run_sharded_vcd"]
+__all__ = ["StreamReport", "check_masks", "run_sharded_vcd"]
+
+
+class StreamReport:
+    """Summary of an online checking run.
+
+    ``detections`` / ``violations`` hold at most the first
+    ``max_recorded`` entries (a violation is the obligation-opening
+    tick paired with the tick it failed at); ``n_detections`` /
+    ``n_violations`` are exact totals.
+    """
+
+    __slots__ = ("name", "ticks", "detections", "n_detections",
+                 "violations", "n_violations", "n_passes", "n_pending",
+                 "stopped_early")
+
+    def __init__(self, name: str, ticks: int, detections: List[int],
+                 n_detections: int,
+                 violations: List[Tuple[int, int]], n_violations: int,
+                 n_passes: int, n_pending: int, stopped_early: bool):
+        self.name = name
+        self.ticks = ticks
+        self.detections = detections
+        self.n_detections = n_detections
+        self.violations = violations
+        self.n_violations = n_violations
+        self.n_passes = n_passes
+        self.n_pending = n_pending
+        self.stopped_early = stopped_early
+
+    @property
+    def accepted(self) -> bool:
+        """Did the (antecedent) scenario occur at least once?"""
+        return self.n_detections > 0
+
+    @property
+    def ok(self) -> bool:
+        """No violation observed (pending obligations don't count)."""
+        return self.n_violations == 0
+
+    def __repr__(self):
+        return (
+            f"StreamReport({self.name!r}, ticks={self.ticks}, "
+            f"detections={self.n_detections}, "
+            f"violations={self.n_violations}, "
+            f"stopped_early={self.stopped_early})"
+        )
+
+
+def check_masks(monitor, masks, engine: str = "auto",
+                max_recorded: int = 10_000):
+    """Check one dump's mask stream in the planned batch kernel.
+
+    The last step of every table-engine ``check --vcd``, cached or
+    not: the planner sees one lane of ``len(masks)`` ticks (the native
+    stepper when a C compiler is present, else the compiled loop), and
+    the result comes back as a :class:`StreamReport` holding the first
+    ``max_recorded`` detections.
+    """
+    from repro.runtime.engines import Workload, plan_execution
+
+    plan = plan_execution(monitor, Workload(1, len(masks)), engine,
+                          capability="batch", error_cls=TraceError)
+    detections = plan.encoded_runner()(monitor, [masks])[0].detections
+    return StreamReport(
+        monitor.name,
+        ticks=len(masks),
+        detections=list(detections[:max_recorded]),
+        n_detections=len(detections),
+        violations=[],
+        n_violations=0,
+        n_passes=0,
+        n_pending=0,
+        stopped_early=False,
+    )
 
 
 def available_cores() -> int:
@@ -77,12 +153,13 @@ def run_sharded_vcd(
     engine: str = AUTO,
     cache=None,
 ) -> list:
-    """Check VCD dumps; one :class:`~repro.trace.streaming.StreamReport`
-    per path, in input order.
+    """Check VCD dumps; one :class:`StreamReport` per path, in input
+    order.
 
     Each dump streams through the VCD front-end in bounded blocks into
-    one mask array (4 bytes a tick, held whole), which the planned
-    batch kernel checks — see :func:`~repro.trace.columnar.check_masks`;
+    one mask array, held whole (a check peaks at about 28 bytes a
+    tick, measured 2026-10-19), which the planned batch kernel checks
+    — see :func:`check_masks`;
     the interpreted engine instead streams decoded valuations through
     ``monitor`` as given (a compiled monitor through its source).
     ``clock``/``period``/``offset``/``until``/``binding`` are the
@@ -95,12 +172,12 @@ def run_sharded_vcd(
     skip parsing entirely; misses parse and populate the cache.
     Verdicts are identical either way.
     """
-    from repro.trace.columnar import check_masks, check_vcd_cached
-    from repro.trace.streaming import StreamingChecker
     from repro.trace.vcd_reader import VcdReader
 
     paths = [os.fspath(path) for path in paths]
     if cache is not None:
+        from repro.trace.columnar import check_vcd_cached
+
         return check_vcd_cached(
             monitor, paths, cache, clock=clock, period=period,
             offset=offset, until=until, binding=binding, engine=engine,
@@ -117,6 +194,8 @@ def run_sharded_vcd(
     for path in paths:
         with VcdReader(path, binding=binding) as reader:
             if streams:
+                from repro.trace.streaming import StreamingChecker
+
                 reports.append(StreamingChecker(monitor, engine=engine)
                                .feed(reader.valuations(**sampling)))
                 continue

@@ -2,8 +2,8 @@
 
 One fixed C translation unit does, in one pass over one block of
 change-stream text, the work of the Python block parser
-(:func:`~repro.trace.vcd_reader._parse_chunk`) plus the replay
-(:class:`~repro.trace.vcd_reader._Sampler`): it tokenizes the block,
+(:func:`~repro.trace.vcd_python.parse_chunk`) plus the replay
+(:func:`~repro.trace.vcd_python.replay`): it tokenizes the block,
 applies clock, period or event sampling with the ``offset``/``until``
 window, and writes one mask per tick.  The sampling state lives in the
 Python sampler and is copied in and out around each block, so the C

@@ -10,17 +10,18 @@ consumer reads the dump through it:
 * the **change stream** after ``$enddefinitions`` is read in blocks of
   about ``chunk_size`` characters, each cut just before a ``\\n#``
   timestamp line, so the dump text is never held whole;
-* each block is reduced to per-instant *delta records*
-  (:func:`_parse_chunk`: the bound bits set and cleared in the
-  instant, plus clock-edge flags);
-* one sequential **replay** (:class:`_Sampler`) applies the sampling
-  discipline to the records and emits one mask int per tick.
+* each block is reduced to per-instant *delta records* (the bound
+  bits set and cleared in the instant, plus clock-edge flags);
+* one sequential **replay** applies the sampling discipline
+  (:class:`_Sampler`, the state carried from block to block) to the
+  records and emits one mask int per tick.
 
 When a C compiler is available, a fixed C translation unit
 (:mod:`repro.trace.vcd_native`) does both steps in one pass over each
-block, on the same sampling state; the Python parser and replay stay
-as the reference and take any block the C grammar leaves out (and
-every block without a compiler), so the masks and the
+block, on the same sampling state.  The Python parser and replay
+(:mod:`repro.trace.vcd_python`) stay as the reference and take any
+block the C grammar leaves out (and every block without a compiler);
+they are imported at the first block they take.  So the masks and the
 :class:`~repro.errors.TraceError` text never depend on which side
 parsed a block.
 
@@ -94,6 +95,7 @@ import os
 import re
 from array import array
 from typing import (
+    TYPE_CHECKING,
     Callable,
     Dict,
     Iterable,
@@ -107,27 +109,13 @@ from typing import (
 
 from repro.errors import TraceError
 from repro.logic.valuation import Valuation
-from repro.semantics.run import Trace
+
+if TYPE_CHECKING:
+    from repro.semantics.run import Trace
 
 __all__ = ["SignalBinding", "VcdReader", "VcdSignal"]
 
-#: Scalar change tokens.  ``x``/``z`` map to ``None`` — "no known
-#: value" — which samples as false, never rises a clock, and does not
-#: count as the dump's first real value (see module docstring).
-_SCALAR_VALUES = {"0": 0, "1": 1, "x": None, "X": None, "z": None, "Z": None}
-
-#: Dump-section markers that bracket ordinary value-change tokens.
-_DUMP_DIRECTIVES = {"$dumpvars", "$dumpall", "$dumpon", "$dumpoff"}
-
 _TOKEN = re.compile(r"\S+")
-
-# Per-instant clock/validity flags carried by delta records.
-_F_ROSE = 1          # clock rose within the instant (previous level known low)
-_F_ROSE_IF_LOW = 2   # clock went high but the incoming level is block-unknown
-_F_LEVEL_LOW = 4     # clock level at end of instant: low
-_F_LEVEL_HIGH = 8    # clock level at end of instant: high
-_F_SAW = 16          # some change carried a real (non-x/z) value
-_F_INITIAL = 32      # the instant's changes came before any timestamp
 
 #: Distinct masks :meth:`VcdReader.valuations` keeps decoded at once.
 _DECODE_CACHE = 4096
@@ -472,9 +460,9 @@ class VcdReader:
 
     def _delta_plan(self, bit_of: Mapping[str, int],
                     clock: Optional[str]) -> tuple:
-        """What the block parser and the replay need for one sampling
-        setup: ``(actions, code_bits, clock_codes, direct,
-        symbol_bits_of)``, with symbol bits taken from ``bit_of``.
+        """What the block parsers and the replay need for one sampling
+        setup: ``(code_bits, clock_codes, direct, symbol_bits_of)``,
+        with symbol bits taken from ``bit_of``.
 
         In the common 1:1 case (every symbol has one driving code)
         codes are tracked directly in symbol-bit space and the replay's
@@ -503,9 +491,7 @@ class VcdReader:
             code_bits = {code: 1 << position
                          for position, code in enumerate(codes)}
             direct, symbol_bits_of = False, [driving[c] for c in codes]
-        actions = _scalar_actions((s.code for s in self.signals), code_bits,
-                                  clock_codes)
-        return actions, code_bits, clock_codes, direct, symbol_bits_of
+        return code_bits, clock_codes, direct, symbol_bits_of
 
     # -- the change stream -----------------------------------------------
     def _claim(self) -> None:
@@ -556,28 +542,34 @@ class VcdReader:
                      until: Optional[int]) -> Iterator[List[int]]:
         """One sequence of tick masks per parsed block (bits from
         ``bit_of``): the C parser's where it takes the block, the
-        Python parser's and replay's where it does not."""
+        Python parser's (:mod:`repro.trace.vcd_python`, imported at
+        the first block it takes) where it does not."""
         from repro.trace.vcd_native import FALLBACK, block_parser
 
         _check_sampling(clock, period)
-        actions, code_bits, clock_codes, direct, symbol_bits_of = \
+        code_bits, clock_codes, direct, symbol_bits_of = \
             self._delta_plan(bit_of, clock)
-        has_clock = bool(clock_codes)
-        sampler = _Sampler(has_clock, period, offset, until, direct,
-                           symbol_bits_of)
-        native = block_parser(
-            list(dict.fromkeys(s.code for s in self.signals)), code_bits,
-            clock_codes, direct, symbol_bits_of, sampler)
+        sampler = _Sampler(bool(clock_codes), period, offset, until,
+                           direct, symbol_bits_of)
+        codes = list(dict.fromkeys(s.code for s in self.signals))
+        native = block_parser(codes, code_bits, clock_codes, direct,
+                              symbol_bits_of, sampler)
+        python = actions = None
 
         def parse(text, final):
+            nonlocal python, actions
             if native is not None:
                 masks = native(text, final)
                 if masks is not FALLBACK:
                     return masks
-            records = _parse_chunk(
+            if python is None:
+                from repro.trace import vcd_python as python
+
+                actions = python.scalar_actions(codes, code_bits, clock_codes)
+            records = python.parse_chunk(
                 text, actions, code_bits, clock_codes, final, until,
                 sampler.block_time if sampler.pending else None)
-            return None if records is None else sampler.replay(records)
+            return None if records is None else python.replay(sampler, records)
 
         return sampler.run(self._parsed_blocks(parse))
 
@@ -649,6 +641,8 @@ class VcdReader:
         so it raises instead; construct a fresh ``VcdReader`` to
         re-read.
         """
+        from repro.trace.vcd_python import Truncated, decode_change, timestamp
+
         time = 0
 
         def parse(text, final):
@@ -659,13 +653,13 @@ class VcdReader:
             try:
                 for token in tokens:
                     if token[0] == "#":
-                        at = _timestamp(token)
+                        at = timestamp(token)
                         records.append((at, "", None))
                         continue
-                    change = _change(token, tokens)
+                    change = decode_change(token, tokens)
                     if change is not None:
                         records.append((at,) + change)
-            except _Truncated as cut:
+            except Truncated as cut:
                 if final:
                     raise TraceError(str(cut)) from None
                 return None
@@ -682,6 +676,8 @@ class VcdReader:
         Convenience for small dumps and tests; checks take
         :meth:`masks` instead.
         """
+        from repro.semantics.run import Trace
+
         alphabet = self.alphabet(clock=clock)
         valuations = list(
             self.valuations(clock=clock, period=period, offset=offset,
@@ -690,316 +686,12 @@ class VcdReader:
         return Trace(valuations, alphabet)
 
 
-# -- the block parser and the replay ----------------------------------------
-class _Truncated(Exception):
-    """A block ended inside a multi-token construct.
-
-    The message is the :class:`TraceError` a final block raises.
-    """
-
-
+# -- the sampling state ------------------------------------------------------
 def _check_sampling(clock: Optional[str], period: Optional[int]) -> None:
     if clock is not None and period is not None:
         raise TraceError("choose clock or period sampling, not both")
     if period is not None and period <= 0:
         raise TraceError("sampling period must be positive")
-
-
-def _timestamp(token: str) -> int:
-    try:
-        return int(token[1:])
-    except ValueError:
-        raise TraceError(f"bad timestamp token {token!r}") from None
-
-
-def _change(token: str, tokens: Iterator[str]):
-    """Decode one change-stream token that is not a declared scalar.
-
-    Returns ``(code, value)`` for a value change (``value`` is ``None``
-    for ``x``/``z``), or ``None`` for a directive, whose body is
-    consumed from ``tokens``.  Raises :class:`_Truncated` when
-    ``tokens`` runs out mid-construct.
-    """
-    lead = token[0]
-    if lead in _SCALAR_VALUES:
-        code = token[1:]
-        if not code:
-            raise TraceError(f"scalar change {token!r} lacks an id")
-        return code, _SCALAR_VALUES[lead]
-    if lead in "bB":
-        code = next(tokens, None)
-        if code is None:
-            raise _Truncated(f"vector change {token!r} lacks an id")
-        bits = token[1:]
-        if any(c in "xXzZ" for c in bits):
-            return code, None
-        try:
-            return code, int(bits, 2)
-        except ValueError:
-            raise TraceError(f"bad vector value {token!r}") from None
-    if lead in "rR":
-        code = next(tokens, None)
-        if code is None:
-            raise _Truncated(f"real change {token!r} lacks an id")
-        try:
-            return code, int(float(token[1:]) != 0.0)
-        except ValueError:
-            raise TraceError(f"bad real value {token!r}") from None
-    if token == "$dumpoff":
-        # A blackout section: every signal is dumped as x/z purely to
-        # mark the gap.  Applying those would read all symbols false
-        # and register a phantom clock edge at $dumpon, so the section
-        # is skipped wholesale — values hold until $dumpon re-dumps
-        # them.  (``in`` consumes the iterator up to the ``$end``.)
-        if "$end" not in tokens:
-            raise _Truncated("unterminated $dumpoff section (missing $end)")
-    elif token in _DUMP_DIRECTIVES or token == "$end":
-        pass
-    elif lead == "$":
-        if "$end" not in tokens:
-            raise _Truncated(f"unterminated {token} directive (missing $end)")
-    else:
-        raise TraceError(f"unexpected value-change token {token!r}")
-    return None
-
-
-def _scalar_actions(all_codes: Iterable[str], code_bits: Dict[str, int],
-                    clock_codes: frozenset) -> Dict[str, tuple]:
-    """Precompiled scalar-change dispatch: token -> ``(hi, lo, saw, clk)``.
-
-    Scalar changes are drawn from a small finite vocabulary — a value
-    character (``01xXzZ``) glued to one of the declared identifier
-    codes — so the whole per-token decision (slice off the code, look
-    up its bits, classify the value, test clock membership) collapses
-    into a single dict probe computed once per conversion.  ``clk`` is
-    0 for non-clock codes, 1 for a high clock edge, 2 for low/unknown.
-    """
-    actions: Dict[str, tuple] = {}
-    for code in all_codes:
-        bits = code_bits.get(code, 0)
-        if code in clock_codes:
-            high_clk, low_clk = 1, 2
-        else:
-            high_clk = low_clk = 0
-        actions["1" + code] = (bits, 0, _F_SAW, high_clk)
-        actions["0" + code] = (0, bits, _F_SAW, low_clk)
-        for unknown in ("x", "X", "z", "Z"):
-            # x/z read as value None: no saw_value, symbol goes low.
-            actions[unknown + code] = (0, bits, 0, low_clk)
-    return actions
-
-
-def _parse_chunk(text: str, actions: Dict[str, tuple],
-                 code_bits: Dict[str, int],
-                 clock_codes: frozenset,
-                 final: bool,
-                 until: Optional[int],
-                 instant: Optional[int]) -> Optional[tuple]:
-    """One block of the change stream -> per-instant delta records.
-
-    Context-free by design: the parser knows nothing about values set
-    before its block (only, as ``instant``, the time of an instant
-    still open at its start, which a leading timestamp at that time
-    continues), so each record carries only what changed —
-    ``set``/``clear`` bit deltas over the (code or symbol) bitspace,
-    and clock flags whose "did it rise?" question may be deferred to
-    the replay (``_F_ROSE_IF_LOW``) when the incoming level is
-    unknown.  Returns ``(times, sets, clears, flags)``, one entry per
-    instant — or ``None`` when a non-``final`` block ends
-    mid-construct.
-
-    Under clock sampling the parser elides instants that carry no
-    bit deltas and no clock rise — typically every falling clock edge,
-    half of a synchronous dump.  The replay never samples on them and
-    ``saw_value`` is not consulted under clock sampling; the one thing
-    they feed, the level seen by the *next* block's deferred-rise
-    resolution, is preserved by a trailing zero-delta record whenever
-    the block's final level differs from the last level shipped.  An
-    elided instant still parts the instants around it: when time runs
-    backwards, the records on either side may share a time, and the
-    replay would merge them; so a zero-delta record stands in for the
-    elided instants whenever that can happen (within the block, and at
-    either of its ends).
-
-    Parsing stops at the first timestamp past ``until``, which ends
-    the records as a zero-delta record the replay stops on; the text
-    after it is never read.
-    """
-    times: List[int] = []
-    sets: List[int] = []
-    clears: List[int] = []
-    flags = bytearray()
-    times_append = times.append
-    sets_append = sets.append
-    clears_append = clears.append
-    flags_append = flags.append
-
-    cur_time = 0 if instant is None else instant
-    pending = instant is not None
-    hi = 0
-    lo = 0
-    flag = 0
-    quiet_level = 0    # latest level bits seen (shipped or elided)
-    shipped_level = 0  # latest level bits actually shipped
-    elided = None      # time of an instant elided since the last record
-    clock_level: Optional[bool] = None  # unknown at block entry
-    actions_get = actions.get
-    bits_get = code_bits.get
-    has_clock = bool(clock_codes)
-    # Hot-loop locals: global flag constants cost a dict probe per use.
-    f_rose = _F_ROSE
-    f_rose_if_low = _F_ROSE_IF_LOW
-    f_level_low = _F_LEVEL_LOW
-    f_level_high = _F_LEVEL_HIGH
-    rose_bits = f_rose | f_rose_if_low
-    level_bits = f_level_low | f_level_high
-    stop_time: Optional[int] = None
-    initial = instant is None  # changes now are the dump's initial values
-    stream = iter(text.split())
-    try:
-        for token in stream:
-            act = actions_get(token)
-            if act is not None:
-                # Scalar change of a declared code: the precompiled path.
-                token_hi, token_lo, saw, clk = act
-                pending = True
-                if token_hi or token_lo:
-                    hi = (hi | token_hi) & ~token_lo
-                    lo = (lo | token_lo) & ~token_hi
-                flag |= saw
-                if clk:
-                    if clk == 1:
-                        if clock_level is None:
-                            flag |= f_rose_if_low
-                        elif not clock_level:
-                            flag |= f_rose
-                        clock_level = True
-                        flag = (flag & ~f_level_low) | f_level_high
-                    else:
-                        clock_level = False
-                        flag = (flag & ~f_level_high) | f_level_low
-                continue
-            if token[0] == "#":
-                try:
-                    time = int(token[1:])
-                except ValueError:
-                    raise TraceError(f"bad timestamp token {token!r}")
-                if pending and time == cur_time:
-                    continue  # same instant continues
-                if until is not None and time > until:
-                    stop_time = time
-                    break
-                if pending:
-                    if initial:
-                        flag |= _F_INITIAL
-                    if has_clock and not hi and not lo and not (
-                        flag & rose_bits
-                    ):
-                        level = flag & level_bits
-                        if level:
-                            quiet_level = level
-                        elided = cur_time
-                    else:
-                        if elided is not None and (
-                            not times or times[-1] == cur_time
-                        ):
-                            times_append(elided)
-                            sets_append(0)
-                            clears_append(0)
-                            flags_append(0)
-                        elided = None
-                        times_append(cur_time)
-                        sets_append(hi)
-                        clears_append(lo)
-                        flags_append(flag)
-                        level = flag & level_bits
-                        if level:
-                            quiet_level = shipped_level = level
-                    hi = lo = flag = 0
-                initial = False
-                cur_time = time
-                pending = True
-                continue
-            # Vector/real changes, scalars of undeclared codes (which
-            # malformed dumps carry) and directives: the cold path.
-            change = _change(token, stream)
-            if change is None:
-                continue
-            code, value = change
-            pending = True
-            if value is not None:
-                flag |= _F_SAW
-                high = value != 0
-            else:
-                high = False
-            if has_clock and code in clock_codes:
-                if high:
-                    if clock_level is None:
-                        flag |= f_rose_if_low
-                    elif not clock_level:
-                        flag |= f_rose
-                clock_level = high
-                flag = (flag & ~level_bits) | (
-                    f_level_high if high else f_level_low
-                )
-            bits = bits_get(code)
-            if bits:
-                if high:
-                    hi |= bits
-                    lo &= ~bits
-                else:
-                    lo |= bits
-                    hi &= ~bits
-    except _Truncated as cut:
-        if final:
-            raise TraceError(str(cut)) from None
-        return None
-    if pending:
-        if initial:
-            flag |= _F_INITIAL
-        if has_clock and not hi and not lo and not (flag & rose_bits):
-            level = flag & level_bits
-            if level:
-                quiet_level = level
-            elided = cur_time
-        else:
-            if elided is not None and (not times or times[-1] == cur_time):
-                times_append(elided)
-                sets_append(0)
-                clears_append(0)
-                flags_append(0)
-            elided = None
-            times_append(cur_time)
-            sets_append(hi)
-            clears_append(lo)
-            flags_append(flag)
-            level = flag & level_bits
-            if level:
-                quiet_level = shipped_level = level
-    if has_clock and (quiet_level != shipped_level or elided is not None):
-        # Resync the level the next block's deferred rise will read,
-        # and part the block's last instant from the next block's.
-        times_append(cur_time)
-        sets_append(0)
-        clears_append(0)
-        flags_append(quiet_level)
-    if stop_time is not None:
-        times_append(stop_time)
-        sets_append(0)
-        clears_append(0)
-        flags_append(0)
-    return times, sets, clears, flags
-
-
-def _symbol_mask(code_vals: int, symbol_bits_of: List[int]) -> int:
-    """Symbol mask of a code-bit snapshot (multi-driver general case)."""
-    mask = 0
-    vals = code_vals
-    while vals:
-        low = vals & -vals
-        mask |= symbol_bits_of[low.bit_length() - 1]
-        vals ^= low
-    return mask
 
 
 class _Sampler:
@@ -1010,10 +702,11 @@ class _Sampler:
     same-instant merging (an instant split over several blocks, or a
     ``$dumpvars`` section before ``#0``, merges under the same-time
     rule), ``saw_value`` gating, periodic phase skipping and the
-    window's early exit (``done``).  :meth:`replay` applies one block's
-    delta records; the C block parser (:mod:`repro.trace.vcd_native`)
-    runs the same state machine over these same fields, so either side
-    continues where the other left off.
+    window's early exit (``done``).  The Python replay
+    (:func:`repro.trace.vcd_python.replay`) applies one block's delta
+    records to these fields, and the C block parser
+    (:mod:`repro.trace.vcd_native`) runs the same state machine over
+    them, so either side continues where the other left off.
     """
 
     __slots__ = ("has_clock", "period", "offset", "until", "direct",
@@ -1050,78 +743,6 @@ class _Sampler:
         masks = self.finish()
         if masks:
             yield masks
-
-    def replay(self, records: tuple) -> List[int]:
-        """The masks one block's delta records close."""
-        has_clock, period, offset, until = (self.has_clock, self.period,
-                                            self.offset, self.until)
-        direct, symbol_bits_of = self.direct, self.symbol_bits_of
-        code_vals, mask, level, rose = (self.code_vals, self.mask,
-                                        self.level, self.rose)
-        saw, pending, block_time, next_sample = (
-            self.saw, self.pending, self.block_time, self.next_sample)
-        out: List[int] = []
-        append = out.append
-        for time, hi, lo, flag in zip(*records):
-            if not (pending and time == block_time):
-                # A new instant: close the previous one.
-                if pending:
-                    if has_clock:
-                        if rose and block_time >= offset and (
-                            until is None or block_time <= until
-                        ):
-                            append(mask)
-                        rose = False
-                    elif period is None and saw and block_time >= offset \
-                            and (until is None or block_time <= until):
-                        append(mask)
-                # Initial values dumped before any timestamp open their
-                # instant (time 0) without one: no grid point passes
-                # and no window closes yet.
-                if pending or not flag & _F_INITIAL:
-                    if period is not None and next_sample < time:
-                        if saw:
-                            while next_sample < time and (
-                                until is None or next_sample <= until
-                            ):
-                                append(mask)
-                                next_sample += period
-                        else:
-                            # No value has appeared yet, so grid points
-                            # up to here would be phantom ticks
-                            # back-filled with future values; skip
-                            # them, keeping the grid's offset phase.
-                            next_sample += \
-                                -((next_sample - time) // period) * period
-                    if until is not None and time > until:
-                        # The rest of the dump is outside the window.
-                        self.done = True
-                        break
-                block_time = time
-                pending = True
-            if hi or lo:
-                new_vals = (code_vals | hi) & ~lo
-                if new_vals != code_vals:
-                    code_vals = new_vals
-                    mask = (code_vals if direct
-                            else _symbol_mask(code_vals, symbol_bits_of))
-            if flag:
-                if flag & _F_SAW:
-                    saw = True
-                if has_clock:
-                    if (flag & _F_ROSE) or (
-                        (flag & _F_ROSE_IF_LOW) and not level
-                    ):
-                        rose = True
-                    if flag & _F_LEVEL_HIGH:
-                        level = True
-                    elif flag & _F_LEVEL_LOW:
-                        level = False
-        self.code_vals, self.mask, self.level, self.rose = (code_vals, mask,
-                                                            level, rose)
-        self.saw, self.pending, self.block_time, self.next_sample = (
-            saw, pending, block_time, next_sample)
-        return out
 
     def finish(self) -> List[int]:
         """The masks closing the final instant."""

@@ -18,7 +18,6 @@ from repro.logic.expr import (
     event_symbols_of,
     prop_symbols_of,
     scoreboard_checks_of,
-    substitute_checks,
     symbols_of,
 )
 from repro.logic.valuation import Valuation
@@ -141,14 +140,6 @@ def test_symbol_extraction():
     assert event_symbols_of(expr) == {"e1", "e2"}
     assert prop_symbols_of(expr) == {"p1"}
     assert scoreboard_checks_of(expr) == {"e3"}
-
-
-def test_substitute_checks():
-    expr = And((EventRef("e"), ScoreboardCheck("x"), ScoreboardCheck("y")))
-    result = substitute_checks(expr, {"x": True}).simplify()
-    assert result == And((EventRef("e"), ScoreboardCheck("y")))
-    result = substitute_checks(expr, {"x": True, "y": False}).simplify()
-    assert result == FALSE
 
 
 def test_immutability():

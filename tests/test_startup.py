@@ -2,9 +2,15 @@
 
 ``import repro`` and every subpackage resolve their exported names on
 first use (PEP 562), and the CLI imports each verb's modules when it
-dispatches that verb.  ``check --vcd`` therefore runs parse, ``Tr``,
-VCD masks and the planned kernel without the modules of other verbs.
-Everything runs in one process, so no command loads
+dispatches that verb.  A table-engine ``check --vcd`` therefore runs
+parse, ``tr_compiled``, VCD masks and the planned kernel without the
+modules of other verbs, the interpreted engine, the streaming checker
+or the corpus store.  Where no ``.pyc`` is written
+(``PYTHONDONTWRITEBYTECODE=1``) every command compiles each module it
+imports, so the pins bound the non-blank source lines it loads as
+well as the module count, and a second run on a warm shared-object
+cache loads neither ``subprocess`` (only a compile needs it) nor
+``json``.  Everything runs in one process, so no command loads
 ``multiprocessing``: ``check --vcd``, a ``campaign`` with fault
 trials, and a ``repro serve`` that answers a ``corpus`` op are pinned.
 No command loads NumPy: ``check --vcd``, a ``check --cache`` miss and
@@ -47,16 +53,31 @@ NOT_LOADED = (
     "repro.codegen.python_gen",
     "repro.codegen.sva",
     "repro.codegen.verilog",
+    # The interpreted engine and the assertion stack.
+    "repro.monitor.checker",
+    "repro.monitor.engine",
     # Gone; the first-match proof the lowering needs is its own.
     "repro.optimize",
+    "repro.semantics",
     "repro.serve",
     "repro.sim",
+    # The corpus store (``--cache``, ``ingest``) and the streaming
+    # checker (``--engine interpreted``, serve).
+    "repro.trace.columnar",
+    "repro.trace.streaming",
 )
 
-#: Ceiling on ``repro.*`` modules ``check --vcd`` loads (44 with a C
-#: compiler and 39 without when this was set; 82 before the lazy
-#: packages).
-MAX_REPRO_MODULES = 50
+#: Ceiling on ``repro.*`` modules ``check --vcd`` loads: the count when
+#: this was set plus 2 (36 with a C compiler and 34 without; 42 and 39
+#: before the interpreted, streaming and corpus code left the path, 82
+#: before the lazy packages).
+MAX_REPRO_MODULES = 38
+
+#: Ceiling on the non-blank source lines of those modules, the proxy
+#: for what a run without ``.pyc`` files compiles (7,689 with a C
+#: compiler and 7,375 without when this was set; 10,025 and 9,328
+#: before).
+MAX_REPRO_LINES = {"cc": 8000, "no_cc": 7600}
 
 #: ``python -m repro`` with the loaded module names printed at exit.
 _RUN_AS_MAIN = (
@@ -91,18 +112,36 @@ def _among(names, modules):
             if any(m == name or m.startswith(name + ".") for m in modules)]
 
 
+def _source_lines(module: str) -> int:
+    """Non-blank lines of a ``repro`` module's source file."""
+    path = os.path.join(SRC, *module.split("."))
+    path = path + ".py" if os.path.isfile(path + ".py") else \
+        os.path.join(path, "__init__.py")
+    with open(path, encoding="utf-8") as stream:
+        return sum(1 for line in stream if line.strip())
+
+
 @pytest.mark.parametrize("cc", ["cc", "no_cc"])
 def test_check_vcd_loads_only_what_it_runs(cc, tmp_path):
     dump = tmp_path / "ocp.vcd"
     dump.write_text(ocp_simple_vcd(seed=3, repeats=2))
-    result, modules = _run_cli(
-        ["check", SPEC, "ocp_simple_read", "--vcd", str(dump),
-         "--clock", "clk"], _env(cc))
+    env = _env(cc)
+    # A private shared-object cache: the first run compiles into it,
+    # the second finds every object there.
+    env["REPRO_NATIVE_CACHE"] = str(tmp_path / "so")
+    check = ["check", SPEC, "ocp_simple_read", "--vcd", str(dump),
+             "--clock", "clk"]
+    (result, modules), (warm, warm_modules) = \
+        _run_cli(check, env), _run_cli(check, env)
     assert result.stdout.startswith(f"{dump}: ")
     assert "detections at [" in result.stdout
+    assert warm.stdout == result.stdout
     assert _among(NOT_LOADED, modules) == []
     ours = [m for m in modules if m == "repro" or m.startswith("repro.")]
     assert len(ours) <= MAX_REPRO_MODULES, ours
+    lines = sum(map(_source_lines, ours))
+    assert lines <= MAX_REPRO_LINES[cc], (lines, ours)
+    assert _among(("json", "subprocess"), warm_modules) == []
 
 
 @pytest.mark.parametrize("cc", ["cc", "no_cc"])
@@ -269,3 +308,56 @@ def test_package_inits_import_no_modules():
             if isinstance(node, (ast.Import, ast.ImportFrom))
         ]
         assert imports in ([], ["repro._lazy"]), (package, imports)
+
+
+#: ``(old home, name, defining module)`` of names a start-up cut moved
+#: off the ``check --vcd`` path; the old paths resolve on first use.
+MOVED = (
+    ("repro.monitor.engine", "MonitorResult", "repro.runtime.compiled"),
+    ("repro.runtime.compiled", "CompiledEngine", "repro.monitor.engine"),
+    ("repro.runtime.native", "NativeEngine", "repro.monitor.engine"),
+    ("repro.synthesis.tr", "minterm_expr", "repro.synthesis.dense"),
+    ("repro.synthesis.tr", "synthesize_monitor", "repro.synthesis.dense"),
+    ("repro.trace.columnar", "check_masks", "repro.trace.shard"),
+    ("repro.trace.streaming", "StreamReport", "repro.trace.shard"),
+)
+
+
+@pytest.mark.parametrize("old, name, home", MOVED)
+def test_moved_names_resolve_at_their_old_paths(old, name, home):
+    value = getattr(importlib.import_module(home), name)
+    module = importlib.import_module(old)
+    assert getattr(module, name) is value
+    assert name in dir(module) and name in module.__all__
+    namespace = {}
+    exec(f"from {old} import {name}", namespace)
+    assert namespace[name] is value
+
+
+#: Attributes ``perfbench/traced.py`` swaps for span-wrapped ones: each
+#: must be its owner's own entry, where the program looks it up.
+_SWAPPED = (
+    ("repro.cli", ("parse_cesc", "tr_compiled")),
+    ("repro.runtime.engines", ("plan_execution",)),
+    ("repro.trace.columnar", ("corpus_key", "hashlib", "ingest_vcd",
+                              "masks_from_vcd_text")),
+    ("repro.trace.shard", ("run_sharded_vcd",)),
+    ("repro.trace.vcd_reader", ("VcdReader",)),
+)
+
+
+def test_names_the_benchmark_imports_or_swaps_resolve():
+    for module, names in _SWAPPED:
+        owner = vars(importlib.import_module(module))
+        assert [name for name in names if name not in owner] == [], module
+    bench = os.path.join(ROOT, "perfbench")
+    for script in ("traced.py", "inputs.py", "workloads.py"):
+        with open(os.path.join(bench, script), encoding="utf-8") as stream:
+            tree = ast.parse(stream.read())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and \
+                    (node.module or "").startswith("repro"):
+                module = importlib.import_module(node.module)
+                for alias in node.names:
+                    assert getattr(module, alias.name) is not None, \
+                        (script, node.module, alias.name)

@@ -361,3 +361,92 @@ def test_engine_observer_reports_backend(diff_harness):
     chart = _handshake()
     for engine in ("interpreted",) + diff_harness.stream_engines():
         assert StreamingChecker(chart, engine=engine).engine == engine
+
+
+# ------------------------------------------------- chart construction ----
+def _chart_case(name):
+    """``(chart, its leaf SCESCs)`` for the member-construction pins."""
+    from repro.cesc.charts import Loop
+    from repro.figures import fig1_chart
+    from repro.protocols.amba.charts import ahb_transaction_chart
+    from repro.protocols.ocp import ocp_burst_read_chart
+
+    handshake = _handshake()
+    other = (
+        scesc("other").instances("M", "S")
+        .tick(ev("x")).tick().tick(ev("y"))
+        .arrow("xy", cause="x", effect="y")
+        .build()
+    )
+    leaf = {"ocp_simple": ocp_simple_read_chart,
+            "ocp_burst": ocp_burst_read_chart,
+            "ahb": ahb_transaction_chart,
+            "fig1": fig1_chart}.get(name)
+    if leaf is not None:
+        chart = leaf()
+        return chart, [chart]
+    if name == "alt":
+        return Alt((handshake, other), name="either"), [handshake, other]
+    return Loop(handshake, name="handshakes"), [handshake]
+
+
+@pytest.mark.parametrize(
+    "name", ["ocp_simple", "ocp_burst", "ahb", "fig1", "alt", "loop"])
+def test_chart_members_detect_what_the_bank_detects(name, diff_harness):
+    """A detector chart on a table engine gets one table per pattern
+    alternative, filled per satisfaction signature: the same members
+    (names, count) and the same detections as the bank path."""
+    from repro.synthesis.pattern import flatten_chart
+
+    chart, leaves = _chart_case(name)
+    bank = synthesize_chart(chart)
+    assert len(bank.members) == len(flatten_chart(chart)) >= 1
+    if name in ("alt", "loop"):
+        assert len(bank.members) > 1
+    generator = TraceGenerator(chart, seed=11)
+    traces = []
+    for seed in range(3):
+        trace = generator.random_trace(seed)
+        for leaf in leaves * 2:
+            trace = trace.concat(generator.satisfying_trace(
+                leaf, prefix=seed % 2, suffix=1))
+        traces.append(trace.concat(generator.random_trace(5)))
+    expected = [bank.run(trace).detections for trace in traces]
+    assert any(expected)
+    for engine in diff_harness.stream_engines():
+        for trace, detections in zip(traces, expected):
+            checker = StreamingChecker(chart, engine=engine)
+            assert checker.name == bank.name
+            assert [member.monitor.name for member in checker._engines] \
+                == [monitor.name for monitor in bank.monitors]
+            report = checker.feed(trace)
+            assert report.detections == detections, (engine, trace)
+
+
+def test_chart_checker_fails_like_the_bank():
+    """A chart with no alternative (an unbounded loop at
+    ``loop_limit=0``) raises the bank's error on every engine."""
+    from repro.cesc.charts import Loop
+    from repro.errors import SynthesisError
+
+    chart = Loop(_handshake(), name="handshakes")
+    with pytest.raises(SynthesisError) as bank_error:
+        synthesize_chart(chart, loop_limit=0)
+    for engine in ("compiled", "interpreted"):
+        with pytest.raises(SynthesisError) as error:
+            StreamingChecker(chart, engine=engine, loop_limit=0)
+        assert str(error.value) == str(bank_error.value)
+
+
+def test_ocp_burst_checker_builds_in_bounded_time():
+    """Building the tables per signature takes milliseconds; lowering
+    the dense minterm monitor took seconds (OCP burst: 4,368
+    transitions)."""
+    import time
+
+    from repro.protocols.ocp import ocp_burst_read_chart
+
+    chart = ocp_burst_read_chart()
+    started = time.perf_counter()
+    StreamingChecker(chart, engine="compiled")
+    assert time.perf_counter() - started <= 0.5

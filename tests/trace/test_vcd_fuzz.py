@@ -26,7 +26,7 @@ import signal
 
 import pytest
 
-import repro.trace.vcd_reader as vcd_reader_module
+import repro.trace.vcd_python as vcd_python
 from repro.errors import TraceError
 from repro.logic.codec import AlphabetCodec
 from repro.trace import vcd_native
@@ -309,7 +309,7 @@ def _front_end(case, tmp_path, codec, valuations=False):
 def test_c_parser_python_parser_and_oracle_agree(batch, tmp_path,
                                                  monkeypatch):
     counts = {"python": 0, "native": 0}
-    parse_chunk = vcd_reader_module._parse_chunk
+    parse_chunk = vcd_python.parse_chunk
     native_call = vcd_native.NativeBlocks.__call__
 
     def python_block(*args, **kwargs):
@@ -321,7 +321,7 @@ def test_c_parser_python_parser_and_oracle_agree(batch, tmp_path,
         counts["native"] += masks is not vcd_native.FALLBACK
         return masks
 
-    monkeypatch.setattr(vcd_reader_module, "_parse_chunk", python_block)
+    monkeypatch.setattr(vcd_python, "parse_chunk", python_block)
     monkeypatch.setattr(vcd_native.NativeBlocks, "__call__", native_block)
     seeds = range(batch, CASES, 10)
     for seed in seeds:

@@ -16,7 +16,7 @@ import random
 import pytest
 
 import repro.runtime.native as native
-import repro.trace.vcd_reader as vcd_reader_module
+import repro.trace.vcd_python as vcd_python
 from repro.logic.codec import AlphabetCodec
 from repro.protocols.fixtures import amba_vcd, ocp_simple_vcd
 from repro.semantics.run import Trace
@@ -35,13 +35,13 @@ pytestmark = pytest.mark.skipif(
 def python_blocks(monkeypatch):
     """Count the blocks the Python parser takes."""
     calls = []
-    parse_chunk = vcd_reader_module._parse_chunk
+    parse_chunk = vcd_python.parse_chunk
 
     def counted(text, *args, **kwargs):
         calls.append(text)
         return parse_chunk(text, *args, **kwargs)
 
-    monkeypatch.setattr(vcd_reader_module, "_parse_chunk", counted)
+    monkeypatch.setattr(vcd_python, "parse_chunk", counted)
     return calls
 
 
